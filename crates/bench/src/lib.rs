@@ -252,9 +252,11 @@ pub fn run_model_with(
     let mut sampler = QueueSampler::new(exp.server.stats_bucket);
     let mut series = Vec::new();
     for name in trace_queues {
-        let gauge = server
-            .gauge_fn(name)
-            .unwrap_or_else(|| panic!("server has no gauge named {name}"));
+        let depth = server
+            .registry()
+            .gauge_read("stage_queue_depth", &[("stage", name)])
+            .unwrap_or_else(|| panic!("server has no stage queue named {name}"));
+        let gauge = move || depth().max(0.0) as usize;
         series.push((name.to_string(), sampler.track(*name, gauge)));
     }
     let sampler_handle = sampler.start();

@@ -7,9 +7,12 @@ use staged_http::ParseLimits;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-/// Configuration shared by both servers. Fields irrelevant to a model
-/// are ignored by it (the baseline only reads `baseline_workers` /
-/// `db_connections` / generic fields).
+/// Configuration of the one request pipeline. Which model runs —
+/// which pools exist and which stage runs on which — is chosen by the
+/// entry point ([`StagedServer::start`](crate::StagedServer::start) or
+/// [`BaselineServer::start`](crate::BaselineServer::start)), not by a
+/// field here; the per-pool sizes and queue caps below configure the
+/// pools of whichever model is started and the rest applies to both.
 ///
 /// Defaults follow the paper's proportions at laptop scale: the general
 /// dynamic pool has **four times** the lengthy pool's threads (§3.3),
@@ -30,19 +33,19 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: SocketAddr,
-    /// Header-parsing pool size (staged server).
+    /// Header-parsing pool size (five-pool model).
     pub header_workers: usize,
-    /// Static-request pool size (staged server).
+    /// Static-request pool size (five-pool model).
     pub static_workers: usize,
-    /// General dynamic pool size (staged server).
+    /// General dynamic pool size (five-pool model).
     pub general_workers: usize,
-    /// Lengthy dynamic pool size (staged server).
+    /// Lengthy dynamic pool size (five-pool model).
     pub lengthy_workers: usize,
-    /// Template-rendering pool size (staged server).
+    /// Template-rendering pool size (five-pool model).
     pub render_workers: usize,
-    /// Worker pool size for the baseline thread-per-request server.
-    /// Matches the staged server's dynamic thread count by default so
-    /// both models get the same connection budget.
+    /// Worker pool size of the thread-per-request model. Matches the
+    /// five-pool model's dynamic thread count by default so both models
+    /// get the same connection budget.
     pub baseline_workers: usize,
     /// Database connections in the shared pool.
     pub db_connections: usize,
@@ -96,7 +99,7 @@ pub struct ServerConfig {
     pub lengthy_queue_cap: Option<usize>,
     /// Explicit bound for the render queue(s).
     pub render_queue_cap: Option<usize>,
-    /// Explicit bound for the baseline server's single worker queue.
+    /// Explicit bound for the thread-per-request model's single queue.
     pub baseline_queue_cap: Option<usize>,
     /// End-to-end time budget per request, measured from the moment the
     /// request line arrives. Stages check the remaining budget when they
@@ -125,25 +128,26 @@ pub struct ServerConfig {
     /// Circuit breaker wrapped around database checkout and query
     /// execution (see [`staged_db::CircuitBreaker`]). When the breaker
     /// opens, dynamic handlers fail fast instead of burning their
-    /// deadline in acquisition backoff, and the staged server degrades
+    /// deadline in acquisition backoff, and cache-marked pages degrade
     /// to the stale-render cache. `None` (the default) disables it.
     pub breaker: Option<BreakerConfig>,
-    /// How long a successful render stays servable from the staged
-    /// server's stale cache once fresh generation becomes unavailable.
+    /// How long a successful render stays servable from the stale cache
+    /// once fresh generation becomes unavailable.
     pub stale_ttl: Duration,
     /// Entry bound of the stale-render cache; `0` disables stale
     /// serving entirely. Only routes marked
     /// [`AppBuilder::stale_cacheable`](crate::AppBuilder::stale_cacheable)
-    /// are cached.
+    /// are cached. [`BaselineServer`](crate::BaselineServer) runs
+    /// without it whatever is set here (the paper's comparison).
     pub stale_capacity: usize,
-    /// Whether the staged server runs the dependency-tracked
-    /// dynamic-page cache ([`DocCache`](crate::DocCache)): cacheable GET
-    /// responses are retained tagged with the tables/keys they read and
-    /// served straight from the header stage — zero DB checkouts, zero
-    /// render work, zero allocations — until a committed write
-    /// intersects their read-set. **Off by default** so the baseline
-    /// server and the paper-comparison benches measure the paper's
-    /// model, not the cache.
+    /// Whether to run the dependency-tracked dynamic-page cache
+    /// ([`DocCache`](crate::DocCache)): cacheable GET responses are
+    /// retained tagged with the tables/keys they read and served
+    /// straight from the parse stage — zero DB checkouts, zero render
+    /// work, zero allocations — until a committed write intersects
+    /// their read-set. **Off by default** so the paper-comparison
+    /// benches measure the paper's model, not the cache;
+    /// [`BaselineServer`](crate::BaselineServer) ignores it.
     pub doc_cache: bool,
     /// Freshness backstop for document-cache entries. Correctness comes
     /// from write invalidation; the TTL only bounds how long an entry
@@ -160,8 +164,8 @@ pub struct ServerConfig {
     /// `0` disables trace retention; outcome counters still work.
     pub trace_ring: usize,
     /// Connection-admission caps (global / per-IP concurrency, keep-alive
-    /// request quota, idle harvesting) shared by both servers. All caps
-    /// default to off — see [`GovernorConfig`].
+    /// request quota, idle harvesting). All caps default to off — see
+    /// [`GovernorConfig`].
     pub governor: GovernorConfig,
     /// Durability for the embedded database: a write-ahead log plus
     /// checkpoints in the configured directory (DESIGN.md §13). `None`
@@ -291,7 +295,7 @@ impl ServerConfig {
         )
     }
 
-    /// Effective bound of the baseline server's worker queue.
+    /// Effective bound of the thread-per-request model's worker queue.
     pub fn baseline_queue_bound(&self) -> usize {
         Self::bound(
             self.baseline_queue_cap,

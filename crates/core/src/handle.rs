@@ -1,4 +1,4 @@
-//! The handle returned by both servers.
+//! The handle returned by `start`, whatever the model.
 
 use crate::health::Readiness;
 use crate::scheduler::ServiceTimeTracker;
@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// A closure that swaps the server's database fault plan at runtime.
 pub(crate) type FaultFn = Arc<dyn Fn(Option<FaultPlan>) + Send + Sync>;
 
-/// The shutdown closure installed by each server. It may fail: the
+/// The shutdown closure `start` installs. It may fail: the
 /// final durability checkpoint is part of graceful shutdown, and
 /// swallowing its error would turn "cleanly stopped" into silent data
 /// loss.
@@ -75,10 +75,10 @@ impl Snapshot for PoolSnapshot {
 /// All introspection flows through one [`Registry`]
 /// ([`ServerHandle::registry`]): queue depths, scheduler gauges, pool
 /// counters, latency histograms. `/healthz`, `/metrics`, and the bench
-/// bins read the same surface. The name-based accessors
-/// ([`ServerHandle::gauge`], [`ServerHandle::gauge_fn`],
-/// [`ServerHandle::pool_snapshots`]) remain as thin views over the
-/// registry for existing callers.
+/// bins read the same surface — e.g. a queue depth is
+/// `registry().value("stage_queue_depth", &[("stage", "general")])`.
+/// [`ServerHandle::pool_snapshots`] is a typed view over the registry's
+/// `pool_*` families.
 ///
 /// Dropping the handle also shuts the server down (without blocking on
 /// worker joins; call [`ServerHandle::shutdown`] for a fully joined
@@ -88,9 +88,6 @@ pub struct ServerHandle {
     stats: Arc<ServerStats>,
     tracker: Arc<ServiceTimeTracker>,
     registry: Arc<Registry>,
-    /// Legacy gauge names, in registration order, backing
-    /// [`ServerHandle::gauge_names`].
-    gauge_names: Vec<String>,
     readiness: Arc<Readiness>,
     set_fault: FaultFn,
     breaker: Option<Arc<CircuitBreaker>>,
@@ -101,32 +98,19 @@ impl fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ServerHandle")
             .field("addr", &self.addr)
-            .field("gauges", &self.gauge_names())
             .finish()
     }
 }
 
-/// Maps a legacy gauge name to its registry coordinates: the scheduler
-/// gauges have their own families, everything else is a stage queue
-/// depth.
-fn gauge_coords(name: &str) -> (&'static str, Vec<(&'static str, &str)>) {
-    match name {
-        "tspare" => ("scheduler_t_spare", Vec::new()),
-        "treserve" => ("scheduler_t_reserve", Vec::new()),
-        _ => ("stage_queue_depth", vec![("stage", name)]),
-    }
-}
-
 impl ServerHandle {
-    // A private constructor with one caller per server; a builder would
-    // be ceremony without benefit.
+    // A private constructor with one caller; a builder would be
+    // ceremony without benefit.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         addr: SocketAddr,
         stats: Arc<ServerStats>,
         tracker: Arc<ServiceTimeTracker>,
         registry: Arc<Registry>,
-        gauge_names: Vec<String>,
         readiness: Arc<Readiness>,
         set_fault: FaultFn,
         breaker: Option<Arc<CircuitBreaker>>,
@@ -137,7 +121,6 @@ impl ServerHandle {
             stats,
             tracker,
             registry,
-            gauge_names,
             readiness,
             set_fault,
             breaker,
@@ -185,50 +168,10 @@ impl ServerHandle {
     }
 
     /// The live per-page data-generation tracker (the scheduler's
-    /// classification input; on the baseline server it is
-    /// measurement-only).
+    /// classification input; under the thread-per-request model it
+    /// only labels completions quick/lengthy).
     pub fn service_times(&self) -> &Arc<ServiceTimeTracker> {
         &self.tracker
-    }
-
-    /// Names of the exposed gauges. The baseline server exposes
-    /// `"worker"`; the staged server exposes the queue gauges
-    /// `"header"`, `"static"`, `"general"`, `"lengthy"`, `"render"`
-    /// (plus `"render-lengthy"` when the render split is on) and the
-    /// scheduler gauges `"treserve"` and `"tspare"`.
-    ///
-    /// Deprecated view: new code should read
-    /// `stage_queue_depth{stage=…}` / `scheduler_t_spare` /
-    /// `scheduler_t_reserve` from [`ServerHandle::registry`] instead.
-    pub fn gauge_names(&self) -> Vec<&str> {
-        self.gauge_names.iter().map(String::as_str).collect()
-    }
-
-    /// Current value of a named queue gauge.
-    ///
-    /// Deprecated view over [`ServerHandle::registry`]; see
-    /// [`ServerHandle::gauge_names`] for the name → registry mapping.
-    pub fn gauge(&self, name: &str) -> Option<usize> {
-        if !self.gauge_names.iter().any(|n| n == name) {
-            return None;
-        }
-        let (metric, labels) = gauge_coords(name);
-        let v = self.registry.value(metric, &labels)?;
-        Some(v.max(0.0) as usize)
-    }
-
-    /// A shareable closure for a named gauge, suitable for
-    /// `staged_pool::QueueSampler::track`.
-    ///
-    /// Deprecated view over [`ServerHandle::registry`]; new code should
-    /// use [`Registry::gauge_read`] directly.
-    pub fn gauge_fn(&self, name: &str) -> Option<impl Fn() -> usize + Send + Sync + 'static> {
-        if !self.gauge_names.iter().any(|n| n == name) {
-            return None;
-        }
-        let (metric, labels) = gauge_coords(name);
-        let read = self.registry.gauge_read(metric, &labels)?;
-        Some(move || read().max(0.0) as usize)
     }
 
     /// Point-in-time health of every worker pool: completions, panics

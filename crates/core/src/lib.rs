@@ -2,17 +2,20 @@
 //!
 //! This crate is the reproduction of the DSN 2009 paper *Efficient
 //! Resource Management on Template-based Web Servers* (Courtwright, Yue,
-//! Wang). It provides **two complete web servers** over the same
-//! application contract, so experiments change only the request
-//! processing model:
+//! Wang). It provides **one request pipeline** — parse → static |
+//! dynamic → render → respond — and **two server models** over it. A
+//! model is only a stage→pool map plus which pools' workers own a
+//! database connection, so experiments change nothing but which thread
+//! runs which stage:
 //!
 //! * [`BaselineServer`] — the conventional **thread-per-request** model
 //!   (paper Figure 4): one listener, one worker pool, every worker owns
-//!   a database connection for its lifetime and carries each request
-//!   through parsing, data generation, *and* template rendering.
+//!   a database connection for its lifetime and runs every stage of
+//!   every request on the connections it dequeues.
 //! * [`StagedServer`] — the paper's modified server (Figure 5): one
 //!   listener and **five pools** (header parsing, static requests,
-//!   general dynamic, lengthy dynamic, template rendering). Database
+//!   general dynamic, lengthy dynamic, template rendering), each stage
+//!   handing the request to the next pool's bounded queue. Database
 //!   connections belong only to the two dynamic pools, so they never sit
 //!   idle during template rendering or static service. Dynamic requests
 //!   are classified *quick*/*lengthy* from a per-page running average of
@@ -24,8 +27,8 @@
 //! Applications are built with [`App`]: handlers return
 //! [`PageOutcome::Template`] — the paper's one-line
 //! `return ("tmpl.html", data)` modification — or a pre-rendered
-//! [`PageOutcome::Body`] for backward compatibility, which the staged
-//! server detects and serves directly (paper §3.2).
+//! [`PageOutcome::Body`] for backward compatibility, which the dynamic
+//! stage detects and serves directly (paper §3.2).
 //!
 //! # Examples
 //!
@@ -55,7 +58,6 @@
 #![warn(missing_docs)]
 
 mod app;
-mod baseline;
 mod config;
 mod doccache;
 mod error;
@@ -63,13 +65,14 @@ mod governor;
 mod handle;
 mod health;
 mod overload;
+mod pipeline;
 mod scheduler;
-mod staged;
+mod server;
+mod stages;
 mod stale;
 mod stats;
 
 pub use app::{App, AppBuilder, Handler, PageOutcome, Route};
-pub use baseline::BaselineServer;
 pub use config::ServerConfig;
 pub use doccache::{DocCache, Lookup};
 pub use error::AppError;
@@ -78,7 +81,7 @@ pub use handle::{PoolSnapshot, ServerHandle, ShutdownError};
 pub use health::{Phase, Readiness};
 pub use overload::{ChaosAction, ListenerChaos};
 pub use scheduler::{DynamicPoolChoice, RequestClass, ReserveController, ServiceTimeTracker};
-pub use staged::StagedServer;
+pub use server::{BaselineServer, StagedServer};
 pub use stale::write_key;
 pub use stats::{RequestKind, ServerStats, ShedPoint, StatsSnapshot};
 
@@ -160,10 +163,10 @@ pub mod model_fixtures {
 
     /// Invalidates the document cache and the stale cache for one write,
     /// in the production order (doc cache first). This is the helper the
-    /// staged server's write observer calls; the
+    /// server's write observer calls; the
     /// `core_invalidate_nesting_flip` mutant reverses the order.
     pub fn invalidate_caches(dc: Option<&crate::DocCache>, sc: &Stale, event: &WriteEvent) {
-        crate::staged::invalidate_caches(dc, &sc.0, event);
+        crate::server::invalidate_caches(dc, &sc.0, event);
     }
 }
 

@@ -4,11 +4,12 @@
 //! stale_cacheable`]) are retained with a TTL. When fresh generation is
 //! unavailable — the database circuit breaker is open, the worker's
 //! connection pool is starved, or the request's deadline expired while
-//! it sat in a queue — the staged server serves the stale copy with
+//! it sat in a queue — the pipeline serves the stale copy with
 //! `Warning: 110` / `Age` headers instead of failing outright, and
 //! falls to `503` + `Retry-After` only when no stale copy exists
-//! (fresh → stale → shed). The baseline server deliberately has no
-//! such cache, preserving the paper's model comparison.
+//! (fresh → stale → shed). A cache of capacity zero is off: that is
+//! how `BaselineServer` runs the same pipeline without one, preserving
+//! the paper's model comparison.
 
 use staged_db::{ReadSet, WriteEvent};
 use staged_http::{Body, Response};

@@ -1,6 +1,8 @@
-//! End-to-end tests driving both servers over real TCP.
+//! End-to-end tests driving every server model over real TCP.
 
-use staged_core::{App, BaselineServer, PageOutcome, ServerConfig, ServerHandle, StagedServer};
+use staged_core::{
+    App, BaselineServer, PageOutcome, ServerConfig, ServerHandle, StagedServer, StatsSnapshot,
+};
 use staged_db::{Database, DbValue};
 use staged_http::{fetch, Method, Response, StaticFiles, StatusCode};
 use staged_templates::{Context, TemplateStore, Value};
@@ -46,6 +48,12 @@ fn demo_app() -> App {
         })
         .route("/explode", "explode", |_req, _db| {
             panic!("handler bug");
+        })
+        .route_pattern("/book/:id", "book", |req, _db| {
+            Ok(PageOutcome::Body(Response::text(format!(
+                "book={}",
+                req.param("id").unwrap_or("?")
+            ))))
         })
         .route("/slow", "slow", |_req, db| {
             // A full scan, lengthy by construction.
@@ -93,6 +101,8 @@ fn settle(server: &ServerHandle, expected_total: u64) {
     }
 }
 
+/// Runs `test` against each stage→pool map: thread-per-request, the
+/// paper's five pools, and five pools plus the lengthy-render split.
 fn each_server(test: impl Fn(&ServerHandle, &str)) {
     let baseline = BaselineServer::start(ServerConfig::small(), demo_app(), demo_db()).unwrap();
     test(&baseline, "baseline");
@@ -101,6 +111,127 @@ fn each_server(test: impl Fn(&ServerHandle, &str)) {
     let staged = StagedServer::start(ServerConfig::small(), demo_app(), demo_db()).unwrap();
     test(&staged, "staged");
     staged.shutdown().expect("clean shutdown");
+
+    let config = ServerConfig {
+        split_render: true,
+        ..ServerConfig::small()
+    };
+    let split = StagedServer::start(config, demo_app(), demo_db()).unwrap();
+    test(&split, "staged+split_render");
+    split.shutdown().expect("clean shutdown");
+}
+
+/// Sends raw request bytes on a fresh connection and reads until the
+/// server closes it; returns the status line and the body.
+fn raw_exchange(addr: std::net::SocketAddr, request: &str) -> (String, String) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut buf = Vec::new();
+    stream.read_to_end(&mut buf).unwrap();
+    let text = String::from_utf8_lossy(&buf).into_owned();
+    let (head, body) = text.split_once("\r\n\r\n").unwrap_or((&text, ""));
+    let status = head.lines().next().unwrap_or_default().to_string();
+    (status, body.to_string())
+}
+
+/// The models differ only in which thread runs which stage, so one
+/// scripted sequence must produce the same responses and the same
+/// server counters under every map.
+#[test]
+fn every_map_answers_the_same_script_identically() {
+    const SCRIPT: [(&str, &str); 8] = [
+        ("static hit", "GET /img/flowers.gif HTTP/1.1"),
+        ("static 404", "GET /no-such.png HTTP/1.1"),
+        ("routed page", "GET /books?subject=COOKING HTTP/1.1"),
+        ("unrouted path", "GET /no-such-page HTTP/1.1"),
+        ("HEAD", "HEAD /prerendered HTTP/1.1"),
+        ("pattern capture", "GET /book/42 HTTP/1.1"),
+        ("malformed request line", "NONSENSE REQUEST LINE"),
+        ("probe", "GET /healthz HTTP/1.1"),
+    ];
+    /// One map's run: its name, each step's (status line, body), and
+    /// the server counters afterwards.
+    type Run = (String, Vec<(String, String)>, StatsSnapshot);
+    let runs: std::cell::RefCell<Vec<Run>> = Default::default();
+    each_server(|server, which| {
+        let answers = SCRIPT
+            .iter()
+            .map(|(step, line)| {
+                let (status, body) = raw_exchange(
+                    server.addr(),
+                    &format!("{line}\r\nConnection: close\r\n\r\n"),
+                );
+                // The health payload names the model's own queues and
+                // pools; only its status line is comparable.
+                let body = if *step == "probe" {
+                    String::new()
+                } else {
+                    body
+                };
+                (status, body)
+            })
+            .collect();
+        // Every connection was read to its close, which follows the
+        // counter updates: the snapshot is settled.
+        runs.borrow_mut()
+            .push((which.to_string(), answers, server.stats().snapshot()));
+    });
+    let runs = runs.into_inner();
+    let (_, expected_answers, expected_stats) = &runs[0];
+    let statuses: Vec<&str> = expected_answers.iter().map(|(s, _)| s.as_str()).collect();
+    assert_eq!(
+        statuses,
+        [
+            "HTTP/1.1 200 OK",
+            "HTTP/1.1 404 Not Found",
+            "HTTP/1.1 200 OK",
+            "HTTP/1.1 404 Not Found",
+            "HTTP/1.1 200 OK",
+            "HTTP/1.1 200 OK",
+            "HTTP/1.1 400 Bad Request",
+            "HTTP/1.1 200 OK",
+        ]
+    );
+    assert_eq!(expected_answers[4].1, "", "HEAD carries no body");
+    assert_eq!(expected_answers[5].1, "book=42");
+    assert_eq!(expected_stats.completed_static, 2);
+    assert_eq!(expected_stats.completed_quick_dynamic, 4);
+    assert_eq!(expected_stats.errors, 3, "two 404s and the 400");
+    assert_eq!(expected_stats.dropped_connections, 0);
+    for (which, answers, stats) in &runs[1..] {
+        for (((step, _), got), want) in SCRIPT.iter().zip(answers).zip(expected_answers) {
+            assert_eq!(got, want, "{which} differs from {} on {step}", runs[0].0);
+        }
+        assert_eq!(stats, expected_stats, "{which} counters differ");
+    }
+}
+
+/// Stage service time is recorded per request, not per pool job: a
+/// thread-per-request worker holding one keep-alive connection reports
+/// each request as it completes, while only the connection ever queued.
+#[test]
+fn thread_per_request_reports_service_time_per_request() {
+    use std::io::Write;
+    let server = BaselineServer::start(ServerConfig::small(), demo_app(), demo_db()).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    for _ in 0..20 {
+        stream
+            .write_all(b"GET /books HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let resp = staged_http::read_response(&mut stream).unwrap();
+        assert_eq!(resp.status, StatusCode::OK);
+    }
+    let samples = |family: &str| server.registry().value(family, &[("stage", "worker")]);
+    // The sample lands just after the response bytes are written.
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while samples("stage_service_seconds") < Some(20.0) && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(samples("stage_service_seconds"), Some(20.0));
+    assert_eq!(samples("stage_queue_wait_seconds"), Some(1.0));
+    drop(stream);
+    server.shutdown().expect("clean shutdown");
 }
 
 #[test]
@@ -298,27 +429,36 @@ fn concurrent_clients_are_all_served() {
 #[test]
 fn staged_gauges_exposed() {
     let staged = StagedServer::start(ServerConfig::small(), demo_app(), demo_db()).unwrap();
-    let names = staged.gauge_names();
-    for expected in [
-        "header", "static", "general", "lengthy", "render", "treserve", "tspare",
-    ] {
-        assert!(names.contains(&expected), "missing gauge {expected}");
-    }
+    let registry = staged.registry();
     assert_eq!(
-        staged.gauge("treserve"),
-        Some(ServerConfig::small().min_reserve)
+        registry.label_values("stage_queue_depth", "stage"),
+        ["header", "static", "general", "lengthy", "render"]
     );
-    assert!(staged.gauge("tspare").unwrap() <= ServerConfig::small().general_workers);
-    let f = staged.gauge_fn("general").unwrap();
-    assert_eq!(f(), 0);
+    assert_eq!(
+        registry.value("scheduler_t_reserve", &[]),
+        Some(ServerConfig::small().min_reserve as f64)
+    );
+    let t_spare = registry.value("scheduler_t_spare", &[]).unwrap();
+    assert!(t_spare <= ServerConfig::small().general_workers as f64);
+    let f = registry
+        .gauge_read("stage_queue_depth", &[("stage", "general")])
+        .unwrap();
+    assert_eq!(f(), 0.0);
     staged.shutdown().expect("clean shutdown");
 }
 
 #[test]
 fn baseline_gauge_exposed() {
     let baseline = BaselineServer::start(ServerConfig::small(), demo_app(), demo_db()).unwrap();
-    assert_eq!(baseline.gauge_names(), vec!["worker"]);
-    assert_eq!(baseline.gauge("worker"), Some(0));
+    let registry = baseline.registry();
+    assert_eq!(
+        registry.label_values("stage_queue_depth", "stage"),
+        ["worker"]
+    );
+    assert_eq!(
+        registry.value("stage_queue_depth", &[("stage", "worker")]),
+        Some(0.0)
+    );
     baseline.shutdown().expect("clean shutdown");
 }
 

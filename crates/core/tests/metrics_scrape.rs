@@ -193,12 +193,16 @@ fn baseline_metrics_exposition_is_valid() {
     assert!(text.contains("stage_queue_wait_seconds_bucket{stage=\"worker\""));
     assert!(text.contains("stage_service_seconds_bucket{stage=\"worker\""));
     assert!(text.contains("pool_completed_total{pool=\"baseline-worker\"} 2"));
-    // The baseline has no scheduler and no traces.
+    // The thread-per-request model has no scheduler, but it traces
+    // every request through the same pipeline.
     assert!(!text.contains("scheduler_t_spare"));
-    assert!(!text.contains("trace_outcomes_total"));
+    assert!(!text.contains("scheduler_t_reserve"));
+    assert!(text.contains("trace_outcomes_total{outcome=\"served\"} 2"));
+    assert!(text.contains("request_duration_seconds_count 2"));
 
     let resp = fetch(server.addr(), Method::Get, "/debug/traces", &[]).unwrap();
     assert_eq!(resp.status, StatusCode::OK);
-    assert_eq!(resp.text(), "{\"traces\":[]}");
+    let body = resp.text();
+    assert!(body.contains("\"page\":\"books\""), "{body}");
     server.shutdown().expect("clean shutdown");
 }

@@ -51,7 +51,10 @@ fn split_render_exposes_lengthy_gauge_and_serves_both_classes() {
         Arc::new(Database::new()),
     )
     .unwrap();
-    assert!(server.gauge_names().contains(&"render-lengthy"));
+    assert!(server
+        .registry()
+        .gauge_read("stage_queue_depth", &[("stage", "render-lengthy")])
+        .is_some());
     let addr = server.addr();
 
     // Teach the render tracker that /huge renders slowly.
@@ -115,7 +118,10 @@ fn default_config_has_no_lengthy_render_pool() {
         Arc::new(Database::new()),
     )
     .unwrap();
-    assert!(!server.gauge_names().contains(&"render-lengthy"));
+    assert!(server
+        .registry()
+        .gauge_read("stage_queue_depth", &[("stage", "render-lengthy")])
+        .is_none());
     let resp = fetch(server.addr(), Method::Get, "/huge", &[]).unwrap();
     assert_eq!(resp.status, StatusCode::OK);
     server.shutdown().expect("clean shutdown");

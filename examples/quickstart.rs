@@ -71,8 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(resp.text().contains("Bonjour"));
 
     println!(
-        "pools involved: header -> general-dynamic -> render (gauges: {:?})",
-        server.gauge_names()
+        "pools involved: header -> general-dynamic -> render (stage queues: {:?})",
+        server.registry().label_values("stage_queue_depth", "stage")
     );
     server.shutdown().expect("clean shutdown");
     println!("server shut down cleanly");

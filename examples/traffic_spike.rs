@@ -82,14 +82,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }));
     }
 
+    let gauge = |metric: &str, labels: &[(&str, &str)]| {
+        server.registry().value(metric, labels).unwrap_or(0.0) as usize
+    };
     let observe = |phase: &str, at: Duration| {
         println!(
             "{:>6} {:>8} {:>10} {:>10} {:>10} {:>8}",
             at.as_millis(),
             phase,
-            server.gauge("tspare").unwrap_or(0),
-            server.gauge("treserve").unwrap_or(0),
-            server.gauge("lengthy").unwrap_or(0),
+            gauge("scheduler_t_spare", &[]),
+            gauge("scheduler_t_reserve", &[]),
+            gauge("stage_queue_depth", &[("stage", "lengthy")]),
             server.stats().total_sheds(),
         );
     };
@@ -131,7 +134,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let _ = c.join();
     }
 
-    let final_reserve = server.gauge("treserve").unwrap();
+    let final_reserve = gauge("scheduler_t_reserve", &[]);
     let sheds = server.stats().total_sheds();
     println!("\nfinal t_reserve: {final_reserve} (grew under the spike, relaxed after)");
     println!(

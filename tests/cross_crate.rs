@@ -289,8 +289,12 @@ fn connection_budget_is_respected_under_load() {
         h.join().unwrap();
     }
     // All dynamic workers (= all connections) are idle again.
-    assert_eq!(server.gauge("general"), Some(0));
-    assert_eq!(server.gauge("lengthy"), Some(0));
+    for stage in ["general", "lengthy"] {
+        let depth = server
+            .registry()
+            .value("stage_queue_depth", &[("stage", stage)]);
+        assert_eq!(depth, Some(0.0), "{stage}");
+    }
     assert!(budget >= 5);
     server.shutdown().expect("clean shutdown");
 }
