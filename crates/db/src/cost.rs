@@ -10,9 +10,11 @@ use std::time::{Duration, Instant};
 /// *shape* by charging a fixed cost per row scanned and per row written.
 /// Indexed point lookups scan a handful of rows and stay fast; the
 /// best-seller/new-product/search scans touch 10⁴–10⁵ rows and become
-/// the paper's "lengthy" queries. The delay is injected **while the
-/// table locks are held**, which is what makes the admin-response
-/// write-lock contention reproduce (§4.2.1).
+/// the paper's "lengthy" queries. The delay is injected **after the
+/// statement's table locks are released** (`Database::charge`;
+/// DESIGN.md's substitution table says why): it occupies the
+/// connection — the paper's precious resource — for as long as the
+/// paper's queries ran, but never a table lock.
 ///
 /// A zero model (the default) adds nothing.
 ///

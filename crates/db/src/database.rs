@@ -191,8 +191,9 @@ impl TableEntry {
 ///   exclusive for INSERT/UPDATE/DELETE;
 /// * locks for multi-table statements are acquired in sorted name order,
 ///   so concurrent statements cannot deadlock;
-/// * synthetic per-row latency from the [`CostModel`] is charged *while
-///   the locks are held*.
+/// * synthetic per-row latency from the [`CostModel`] is charged
+///   *after* the statement's locks are released (it occupies the
+///   connection, not the table).
 ///
 /// `Database` is `Send + Sync`; share it behind an `Arc` (usually via
 /// [`ConnectionPool`](crate::ConnectionPool)).
@@ -589,7 +590,7 @@ impl Database {
             .filter(|(i, _)| pk != Some(*i) && data.has_index(*i))
             .map(|(_, c)| c.name.clone())
             .collect();
-        let rows: Vec<Vec<DbValue>> = data.iter_live().map(|(_, r)| r.clone()).collect();
+        let rows: Vec<Vec<DbValue>> = data.iter_live().map(|(_, r)| r.to_vec()).collect();
         (columns, indexed, rows)
     }
 

@@ -7,6 +7,7 @@ use crate::readset::{ReadSet, RowKey};
 use crate::sql::ast::*;
 use crate::table::TableData;
 use crate::value::DbValue;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A table bound into a query, with its column offset in the joined row.
@@ -28,32 +29,50 @@ pub(crate) struct ExecStats {
     pub written: u64,
 }
 
-pub(crate) struct EvalCtx<'a> {
+/// A row as the evaluator sees it: one stored-row slice per bound
+/// table slot. The plan executor hands out references to the tables'
+/// own rows; the legacy executor presents its flat joined row as a
+/// single slot.
+pub(crate) type RowRef<'r, 'a> = &'r [&'a [DbValue]];
+
+/// Resolves column names against the tables bound so far.
+pub(crate) struct Binder<'a> {
     pub(crate) tables: &'a [BoundTable<'a>],
-    pub(crate) params: &'a [DbValue],
+    /// Address columns in one flat joined row (slot 0, absolute
+    /// offset) — the legacy executor's row shape — instead of
+    /// `(table slot, column)`.
+    pub(crate) flat: bool,
 }
 
-impl EvalCtx<'_> {
-    /// Resolves a column reference to an absolute offset in the joined
-    /// row.
-    pub(crate) fn resolve(&self, col: &ColRef) -> Result<usize, DbError> {
+impl Binder<'_> {
+    fn place(&self, slot: usize, col: usize) -> (usize, usize) {
+        if self.flat {
+            (0, self.tables[slot].offset + col)
+        } else {
+            (slot, col)
+        }
+    }
+
+    /// Resolves a column reference to its `(slot, column)` address.
+    pub(crate) fn resolve(&self, col: &ColRef) -> Result<(usize, usize), DbError> {
         match &col.table {
             Some(t) => {
-                let bound = self
+                let missing = || DbError::NoSuchColumn(format!("{t}.{}", col.column));
+                let slot = self
                     .tables
                     .iter()
-                    .find(|b| b.name == *t)
-                    .ok_or_else(|| DbError::NoSuchColumn(format!("{t}.{}", col.column)))?;
-                let idx = bound
+                    .position(|b| b.name == *t)
+                    .ok_or_else(missing)?;
+                let idx = self.tables[slot]
                     .data
                     .schema()
                     .column_index(&col.column)
-                    .ok_or_else(|| DbError::NoSuchColumn(format!("{t}.{}", col.column)))?;
-                Ok(bound.offset + idx)
+                    .ok_or_else(missing)?;
+                Ok(self.place(slot, idx))
             }
             None => {
                 let mut found = None;
-                for bound in self.tables {
+                for (slot, bound) in self.tables.iter().enumerate() {
                     if let Some(idx) = bound.data.schema().column_index(&col.column) {
                         if found.is_some() {
                             return Err(DbError::NoSuchColumn(format!(
@@ -61,7 +80,7 @@ impl EvalCtx<'_> {
                                 col.column
                             )));
                         }
-                        found = Some(bound.offset + idx);
+                        found = Some(self.place(slot, idx));
                     }
                 }
                 found.ok_or_else(|| DbError::NoSuchColumn(col.column.clone()))
@@ -69,93 +88,183 @@ impl EvalCtx<'_> {
         }
     }
 
-    fn param(&self, i: usize) -> Result<DbValue, DbError> {
-        self.params
-            .get(i)
-            .cloned()
-            .ok_or_else(|| DbError::invalid(format!("missing parameter #{}", i + 1)))
+    /// Binds `expr` for evaluation: every column leaf becomes its
+    /// resolved address, so rows are never searched by name. A name
+    /// that does not resolve binds to a leaf that raises the resolution
+    /// error when — and only when — a row is evaluated against it.
+    pub(crate) fn bind(&self, expr: &Expr) -> BoundExpr {
+        let mut bound = expr.clone();
+        self.rewrite(&mut bound);
+        BoundExpr(bound)
     }
 
-    pub(crate) fn eval(&self, expr: &Expr, row: &[DbValue]) -> Result<DbValue, DbError> {
+    fn rewrite(&self, expr: &mut Expr) {
         match expr {
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Param(i) => self.param(*i),
-            Expr::Column(c) => Ok(row[self.resolve(c)?].clone()),
-            Expr::Not(e) => {
-                let v = self.eval(e, row)?;
-                Ok(DbValue::Int(i64::from(!truthy(&v))))
-            }
-            Expr::Neg(e) => match self.eval(e, row)? {
-                DbValue::Int(i) => Ok(DbValue::Int(-i)),
-                DbValue::Float(f) => Ok(DbValue::Float(-f)),
-                DbValue::Null => Ok(DbValue::Null),
-                v => Err(DbError::invalid(format!("cannot negate {v}"))),
-            },
-            Expr::IsNull { expr, negated } => {
-                let v = self.eval(expr, row)?;
-                Ok(DbValue::Int(i64::from(v.is_null() != *negated)))
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = self.eval(expr, row)?;
-                if v.is_null() {
-                    return Ok(DbValue::Int(0));
+            Expr::Column(c) => {
+                *expr = match self.resolve(c) {
+                    Ok((slot, col)) => Expr::Slot(slot, col),
+                    Err(e) => Expr::Unbound(e),
                 }
-                let mut found = false;
-                for item in list {
-                    if v.sql_eq(&self.eval(item, row)?) {
-                        found = true;
-                        break;
-                    }
-                }
-                Ok(DbValue::Int(i64::from(found != *negated)))
+            }
+            Expr::Literal(_) | Expr::Param(_) | Expr::Slot(..) | Expr::Unbound(_) => {}
+            Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => self.rewrite(e),
+            Expr::Binary { left, right, .. } => {
+                self.rewrite(left);
+                self.rewrite(right);
+            }
+            Expr::InList { expr, list, .. } => {
+                self.rewrite(expr);
+                list.iter_mut().for_each(|e| self.rewrite(e));
             }
             Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
+                expr, low, high, ..
             } => {
-                use std::cmp::Ordering;
-                let v = self.eval(expr, row)?;
-                let lo = self.eval(low, row)?;
-                let hi = self.eval(high, row)?;
-                let inside = matches!(v.sql_cmp(&lo), Some(Ordering::Greater | Ordering::Equal))
-                    && matches!(v.sql_cmp(&hi), Some(Ordering::Less | Ordering::Equal));
-                Ok(DbValue::Int(i64::from(inside != *negated)))
+                self.rewrite(expr);
+                self.rewrite(low);
+                self.rewrite(high);
             }
-            Expr::Binary { op, left, right } => {
-                // Short-circuit logical operators.
-                match op {
-                    BinOp::And => {
-                        let l = self.eval(left, row)?;
-                        if !truthy(&l) {
-                            return Ok(DbValue::Int(0));
-                        }
-                        let r = self.eval(right, row)?;
-                        return Ok(DbValue::Int(i64::from(truthy(&r))));
-                    }
-                    BinOp::Or => {
-                        let l = self.eval(left, row)?;
-                        if truthy(&l) {
-                            return Ok(DbValue::Int(1));
-                        }
-                        let r = self.eval(right, row)?;
-                        return Ok(DbValue::Int(i64::from(truthy(&r))));
-                    }
-                    _ => {}
+            Expr::Aggregate { arg, .. } => {
+                if let Some(arg) = arg {
+                    self.rewrite(arg);
                 }
-                let l = self.eval(left, row)?;
-                let r = self.eval(right, row)?;
-                eval_binop(*op, &l, &r)
             }
-            Expr::Aggregate { .. } => Err(DbError::invalid(
-                "aggregate function used outside of an aggregating SELECT",
-            )),
         }
+    }
+}
+
+/// An expression whose column leaves are resolved addresses
+/// ([`Binder::bind`]) — the only form the evaluator accepts.
+#[derive(Debug, Clone)]
+pub(crate) struct BoundExpr(Expr);
+
+impl BoundExpr {
+    /// Evaluates against one row. Column, literal and parameter leaves
+    /// come back borrowed, so comparing them allocates nothing.
+    pub(crate) fn eval<'a>(
+        &'a self,
+        row: RowRef<'_, 'a>,
+        params: &'a [DbValue],
+    ) -> Result<Cow<'a, DbValue>, DbError> {
+        eval(&self.0, row, params)
+    }
+
+    /// Evaluates as a predicate.
+    pub(crate) fn holds(&self, row: RowRef<'_, '_>, params: &[DbValue]) -> Result<bool, DbError> {
+        holds(&self.0, row, params)
+    }
+}
+
+fn eval<'a>(
+    expr: &'a Expr,
+    row: RowRef<'_, 'a>,
+    params: &'a [DbValue],
+) -> Result<Cow<'a, DbValue>, DbError> {
+    let flag = |b: bool| Ok(Cow::Owned(DbValue::Int(i64::from(b))));
+    match expr {
+        Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+        Expr::Slot(slot, col) => Ok(Cow::Borrowed(&row[*slot][*col])),
+        Expr::Param(i) => match params.get(*i) {
+            Some(v) => Ok(Cow::Borrowed(v)),
+            None => Err(DbError::invalid(format!("missing parameter #{}", i + 1))),
+        },
+        Expr::Unbound(e) => Err(e.clone()),
+        // Only a row-less expression (INSERT values, LIMIT/OFFSET) is
+        // evaluated unbound, and with no row no name can resolve.
+        Expr::Column(c) => Err(DbError::NoSuchColumn(match &c.table {
+            Some(t) => format!("{t}.{}", c.column),
+            None => c.column.clone(),
+        })),
+        Expr::Neg(e) => match &*eval(e, row, params)? {
+            DbValue::Int(i) => Ok(Cow::Owned(DbValue::Int(-i))),
+            DbValue::Float(f) => Ok(Cow::Owned(DbValue::Float(-f))),
+            DbValue::Null => Ok(Cow::Owned(DbValue::Null)),
+            v => Err(DbError::invalid(format!("cannot negate {v}"))),
+        },
+        Expr::IsNull { expr, negated } => flag(eval(expr, row, params)?.is_null() != *negated),
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let v = eval(expr, row, params)?;
+            if v.is_null() {
+                return flag(false);
+            }
+            let mut found = false;
+            for item in list {
+                if v.sql_eq(&*eval(item, row, params)?) {
+                    found = true;
+                    break;
+                }
+            }
+            flag(found != *negated)
+        }
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => {
+            use std::cmp::Ordering;
+            let v = eval(expr, row, params)?;
+            let lo = eval(low, row, params)?;
+            let hi = eval(high, row, params)?;
+            let inside = matches!(v.sql_cmp(&lo), Some(Ordering::Greater | Ordering::Equal))
+                && matches!(v.sql_cmp(&hi), Some(Ordering::Less | Ordering::Equal));
+            flag(inside != *negated)
+        }
+        Expr::Not(_)
+        | Expr::Binary {
+            op: BinOp::And | BinOp::Or,
+            ..
+        } => flag(holds(expr, row, params)?),
+        Expr::Binary { op, left, right } => {
+            let l = eval(left, row, params)?;
+            let r = eval(right, row, params)?;
+            eval_binop(*op, &l, &r).map(Cow::Owned)
+        }
+        Expr::Aggregate { .. } => Err(DbError::invalid(
+            "aggregate function used outside of an aggregating SELECT",
+        )),
+    }
+}
+
+/// A leaf's value with no call, no `Cow` and no `Result` — what the
+/// per-row `column op constant` predicate is made of. `None` for
+/// anything else (and for a missing parameter: `eval` words the error).
+#[inline]
+fn leaf<'a>(expr: &'a Expr, row: RowRef<'_, 'a>, params: &'a [DbValue]) -> Option<&'a DbValue> {
+    match expr {
+        Expr::Literal(v) => Some(v),
+        Expr::Slot(slot, col) => Some(&row[*slot][*col]),
+        Expr::Param(i) => params.get(*i),
+        _ => None,
+    }
+}
+
+/// Evaluates as a predicate, straight to `bool`: the logical operators
+/// short-circuit and a comparison never builds its `0`/`1` value.
+fn holds(expr: &Expr, row: RowRef<'_, '_>, params: &[DbValue]) -> Result<bool, DbError> {
+    match expr {
+        Expr::Not(e) => Ok(!holds(e, row, params)?),
+        Expr::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        } => Ok(holds(left, row, params)? && holds(right, row, params)?),
+        Expr::Binary {
+            op: BinOp::Or,
+            left,
+            right,
+        } => Ok(holds(left, row, params)? || holds(right, row, params)?),
+        Expr::Binary { op, left, right } => {
+            let leaves = leaf(left, row, params).zip(leaf(right, row, params));
+            match leaves.and_then(|(l, r)| compare(*op, l, r)) {
+                Some(b) => Ok(b),
+                None => Ok(truthy(&*eval(expr, row, params)?)),
+            }
+        }
+        e => Ok(truthy(&*eval(e, row, params)?)),
     }
 }
 
@@ -168,26 +277,29 @@ pub(crate) fn truthy(v: &DbValue) -> bool {
     }
 }
 
-pub(crate) fn eval_binop(op: BinOp, l: &DbValue, r: &DbValue) -> Result<DbValue, DbError> {
-    use std::cmp::Ordering;
-    let bool_val = |b: bool| DbValue::Int(i64::from(b));
-    match op {
-        BinOp::Eq => Ok(bool_val(l.sql_eq(r))),
-        BinOp::Ne => Ok(bool_val(!l.is_null() && !r.is_null() && !l.sql_eq(r))),
-        BinOp::Lt => Ok(bool_val(l.sql_cmp(r) == Some(Ordering::Less))),
-        BinOp::Gt => Ok(bool_val(l.sql_cmp(r) == Some(Ordering::Greater))),
-        BinOp::Le => Ok(bool_val(matches!(
-            l.sql_cmp(r),
-            Some(Ordering::Less | Ordering::Equal)
-        ))),
-        BinOp::Ge => Ok(bool_val(matches!(
-            l.sql_cmp(r),
-            Some(Ordering::Greater | Ordering::Equal)
-        ))),
+/// The comparison operators; `None` for an arithmetic `op`.
+fn compare(op: BinOp, l: &DbValue, r: &DbValue) -> Option<bool> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    Some(match op {
+        BinOp::Eq => l.sql_eq(r),
+        BinOp::Ne => !l.is_null() && !r.is_null() && !l.sql_eq(r),
+        BinOp::Lt => l.sql_cmp(r) == Some(Less),
+        BinOp::Gt => l.sql_cmp(r) == Some(Greater),
+        BinOp::Le => matches!(l.sql_cmp(r), Some(Less | Equal)),
+        BinOp::Ge => matches!(l.sql_cmp(r), Some(Greater | Equal)),
         BinOp::Like => match (l, r) {
-            (DbValue::Text(s), DbValue::Text(p)) => Ok(bool_val(like_match(p, s))),
-            _ => Ok(bool_val(false)),
+            (DbValue::Text(s), DbValue::Text(p)) => like_match(p, s),
+            _ => false,
         },
+        _ => return None,
+    })
+}
+
+pub(crate) fn eval_binop(op: BinOp, l: &DbValue, r: &DbValue) -> Result<DbValue, DbError> {
+    if let Some(b) = compare(op, l, r) {
+        return Ok(DbValue::Int(i64::from(b)));
+    }
+    match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
             if l.is_null() || r.is_null() {
                 return Ok(DbValue::Null);
@@ -229,24 +341,61 @@ pub(crate) fn eval_binop(op: BinOp, l: &DbValue, r: &DbValue) -> Result<DbValue,
                 }
             }
         }
-        BinOp::And | BinOp::Or => unreachable!("handled by eval"),
+        // Row evaluation short-circuits these in `holds`; only an
+        // aggregate expression (`COUNT(*) > 1 AND …`) lands here.
+        BinOp::And => Ok(DbValue::Int(i64::from(truthy(l) && truthy(r)))),
+        BinOp::Or => Ok(DbValue::Int(i64::from(truthy(l) || truthy(r)))),
+        _ => unreachable!("comparisons returned above"),
     }
 }
 
 /// Case-insensitive SQL `LIKE` with `%` (any run) and `_` (any char),
-/// matching MySQL's default collation behaviour.
+/// matching MySQL's default collation behaviour. ASCII input — every
+/// TPC-W title and name — is compared in place; anything else goes
+/// through `to_lowercase` first, so `İ`, `ß` and friends fold the way
+/// Unicode says (`_` then stands for one lowercased `char`).
 pub(crate) fn like_match(pattern: &str, text: &str) -> bool {
-    fn rec(p: &[char], t: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some(('%', rest)) => (0..=t.len()).any(|k| rec(rest, &t[k..])),
-            Some(('_', rest)) => !t.is_empty() && rec(rest, &t[1..]),
-            Some((c, rest)) => !t.is_empty() && t[0].eq_ignore_ascii_case(c) && rec(rest, &t[1..]),
-        }
+    if pattern.is_ascii() && text.is_ascii() {
+        return wildcard_match(pattern.as_bytes(), text.as_bytes(), b'%', b'_', |a, b| {
+            a.eq_ignore_ascii_case(&b)
+        });
     }
     let p: Vec<char> = pattern.to_lowercase().chars().collect();
     let t: Vec<char> = text.to_lowercase().chars().collect();
-    rec(&p, &t)
+    wildcard_match(&p, &t, '%', '_', |a, b| a.eq_ignore_ascii_case(&b))
+}
+
+/// Iterative two-pointer wildcard match: on a mismatch, resume after
+/// the most recent `any` with its run one element longer. An earlier
+/// `any` never needs revisiting (whatever it could absorb the later
+/// one can too), so the cost is O(pattern × text) however many
+/// wildcards the pattern holds — the pattern comes from the client.
+fn wildcard_match<T: Copy + PartialEq>(
+    p: &[T],
+    t: &[T],
+    any: T,
+    one: T,
+    eq: impl Fn(T, T) -> bool,
+) -> bool {
+    let (mut pi, mut ti) = (0, 0);
+    // (pattern position after the last `any`, text position its run ends at)
+    let mut resume: Option<(usize, usize)> = None;
+    while ti < t.len() {
+        if pi < p.len() && p[pi] == any {
+            pi += 1;
+            resume = Some((pi, ti));
+        } else if pi < p.len() && (p[pi] == one || eq(p[pi], t[ti])) {
+            pi += 1;
+            ti += 1;
+        } else if let Some((after_any, run_end)) = resume {
+            pi = after_any;
+            ti = run_end + 1;
+            resume = Some((after_any, ti));
+        } else {
+            return false;
+        }
+    }
+    p[pi..].iter().all(|c| *c == any)
 }
 
 /// Splits a WHERE tree into top-level AND conjuncts.
@@ -265,21 +414,25 @@ pub(crate) fn conjuncts(expr: &Expr) -> Vec<&Expr> {
     }
 }
 
-/// Whether every column in `expr` resolves against `ctx` (used to apply
-/// predicates as early as possible during joins).
-pub(crate) fn is_resolvable(expr: &Expr, ctx: &EvalCtx<'_>) -> bool {
+/// Whether every column in `expr` resolves against `binder` (used to
+/// apply predicates as early as possible during joins).
+pub(crate) fn is_resolvable(expr: &Expr, binder: &Binder<'_>) -> bool {
     match expr {
-        Expr::Column(c) => ctx.resolve(c).is_ok(),
-        Expr::Literal(_) | Expr::Param(_) => true,
-        Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => is_resolvable(e, ctx),
-        Expr::Binary { left, right, .. } => is_resolvable(left, ctx) && is_resolvable(right, ctx),
+        Expr::Column(c) => binder.resolve(c).is_ok(),
+        Expr::Literal(_) | Expr::Param(_) | Expr::Slot(..) => true,
+        Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => is_resolvable(e, binder),
+        Expr::Binary { left, right, .. } => {
+            is_resolvable(left, binder) && is_resolvable(right, binder)
+        }
         Expr::InList { expr, list, .. } => {
-            is_resolvable(expr, ctx) && list.iter().all(|e| is_resolvable(e, ctx))
+            is_resolvable(expr, binder) && list.iter().all(|e| is_resolvable(e, binder))
         }
         Expr::Between {
             expr, low, high, ..
-        } => is_resolvable(expr, ctx) && is_resolvable(low, ctx) && is_resolvable(high, ctx),
-        Expr::Aggregate { .. } => false,
+        } => {
+            is_resolvable(expr, binder) && is_resolvable(low, binder) && is_resolvable(high, binder)
+        }
+        Expr::Aggregate { .. } | Expr::Unbound(_) => false,
     }
 }
 
@@ -328,12 +481,15 @@ pub(crate) fn index_probe(
     Ok(None)
 }
 
-/// Executes a SELECT against the bound tables (guards already held).
-/// When `reads` is given, records what the statement depended on: an
-/// exact primary key for a PK point probe on the base table, the whole
-/// table otherwise (secondary-index membership can change under writes
-/// to *other* rows, so only PK probes are exact), and every joined
-/// table wholesale.
+/// Executes a SELECT against the bound tables (guards already held) the
+/// legacy straight-line way: one flat, owned joined row per survivor.
+/// Nothing in production reaches it; it is the oracle the differential
+/// suites hold the plan executor to. When `reads` is given, records
+/// what the statement depended on: an exact primary key for a PK point
+/// probe on the base table, the whole table otherwise
+/// (secondary-index membership can change under writes to *other*
+/// rows, so only PK probes are exact), and every joined table
+/// wholesale.
 pub(crate) fn run_select(
     sel: &SelectStmt,
     params: &[DbValue],
@@ -341,15 +497,15 @@ pub(crate) fn run_select(
     stats: &mut ExecStats,
     reads: Option<&mut ReadSet>,
 ) -> Result<QueryResult, DbError> {
-    let full_ctx = EvalCtx { tables, params };
+    let binder = |bound: usize| Binder {
+        tables: &tables[..bound],
+        flat: true,
+    };
     let conjs: Vec<&Expr> = sel.where_.as_ref().map(conjuncts).unwrap_or_default();
 
     // --- Base table row selection (index probe or full scan). ---
     let base = &tables[0];
-    let base_ctx = EvalCtx {
-        tables: &tables[..1],
-        params,
-    };
+    let base_ctx = binder(1);
     let probe = index_probe(&conjs, base, params)?;
     if let Some(reads) = reads {
         match &probe {
@@ -366,14 +522,15 @@ pub(crate) fn run_select(
         }
     }
     let base_ids: Vec<usize> = match probe {
-        Some((col, key)) => base.data.lookup_eq(col, &key),
+        Some((col, key)) => base.data.lookup_eq(col, &key).to_vec(),
         None => base.data.iter_live().map(|(id, _)| id).collect(),
     };
 
     // Early predicates touching only the base table.
-    let early: Vec<&&Expr> = conjs
+    let early: Vec<BoundExpr> = conjs
         .iter()
         .filter(|c| is_resolvable(c, &base_ctx))
+        .map(|c| base_ctx.bind(c))
         .collect();
     let mut rows: Vec<Vec<DbValue>> = Vec::new();
     for id in base_ids {
@@ -381,13 +538,13 @@ pub(crate) fn run_select(
         stats.scanned += 1;
         let mut keep = true;
         for pred in &early {
-            if !truthy(&base_ctx.eval(pred, r)?) {
+            if !pred.holds(&[r], params)? {
                 keep = false;
                 break;
             }
         }
         if keep {
-            rows.push(r.clone());
+            rows.push(r.to_vec());
         }
     }
 
@@ -395,34 +552,10 @@ pub(crate) fn run_select(
     for (join_idx, join) in sel.joins.iter().enumerate() {
         let bound_count = join_idx + 1;
         let new_table = &tables[bound_count];
-        let prev_ctx = EvalCtx {
-            tables: &tables[..bound_count],
-            params,
-        };
-        let now_ctx = EvalCtx {
-            tables: &tables[..bound_count + 1],
-            params,
-        };
-        // Determine which side of ON belongs to the new table.
-        let (outer_ref, inner_ref) = {
-            let right_is_new = new_table
-                .data
-                .schema()
-                .column_index(&join.on_right.column)
-                .is_some()
-                && join
-                    .on_right
-                    .table
-                    .as_deref()
-                    .map(|t| t == new_table.name)
-                    .unwrap_or(prev_ctx.resolve(&join.on_right).is_err());
-            if right_is_new {
-                (&join.on_left, &join.on_right)
-            } else {
-                (&join.on_right, &join.on_left)
-            }
-        };
-        let outer_idx = prev_ctx.resolve(outer_ref)?;
+        let prev_ctx = binder(bound_count);
+        let now_ctx = binder(bound_count + 1);
+        let (outer_ref, inner_ref) = join_sides(join, new_table, &prev_ctx);
+        let (_, outer_idx) = prev_ctx.resolve(outer_ref)?;
         let inner_col = new_table
             .data
             .schema()
@@ -430,16 +563,17 @@ pub(crate) fn run_select(
             .ok_or_else(|| DbError::NoSuchColumn(inner_ref.column.clone()))?;
         let use_index = new_table.data.has_index(inner_col);
 
-        let newly: Vec<&&Expr> = conjs
+        let newly: Vec<BoundExpr> = conjs
             .iter()
             .filter(|c| is_resolvable(c, &now_ctx) && !is_resolvable(c, &prev_ctx))
+            .map(|c| now_ctx.bind(c))
             .collect();
 
         let mut next_rows = Vec::new();
         for partial in rows {
             let key = &partial[outer_idx];
             let candidates: Vec<usize> = if use_index {
-                new_table.data.lookup_eq(inner_col, key)
+                new_table.data.lookup_eq(inner_col, key).to_vec()
             } else {
                 new_table.data.iter_live().map(|(id, _)| id).collect()
             };
@@ -455,7 +589,7 @@ pub(crate) fn run_select(
                 combined.extend(inner_row.iter().cloned());
                 let mut keep = true;
                 for pred in &newly {
-                    if !truthy(&now_ctx.eval(pred, &combined)?) {
+                    if !pred.holds(&[&combined], params)? {
                         keep = false;
                         break;
                     }
@@ -468,7 +602,35 @@ pub(crate) fn run_select(
         rows = next_rows;
     }
 
-    finish_select(sel, &full_ctx, rows, stats, true)
+    // One-slot rows into the shared tail.
+    let tail = Tail::bind(sel, &binder(tables.len()));
+    let refs: Vec<&[DbValue]> = rows.iter().map(Vec::as_slice).collect();
+    finish_select(&tail, &refs, 1, params, stats, true)
+}
+
+/// Which side of a JOIN's `ON a = b` belongs to the already-bound
+/// tables and which to the newly bound one: `(outer, inner)`.
+pub(crate) fn join_sides<'j>(
+    join: &'j Join,
+    new_table: &BoundTable<'_>,
+    prev: &Binder<'_>,
+) -> (&'j ColRef, &'j ColRef) {
+    let right_is_new = new_table
+        .data
+        .schema()
+        .column_index(&join.on_right.column)
+        .is_some()
+        && join
+            .on_right
+            .table
+            .as_deref()
+            .map(|t| t == new_table.name)
+            .unwrap_or(prev.resolve(&join.on_right).is_err());
+    if right_is_new {
+        (&join.on_left, &join.on_right)
+    } else {
+        (&join.on_right, &join.on_left)
+    }
 }
 
 /// Whether a SELECT needs the aggregating projection.
@@ -478,72 +640,6 @@ pub(crate) fn select_has_aggregate(sel: &SelectStmt) -> bool {
             SelectItem::Expr { expr, .. } => expr.has_aggregate(),
             SelectItem::Star => false,
         })
-}
-
-/// The shared tail of SELECT execution: projection/aggregation, ORDER
-/// BY, LIMIT/OFFSET. Both the legacy straight-line path and the plan
-/// executor feed their joined rows through this one function, so
-/// everything downstream of row production is byte-identical by
-/// construction. `charge_aggregate` preserves the legacy executor's
-/// historical double-charge of aggregate input rows; the plan executor
-/// passes `false` (rows were already charged by the scan/join nodes).
-pub(crate) fn finish_select(
-    sel: &SelectStmt,
-    full_ctx: &EvalCtx<'_>,
-    rows: Vec<Vec<DbValue>>,
-    stats: &mut ExecStats,
-    charge_aggregate: bool,
-) -> Result<QueryResult, DbError> {
-    let (columns, mut out_rows, order_keys) = if select_has_aggregate(sel) {
-        aggregate_project(sel, full_ctx, rows, stats, charge_aggregate)?
-    } else {
-        plain_project(sel, full_ctx, rows)?
-    };
-
-    // --- ORDER BY. ---
-    if !sel.order_by.is_empty() {
-        let descs: Vec<bool> = sel.order_by.iter().map(|(_, d)| *d).collect();
-        let mut indexed: Vec<(Vec<DbValue>, Vec<DbValue>)> =
-            out_rows.into_iter().zip(order_keys).collect();
-        indexed.sort_by(|(_, ka), (_, kb)| {
-            for (i, desc) in descs.iter().enumerate() {
-                let ord = ka[i].total_cmp(&kb[i]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        out_rows = indexed.into_iter().map(|(r, _)| r).collect();
-    }
-
-    // --- LIMIT / OFFSET. ---
-    let eval_count = |e: &Option<Expr>| -> Result<Option<usize>, DbError> {
-        match e {
-            None => Ok(None),
-            Some(e) => {
-                let v = full_ctx.eval(e, &[])?;
-                let n = v.as_int().filter(|n| *n >= 0).ok_or_else(|| {
-                    DbError::invalid("LIMIT/OFFSET must be a non-negative integer")
-                })?;
-                Ok(Some(n as usize))
-            }
-        }
-    };
-    if let Some(off) = eval_count(&sel.offset)? {
-        out_rows.drain(..off.min(out_rows.len()));
-    }
-    if let Some(lim) = eval_count(&sel.limit)? {
-        out_rows.truncate(lim);
-    }
-
-    Ok(QueryResult {
-        columns,
-        rows: out_rows,
-        rows_affected: 0,
-        rows_scanned: stats.scanned,
-    })
 }
 
 /// Output column name for a select item.
@@ -558,244 +654,390 @@ pub(crate) fn item_name(expr: &Expr, alias: &Option<String>) -> String {
     }
 }
 
-pub(crate) type Projected = (Vec<String>, Vec<Vec<DbValue>>, Vec<Vec<DbValue>>);
+/// Where an ORDER BY key comes from.
+#[derive(Debug)]
+enum OrderBy {
+    /// An output column, referenced by alias / output name.
+    Output(usize),
+    Expr(BoundExpr),
+}
 
-/// Non-aggregate projection; also computes ORDER BY keys per row (from
-/// the *input* row, so sorting can use non-projected columns).
-pub(crate) fn plain_project(
-    sel: &SelectStmt,
-    ctx: &EvalCtx<'_>,
-    rows: Vec<Vec<DbValue>>,
-) -> Result<Projected, DbError> {
-    let mut columns = Vec::new();
-    for item in &sel.items {
-        match item {
-            SelectItem::Star => {
-                for bound in ctx.tables {
-                    for col in bound.data.schema().columns() {
-                        columns.push(col.name.clone());
-                    }
-                }
-            }
-            SelectItem::Expr { expr, alias } => columns.push(item_name(expr, alias)),
-        }
-    }
-    let mut out_rows = Vec::with_capacity(rows.len());
-    let mut order_keys = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut out = Vec::with_capacity(columns.len());
+/// Everything downstream of row production — projection or
+/// aggregation, ORDER BY, LIMIT/OFFSET — bound once against the full
+/// table list (at plan time for the plan executor, at statement start
+/// for the legacy one).
+#[derive(Debug)]
+pub(crate) struct Tail {
+    columns: Vec<String>,
+    /// One expression per output column (`*` already expanded).
+    items: Vec<BoundExpr>,
+    /// `Some` for an aggregating SELECT: the GROUP BY column addresses,
+    /// or the resolution error to raise when it runs.
+    group_by: Option<Result<Vec<(usize, usize)>, DbError>>,
+    star: bool,
+    order: Vec<(OrderBy, bool)>,
+    /// LIMIT/OFFSET see no row, so there is nothing to bind them to.
+    limit: Option<Expr>,
+    offset: Option<Expr>,
+}
+
+impl Tail {
+    pub(crate) fn bind(sel: &SelectStmt, binder: &Binder<'_>) -> Tail {
+        let aggregate = select_has_aggregate(sel);
+        let (mut columns, mut items, mut star) = (Vec::new(), Vec::new(), false);
         for item in &sel.items {
             match item {
-                SelectItem::Star => out.extend(row.iter().cloned()),
-                SelectItem::Expr { expr, .. } => out.push(ctx.eval(expr, &row)?),
-            }
-        }
-        let mut keys = Vec::with_capacity(sel.order_by.len());
-        for (expr, _) in &sel.order_by {
-            // An ORDER BY name may refer to an output alias first.
-            let key = match expr {
-                Expr::Column(c) if c.table.is_none() => {
-                    match columns.iter().position(|n| *n == c.column) {
-                        Some(i) if ctx.resolve(c).is_err() => out[i].clone(),
-                        _ => ctx.eval(expr, &row)?,
+                SelectItem::Star => {
+                    star = true;
+                    for (slot, bound) in binder.tables.iter().enumerate() {
+                        for (i, col) in bound.data.schema().columns().iter().enumerate() {
+                            let (slot, i) = binder.place(slot, i);
+                            columns.push(col.name.clone());
+                            items.push(BoundExpr(Expr::Slot(slot, i)));
+                        }
                     }
                 }
-                e => ctx.eval(e, &row)?,
-            };
-            keys.push(key);
+                SelectItem::Expr { expr, alias } => {
+                    columns.push(item_name(expr, alias));
+                    items.push(binder.bind(expr));
+                }
+            }
         }
-        out_rows.push(out);
-        order_keys.push(keys);
+        let order = sel
+            .order_by
+            .iter()
+            .map(|(expr, desc)| {
+                // A bare name may refer to an output column: always in
+                // an aggregating SELECT, otherwise only when it is not
+                // also an (unambiguous) input column.
+                let output = match expr {
+                    Expr::Column(c)
+                        if c.table.is_none() && (aggregate || binder.resolve(c).is_err()) =>
+                    {
+                        columns.iter().position(|n| *n == c.column)
+                    }
+                    _ => None,
+                };
+                let by = output.map_or_else(|| OrderBy::Expr(binder.bind(expr)), OrderBy::Output);
+                (by, *desc)
+            })
+            .collect();
+        Tail {
+            columns,
+            items,
+            group_by: aggregate.then(|| sel.group_by.iter().map(|c| binder.resolve(c)).collect()),
+            star,
+            order,
+            limit: sel.limit.clone(),
+            offset: sel.offset.clone(),
+        }
     }
-    Ok((columns, out_rows, order_keys))
+
+    /// EXPLAIN detail for the sort node when ORDER BY meets LIMIT — the
+    /// bounded top-k shape: `top-k 50` (limit + offset), or `top-k ?`
+    /// when a count is a parameter.
+    pub(crate) fn top_k_detail(&self) -> Option<String> {
+        let literal = |e: &Expr| match e {
+            Expr::Literal(v) => v.as_int(),
+            _ => None,
+        };
+        let limit = self.limit.as_ref().filter(|_| !self.order.is_empty())?;
+        let k = literal(limit)
+            .zip(self.offset.as_ref().map_or(Some(0), literal))
+            .map(|(limit, offset)| limit.saturating_add(offset));
+        Some(k.map_or_else(|| "top-k ?".to_string(), |k| format!("top-k {k}")))
+    }
 }
+
+/// The shared tail of SELECT execution: projection/aggregation, ORDER
+/// BY, LIMIT/OFFSET. Both the legacy straight-line path and the plan
+/// executor feed their joined rows through this one function, so
+/// everything downstream of row production is byte-identical by
+/// construction. `rows` holds `stride` slots per joined row, back to
+/// back. Only the rows inside the LIMIT/OFFSET window are projected
+/// (cloned out of the tables). `charge_aggregate` preserves the legacy
+/// executor's historical double-charge of aggregate input rows; the
+/// plan executor passes `false` (rows were already charged by the
+/// scan/join nodes).
+pub(crate) fn finish_select(
+    tail: &Tail,
+    rows: &[&[DbValue]],
+    stride: usize,
+    params: &[DbValue],
+    stats: &mut ExecStats,
+    charge_aggregate: bool,
+) -> Result<QueryResult, DbError> {
+    let count = |e: &Option<Expr>| -> Result<Option<usize>, DbError> {
+        let Some(e) = e else { return Ok(None) };
+        let n = eval(e, &[], params)?
+            .as_int()
+            .filter(|n| *n >= 0)
+            .ok_or_else(|| DbError::invalid("LIMIT/OFFSET must be a non-negative integer"))?;
+        Ok(Some(n as usize))
+    };
+    let (offset, limit) = (count(&tail.offset)?, count(&tail.limit)?);
+    let out_rows = if let Some(group_by) = &tail.group_by {
+        let group_by = group_by.as_ref().map_err(Clone::clone)?;
+        let (mut out, keys) = aggregate_project(
+            tail,
+            group_by,
+            rows,
+            stride,
+            params,
+            stats,
+            charge_aggregate,
+        )?;
+        let kept = window(out.len(), &keys, &tail.order, offset, limit);
+        kept.into_iter()
+            .map(|i| std::mem::take(&mut out[i]))
+            .collect()
+    } else {
+        // ORDER BY keys by reference (from the *input* row, so sorting
+        // can use non-projected columns), then project the survivors.
+        let n = rows.len() / stride;
+        let mut keys = Vec::with_capacity(n * tail.order.len());
+        // lint: hot_path — once per joined row; keys borrow from the tables
+        for row in rows.chunks_exact(stride) {
+            for (by, _) in &tail.order {
+                keys.push(match by {
+                    OrderBy::Output(i) => tail.items[*i].eval(row, params)?,
+                    OrderBy::Expr(e) => e.eval(row, params)?,
+                });
+            }
+        }
+        // lint: end_hot_path
+        let kept = window(n, &keys, &tail.order, offset, limit);
+        let mut out = Vec::with_capacity(kept.len());
+        for i in kept {
+            let row = &rows[i * stride..][..stride];
+            let cells = tail
+                .items
+                .iter()
+                .map(|e| Ok(e.eval(row, params)?.into_owned()));
+            out.push(cells.collect::<Result<Vec<DbValue>, DbError>>()?);
+        }
+        out
+    };
+    Ok(QueryResult {
+        columns: tail.columns.clone(),
+        rows: out_rows,
+        rows_affected: 0,
+        rows_scanned: stats.scanned,
+    })
+}
+
+/// ORDER BY + OFFSET + LIMIT over `n` rows whose sort keys lie back to
+/// back in `keys`: the row numbers of the result window, in output
+/// order. Rows compare by key, then by arrival — a total order, so the
+/// bounded selection (when the window ends before the input does) keeps
+/// exactly the rows a stable sort followed by truncation would, ties
+/// included, without sorting the rest.
+fn window(
+    n: usize,
+    keys: &[Cow<'_, DbValue>],
+    order: &[(OrderBy, bool)],
+    offset: Option<usize>,
+    limit: Option<usize>,
+) -> Vec<usize> {
+    let start = offset.unwrap_or(0).min(n);
+    let end = limit.map_or(n, |l| start.saturating_add(l).min(n));
+    let mut idx: Vec<usize> = (0..n).collect();
+    if !order.is_empty() {
+        // lint: hot_path — the comparator runs O(n + k log k) times per execution
+        let width = order.len();
+        let cmp = |a: &usize, b: &usize| {
+            for (i, (_, desc)) in order.iter().enumerate() {
+                let ord = keys[a * width + i].total_cmp(&keys[b * width + i]);
+                let ord = if *desc { ord.reverse() } else { ord };
+                if !ord.is_eq() {
+                    return ord;
+                }
+            }
+            a.cmp(b)
+        };
+        if 0 < end && end < n {
+            idx.select_nth_unstable_by(end - 1, cmp);
+        }
+        idx[..end].sort_unstable_by(cmp);
+        // lint: end_hot_path
+    }
+    idx.truncate(end);
+    idx.drain(..start);
+    idx
+}
+
+/// Projected group rows plus their ORDER BY keys (`order.len()` per row).
+type Aggregated<'a> = (Vec<Vec<DbValue>>, Vec<Cow<'a, DbValue>>);
 
 /// GROUP BY / aggregate projection; ORDER BY may reference output
 /// columns by (alias) name or repeat an aggregate expression.
-pub(crate) fn aggregate_project(
-    sel: &SelectStmt,
-    ctx: &EvalCtx<'_>,
-    rows: Vec<Vec<DbValue>>,
+fn aggregate_project<'a>(
+    tail: &'a Tail,
+    group_by: &[(usize, usize)],
+    rows: &[&'a [DbValue]],
+    stride: usize,
+    params: &'a [DbValue],
     stats: &mut ExecStats,
     charge: bool,
-) -> Result<Projected, DbError> {
-    // Group rows.
-    let group_cols: Vec<usize> = sel
-        .group_by
-        .iter()
-        .map(|c| ctx.resolve(c))
-        .collect::<Result<_, _>>()?;
-    let mut groups: Vec<(Vec<DbValue>, Vec<Vec<DbValue>>)> = Vec::new();
+) -> Result<Aggregated<'a>, DbError> {
+    // Group rows, groups in first-seen order.
+    let mut groups: Vec<Vec<RowRef<'_, 'a>>> = Vec::new();
     let mut index: HashMap<Vec<crate::value::IndexKey>, usize> = HashMap::new();
-    for row in rows {
+    for row in rows.chunks_exact(stride) {
         if charge {
             stats.scanned += 1;
         }
-        let key_vals: Vec<DbValue> = group_cols.iter().map(|&i| row[i].clone()).collect();
-        let key: Vec<crate::value::IndexKey> = key_vals.iter().map(|v| v.index_key()).collect();
+        let key = group_by
+            .iter()
+            .map(|&(s, c)| row[s][c].index_key())
+            .collect();
         match index.get(&key) {
-            Some(&g) => groups[g].1.push(row),
+            Some(&g) => groups[g].push(row),
             None => {
                 index.insert(key, groups.len());
-                groups.push((key_vals, vec![row]));
+                groups.push(vec![row]);
             }
         }
     }
     // A global aggregate over zero rows still yields one group.
-    if groups.is_empty() && sel.group_by.is_empty() {
-        groups.push((Vec::new(), Vec::new()));
+    if groups.is_empty() && group_by.is_empty() {
+        groups.push(Vec::new());
     }
-
-    let mut columns = Vec::new();
-    for item in &sel.items {
-        match item {
-            SelectItem::Star => {
-                return Err(DbError::invalid("SELECT * is not valid with GROUP BY"))
-            }
-            SelectItem::Expr { expr, alias } => columns.push(item_name(expr, alias)),
-        }
-    }
-
-    let eval_agg = |func: AggFunc,
-                    arg: &Option<Box<Expr>>,
-                    group: &[Vec<DbValue>]|
-     -> Result<DbValue, DbError> {
-        match func {
-            AggFunc::Count => match arg {
-                None => Ok(DbValue::Int(group.len() as i64)),
-                Some(a) => {
-                    let mut n = 0;
-                    for row in group {
-                        if !ctx.eval(a, row)?.is_null() {
-                            n += 1;
-                        }
-                    }
-                    Ok(DbValue::Int(n))
-                }
-            },
-            AggFunc::Sum | AggFunc::Avg => {
-                let a = arg
-                    .as_ref()
-                    .ok_or_else(|| DbError::invalid("SUM/AVG need an argument"))?;
-                let mut sum = 0.0;
-                let mut all_int = true;
-                let mut n = 0u64;
-                for row in group {
-                    let v = ctx.eval(a, row)?;
-                    if v.is_null() {
-                        continue;
-                    }
-                    if !matches!(v, DbValue::Int(_)) {
-                        all_int = false;
-                    }
-                    sum += v
-                        .as_f64()
-                        .ok_or_else(|| DbError::invalid("SUM/AVG over non-numeric value"))?;
-                    n += 1;
-                }
-                if n == 0 {
-                    return Ok(DbValue::Null);
-                }
-                if func == AggFunc::Avg {
-                    Ok(DbValue::Float(sum / n as f64))
-                } else if all_int {
-                    Ok(DbValue::Int(sum as i64))
-                } else {
-                    Ok(DbValue::Float(sum))
-                }
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let a = arg
-                    .as_ref()
-                    .ok_or_else(|| DbError::invalid("MIN/MAX need an argument"))?;
-                let mut best: Option<DbValue> = None;
-                for row in group {
-                    let v = ctx.eval(a, row)?;
-                    if v.is_null() {
-                        continue;
-                    }
-                    best = Some(match best {
-                        None => v,
-                        Some(b) => {
-                            let keep_new = match v.total_cmp(&b) {
-                                std::cmp::Ordering::Less => func == AggFunc::Min,
-                                std::cmp::Ordering::Greater => func == AggFunc::Max,
-                                std::cmp::Ordering::Equal => false,
-                            };
-                            if keep_new {
-                                v
-                            } else {
-                                b
-                            }
-                        }
-                    });
-                }
-                Ok(best.unwrap_or(DbValue::Null))
-            }
-        }
-    };
-
-    /// An aggregate evaluator: `(func, arg, group rows) -> value`.
-    type AggEval<'a> =
-        dyn Fn(AggFunc, &Option<Box<Expr>>, &[Vec<DbValue>]) -> Result<DbValue, DbError> + 'a;
-
-    // Evaluate a select-item expression over one group (aggregates see
-    // the whole group; plain columns see the group's first row).
-    fn eval_over_group(
-        expr: &Expr,
-        ctx: &EvalCtx<'_>,
-        group: &[Vec<DbValue>],
-        eval_agg: &AggEval<'_>,
-    ) -> Result<DbValue, DbError> {
-        match expr {
-            Expr::Aggregate { func, arg } => eval_agg(*func, arg, group),
-            e if !e.has_aggregate() => match group.first() {
-                Some(row) => ctx.eval(e, row),
-                None => Ok(DbValue::Null),
-            },
-            Expr::Binary { op, left, right } => {
-                let l = eval_over_group(left, ctx, group, eval_agg)?;
-                let r = eval_over_group(right, ctx, group, eval_agg)?;
-                eval_binop(*op, &l, &r)
-            }
-            Expr::Neg(e) => match eval_over_group(e, ctx, group, eval_agg)? {
-                DbValue::Int(i) => Ok(DbValue::Int(-i)),
-                DbValue::Float(f) => Ok(DbValue::Float(-f)),
-                v => Ok(v),
-            },
-            e => Err(DbError::invalid(format!(
-                "unsupported aggregate expression: {e:?}"
-            ))),
-        }
+    if tail.star {
+        return Err(DbError::invalid("SELECT * is not valid with GROUP BY"));
     }
 
     let mut out_rows = Vec::with_capacity(groups.len());
-    let mut order_keys = Vec::with_capacity(groups.len());
-    for (_, group) in &groups {
-        let mut out = Vec::with_capacity(sel.items.len());
-        for item in &sel.items {
-            let SelectItem::Expr { expr, .. } = item else {
-                unreachable!("Star rejected above");
-            };
-            out.push(eval_over_group(expr, ctx, group, &eval_agg)?);
+    let mut order_keys = Vec::with_capacity(groups.len() * tail.order.len());
+    for group in &groups {
+        let mut out = Vec::with_capacity(tail.items.len());
+        for item in &tail.items {
+            out.push(eval_over_group(&item.0, group, params)?.into_owned());
         }
-        let mut keys = Vec::with_capacity(sel.order_by.len());
-        for (expr, _) in &sel.order_by {
-            // Alias / output-column reference?
-            let by_name = match expr {
-                Expr::Column(c) if c.table.is_none() => columns.iter().position(|n| *n == c.column),
-                _ => None,
-            };
-            let key = match by_name {
-                Some(i) => out[i].clone(),
-                None => eval_over_group(expr, ctx, group, &eval_agg)?,
-            };
-            keys.push(key);
+        for (by, _) in &tail.order {
+            order_keys.push(match by {
+                OrderBy::Output(i) => Cow::Owned(out[*i].clone()),
+                OrderBy::Expr(e) => eval_over_group(&e.0, group, params)?,
+            });
         }
         out_rows.push(out);
-        order_keys.push(keys);
     }
-    Ok((columns, out_rows, order_keys))
+    Ok((out_rows, order_keys))
+}
+
+/// Evaluates a select-item expression over one group (aggregates see
+/// the whole group; plain columns see the group's first row).
+fn eval_over_group<'a>(
+    expr: &'a Expr,
+    group: &[RowRef<'_, 'a>],
+    params: &'a [DbValue],
+) -> Result<Cow<'a, DbValue>, DbError> {
+    match expr {
+        Expr::Aggregate { func, arg } => {
+            eval_aggregate(*func, arg.as_deref(), group, params).map(Cow::Owned)
+        }
+        e if !e.has_aggregate() => match group.first() {
+            Some(row) => eval(e, row, params),
+            None => Ok(Cow::Owned(DbValue::Null)),
+        },
+        Expr::Binary { op, left, right } => {
+            let l = eval_over_group(left, group, params)?;
+            let r = eval_over_group(right, group, params)?;
+            eval_binop(*op, &l, &r).map(Cow::Owned)
+        }
+        Expr::Neg(e) => {
+            let v = eval_over_group(e, group, params)?;
+            Ok(match *v {
+                DbValue::Int(i) => Cow::Owned(DbValue::Int(-i)),
+                DbValue::Float(f) => Cow::Owned(DbValue::Float(-f)),
+                _ => v,
+            })
+        }
+        e => Err(DbError::invalid(format!(
+            "unsupported aggregate expression: {e:?}"
+        ))),
+    }
+}
+
+fn eval_aggregate<'a>(
+    func: AggFunc,
+    arg: Option<&'a Expr>,
+    group: &[RowRef<'_, 'a>],
+    params: &'a [DbValue],
+) -> Result<DbValue, DbError> {
+    match func {
+        AggFunc::Count => match arg {
+            None => Ok(DbValue::Int(group.len() as i64)),
+            Some(a) => {
+                let mut n = 0;
+                for row in group {
+                    if !eval(a, row, params)?.is_null() {
+                        n += 1;
+                    }
+                }
+                Ok(DbValue::Int(n))
+            }
+        },
+        AggFunc::Sum | AggFunc::Avg => {
+            let a = arg.ok_or_else(|| DbError::invalid("SUM/AVG need an argument"))?;
+            let mut sum = 0.0;
+            let mut all_int = true;
+            let mut n = 0u64;
+            for row in group {
+                let v = eval(a, row, params)?;
+                if v.is_null() {
+                    continue;
+                }
+                if !matches!(*v, DbValue::Int(_)) {
+                    all_int = false;
+                }
+                sum += v
+                    .as_f64()
+                    .ok_or_else(|| DbError::invalid("SUM/AVG over non-numeric value"))?;
+                n += 1;
+            }
+            if n == 0 {
+                return Ok(DbValue::Null);
+            }
+            if func == AggFunc::Avg {
+                Ok(DbValue::Float(sum / n as f64))
+            } else if all_int {
+                Ok(DbValue::Int(sum as i64))
+            } else {
+                Ok(DbValue::Float(sum))
+            }
+        }
+        AggFunc::Min | AggFunc::Max => {
+            let a = arg.ok_or_else(|| DbError::invalid("MIN/MAX need an argument"))?;
+            let mut best: Option<Cow<'a, DbValue>> = None;
+            for row in group {
+                let v = eval(a, row, params)?;
+                if v.is_null() {
+                    continue;
+                }
+                let keep_new = match best.as_ref().map(|b| v.total_cmp(b)) {
+                    None => true,
+                    Some(std::cmp::Ordering::Less) => func == AggFunc::Min,
+                    Some(std::cmp::Ordering::Greater) => func == AggFunc::Max,
+                    Some(std::cmp::Ordering::Equal) => false,
+                };
+                if keep_new {
+                    best = Some(v);
+                }
+            }
+            Ok(best.map_or(DbValue::Null, Cow::into_owned))
+        }
+    }
+}
+
+/// The single table of a write statement, bound under its own name.
+fn bind_target<'a>(table: &'a TableData, name: &str) -> BoundTable<'a> {
+    BoundTable {
+        name: name.to_string(),
+        table: name.to_string(),
+        data: table,
+        offset: 0,
+    }
 }
 
 /// Executes INSERT into a write-locked table. When `keys` is given (the
@@ -810,16 +1052,13 @@ pub(crate) fn run_insert(
     keys: Option<&mut Vec<RowKey>>,
 ) -> Result<usize, DbError> {
     let schema = table.schema().clone();
-    let ctx = EvalCtx {
-        tables: &[],
-        params,
-    };
     let mut row = vec![DbValue::Null; schema.arity()];
     for (name, expr) in columns.iter().zip(values) {
         let idx = schema
             .column_index(name)
             .ok_or_else(|| DbError::NoSuchColumn(name.clone()))?;
-        let mut v = ctx.eval(expr, &[])?;
+        // VALUES see no row.
+        let mut v = eval(expr, &[], params)?.into_owned();
         // Coerce integer literals into FLOAT columns.
         if schema.columns()[idx].dtype == crate::schema::DataType::Float {
             if let DbValue::Int(i) = v {
@@ -858,32 +1097,32 @@ pub(crate) fn run_update(
         })
         .collect::<Result<_, _>>()?;
     let pk = table.schema().primary_key();
-    let candidates = candidate_ids(table, table_name, where_, params, stats)?;
+    let (candidates, where_, set_exprs) = {
+        let target = [bind_target(table, table_name)];
+        let binder = Binder {
+            tables: &target,
+            flat: true,
+        };
+        let set_exprs: Vec<BoundExpr> = sets.iter().map(|(_, e)| binder.bind(e)).collect();
+        (
+            candidate_ids(&target[0], where_, params)?,
+            where_.as_ref().map(|w| binder.bind(w)),
+            set_exprs,
+        )
+    };
     let mut affected = 0;
     for id in candidates {
         let Some(row) = table.row(id) else { continue };
         stats.scanned += 1;
-        let row = row.clone();
-        let bound = [BoundTable {
-            name: table_name.to_string(),
-            table: table_name.to_string(),
-            data: table,
-            offset: 0,
-        }];
-        let ctx = EvalCtx {
-            tables: &bound,
-            params,
-        };
-        if let Some(w) = where_ {
-            if !truthy(&ctx.eval(w, &row)?) {
+        if let Some(w) = &where_ {
+            if !w.holds(&[row], params)? {
                 continue;
             }
         }
-        let mut new_row = row.clone();
-        for (&col, (_, expr)) in set_cols.iter().zip(sets) {
-            new_row[col] = ctx.eval(expr, &row)?;
+        let mut new_row = row.to_vec();
+        for (&col, expr) in set_cols.iter().zip(&set_exprs) {
+            new_row[col] = expr.eval(&[row], params)?.into_owned();
         }
-        drop(bound);
         if let (Some(keys), Some(pk)) = (keys.as_deref_mut(), pk) {
             keys.push(RowKey::of(&row[pk]));
             if !new_row[pk].sql_eq(&row[pk]) {
@@ -908,23 +1147,19 @@ pub(crate) fn run_delete(
     mut keys: Option<&mut Vec<RowKey>>,
 ) -> Result<usize, DbError> {
     let pk = table.schema().primary_key();
-    let candidates = candidate_ids(table, table_name, where_, params, stats)?;
+    let target = [bind_target(table, table_name)];
+    let candidates = candidate_ids(&target[0], where_, params)?;
+    let binder = Binder {
+        tables: &target,
+        flat: true,
+    };
+    let where_ = where_.as_ref().map(|w| binder.bind(w));
     let mut to_delete = Vec::new();
     for id in candidates {
         let Some(row) = table.row(id) else { continue };
         stats.scanned += 1;
-        let bound = [BoundTable {
-            name: table_name.to_string(),
-            table: table_name.to_string(),
-            data: table,
-            offset: 0,
-        }];
-        let ctx = EvalCtx {
-            tables: &bound,
-            params,
-        };
-        let keep = match where_ {
-            Some(w) => truthy(&ctx.eval(w, row)?),
+        let keep = match &where_ {
+            Some(w) => w.holds(&[row], params)?,
             None => true,
         };
         if keep {
@@ -943,30 +1178,39 @@ pub(crate) fn run_delete(
 
 /// Candidate row IDs for UPDATE/DELETE, via index when possible.
 fn candidate_ids(
-    table: &TableData,
-    table_name: &str,
+    target: &BoundTable<'_>,
     where_: &Option<Expr>,
     params: &[DbValue],
-    _stats: &mut ExecStats,
 ) -> Result<Vec<usize>, DbError> {
     if let Some(w) = where_ {
-        let conjs = conjuncts(w);
-        let bound = BoundTable {
-            name: table_name.to_string(),
-            table: table_name.to_string(),
-            data: table,
-            offset: 0,
-        };
-        if let Some((col, key)) = index_probe(&conjs, &bound, params)? {
-            return Ok(table.lookup_eq(col, &key));
+        if let Some((col, key)) = index_probe(&conjuncts(w), target, params)? {
+            return Ok(target.data.lookup_eq(col, &key).to_vec());
         }
     }
-    Ok(table.iter_live().map(|(id, _)| id).collect())
+    Ok(target.data.iter_live().map(|(id, _)| id).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definition `like_match` replaced: backtracks on every `%`, so
+    /// it is only safe on short inputs — which is all it sees here.
+    fn like_match_recursive(pattern: &str, text: &str) -> bool {
+        fn rec(p: &[char], t: &[char]) -> bool {
+            match p.split_first() {
+                None => t.is_empty(),
+                Some(('%', rest)) => (0..=t.len()).any(|k| rec(rest, &t[k..])),
+                Some(('_', rest)) => !t.is_empty() && rec(rest, &t[1..]),
+                Some((c, rest)) => {
+                    !t.is_empty() && t[0].eq_ignore_ascii_case(c) && rec(rest, &t[1..])
+                }
+            }
+        }
+        let p: Vec<char> = pattern.to_lowercase().chars().collect();
+        let t: Vec<char> = text.to_lowercase().chars().collect();
+        rec(&p, &t)
+    }
 
     #[test]
     fn like_matching() {
@@ -980,6 +1224,36 @@ mod tests {
         assert!(like_match("%x", "zzzx"));
         assert!(!like_match("x%", "zx"));
         assert!(like_match("%a%b%", "xxaxxbxx"));
+        // Non-ASCII folds through `to_lowercase`, one `_` per char.
+        assert!(like_match("stra_e", "STRAßE"));
+        assert!(like_match("%İ%", "xi\u{307}y"));
+        assert!(!like_match("_", "ß!"));
+    }
+
+    /// A client-supplied pattern must not buy more than pattern × text
+    /// work: ten `%` against 200 characters took the recursive matcher
+    /// longer than the universe has.
+    #[test]
+    fn like_is_not_exponential_in_wildcards() {
+        let text = "a".repeat(200);
+        let t0 = std::time::Instant::now();
+        assert!(!like_match("%a%a%a%a%a%a%a%a%b%", &text));
+        assert!(like_match("%a%a%a%a%a%a%a%a%a%", &text));
+        assert!(t0.elapsed() < std::time::Duration::from_millis(10));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn like_agrees_with_the_recursive_definition(
+            pattern in "[%_abAİßı\u{301}k\u{212a} ]{0,7}",
+            text in "[abABİßıi\u{301}\u{307}kK\u{212a} ]{0,10}",
+        ) {
+            proptest::prop_assert_eq!(
+                like_match(&pattern, &text),
+                like_match_recursive(&pattern, &text),
+                "pattern {:?} text {:?}", pattern, text
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! sequential scans in row-id order, hash buckets built in row-id
 //! order), and funnels the produced rows through the shared
 //! [`exec::finish_select`] tail. Where the planner is *faster* it is
-//! because it visits fewer rows, never because it reorders results.
+//! because it visits fewer rows or copies fewer — every expression is
+//! bound to column addresses at plan time and the scan → filter → join
+//! pipeline carries references to the stored rows, so only the rows of
+//! the result are ever cloned — never because it reorders results.
 //!
 //! Per-node counters ([`PlanNode`]) accumulate measured rows and
 //! cumulative execution time across runs; the EXPLAIN surface renders
@@ -18,7 +21,7 @@
 
 use crate::database::QueryResult;
 use crate::error::DbError;
-use crate::exec::{self, BoundTable, EvalCtx, ExecStats};
+use crate::exec::{self, BoundExpr, BoundTable, ExecStats, Tail};
 use crate::readset::{ReadSet, RowKey};
 use crate::sql::ast::*;
 use crate::value::{DbValue, IndexKey};
@@ -119,8 +122,9 @@ pub(crate) enum JoinStrategy {
 /// One planned JOIN stage.
 #[derive(Debug, Clone)]
 pub(crate) struct JoinPlan {
-    /// Absolute offset of the outer join key in the combined row.
-    pub outer_idx: usize,
+    /// `(table slot, column)` of the outer join key among the tables
+    /// bound so far.
+    pub outer: (usize, usize),
     /// Join-key column in the inner (newly bound) table.
     pub inner_col: usize,
     /// Whether `inner_col` is the inner table's primary key — the
@@ -128,7 +132,7 @@ pub(crate) struct JoinPlan {
     pub inner_pk: bool,
     pub strategy: JoinStrategy,
     /// Conjuncts that become resolvable once this table binds.
-    pub newly: Vec<Expr>,
+    pub newly: Vec<BoundExpr>,
 }
 
 /// A single-row aggregate answered straight from index endpoints
@@ -198,8 +202,11 @@ pub(crate) struct SelectPlan {
     /// Conjuncts resolvable against the base table alone — applied
     /// while scanning, exactly like the legacy early-predicate pass
     /// (the probe conjunct included, so index prefilters stay sound).
-    pub(crate) base_filter: Vec<Expr>,
+    pub(crate) base_filter: Vec<BoundExpr>,
     pub(crate) joins: Vec<JoinPlan>,
+    /// Projection/aggregation, ORDER BY and LIMIT, bound against every
+    /// table of the statement.
+    pub(crate) tail: Tail,
     /// `Some` when the whole statement is answerable from index
     /// endpoints (single table, no WHERE/JOIN/GROUP/ORDER/LIMIT).
     pub(crate) shortcut: Option<Vec<ShortcutItem>>,
@@ -357,10 +364,10 @@ impl JoinReads {
 /// Executes a compiled plan against the bound tables (guards already
 /// held). `node_times` receives `(node kind, nanos)` pairs for the
 /// metrics observer, which runs after the guards drop.
-pub(crate) fn run_planned(
-    plan: &SelectPlan,
-    params: &[DbValue],
-    tables: &[BoundTable<'_>],
+pub(crate) fn run_planned<'a>(
+    plan: &'a SelectPlan,
+    params: &'a [DbValue],
+    tables: &'a [BoundTable<'a>],
     stats: &mut ExecStats,
     mut reads: Option<&mut ReadSet>,
     node_times: &mut Vec<(&'static str, u64)>,
@@ -410,17 +417,40 @@ pub(crate) fn run_planned(
         });
     }
 
-    let full_ctx = EvalCtx { tables, params };
     let base = &tables[0];
-    let base_ctx = EvalCtx {
-        tables: &tables[..1],
-        params,
-    };
 
     // --- Base access. ---
     let t0 = Instant::now();
-    let base_ids: Vec<usize> = match &plan.base {
-        BaseAccess::SeqScan => base.data.iter_live().map(|(id, _)| id).collect(),
+    let mut visited = 0u64;
+    let mut rows: Vec<&'a [DbValue]> = Vec::new();
+    // lint: hot_path — once per visited base row, under the table read lock
+    let mut visit = |r: &'a [DbValue]| -> Result<(), DbError> {
+        stats.scanned += 1;
+        visited += 1;
+        // Early predicates, applied exactly like the legacy executor.
+        for pred in &plan.base_filter {
+            if !pred.holds(&[r], params)? {
+                return Ok(());
+            }
+        }
+        rows.push(r);
+        Ok(())
+    };
+    // lint: end_hot_path
+    let mut visit_ids = |ids: &[usize]| -> Result<(), DbError> {
+        ids.iter()
+            .filter_map(|&id| base.data.row(id))
+            .try_for_each(&mut visit)
+    };
+    match &plan.base {
+        BaseAccess::SeqScan => {
+            if let Some(reads) = reads.as_deref_mut() {
+                reads.record_table(&base.table);
+            }
+            for (_, r) in base.data.iter_live() {
+                visit(r)?;
+            }
+        }
         BaseAccess::IndexEq { col, key, pk } => {
             let key = key.resolve(params)?;
             if let Some(reads) = reads.as_deref_mut() {
@@ -432,7 +462,7 @@ pub(crate) fn run_planned(
                     reads.record_table(&base.table);
                 }
             }
-            base.data.lookup_eq(*col, &key)
+            visit_ids(base.data.lookup_eq(*col, &key))?;
         }
         BaseAccess::IndexRange { col, lo, hi } => {
             let resolve = |b: &Option<(KeySource, bool)>| -> Result<Option<DbValue>, DbError> {
@@ -448,48 +478,19 @@ pub(crate) fn run_planned(
             }
             // A NULL bound never compares true: the predicate rejects
             // every row, so skip the scan entirely.
-            if lo_v.as_ref().is_some_and(DbValue::is_null)
-                || hi_v.as_ref().is_some_and(DbValue::is_null)
-            {
-                Vec::new()
-            } else {
-                let lo_k = lo_v.map(|v| v.index_key());
-                let hi_k = hi_v.map(|v| v.index_key());
-                // An inverted range matches nothing (and would panic
-                // `BTreeMap::range`): answer empty like the legacy
-                // filter does.
-                if matches!((&lo_k, &hi_k), (Some(lo), Some(hi)) if lo > hi) {
-                    Vec::new()
-                } else {
-                    let lo_b = lo_k.as_ref().map_or(Bound::Unbounded, Bound::Included);
-                    let hi_b = hi_k.as_ref().map_or(Bound::Unbounded, Bound::Included);
-                    base.data.lookup_range(*col, lo_b, hi_b)
-                }
+            let null_bound = lo_v.as_ref().is_some_and(DbValue::is_null)
+                || hi_v.as_ref().is_some_and(DbValue::is_null);
+            let lo_k = lo_v.map(|v| v.index_key());
+            let hi_k = hi_v.map(|v| v.index_key());
+            // An inverted range matches nothing (and would panic
+            // `BTreeMap::range`): answer empty like the legacy filter
+            // does.
+            let inverted = matches!((&lo_k, &hi_k), (Some(lo), Some(hi)) if lo > hi);
+            if !null_bound && !inverted {
+                let lo_b = lo_k.as_ref().map_or(Bound::Unbounded, Bound::Included);
+                let hi_b = hi_k.as_ref().map_or(Bound::Unbounded, Bound::Included);
+                visit_ids(&base.data.lookup_range(*col, lo_b, hi_b))?;
             }
-        }
-    };
-    if matches!(plan.base, BaseAccess::SeqScan) {
-        if let Some(reads) = reads.as_deref_mut() {
-            reads.record_table(&base.table);
-        }
-    }
-
-    // Early predicates, applied exactly like the legacy executor.
-    let mut visited = 0u64;
-    let mut rows: Vec<Vec<DbValue>> = Vec::new();
-    for id in base_ids {
-        let Some(r) = base.data.row(id) else { continue };
-        stats.scanned += 1;
-        visited += 1;
-        let mut keep = true;
-        for pred in &plan.base_filter {
-            if !exec::truthy(&base_ctx.eval(pred, r)?) {
-                keep = false;
-                break;
-            }
-        }
-        if keep {
-            rows.push(r.clone());
         }
     }
     let scan_nanos = t0.elapsed().as_nanos() as u64;
@@ -501,15 +502,13 @@ pub(crate) fn run_planned(
         node_times.push((plan.nodes[f].kind, 0));
     }
 
-    // --- Joins. ---
+    // --- Joins: `rows` holds one slot per bound table for every
+    // surviving combination, back to back; each stage widens the
+    // stride by one. ---
     for (join_idx, jp) in plan.joins.iter().enumerate() {
         let tj = Instant::now();
-        let bound_count = join_idx + 1;
-        let new_table = &tables[bound_count];
-        let now_ctx = EvalCtx {
-            tables: &tables[..bound_count + 1],
-            params,
-        };
+        let stride = join_idx + 1;
+        let new_table = &tables[stride];
         let mut join_reads = match (&mut reads, jp.inner_pk, jp.strategy) {
             (Some(_), true, JoinStrategy::IndexLoop) => Some(JoinReads::new(&new_table.table)),
             (Some(reads), _, _) => {
@@ -518,97 +517,79 @@ pub(crate) fn run_planned(
             }
             (None, _, _) => None,
         };
+        // Hash join: build once over live rows in row-id order — bucket
+        // contents come out in the same order the legacy rescan visits
+        // them, so output ordering is preserved.
+        let mut hash: HashMap<IndexKey, Vec<&'a [DbValue]>> = HashMap::new();
+        if jp.strategy == JoinStrategy::Hash {
+            for (_, row) in new_table.data.iter_live() {
+                stats.scanned += 1;
+                let v = &row[jp.inner_col];
+                if !v.is_null() {
+                    hash.entry(v.index_key()).or_default().push(row);
+                }
+            }
+        }
 
-        let mut next_rows = Vec::new();
-        match jp.strategy {
-            JoinStrategy::IndexLoop | JoinStrategy::NestedLoop => {
-                let use_index = jp.strategy == JoinStrategy::IndexLoop;
-                for partial in rows {
-                    let key = &partial[jp.outer_idx];
-                    if let Some(jr) = &mut join_reads {
-                        jr.push(key);
-                    }
-                    let candidates: Vec<usize> = if use_index {
-                        new_table.data.lookup_eq(jp.inner_col, key)
-                    } else {
-                        new_table.data.iter_live().map(|(id, _)| id).collect()
-                    };
-                    for cid in candidates {
-                        let Some(inner_row) = new_table.data.row(cid) else {
+        let mut next: Vec<&'a [DbValue]> = Vec::new();
+        // lint: hot_path — once per outer row × candidate inner row
+        let mut emit = |partial: &[&'a [DbValue]], inner: &'a [DbValue]| -> Result<(), DbError> {
+            let at = next.len();
+            next.extend_from_slice(partial);
+            next.push(inner);
+            for pred in &jp.newly {
+                if !pred.holds(&next[at..], params)? {
+                    next.truncate(at);
+                    break;
+                }
+            }
+            Ok(())
+        };
+        for partial in rows.chunks_exact(stride) {
+            let key = &partial[jp.outer.0][jp.outer.1];
+            if let Some(jr) = &mut join_reads {
+                jr.push(key);
+            }
+            match jp.strategy {
+                JoinStrategy::IndexLoop => {
+                    for &cid in new_table.data.lookup_eq(jp.inner_col, key) {
+                        let Some(inner) = new_table.data.row(cid) else {
                             continue;
                         };
                         stats.scanned += 1;
-                        if !use_index && !inner_row[jp.inner_col].sql_eq(key) {
-                            continue;
-                        }
-                        let mut combined = partial.clone();
-                        combined.extend(inner_row.iter().cloned());
-                        let mut keep = true;
-                        for pred in &jp.newly {
-                            if !exec::truthy(&now_ctx.eval(pred, &combined)?) {
-                                keep = false;
-                                break;
-                            }
-                        }
-                        if keep {
-                            next_rows.push(combined);
+                        emit(partial, inner)?;
+                    }
+                }
+                JoinStrategy::NestedLoop => {
+                    for (_, inner) in new_table.data.iter_live() {
+                        stats.scanned += 1;
+                        if inner[jp.inner_col].sql_eq(key) {
+                            emit(partial, inner)?;
                         }
                     }
                 }
-            }
-            JoinStrategy::Hash => {
-                // Build once over live rows in row-id order: bucket
-                // contents come out in the same order the legacy rescan
-                // visits them, so output ordering is preserved.
-                let mut table: HashMap<IndexKey, Vec<usize>> = HashMap::new();
-                for (id, row) in new_table.data.iter_live() {
-                    stats.scanned += 1;
-                    let v = &row[jp.inner_col];
-                    if !v.is_null() {
-                        table.entry(v.index_key()).or_default().push(id);
-                    }
-                }
-                for partial in rows {
-                    let key = &partial[jp.outer_idx];
-                    if key.is_null() {
-                        continue; // NULL joins nothing (sql_eq semantics)
-                    }
-                    let Some(bucket) = table.get(&key.index_key()) else {
-                        continue;
-                    };
-                    for &cid in bucket {
-                        let Some(inner_row) = new_table.data.row(cid) else {
-                            continue;
-                        };
+                // NULL joins nothing (sql_eq semantics).
+                JoinStrategy::Hash if key.is_null() => {}
+                JoinStrategy::Hash => {
+                    for &inner in hash.get(&key.index_key()).into_iter().flatten() {
                         stats.scanned += 1;
                         // IndexKey groups by f64 value; re-check with
                         // sql_eq so edge cases match the legacy rescan.
-                        if !inner_row[jp.inner_col].sql_eq(key) {
-                            continue;
-                        }
-                        let mut combined = partial.clone();
-                        combined.extend(inner_row.iter().cloned());
-                        let mut keep = true;
-                        for pred in &jp.newly {
-                            if !exec::truthy(&now_ctx.eval(pred, &combined)?) {
-                                keep = false;
-                                break;
-                            }
-                        }
-                        if keep {
-                            next_rows.push(combined);
+                        if inner[jp.inner_col].sql_eq(key) {
+                            emit(partial, inner)?;
                         }
                     }
                 }
             }
         }
+        // lint: end_hot_path
         if let (Some(jr), Some(reads)) = (join_reads, reads.as_deref_mut()) {
             jr.commit(reads);
         }
-        rows = next_rows;
+        rows = next;
         let nanos = tj.elapsed().as_nanos() as u64;
         let node = &plan.nodes[plan.join_nodes[join_idx]];
-        node.record(rows.len() as u64, nanos);
+        node.record((rows.len() / (stride + 1)) as u64, nanos);
         node_times.push((node.kind, nanos));
     }
 
@@ -616,7 +597,8 @@ pub(crate) fn run_planned(
     // were already charged by the scan and join nodes above, so the
     // legacy double-charge is skipped (`charge_aggregate = false`).
     let tt = Instant::now();
-    let result = exec::finish_select(sel, &full_ctx, rows, stats, false)?;
+    let stride = plan.joins.len() + 1;
+    let result = exec::finish_select(&plan.tail, &rows, stride, params, stats, false)?;
     if let Some(tail) = plan.tail_node {
         // The tail (aggregate/sort/limit) runs as one fused pass in
         // `finish_select`; its measured time lands on the bottom tail

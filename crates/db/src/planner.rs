@@ -20,10 +20,9 @@
 //!   endpoints without scanning at all.
 
 use crate::error::DbError;
-use crate::exec::{self, BoundTable, EvalCtx};
+use crate::exec::{self, Binder, BoundExpr, BoundTable, Tail};
 use crate::plan::*;
 use crate::sql::ast::*;
-use crate::value::DbValue;
 use std::sync::Arc;
 
 /// Assumed matches per join key when the inner side has no index to
@@ -43,12 +42,15 @@ pub(crate) fn build_select_plan(
     let Statement::Select(sel) = &**stmt else {
         return Err(DbError::invalid("only SELECT statements are planned"));
     };
-    let params: [DbValue; 0] = [];
     let base = &tables[0];
-    let base_ctx = EvalCtx {
-        tables: &tables[..1],
-        params: &params,
+    // Plan-time binding addresses columns as `(table slot, column)`:
+    // the executor carries one stored-row reference per bound table.
+    let binder = |bound: usize| Binder {
+        tables: &tables[..bound],
+        flat: false,
     };
+    let base_ctx = binder(1);
+    let tail = Tail::bind(sel, &binder(tables.len()));
     let conjs: Vec<&Expr> = sel.where_.as_ref().map(exec::conjuncts).unwrap_or_default();
 
     // --- Endpoint shortcut. ---
@@ -76,6 +78,7 @@ pub(crate) fn build_select_plan(
             base: BaseAccess::SeqScan, // unused on the shortcut path
             base_filter: Vec::new(),
             joins: Vec::new(),
+            tail,
             shortcut: Some(items),
             nodes,
             scan_node: 0,
@@ -87,10 +90,10 @@ pub(crate) fn build_select_plan(
     }
 
     // --- Predicate partition (same rule as the legacy executor). ---
-    let base_filter: Vec<Expr> = conjs
+    let base_filter: Vec<BoundExpr> = conjs
         .iter()
         .filter(|c| exec::is_resolvable(c, &base_ctx))
-        .map(|c| (*c).clone())
+        .map(|c| base_ctx.bind(c))
         .collect();
 
     // --- Base access path. ---
@@ -150,33 +153,10 @@ pub(crate) fn build_select_plan(
     for (join_idx, join) in sel.joins.iter().enumerate() {
         let bound_count = join_idx + 1;
         let new_table = &tables[bound_count];
-        let prev_ctx = EvalCtx {
-            tables: &tables[..bound_count],
-            params: &params,
-        };
-        let now_ctx = EvalCtx {
-            tables: &tables[..bound_count + 1],
-            params: &params,
-        };
-        let (outer_ref, inner_ref) = {
-            let right_is_new = new_table
-                .data
-                .schema()
-                .column_index(&join.on_right.column)
-                .is_some()
-                && join
-                    .on_right
-                    .table
-                    .as_deref()
-                    .map(|t| t == new_table.name)
-                    .unwrap_or(prev_ctx.resolve(&join.on_right).is_err());
-            if right_is_new {
-                (&join.on_left, &join.on_right)
-            } else {
-                (&join.on_right, &join.on_left)
-            }
-        };
-        let outer_idx = prev_ctx.resolve(outer_ref)?;
+        let prev_ctx = binder(bound_count);
+        let now_ctx = binder(bound_count + 1);
+        let (outer_ref, inner_ref) = exec::join_sides(join, new_table, &prev_ctx);
+        let outer = prev_ctx.resolve(outer_ref)?;
         let inner_col = new_table
             .data
             .schema()
@@ -207,10 +187,10 @@ pub(crate) fn build_select_plan(
         };
         est = est.saturating_mul(per_key);
 
-        let newly: Vec<Expr> = conjs
+        let newly: Vec<BoundExpr> = conjs
             .iter()
             .filter(|c| exec::is_resolvable(c, &now_ctx) && !exec::is_resolvable(c, &prev_ctx))
-            .map(|c| (*c).clone())
+            .map(|c| now_ctx.bind(c))
             .collect();
 
         let kind = match strategy {
@@ -237,7 +217,7 @@ pub(crate) fn build_select_plan(
         join_nodes.push(prev);
 
         joins.push(JoinPlan {
-            outer_idx,
+            outer,
             inner_col,
             inner_pk,
             strategy,
@@ -259,7 +239,9 @@ pub(crate) fn build_select_plan(
         tail_node = Some(prev);
     }
     if !sel.order_by.is_empty() {
-        nodes.push(PlanNode::new("sort", est, Some(prev)));
+        let mut sort = PlanNode::new("sort", est, Some(prev));
+        sort.detail = tail.top_k_detail();
+        nodes.push(sort);
         prev = nodes.len() - 1;
         tail_node.get_or_insert(prev);
     }
@@ -279,6 +261,7 @@ pub(crate) fn build_select_plan(
         base: access,
         base_filter,
         joins,
+        tail,
         shortcut: None,
         nodes,
         scan_node,

@@ -1,5 +1,6 @@
 //! The SQL abstract syntax tree.
 
+use crate::error::DbError;
 use crate::schema::Column;
 use crate::value::DbValue;
 
@@ -57,6 +58,13 @@ pub(crate) enum Expr {
     Literal(DbValue),
     /// Positional `?` parameter (0-based).
     Param(usize),
+    /// A bound column: `(table slot, column)` in the row the evaluator
+    /// is handed. Never parsed — `exec::Binder::bind` rewrites every
+    /// `Column` leaf into this (or `Unbound`) before evaluation.
+    Slot(usize, usize),
+    /// A column name that did not resolve at bind time; evaluating it
+    /// raises the error.
+    Unbound(DbError),
     Not(Box<Expr>),
     Neg(Box<Expr>),
     Binary {

@@ -145,16 +145,16 @@ impl TableData {
     }
 
     /// A live row's values.
-    pub(crate) fn row(&self, row_id: usize) -> Option<&Vec<DbValue>> {
-        self.rows.get(row_id).and_then(Option::as_ref)
+    pub(crate) fn row(&self, row_id: usize) -> Option<&[DbValue]> {
+        self.rows.get(row_id).and_then(Option::as_deref)
     }
 
     /// Iterates live rows as `(row_id, values)`.
-    pub(crate) fn iter_live(&self) -> impl Iterator<Item = (usize, &Vec<DbValue>)> {
+    pub(crate) fn iter_live(&self) -> impl Iterator<Item = (usize, &[DbValue])> {
         self.rows
             .iter()
             .enumerate()
-            .filter_map(|(id, r)| r.as_ref().map(|v| (id, v)))
+            .filter_map(|(id, r)| r.as_deref().map(|v| (id, v)))
     }
 
     /// Builds a secondary index over `col` (no-op if present).
@@ -235,26 +235,22 @@ impl TableData {
         ids.iter().copied().min()
     }
 
-    /// Row IDs with `col = value`, via index. Caller must have checked
+    /// Row IDs with `col = value`, via index: the index's own bucket,
+    /// borrowed, in insertion order. Caller must have checked
     /// [`TableData::has_index`].
-    pub(crate) fn lookup_eq(&self, col: usize, value: &DbValue) -> Vec<usize> {
+    pub(crate) fn lookup_eq(&self, col: usize, value: &DbValue) -> &[usize] {
         if value.is_null() {
-            return Vec::new(); // NULL = anything is never true
+            return &[]; // NULL = anything is never true
         }
         let key = value.index_key();
-        if self.schema.primary_key() == Some(col) {
-            return self
-                .pk_index
-                .as_ref()
-                .and_then(|ix| ix.get(&key))
-                .map(|&id| vec![id])
-                .unwrap_or_default();
-        }
-        self.indexes
-            .get(&col)
-            .and_then(|ix| ix.get(&key))
-            .cloned()
-            .unwrap_or_default()
+        let bucket = if self.schema.primary_key() == Some(col) {
+            let pk = self.pk_index.as_ref().and_then(|ix| ix.get(&key));
+            pk.map(std::slice::from_ref)
+        } else {
+            let ix = self.indexes.get(&col);
+            ix.and_then(|ix| ix.get(&key)).map(Vec::as_slice)
+        };
+        bucket.unwrap_or_default()
     }
 }
 

@@ -290,3 +290,248 @@ fn randomized_queries_match_legacy_executor() {
         }
     }
 }
+
+/// One generated SELECT: its text and positional parameters.
+struct Generated {
+    sql: String,
+    params: Vec<DbValue>,
+}
+
+impl Rng {
+    fn pick<T: Copy>(&mut self, options: &[T]) -> T {
+        options[self.below(options.len() as u64) as usize]
+    }
+
+    /// A numeric parameter: Int or Float, so comparisons cross types.
+    fn number(&mut self, below: u64) -> DbValue {
+        if self.below(3) == 0 {
+            DbValue::Float(self.below(below * 2) as f64 / 2.0)
+        } else {
+            DbValue::Int(self.below(below) as i64)
+        }
+    }
+
+    /// One WHERE predicate over `a` and whichever of `b`, `c` is joined.
+    fn predicate(&mut self, has_b: bool, has_c: bool, params: &mut Vec<DbValue>) -> String {
+        let mut param = |v: DbValue| {
+            params.push(v);
+            "?"
+        };
+        match self.below(12 + u64::from(has_b) + u64::from(has_c)) {
+            0 => format!("a.g = {}", param(self.number(7))),
+            1 => format!("a.n != {}", param(self.number(6))),
+            2 => format!("a.x < {}", param(self.number(60))),
+            3 => format!("a.x <= {}", param(self.number(60))),
+            4 => format!("a.n > {}", param(self.number(6))),
+            5 => format!("a.id >= {}", param(self.number(40))),
+            6 => {
+                let pattern = self.pick(&["n1%", "%3", "_2%", "N%", "%", "n_", ""]);
+                format!("a.name LIKE {}", param(DbValue::from(pattern)))
+            }
+            7 => "a.name IS NULL".to_string(),
+            8 => "a.g IS NOT NULL".to_string(),
+            9 => {
+                let (p, q) = (self.number(7), self.number(7));
+                format!("a.g IN ({}, {}, 3)", param(p), param(q))
+            }
+            10 => {
+                let (lo, hi) = (self.number(30), self.number(60));
+                format!("a.x BETWEEN {} AND {}", param(lo), param(hi))
+            }
+            11 => format!("NOT a.n = {}", param(self.number(6))),
+            12 if has_c => format!("c.w > {}", param(self.number(4))),
+            _ => {
+                let tag = format!("t{}", self.below(4));
+                format!("b.tag = {}", param(DbValue::from(tag)))
+            }
+        }
+    }
+
+    fn statement(&mut self) -> Generated {
+        let mut params = Vec::new();
+        // 0: a alone; 1: a ⋈ c (PK index loop); 2: a ⋈ b (unindexed:
+        // hash or nested loop); 3: a ⋈ b ⋈ c.
+        let joins = self.below(4);
+        let from = [
+            "a",
+            "a JOIN c ON a.g = c.cid",
+            "a JOIN b ON a.g = b.g",
+            "a JOIN b ON a.g = b.g JOIN c ON b.g = c.cid",
+        ][joins as usize];
+        let grouped = self.below(4) == 0;
+        let (items, order_keys): (&str, &[&str]) = if grouped {
+            (
+                "a.g, COUNT(*) AS cnt, SUM(a.x) AS sx, MIN(a.name) AS lo, MAX(a.n)",
+                &["cnt", "sx", "lo", "a.g", "MAX(a.n)"],
+            )
+        } else {
+            match self.below(3) {
+                0 => ("*", &["a.id", "a.x", "a.n", "a.name", "name"]),
+                1 => (
+                    "a.id, a.name AS label, a.n + 1 AS m",
+                    &["m", "label", "a.x", "a.g", "a.id"],
+                ),
+                _ => ("a.name, a.x", &["a.n", "a.g", "x", "a.name"]),
+            }
+        };
+        let mut sql = format!("SELECT {items} FROM {from}");
+        let predicates = self.below(4);
+        for i in 0..predicates {
+            sql += if i == 0 {
+                " WHERE "
+            } else {
+                self.pick(&[" AND ", " AND ", " OR "])
+            };
+            sql += &self.predicate(joins >= 2, joins % 2 == 1, &mut params);
+        }
+        if grouped {
+            sql += " GROUP BY a.g";
+        }
+        for i in 0..self.below(3) {
+            sql += if i == 0 { " ORDER BY " } else { ", " };
+            sql += self.pick(order_keys);
+            sql += self.pick(&["", " ASC", " DESC"]);
+        }
+        match self.below(4) {
+            0 => {}
+            1 => sql += &format!(" LIMIT {}", self.pick(&[0, 1, 3, 1000])),
+            2 => {
+                sql += " LIMIT ?";
+                params.push(DbValue::Int(self.pick(&[0, 2, 5, 1000])));
+            }
+            _ => {
+                let (limit, offset) = (self.pick(&[0, 2, 4, 1000]), self.pick(&[0, 1, 3, 1000]));
+                sql += &format!(" LIMIT {limit} OFFSET {offset}");
+            }
+        }
+        Generated { sql, params }
+    }
+}
+
+/// Seeded differential property: random tables (NULLs, duplicate sort
+/// keys, Int/Float mixes in one column, empty tables) × random
+/// statements (AND/OR predicates over every operator, 0–2 joins of all
+/// three strategies, GROUP BY, ORDER BY on aliases and non-projected
+/// keys, LIMIT/OFFSET at and past the edges, LIMIT as a parameter).
+/// The plan executor must agree with the legacy executor on columns
+/// and rows, order included, and on errors. (Both feed the same tail,
+/// so what this holds still is row *production* — which rows reach the
+/// tail, in which order; the tie-break inside the tail is pinned
+/// against a model in `prop.rs`.) The two read-sets differ by design
+/// — the planner refines PK probes and PK joins to exact keys — so the
+/// planned read-set is held to the legacy one where that is exact, and
+/// otherwise, together with `rows_scanned`, to a digest recorded from
+/// the plan executor as it was before it stopped cloning rows.
+#[test]
+fn randomized_statements_match_legacy_executor() {
+    use staged_db::ReadSet;
+    let mut rng = Rng(0x0dd_ba11_5eed_0021);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
+    let mut compared_rows = 0usize;
+    for round in 0..12 {
+        let planned = Database::new();
+        let legacy = Database::new();
+        legacy.set_use_planner(false);
+        // Every fourth round leaves a table empty.
+        let n_a = if round % 4 == 1 {
+            0
+        } else {
+            10 + rng.below(50)
+        };
+        let n_b = if round % 4 == 2 { 0 } else { 3 + rng.below(12) };
+        let seed = rng.next();
+        for db in [&planned, &legacy] {
+            for ddl in [
+                "CREATE TABLE a (id INT PRIMARY KEY, g INT, x FLOAT, name TEXT, n INT)",
+                "CREATE INDEX ON a (g)",
+                "CREATE TABLE b (bid INT PRIMARY KEY, g INT, tag TEXT)",
+                "CREATE TABLE c (cid INT PRIMARY KEY, w FLOAT, label TEXT)",
+            ] {
+                db.execute(ddl, &[]).unwrap();
+            }
+            let mut r = Rng(seed);
+            let nullable =
+                |r: &mut Rng, v: DbValue| if r.below(8) == 0 { DbValue::Null } else { v };
+            for id in 0..n_a {
+                let g = DbValue::Int(r.below(7) as i64);
+                let x = DbValue::Float(r.below(12) as f64 * 5.0);
+                let name = DbValue::from(format!("{}{}", r.pick(&["n", "N"]), r.below(14)));
+                // An INT column holding Ints and Floats: few distinct
+                // values, so sort keys tie across types.
+                let n = r.number(6);
+                let row = [
+                    DbValue::Int(id as i64),
+                    nullable(&mut r, g),
+                    nullable(&mut r, x),
+                    nullable(&mut r, name),
+                    nullable(&mut r, n),
+                ];
+                db.execute(
+                    "INSERT INTO a (id, g, x, name, n) VALUES (?, ?, ?, ?, ?)",
+                    &row,
+                )
+                .unwrap();
+            }
+            for bid in 0..n_b {
+                let g = DbValue::Int(r.below(7) as i64);
+                let tag = DbValue::from(format!("t{}", r.below(4)));
+                let row = [DbValue::Int(bid as i64), nullable(&mut r, g), tag];
+                db.execute("INSERT INTO b (bid, g, tag) VALUES (?, ?, ?)", &row)
+                    .unwrap();
+            }
+            for cid in 0..5 {
+                let row = [
+                    DbValue::Int(cid),
+                    DbValue::Float(cid as f64 / 2.0),
+                    DbValue::from(format!("L{cid}")),
+                ];
+                db.execute("INSERT INTO c (cid, w, label) VALUES (?, ?, ?)", &row)
+                    .unwrap();
+            }
+        }
+        for _ in 0..60 {
+            let Generated { sql, params } = rng.statement();
+            let (mut p_reads, mut l_reads) = (ReadSet::new(), ReadSet::new());
+            let p = planned.execute_tracked(&sql, &params, Some(&mut p_reads));
+            let l = legacy.execute_tracked(&sql, &params, Some(&mut l_reads));
+            let context = format!("round {round}: {sql} with {params:?}");
+            match (&p, &l) {
+                (Ok(p), Ok(l)) => {
+                    assert_eq!(p.columns, l.columns, "{context}");
+                    assert_eq!(p.rows, l.rows, "{context}");
+                    compared_rows += p.rows.len();
+                }
+                (p, l) => assert_eq!(p.as_ref().err(), l.as_ref().err(), "{context}"),
+            }
+            // Every planned dependency is one the legacy executor has
+            // too (an exact PK join that probed nothing records nothing);
+            // where the legacy read is exact, so is the planned one, key
+            // for key.
+            for pr in p_reads.reads() {
+                let lr = l_reads.reads().iter().find(|lr| lr.table == pr.table);
+                let lr = lr.unwrap_or_else(|| panic!("{context}: legacy never read {}", pr.table));
+                if lr.keys.is_some() {
+                    assert_eq!(pr, lr, "{context}");
+                }
+            }
+            let scanned = p.as_ref().map(|r| r.rows_scanned).ok();
+            for byte in format!("{scanned:?}{p_reads:?}").bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    assert!(
+        compared_rows > 2_000,
+        "generator went quiet: {compared_rows} rows"
+    );
+    assert_eq!(
+        digest, PLANNED_SCAN_AND_READS_DIGEST,
+        "rows_scanned or a read-set of the plan executor changed for some generated \
+         statement (the digest folds `rows_scanned` and the Debug form of the read-set, \
+         statement by statement); if that is intended, record the new value"
+    );
+}
+
+/// Recorded at the commit before the plan executor went zero-clone
+/// (same generator, same seed).
+const PLANNED_SCAN_AND_READS_DIGEST: u64 = 14_362_414_300_788_364_111;

@@ -119,6 +119,53 @@ proptest! {
         prop_assert_eq!(got_window, want_window);
     }
 
+    /// ORDER BY over heavily tied keys (NULLs included): rows with equal
+    /// keys keep arrival order, whatever the LIMIT/OFFSET window — the
+    /// bounded top-k must return exactly what a stable sort followed by
+    /// truncation would, including `LIMIT 0` and windows past the end.
+    #[test]
+    fn top_k_breaks_ties_by_arrival_order(
+        keys in proptest::collection::vec((-1i64..4, -1i64..3), 0..40),
+        desc in (0usize..2, 0usize..2),
+        limit in 0usize..50,
+        offset in 0usize..45,
+    ) {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, k INT, j INT)", &[]).unwrap();
+        let cell = |v: i64| if v < 0 { DbValue::Null } else { DbValue::Int(v) };
+        for (id, (k, j)) in keys.iter().enumerate() {
+            db.execute(
+                "INSERT INTO t (id, k, j) VALUES (?, ?, ?)",
+                &[DbValue::Int(id as i64), cell(*k), cell(*j)],
+            ).unwrap();
+        }
+        // The model: arrival order, stably sorted (NULL sorts first, as -1 does).
+        let mut want: Vec<usize> = (0..keys.len()).collect();
+        want.sort_by(|&a, &b| {
+            let by_k = keys[a].0.cmp(&keys[b].0);
+            let by_j = keys[a].1.cmp(&keys[b].1);
+            let by_k = if desc.0 == 1 { by_k.reverse() } else { by_k };
+            by_k.then(if desc.1 == 1 { by_j.reverse() } else { by_j })
+        });
+        let dir = |d: usize| if d == 1 { " DESC" } else { "" };
+        let order = format!("ORDER BY k{}, j{}", dir(desc.0), dir(desc.1));
+        let ids = |sql: String, params: &[DbValue]| -> Vec<usize> {
+            let r = db.execute(&sql, params).unwrap();
+            r.rows.iter().map(|row| row[0].as_int().unwrap() as usize).collect()
+        };
+        prop_assert_eq!(&ids(format!("SELECT id FROM t {order}"), &[]), &want);
+        let window: Vec<usize> = want.iter().skip(offset).take(limit).copied().collect();
+        prop_assert_eq!(
+            ids(
+                format!("SELECT id FROM t {order} LIMIT ? OFFSET ?"),
+                &[DbValue::Int(limit as i64), DbValue::Int(offset as i64)],
+            ),
+            window
+        );
+        let head: Vec<usize> = want.iter().take(limit).copied().collect();
+        prop_assert_eq!(ids(format!("SELECT id FROM t {order} LIMIT {limit}"), &[]), head);
+    }
+
     /// Aggregates match their definitions over arbitrary data.
     #[test]
     fn aggregates_match_definitions(values in proptest::collection::vec(-100i64..100, 1..25)) {

@@ -123,8 +123,8 @@ pub(crate) fn home(state: &TpcwState, req: &Request, db: &PooledConnection) -> P
 }
 
 /// `GET /new_products?subject=` — subject listing ordered by
-/// publication date: an index probe over ~items/23 rows plus a sort
-/// (lengthy at scale).
+/// publication date: a full scan of `item`, by design — see
+/// `schema.rs` — plus a top-50 sort (lengthy at scale).
 pub(crate) fn new_products(_state: &TpcwState, req: &Request, db: &PooledConnection) -> PageResult {
     let subject = req.param("subject").unwrap_or("ARTS").to_string();
     let r = db.execute(
@@ -214,7 +214,8 @@ pub(crate) fn search_request(
 }
 
 /// `GET /execute_search?type=&search=` — `LIKE` scans for title/author
-/// searches (lengthy); subject searches use the index.
+/// searches (lengthy); subject searches are a full scan of `item` too,
+/// by design — see `schema.rs`.
 pub(crate) fn execute_search(
     _state: &TpcwState,
     req: &Request,
