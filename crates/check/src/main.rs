@@ -2,10 +2,11 @@
 //!
 //! Wraps the two `--cfg model` test binaries (the scheduler smoke suite
 //! in `crates/sync` and the protocol suite in this crate) behind one
-//! command, and drives the mutation matrix: every seeded concurrency
-//! bug in the workspace must make the suite fail. A mutant the suite
-//! tolerates is a *survivor* — a hole in the checker's detection power
-//! — and fails the run.
+//! command, and drives the mutation matrix: every seeded bug in the
+//! workspace — the concurrency protocols', and the read-set soundness
+//! property's in `crates/db` — must make its paired test fail. A mutant
+//! the test tolerates is a *survivor* — a hole in the checker's
+//! detection power — and fails the run.
 //!
 //! ```text
 //! cargo run -p staged-check -- suite     # protocols, clean
@@ -21,54 +22,70 @@
 
 use std::process::{Command, ExitCode};
 
-/// Every seeded mutant, paired with the invariant test that must catch
-/// it. Adding a `mutant!` site to the workspace means adding a row
-/// here, or the matrix will not prove it detectable.
-const MATRIX: &[(&str, &str, &str)] = &[
+/// Every seeded mutant, paired with the package, test binary and
+/// invariant test that must catch it. Adding a `mutant!` site to the
+/// workspace means adding a row here, or the matrix will not prove it
+/// detectable.
+const MATRIX: &[(&str, &str, &str, &str)] = &[
     (
         "syncqueue_handoff_clobber",
+        "staged-check",
         "model_suite",
         "syncqueue_handoff_preserves_items",
     ),
     (
         "syncqueue_skip_notify",
+        "staged-check",
         "model_suite",
         "syncqueue_handoff_preserves_items",
     ),
     (
         "pool_leak_token",
+        "staged-check",
         "model_suite",
         "pool_tokens_return_on_drop",
     ),
     (
         "doccache_skip_epoch_check",
+        "staged-check",
         "model_suite",
         "doccache_serves_only_current_data",
     ),
     (
         "doccache_skip_evict",
+        "staged-check",
         "model_suite",
         "doccache_serves_only_current_data",
     ),
     (
         "wal_skip_notify",
+        "staged-check",
         "model_suite",
         "wal_group_commit_acks_every_writer",
     ),
     (
         "wal_poison_silent",
+        "staged-check",
         "model_suite",
         "wal_poisoned_sync_wakes_followers",
     ),
     (
         "governor_leak_ip_slot",
+        "staged-check",
         "model_suite",
         "governor_slot_released_on_drop",
     ),
     (
         "core_invalidate_nesting_flip",
+        "staged-check",
         "model_suite",
         "cache_invalidation_is_doc_first",
+    ),
+    (
+        "readset_skip_after_image",
+        "staged-db",
+        "plan_suite",
+        "spared_writes_leave_results_unchanged",
     ),
 ];
 
@@ -159,17 +176,11 @@ fn run_suites(trace_dir: &str) -> bool {
 /// shown for survivors, where it is the evidence that matters.
 fn run_matrix(trace_dir: &str) -> bool {
     let mut survivors = Vec::new();
-    for &(mutant, test_bin, test_name) in MATRIX {
+    for &(mutant, package, test_bin, test_name) in MATRIX {
         print!("staged-check: mutant {mutant:<30} ");
         let output = model_test(trace_dir)
             .args([
-                "-p",
-                "staged-check",
-                "--test",
-                test_bin,
-                test_name,
-                "--",
-                "--exact",
+                "-p", package, "--test", test_bin, test_name, "--", "--exact",
             ])
             .env("MODEL_MUTANTS", mutant)
             .output();

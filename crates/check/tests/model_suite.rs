@@ -38,6 +38,7 @@ fn event(table: &str) -> WriteEvent {
         table: table.to_string(),
         keys: None,
         rows_affected: 1,
+        images: Vec::new(),
     }
 }
 

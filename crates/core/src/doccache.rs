@@ -18,13 +18,14 @@
 //! The hit path is allocation-free: one rank-118 read lock, a `HashMap`
 //! probe, an `Arc` bump, and relaxed counter increments.
 
+use crate::aged::AgedMap;
 use staged_db::{ReadSet, WriteEvent};
 use staged_http::Response;
 use staged_sync::atomic::{AtomicU64, Ordering};
 use staged_sync::{OrderedRwLock, Rank};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Rank of the cache state (DESIGN.md §10): below the stale ladder's
 /// `core.stale.entries` (120) so the invalidation engine may evict from
@@ -38,14 +39,14 @@ struct CacheEntry {
     response: Arc<Response>,
     /// What the render read; the invalidation predicate.
     reads: Arc<ReadSet>,
-    /// When the entry was published (TTL backstop, LRU-ish eviction).
-    stored: Instant,
     /// Body size, for the bytes-served counter.
     bytes: u64,
 }
 
 struct CacheState {
-    entries: HashMap<String, CacheEntry>,
+    /// Stamped with the publish time (TTL backstop, oldest-first
+    /// capacity eviction).
+    entries: AgedMap<CacheEntry>,
     /// Per-table last-write epoch; compared against a request's miss
     /// snapshot to reject renders that raced a write.
     table_versions: HashMap<String, u64>,
@@ -83,24 +84,25 @@ pub struct DocCache {
     /// written after the request's epoch snapshot.
     stale_discards: AtomicU64,
     bytes_served: AtomicU64,
-    /// Published dependencies that were row-level (`Exact` keys) rather
-    /// than whole-table — the planner's read-set refinement at work, so
-    /// writes to unrelated rows leave these entries cached.
+    /// Published dependencies that were row-level (exact keys or row
+    /// filters) rather than whole-table — the planner's read-set
+    /// refinement at work, so writes to unrelated rows leave these
+    /// entries cached.
     row_level_deps: AtomicU64,
 }
 
 impl DocCache {
     /// Creates an empty cache. Entries older than `ttl` stop being
     /// served (backstop only — invalidation is the correctness
-    /// mechanism); `capacity` bounds the entry count, evicting oldest
-    /// first.
+    /// mechanism); `capacity` bounds the entry count, evicting expired
+    /// entries and then the oldest first.
     pub fn new(ttl: Duration, capacity: usize) -> Self {
         DocCache {
             state: OrderedRwLock::new(
                 STATE_RANK,
                 "core.doccache.state",
                 CacheState {
-                    entries: HashMap::new(),
+                    entries: AgedMap::new(),
                     table_versions: HashMap::new(),
                     epoch: 0,
                 },
@@ -126,8 +128,8 @@ impl DocCache {
     /// allocator.
     pub fn lookup(&self, key: &str) -> Lookup {
         let state = self.state.read();
-        if let Some(entry) = state.entries.get(key) {
-            if entry.stored.elapsed() <= self.ttl {
+        if let Some((entry, age)) = state.entries.get(key) {
+            if age <= self.ttl {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.bytes_served.fetch_add(entry.bytes, Ordering::Relaxed);
                 return Lookup::Hit(Arc::clone(&entry.response));
@@ -165,30 +167,20 @@ impl DocCache {
             self.stale_discards.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        if state.entries.len() >= self.capacity && !state.entries.contains_key(key) {
-            // Capacity backstop: drop the oldest entry.
-            if let Some(oldest) = state
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stored)
-                .map(|(k, _)| k.clone())
-            {
-                state.entries.remove(&oldest);
-            }
-        }
         let bytes = response.body().len() as u64;
         let keyed = reads.reads().iter().filter(|r| r.keys.is_some()).count() as u64;
         if keyed > 0 {
             self.row_level_deps.fetch_add(keyed, Ordering::Relaxed);
         }
         state.entries.insert(
-            key.to_string(),
+            key,
             CacheEntry {
                 response,
                 reads,
-                stored: Instant::now(),
                 bytes,
             },
+            self.capacity,
+            self.ttl,
         );
         self.publishes.fetch_add(1, Ordering::Relaxed);
         true
@@ -207,14 +199,13 @@ impl DocCache {
                 state.table_versions.insert(event.table.clone(), epoch);
             }
         }
-        let before = state.entries.len();
-        staged_sync::mutant!("doccache_skip_evict" => {
+        let evicted = staged_sync::mutant!("doccache_skip_evict" => {
             // broken: bump the epoch but leave intersecting entries in
             // place — hits serve pre-write bodies forever
+            0
         } else {
-            state.entries.retain(|_, e| !e.reads.depends_on(event));
+            state.entries.retain(|e| !e.reads.depends_on(event)) as u64
         });
-        let evicted = (before - state.entries.len()) as u64;
         if evicted > 0 {
             self.invalidations.fetch_add(evicted, Ordering::Relaxed);
         }
@@ -260,7 +251,8 @@ impl DocCache {
         self.bytes_served.load(Ordering::Relaxed) // lint: allow(relaxed)
     }
 
-    /// Row-level (`Exact`-key) dependencies published, vs whole-table.
+    /// Row-level (exact-key or row-filter) dependencies published, vs
+    /// whole-table.
     pub fn row_level_deps(&self) -> u64 {
         self.row_level_deps.load(Ordering::Relaxed) // lint: allow(relaxed)
     }

@@ -57,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod aged;
 mod app;
 mod config;
 mod doccache;

@@ -11,12 +11,12 @@
 //! how `BaselineServer` runs the same pipeline without one, preserving
 //! the paper's model comparison.
 
+use crate::aged::AgedMap;
 use staged_db::{ReadSet, WriteEvent};
 use staged_http::{Body, Response};
 use staged_sync::{OrderedMutex, Rank};
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Rank of the stale-render cache map (DESIGN.md §10). Above the
 /// document cache's `core.doccache.state` (118): the invalidation
@@ -28,7 +28,6 @@ pub(crate) const STALE_WARNING: &str = "110 - \"Response is Stale\"";
 
 struct Entry {
     body: Body,
-    stored: Instant,
     /// What the render read — the invalidation predicate. `None` means
     /// the dependencies are unknown, so any write evicts the entry.
     reads: Option<Arc<ReadSet>>,
@@ -53,9 +52,9 @@ impl StaleHit {
 }
 
 /// A TTL'd `(page, key) → rendered body` cache with a bounded entry
-/// count (oldest-out eviction).
+/// count (expired-then-oldest eviction).
 pub(crate) struct StaleCache {
-    entries: OrderedMutex<HashMap<String, Entry>>,
+    entries: OrderedMutex<AgedMap<Entry>>,
     ttl: Duration,
     capacity: usize,
 }
@@ -65,7 +64,7 @@ impl StaleCache {
     /// `ttl` after insertion. `capacity == 0` disables the cache.
     pub(crate) fn new(ttl: Duration, capacity: usize) -> Self {
         StaleCache {
-            entries: OrderedMutex::new(ENTRIES_RANK, "core.stale.entries", HashMap::new()),
+            entries: OrderedMutex::new(ENTRIES_RANK, "core.stale.entries", AgedMap::new()),
             ttl,
             capacity,
         }
@@ -87,29 +86,13 @@ impl StaleCache {
         if self.capacity == 0 {
             return;
         }
-        let mut entries = self.entries.lock();
-        if !entries.contains_key(key) && entries.len() >= self.capacity {
-            // Evict expired entries first, then the oldest survivor.
-            let ttl = self.ttl;
-            entries.retain(|_, e| e.stored.elapsed() <= ttl);
-            if entries.len() >= self.capacity {
-                if let Some(oldest) = entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.stored)
-                    .map(|(k, _)| k.clone())
-                {
-                    entries.remove(&oldest);
-                }
-            }
-        }
-        entries.insert(
-            key.to_string(),
-            Entry {
-                body: body.into(),
-                stored: Instant::now(),
-                reads,
-            },
-        );
+        let entry = Entry {
+            body: body.into(),
+            reads,
+        };
+        self.entries
+            .lock()
+            .insert(key, entry, self.capacity, self.ttl);
     }
 
     /// Applies one committed write: evicts every entry whose read-set
@@ -121,8 +104,7 @@ impl StaleCache {
         if self.capacity == 0 {
             return;
         }
-        let mut entries = self.entries.lock();
-        entries.retain(|_, e| match &e.reads {
+        self.entries.lock().retain(|e| match &e.reads {
             Some(reads) => !reads.depends_on(event),
             None => false,
         });
@@ -136,8 +118,7 @@ impl StaleCache {
     /// Looks a stale copy up; expired entries are dropped on access.
     pub(crate) fn get(&self, key: &str) -> Option<StaleHit> {
         let mut entries = self.entries.lock();
-        let entry = entries.get(key)?;
-        let age = entry.stored.elapsed();
+        let (entry, age) = entries.get(key)?;
         if age > self.ttl {
             entries.remove(key);
             return None;

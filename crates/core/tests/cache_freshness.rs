@@ -257,3 +257,155 @@ fn row_level_join_deps_spare_unrelated_pages() {
 
     server.shutdown().expect("clean shutdown");
 }
+
+/// Row-filter dependencies: a listing page (`WHERE subject = ?`, a
+/// scan) depends on the rows its filter admits, not the whole table.
+/// Concurrent writes to random rows must never leave a listing showing
+/// a value older than a write that already returned; once quiet, a
+/// write to a subject-A row keeps the subject-B listing cached, evicts
+/// the subject-A one, and a row moving between subjects evicts both.
+#[test]
+fn filtered_listing_deps_evict_only_admitting_pages() {
+    const SUBJECTS: [&str; 2] = ["A", "B"];
+    let app = App::builder()
+        .route("/list", "list", |req, db| {
+            let subject = req.param("subject").unwrap_or("A").to_string();
+            let result = db.execute(
+                "SELECT id, val FROM books WHERE subject = ? ORDER BY id",
+                &[DbValue::from(subject)],
+            )?;
+            let body: Vec<String> = result
+                .rows
+                .iter()
+                .map(|r| format!("{}:{}", r[0], r[1]))
+                .collect();
+            Ok(PageOutcome::Body(Response::html(body.join(";"))))
+        })
+        .route("/set", "set", |req, db| {
+            let id: i64 = req.param("id").unwrap_or("0").parse().unwrap_or(0);
+            let val: i64 = req.param("val").unwrap_or("0").parse().unwrap_or(0);
+            db.execute(
+                "UPDATE books SET val = ? WHERE id = ?",
+                &[DbValue::Int(val), DbValue::Int(id)],
+            )?;
+            Ok(PageOutcome::Body(Response::html("ok")))
+        })
+        .route("/move", "move", |req, db| {
+            let id: i64 = req.param("id").unwrap_or("0").parse().unwrap_or(0);
+            let subject = req.param("subject").unwrap_or("A").to_string();
+            db.execute(
+                "UPDATE books SET subject = ? WHERE id = ?",
+                &[DbValue::from(subject), DbValue::Int(id)],
+            )?;
+            Ok(PageOutcome::Body(Response::html("ok")))
+        })
+        .stale_cacheable("/list")
+        .build();
+    let db = Arc::new(Database::new());
+    db.execute(
+        "CREATE TABLE books (id INT PRIMARY KEY, subject TEXT, val INT)",
+        &[],
+    )
+    .unwrap();
+    for id in 0..N_IDS {
+        db.execute(
+            "INSERT INTO books (id, subject, val) VALUES (?, ?, 0)",
+            &[DbValue::Int(id), DbValue::from(SUBJECTS[id as usize % 2])],
+        )
+        .unwrap();
+    }
+    let config = ServerConfig {
+        doc_cache: true,
+        ..ServerConfig::small()
+    };
+    let server = StagedServer::start(config, app, db).unwrap();
+    let addr = server.addr();
+    let list = |subject: &str| {
+        let resp = fetch(addr, Method::Get, &format!("/list?subject={subject}"), &[]).unwrap();
+        assert_eq!(resp.status, StatusCode::OK, "listing rejected");
+        resp.text()
+    };
+
+    // Concurrent phase: every id a listing shows is at least as new as
+    // the last write to it that had returned before the read was sent.
+    let floors: Arc<Vec<AtomicI64>> = Arc::new((0..N_IDS).map(|_| AtomicI64::new(0)).collect());
+    let write_locks: Arc<Vec<Mutex<()>>> = Arc::new((0..N_IDS).map(|_| Mutex::new(())).collect());
+    let violations = Arc::new(Mutex::new(Vec::<String>::new()));
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let (floors, write_locks) = (Arc::clone(&floors), Arc::clone(&write_locks));
+            s.spawn(move || {
+                let mut rng = XorShift(SEED ^ (0x3000 + w as u64));
+                for _ in 0..WRITES_PER_THREAD {
+                    let id = rng.pick_id();
+                    let _guard = write_locks[id as usize].lock().unwrap();
+                    let val = floors[id as usize].load(Ordering::SeqCst) + 1;
+                    let path = format!("/set?id={id}&val={val}");
+                    let resp = fetch(addr, Method::Get, &path, &[]).unwrap();
+                    assert_eq!(resp.status, StatusCode::OK, "write rejected");
+                    floors[id as usize].store(val, Ordering::SeqCst);
+                }
+            });
+        }
+        for r in 0..READERS {
+            let (floors, violations) = (Arc::clone(&floors), Arc::clone(&violations));
+            s.spawn(move || {
+                let mut rng = XorShift(SEED ^ (0x4000 + r as u64));
+                for _ in 0..READS_PER_THREAD {
+                    let subject = SUBJECTS[(rng.next() % 2) as usize];
+                    let before: Vec<i64> =
+                        floors.iter().map(|f| f.load(Ordering::SeqCst)).collect();
+                    for entry in list(subject).split(';').filter(|e| !e.is_empty()) {
+                        let (id, val) = entry.split_once(':').expect("id:val");
+                        let (id, val): (usize, i64) = (id.parse().unwrap(), val.parse().unwrap());
+                        if val < before[id] {
+                            violations.lock().unwrap().push(format!(
+                                "subject {subject}: id={id} read val={val} after a write of {}",
+                                before[id]
+                            ));
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let violations = violations.lock().unwrap();
+    assert!(
+        violations.is_empty(),
+        "stale serves detected:\n{}",
+        violations.join("\n")
+    );
+
+    // Quiet phase: ids 0 and 2 are subject A, 1 and 3 subject B.
+    let metric = |name: &str| server.registry().value(name, &[]).unwrap_or(0.0);
+    let b0 = list("B");
+    list("A");
+    let set = |id: i64, val: i64| {
+        let path = format!("/set?id={id}&val={val}");
+        fetch(addr, Method::Get, &path, &[]).unwrap()
+    };
+    assert_eq!(set(0, 1_000).status, StatusCode::OK);
+    let hits = metric("doc_cache_hits_total");
+    assert_eq!(list("B"), b0, "a subject-A write must not change listing B");
+    assert_eq!(
+        metric("doc_cache_hits_total"),
+        hits + 1.0,
+        "a subject-A write must not evict listing B"
+    );
+    assert!(list("A").contains("0:1000"), "listing A re-renders");
+    assert_eq!(metric("doc_cache_hits_total"), hits + 1.0, "A was a miss");
+
+    // Moving id 0 from A to B changes both listings.
+    let path = "/move?id=0&subject=B";
+    assert_eq!(
+        fetch(addr, Method::Get, path, &[]).unwrap().status,
+        StatusCode::OK
+    );
+    assert!(!list("A").contains("0:"), "moved row left listing A");
+    assert!(
+        list("B").starts_with("0:1000;"),
+        "moved row joined listing B"
+    );
+
+    server.shutdown().expect("clean shutdown");
+}

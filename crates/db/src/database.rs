@@ -7,7 +7,7 @@ use crate::error::DbError;
 use crate::exec::{self, BoundTable, ExecStats};
 use crate::plan::{self, json_str, SelectPlan};
 use crate::planner;
-use crate::readset::{ReadSet, RowKey, WriteEvent, WriteObserver};
+use crate::readset::{Changes, ReadSet, WriteEvent, WriteObserver};
 use crate::schema::Schema;
 use crate::sql::ast::{SelectStmt, Statement};
 use crate::sql::parser;
@@ -677,86 +677,32 @@ impl Database {
                 data.create_index(col);
                 (QueryResult::default(), seq, None)
             }
-            Statement::Insert {
-                table,
-                columns,
-                values,
-            } => {
+            Statement::Insert { table, .. }
+            | Statement::Update { table, .. }
+            | Statement::Delete { table, .. } => {
                 let entry = self.entry(table)?;
                 let mut data = entry.lock.write();
-                let mut touched: Vec<RowKey> = Vec::new();
-                let keyed = observer.is_some() && data.schema().primary_key().is_some();
+                let mut changes = observer.as_ref().map(|_| Changes::default());
                 let n = self.apply(wal, stats, |stats| {
-                    exec::run_insert(
-                        &mut data,
-                        columns,
-                        values,
-                        params,
-                        stats,
-                        if keyed { Some(&mut touched) } else { None },
-                    )
+                    let (data, changes) = (&mut *data, changes.as_mut());
+                    match stmt {
+                        Statement::Insert {
+                            columns, values, ..
+                        } => exec::run_insert(data, columns, values, params, stats, changes),
+                        Statement::Update { sets, where_, .. } => {
+                            exec::run_update(data, table, sets, where_, params, stats, changes)
+                        }
+                        Statement::Delete { where_, .. } => {
+                            exec::run_delete(data, table, where_, params, stats, changes)
+                        }
+                        _ => unreachable!("the enclosing arm matched a row mutation"),
+                    }
                 })?;
                 let seq = Self::log(wal, sql, params)?;
-                let event = Self::event_for(&observer, table, keyed, touched, n);
-                (
-                    QueryResult {
-                        rows_affected: n,
-                        rows_scanned: stats.scanned,
-                        ..QueryResult::default()
-                    },
-                    seq,
-                    event,
-                )
-            }
-            Statement::Update {
-                table,
-                sets,
-                where_,
-            } => {
-                let entry = self.entry(table)?;
-                let mut data = entry.lock.write();
-                let mut touched: Vec<RowKey> = Vec::new();
-                let keyed = observer.is_some() && data.schema().primary_key().is_some();
-                let n = self.apply(wal, stats, |stats| {
-                    exec::run_update(
-                        &mut data,
-                        table,
-                        sets,
-                        where_,
-                        params,
-                        stats,
-                        if keyed { Some(&mut touched) } else { None },
-                    )
-                })?;
-                let seq = Self::log(wal, sql, params)?;
-                let event = Self::event_for(&observer, table, keyed, touched, n);
-                (
-                    QueryResult {
-                        rows_affected: n,
-                        rows_scanned: stats.scanned,
-                        ..QueryResult::default()
-                    },
-                    seq,
-                    event,
-                )
-            }
-            Statement::Delete { table, where_ } => {
-                let entry = self.entry(table)?;
-                let mut data = entry.lock.write();
-                let mut touched: Vec<RowKey> = Vec::new();
-                let keyed = observer.is_some() && data.schema().primary_key().is_some();
-                let n = self.apply(wal, stats, |stats| {
-                    exec::run_delete(
-                        &mut data,
-                        table,
-                        where_,
-                        params,
-                        stats,
-                        if keyed { Some(&mut touched) } else { None },
-                    )
-                })?;
-                let seq = Self::log(wal, sql, params)?;
-                let event = Self::event_for(&observer, table, keyed, touched, n);
+                let keyed = data.schema().primary_key().is_some();
+                let event = changes
+                    .filter(|_| n > 0)
+                    .map(|c| c.into_event(table, keyed, n));
                 (
                     QueryResult {
                         rows_affected: n,
@@ -795,25 +741,6 @@ impl Database {
             self.invalidate_plans();
         }
         Ok(result)
-    }
-
-    /// Builds the commit notification for one mutation, or `None` when
-    /// no observer is installed or no row was affected.
-    fn event_for(
-        observer: &Option<WriteObserver>,
-        table: &str,
-        keyed: bool,
-        touched: Vec<RowKey>,
-        rows_affected: usize,
-    ) -> Option<WriteEvent> {
-        if observer.is_none() || rows_affected == 0 {
-            return None;
-        }
-        Some(WriteEvent {
-            table: table.to_string(),
-            keys: keyed.then_some(touched),
-            rows_affected,
-        })
     }
 
     /// Appends the statement to the WAL, if one is attached. Called
@@ -1151,6 +1078,7 @@ impl Plan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::readset::RowKey;
 
     fn bookstore() -> Database {
         let db = Database::new();
@@ -1489,11 +1417,15 @@ mod tests {
     }
 
     #[test]
-    fn tracked_select_records_scans_and_secondary_probes_as_whole_table() {
+    fn tracked_select_records_filters_and_bare_scans_as_whole_table() {
         let db = bookstore();
-        let mut reads = ReadSet::new();
+        let events: Arc<std::sync::Mutex<Vec<WriteEvent>>> =
+            Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&events);
+        db.set_write_observer(move |e| sink.lock().unwrap().push(e.clone()));
         // Secondary-index probe: membership can change under writes to
-        // other rows, so the dependency must stay table-wide.
+        // other rows, so the dependency is the probe's filter, not keys.
+        let mut reads = ReadSet::new();
         db.execute_tracked(
             "SELECT i_title FROM item WHERE i_subject = ?",
             &[DbValue::from("SCIFI")],
@@ -1501,12 +1433,24 @@ mod tests {
         )
         .unwrap();
         assert_eq!(reads.reads().len(), 1);
-        assert!(reads.reads()[0].keys.is_none());
+        assert_eq!(reads.reads()[0].keys.as_deref(), Some(&[][..]));
+        assert_eq!(reads.reads()[0].filters.len(), 1);
+        let write = |sql: &str| {
+            db.execute(sql, &[]).unwrap();
+            events.lock().unwrap().pop().expect("one row changed")
+        };
+        let cooking = write("UPDATE item SET i_stock = 1 WHERE i_id = 4");
+        assert!(!reads.depends_on(&cooking), "other subject spared");
+        let into_scifi = write("UPDATE item SET i_subject = 'SCIFI' WHERE i_id = 4");
+        assert!(reads.depends_on(&into_scifi), "a row moving in evicts");
 
-        let mut scan = ReadSet::new();
-        db.execute_tracked("SELECT COUNT(*) FROM item", &[], Some(&mut scan))
-            .unwrap();
-        assert!(scan.reads()[0].keys.is_none());
+        // Nothing to filter by, and the endpoint shortcut: whole table.
+        for sql in ["SELECT i_title FROM item", "SELECT COUNT(*) FROM item"] {
+            let mut scan = ReadSet::new();
+            db.execute_tracked(sql, &[], Some(&mut scan)).unwrap();
+            assert!(scan.reads()[0].keys.is_none(), "{sql}");
+            assert!(scan.depends_on(&cooking), "{sql}");
+        }
     }
 
     #[test]
@@ -1556,6 +1500,7 @@ mod tests {
             table: "item".to_string(),
             keys: Some(vec![RowKey::of(&DbValue::Int(999))]),
             rows_affected: 1,
+            images: Vec::new(),
         };
         assert!(reads.depends_on(&event));
     }

@@ -3,7 +3,7 @@
 
 use crate::database::QueryResult;
 use crate::error::DbError;
-use crate::readset::{ReadSet, RowKey};
+use crate::readset::{Changes, ReadSet, RowKey};
 use crate::sql::ast::*;
 use crate::table::TableData;
 use crate::value::DbValue;
@@ -94,50 +94,65 @@ impl Binder<'_> {
     /// error when — and only when — a row is evaluated against it.
     pub(crate) fn bind(&self, expr: &Expr) -> BoundExpr {
         let mut bound = expr.clone();
-        self.rewrite(&mut bound);
-        BoundExpr(bound)
-    }
-
-    fn rewrite(&self, expr: &mut Expr) {
-        match expr {
-            Expr::Column(c) => {
-                *expr = match self.resolve(c) {
+        all_leaves(&mut bound, &mut |leaf| {
+            if let Expr::Column(c) = leaf {
+                *leaf = match self.resolve(c) {
                     Ok((slot, col)) => Expr::Slot(slot, col),
                     Err(e) => Expr::Unbound(e),
                 }
             }
-            Expr::Literal(_) | Expr::Param(_) | Expr::Slot(..) | Expr::Unbound(_) => {}
-            Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => self.rewrite(e),
-            Expr::Binary { left, right, .. } => {
-                self.rewrite(left);
-                self.rewrite(right);
-            }
-            Expr::InList { expr, list, .. } => {
-                self.rewrite(expr);
-                list.iter_mut().for_each(|e| self.rewrite(e));
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                self.rewrite(expr);
-                self.rewrite(low);
-                self.rewrite(high);
-            }
-            Expr::Aggregate { arg, .. } => {
-                if let Some(arg) = arg {
-                    self.rewrite(arg);
-                }
-            }
+            true
+        });
+        BoundExpr(bound)
+    }
+}
+
+/// Applies `f` to every leaf of `expr` (aggregate arguments included)
+/// until it returns `false`; whether it never did.
+fn all_leaves(expr: &mut Expr, f: &mut impl FnMut(&mut Expr) -> bool) -> bool {
+    match expr {
+        Expr::Column(_) | Expr::Literal(_) | Expr::Param(_) | Expr::Slot(..) | Expr::Unbound(_) => {
+            f(expr)
         }
+        Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => all_leaves(e, f),
+        Expr::Binary { left, right, .. } => all_leaves(left, f) && all_leaves(right, f),
+        Expr::InList { expr, list, .. } => {
+            all_leaves(expr, f) && list.iter_mut().all(|e| all_leaves(e, f))
+        }
+        Expr::Between {
+            expr, low, high, ..
+        } => all_leaves(expr, f) && all_leaves(low, f) && all_leaves(high, f),
+        Expr::Aggregate { arg, .. } => arg.as_deref_mut().is_none_or(|a| all_leaves(a, f)),
     }
 }
 
 /// An expression whose column leaves are resolved addresses
 /// ([`Binder::bind`]) — the only form the evaluator accepts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BoundExpr(Expr);
 
 impl BoundExpr {
+    /// A test's hand-built expression, taken as already bound.
+    #[cfg(test)]
+    pub(crate) fn from_bound(expr: Expr) -> Self {
+        BoundExpr(expr)
+    }
+
+    /// This expression re-addressed to a lone row of table `slot`
+    /// (slot 0), or `None` when it reads any other table.
+    pub(crate) fn local_to(&self, slot: usize) -> Option<BoundExpr> {
+        let mut local = self.0.clone();
+        let only_slot = all_leaves(&mut local, &mut |leaf| match leaf {
+            Expr::Slot(s, _) if *s == slot => {
+                *s = 0;
+                true
+            }
+            Expr::Literal(_) | Expr::Param(_) => true,
+            _ => false,
+        });
+        only_slot.then_some(BoundExpr(local))
+    }
+
     /// Evaluates against one row. Column, literal and parameter leaves
     /// come back borrowed, so comparing them allocates nothing.
     pub(crate) fn eval<'a>(
@@ -1040,16 +1055,16 @@ fn bind_target<'a>(table: &'a TableData, name: &str) -> BoundTable<'a> {
     }
 }
 
-/// Executes INSERT into a write-locked table. When `keys` is given (the
-/// table has a primary key and a write observer is installed), pushes
-/// the new row's primary key for the commit notification.
+/// Executes INSERT into a write-locked table. When `changes` is given
+/// (a write observer is installed), records the new row for the commit
+/// notification.
 pub(crate) fn run_insert(
     table: &mut TableData,
     columns: &[String],
     values: &[Expr],
     params: &[DbValue],
     stats: &mut ExecStats,
-    keys: Option<&mut Vec<RowKey>>,
+    changes: Option<&mut Changes>,
 ) -> Result<usize, DbError> {
     let schema = table.schema().clone();
     let mut row = vec![DbValue::Null; schema.arity()];
@@ -1067,17 +1082,18 @@ pub(crate) fn run_insert(
         }
         row[idx] = v;
     }
-    if let (Some(keys), Some(pk)) = (keys, schema.primary_key()) {
-        keys.push(RowKey::of(&row[pk]));
-    }
+    let after = changes.as_ref().map(|_| row.clone());
     table.insert(row)?;
+    if let Some(changes) = changes {
+        changes.push(schema.primary_key(), None, after);
+    }
     stats.written += 1;
     Ok(1)
 }
 
-/// Executes UPDATE against a write-locked table. When `keys` is given,
-/// pushes each affected row's primary key — old *and* new when the
-/// update moves the row to a different key.
+/// Executes UPDATE against a write-locked table. When `changes` is
+/// given, records each affected row: the image the table hands back as
+/// replaced and a copy of the new one.
 pub(crate) fn run_update(
     table: &mut TableData,
     table_name: &str,
@@ -1085,7 +1101,7 @@ pub(crate) fn run_update(
     where_: &Option<Expr>,
     params: &[DbValue],
     stats: &mut ExecStats,
-    mut keys: Option<&mut Vec<RowKey>>,
+    mut changes: Option<&mut Changes>,
 ) -> Result<usize, DbError> {
     let set_cols: Vec<usize> = sets
         .iter()
@@ -1123,28 +1139,26 @@ pub(crate) fn run_update(
         for (&col, expr) in set_cols.iter().zip(&set_exprs) {
             new_row[col] = expr.eval(&[row], params)?.into_owned();
         }
-        if let (Some(keys), Some(pk)) = (keys.as_deref_mut(), pk) {
-            keys.push(RowKey::of(&row[pk]));
-            if !new_row[pk].sql_eq(&row[pk]) {
-                keys.push(RowKey::of(&new_row[pk]));
-            }
+        let after = changes.as_ref().map(|_| new_row.clone());
+        let before = table.update_row(id, new_row)?;
+        if let Some(changes) = changes.as_deref_mut() {
+            changes.push(pk, Some(before), after);
         }
-        table.update_row(id, new_row)?;
         affected += 1;
         stats.written += 1;
     }
     Ok(affected)
 }
 
-/// Executes DELETE against a write-locked table. When `keys` is given,
-/// pushes each deleted row's primary key.
+/// Executes DELETE against a write-locked table. When `changes` is
+/// given, records each deleted row as the table hands it back.
 pub(crate) fn run_delete(
     table: &mut TableData,
     table_name: &str,
     where_: &Option<Expr>,
     params: &[DbValue],
     stats: &mut ExecStats,
-    mut keys: Option<&mut Vec<RowKey>>,
+    mut changes: Option<&mut Changes>,
 ) -> Result<usize, DbError> {
     let pk = table.schema().primary_key();
     let target = [bind_target(table, table_name)];
@@ -1163,14 +1177,14 @@ pub(crate) fn run_delete(
             None => true,
         };
         if keep {
-            if let (Some(keys), Some(pk)) = (keys.as_deref_mut(), pk) {
-                keys.push(RowKey::of(&row[pk]));
-            }
             to_delete.push(id);
         }
     }
-    for id in &to_delete {
-        table.delete_row(*id);
+    for &id in &to_delete {
+        let before = table.delete_row(id);
+        if let Some(changes) = changes.as_deref_mut() {
+            changes.push(pk, before, None);
+        }
         stats.written += 1;
     }
     Ok(to_delete.len())

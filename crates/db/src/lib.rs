@@ -85,7 +85,7 @@ pub use error::DbError;
 pub use fault::{splitmix64, FaultPlan};
 pub use plan::PLAN_NODE_KINDS;
 pub use pool::{ConnectionPool, PooledConnection};
-pub use readset::{ReadSet, RowKey, TableRead, WriteEvent, WriteObserver};
+pub use readset::{ReadSet, RowFilter, RowImage, RowKey, TableRead, WriteEvent, WriteObserver};
 pub use schema::{Column, DataType, Schema};
 pub use value::DbValue;
 pub use wal::{

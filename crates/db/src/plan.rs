@@ -22,7 +22,7 @@
 use crate::database::QueryResult;
 use crate::error::DbError;
 use crate::exec::{self, BoundExpr, BoundTable, ExecStats, Tail};
-use crate::readset::{ReadSet, RowKey};
+use crate::readset::{ReadSet, RowFilter, RowKey};
 use crate::sql::ast::*;
 use crate::value::{DbValue, IndexKey};
 use staged_sync::atomic::{AtomicU64, Ordering};
@@ -31,10 +31,10 @@ use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Above this many distinct probed keys per table, a join's row-level
-/// read set degrades to a whole-table dependency — `ReadSet::record_key`
-/// dedupes linearly, and a dependency list that big no longer buys the
-/// cache any eviction precision.
+/// Above this many distinct join keys per join, the keys are dropped
+/// from the joined table's read set, which keeps only its conjuncts (or
+/// the whole table, with none) — a dependency list that big no longer
+/// buys the cache any eviction precision.
 pub(crate) const MAX_EXACT_JOIN_KEYS: usize = 256;
 
 /// Every plan-node kind the planner can emit — the `node` label values
@@ -133,6 +133,9 @@ pub(crate) struct JoinPlan {
     pub strategy: JoinStrategy,
     /// Conjuncts that become resolvable once this table binds.
     pub newly: Vec<BoundExpr>,
+    /// The leading conjuncts of `newly` that read only the inner table,
+    /// addressed to a lone row of it: its row filter in read sets.
+    pub local: Arc<[BoundExpr]>,
 }
 
 /// A single-row aggregate answered straight from index endpoints
@@ -202,7 +205,8 @@ pub(crate) struct SelectPlan {
     /// Conjuncts resolvable against the base table alone — applied
     /// while scanning, exactly like the legacy early-predicate pass
     /// (the probe conjunct included, so index prefilters stay sound).
-    pub(crate) base_filter: Vec<BoundExpr>,
+    /// Also the base table's row filter in read sets.
+    pub(crate) base_filter: Arc<[BoundExpr]>,
     pub(crate) joins: Vec<JoinPlan>,
     /// Projection/aggregation, ORDER BY and LIMIT, bound against every
     /// table of the statement.
@@ -318,46 +322,74 @@ pub(crate) fn range_detail(
     format!("{}, {}", side(lo, true), side(hi, false))
 }
 
-/// Collector for row-level join reads: exact keys until the cap, a
-/// whole-table dependency after.
-struct JoinReads {
-    table: String,
+/// Records one execution's read set. The statement's parameters are
+/// copied once, by the first row filter, and shared by the rest.
+struct Deps<'r> {
+    reads: &'r mut ReadSet,
+    params: &'r [DbValue],
+    shared: Option<Arc<[DbValue]>>,
+}
+
+impl Deps<'_> {
+    /// A row-filter dependency on `table`; whole-table when there is
+    /// nothing to filter by.
+    fn filter(
+        &mut self,
+        table: &str,
+        conjuncts: &Arc<[BoundExpr]>,
+        join: Option<(usize, Vec<RowKey>)>,
+    ) {
+        if conjuncts.is_empty() && join.is_none() {
+            return self.reads.record_table(table);
+        }
+        let params = self.shared.get_or_insert_with(|| self.params.into());
+        let filter = RowFilter::new(Arc::clone(conjuncts), Arc::clone(params), join);
+        self.reads.record_filter(table, filter);
+    }
+}
+
+/// The distinct outer key values that reached one join, up to
+/// [`MAX_EXACT_JOIN_KEYS`]. NULL joins nothing, so it is not a key.
+struct JoinKeys {
     keys: Vec<RowKey>,
+    /// `RowKey::of` for primary-key probes (exact row identities),
+    /// `RowKey::join` for key sets matched against row images.
+    key: fn(&DbValue) -> RowKey,
     overflowed: bool,
 }
 
-impl JoinReads {
-    fn new(table: &str) -> Self {
-        JoinReads {
-            table: table.to_string(),
+impl JoinKeys {
+    fn new(key: fn(&DbValue) -> RowKey) -> Self {
+        JoinKeys {
             keys: Vec::new(),
+            key,
             overflowed: false,
         }
     }
 
     fn push(&mut self, value: &DbValue) {
-        if self.overflowed {
+        if self.overflowed || value.is_null() {
             return;
         }
-        let key = RowKey::of(value);
-        if !self.keys.contains(&key) {
-            if self.keys.len() >= MAX_EXACT_JOIN_KEYS {
-                self.overflowed = true;
-                self.keys.clear();
-            } else {
-                self.keys.push(key);
-            }
+        self.keys.push((self.key)(value));
+        if self.keys.len() > 2 * MAX_EXACT_JOIN_KEYS {
+            self.dedup();
         }
     }
 
-    fn commit(self, reads: &mut ReadSet) {
-        if self.overflowed {
-            reads.record_table(&self.table);
-        } else {
-            for key in self.keys {
-                reads.record_key(&self.table, key);
-            }
+    fn dedup(&mut self) {
+        self.keys.sort_unstable();
+        self.keys.dedup();
+        if self.keys.len() > MAX_EXACT_JOIN_KEYS {
+            self.overflowed = true;
+            self.keys = Vec::new();
         }
+    }
+
+    /// The sorted distinct keys, or `None` past the cap.
+    fn finish(mut self) -> Option<Vec<RowKey>> {
+        self.dedup();
+        (!self.overflowed).then_some(self.keys)
     }
 }
 
@@ -369,18 +401,23 @@ pub(crate) fn run_planned<'a>(
     params: &'a [DbValue],
     tables: &'a [BoundTable<'a>],
     stats: &mut ExecStats,
-    mut reads: Option<&mut ReadSet>,
+    reads: Option<&mut ReadSet>,
     node_times: &mut Vec<(&'static str, u64)>,
 ) -> Result<QueryResult, DbError> {
     let sel = plan.select();
+    let mut deps = reads.map(|reads| Deps {
+        reads,
+        params,
+        shared: None,
+    });
 
     // --- Endpoint shortcut: no scan at all. ---
     if let Some(items) = &plan.shortcut {
         let t0 = Instant::now();
         let base = &tables[0];
-        if let Some(reads) = reads.as_deref_mut() {
+        if let Some(deps) = &mut deps {
             // MIN/MAX/COUNT over the whole table depend on every row.
-            reads.record_table(&base.table);
+            deps.reads.record_table(&base.table);
         }
         let mut row = Vec::with_capacity(items.len());
         let mut columns = Vec::with_capacity(items.len());
@@ -428,7 +465,7 @@ pub(crate) fn run_planned<'a>(
         stats.scanned += 1;
         visited += 1;
         // Early predicates, applied exactly like the legacy executor.
-        for pred in &plan.base_filter {
+        for pred in plan.base_filter.iter() {
             if !pred.holds(&[r], params)? {
                 return Ok(());
             }
@@ -444,23 +481,16 @@ pub(crate) fn run_planned<'a>(
     };
     match &plan.base {
         BaseAccess::SeqScan => {
-            if let Some(reads) = reads.as_deref_mut() {
-                reads.record_table(&base.table);
-            }
             for (_, r) in base.data.iter_live() {
                 visit(r)?;
             }
         }
         BaseAccess::IndexEq { col, key, pk } => {
             let key = key.resolve(params)?;
-            if let Some(reads) = reads.as_deref_mut() {
-                if *pk {
-                    // Exact even on a miss: a later insert of this key
-                    // must still invalidate a cached empty result.
-                    reads.record_key(&base.table, RowKey::of(&key));
-                } else {
-                    reads.record_table(&base.table);
-                }
+            if let (Some(deps), true) = (&mut deps, *pk) {
+                // Exact even on a miss: a later insert of this key must
+                // still invalidate a cached empty result.
+                deps.reads.record_key(&base.table, RowKey::of(&key));
             }
             visit_ids(base.data.lookup_eq(*col, &key))?;
         }
@@ -473,9 +503,6 @@ pub(crate) fn run_planned<'a>(
             };
             let lo_v = resolve(lo)?;
             let hi_v = resolve(hi)?;
-            if let Some(reads) = reads.as_deref_mut() {
-                reads.record_table(&base.table);
-            }
             // A NULL bound never compares true: the predicate rejects
             // every row, so skip the scan entirely.
             let null_bound = lo_v.as_ref().is_some_and(DbValue::is_null)
@@ -491,6 +518,13 @@ pub(crate) fn run_planned<'a>(
                 let hi_b = hi_k.as_ref().map_or(Bound::Unbounded, Bound::Included);
                 visit_ids(&base.data.lookup_range(*col, lo_b, hi_b))?;
             }
+        }
+    }
+    if let Some(deps) = &mut deps {
+        if !matches!(plan.base, BaseAccess::IndexEq { pk: true, .. }) {
+            // The base filter holds the access path's own conjunct, so
+            // it describes every row that could have been visited.
+            deps.filter(&base.table, &plan.base_filter, None);
         }
     }
     let scan_nanos = t0.elapsed().as_nanos() as u64;
@@ -509,14 +543,10 @@ pub(crate) fn run_planned<'a>(
         let tj = Instant::now();
         let stride = join_idx + 1;
         let new_table = &tables[stride];
-        let mut join_reads = match (&mut reads, jp.inner_pk, jp.strategy) {
-            (Some(_), true, JoinStrategy::IndexLoop) => Some(JoinReads::new(&new_table.table)),
-            (Some(reads), _, _) => {
-                reads.record_table(&new_table.table);
-                None
-            }
-            (None, _, _) => None,
-        };
+        let pk_probes = jp.inner_pk && jp.strategy == JoinStrategy::IndexLoop;
+        let mut join_keys = deps
+            .is_some()
+            .then(|| JoinKeys::new(if pk_probes { RowKey::of } else { RowKey::join }));
         // Hash join: build once over live rows in row-id order — bucket
         // contents come out in the same order the legacy rescan visits
         // them, so output ordering is preserved.
@@ -547,8 +577,8 @@ pub(crate) fn run_planned<'a>(
         };
         for partial in rows.chunks_exact(stride) {
             let key = &partial[jp.outer.0][jp.outer.1];
-            if let Some(jr) = &mut join_reads {
-                jr.push(key);
+            if let Some(keys) = &mut join_keys {
+                keys.push(key);
             }
             match jp.strategy {
                 JoinStrategy::IndexLoop => {
@@ -583,8 +613,19 @@ pub(crate) fn run_planned<'a>(
             }
         }
         // lint: end_hot_path
-        if let (Some(jr), Some(reads)) = (join_reads, reads.as_deref_mut()) {
-            jr.commit(reads);
+        if let (Some(deps), Some(keys)) = (&mut deps, join_keys) {
+            match keys.finish() {
+                // Primary-key probes name exactly the rows they read.
+                Some(keys) if pk_probes => {
+                    for key in keys {
+                        deps.reads.record_key(&new_table.table, key);
+                    }
+                }
+                keys => {
+                    let join = keys.map(|keys| (jp.inner_col, keys));
+                    deps.filter(&new_table.table, &jp.local, join);
+                }
+            }
         }
         rows = next;
         let nanos = tj.elapsed().as_nanos() as u64;

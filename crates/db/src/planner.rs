@@ -76,7 +76,7 @@ pub(crate) fn build_select_plan(
         return Ok(SelectPlan {
             stmt: Arc::clone(stmt),
             base: BaseAccess::SeqScan, // unused on the shortcut path
-            base_filter: Vec::new(),
+            base_filter: Arc::new([]),
             joins: Vec::new(),
             tail,
             shortcut: Some(items),
@@ -90,7 +90,7 @@ pub(crate) fn build_select_plan(
     }
 
     // --- Predicate partition (same rule as the legacy executor). ---
-    let base_filter: Vec<BoundExpr> = conjs
+    let base_filter: Arc<[BoundExpr]> = conjs
         .iter()
         .filter(|c| exec::is_resolvable(c, &base_ctx))
         .map(|c| base_ctx.bind(c))
@@ -192,6 +192,14 @@ pub(crate) fn build_select_plan(
             .filter(|c| exec::is_resolvable(c, &now_ctx) && !exec::is_resolvable(c, &prev_ctx))
             .map(|c| now_ctx.bind(c))
             .collect();
+        // The inner table's own conjuncts, re-addressed to a lone row of
+        // it — only those before the first one that reads an earlier
+        // table: `newly` runs in order, so a row a later local conjunct
+        // rejects could first have made a cross-table one fail.
+        let local = newly
+            .iter()
+            .map_while(|c| c.local_to(bound_count))
+            .collect();
 
         let kind = match strategy {
             JoinStrategy::IndexLoop => "index_loop_join",
@@ -222,6 +230,7 @@ pub(crate) fn build_select_plan(
             inner_pk,
             strategy,
             newly,
+            local,
         });
     }
 

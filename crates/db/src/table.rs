@@ -75,7 +75,8 @@ impl TableData {
         Ok(row_id)
     }
 
-    /// Replaces a live row's values, maintaining indexes.
+    /// Replaces a live row's values, maintaining indexes, and hands the
+    /// replaced values back.
     ///
     /// # Errors
     ///
@@ -85,10 +86,10 @@ impl TableData {
         &mut self,
         row_id: usize,
         new_values: Vec<DbValue>,
-    ) -> Result<(), DbError> {
+    ) -> Result<Vec<DbValue>, DbError> {
         debug_assert_eq!(new_values.len(), self.schema.arity());
-        let old = match self.rows.get(row_id) {
-            Some(Some(v)) => v.clone(),
+        let old = match self.rows.get_mut(row_id) {
+            Some(Some(v)) => v,
             _ => return Err(DbError::invalid("update of missing row")),
         };
         if let (Some(pk_col), Some(pk_index)) = (self.schema.primary_key(), &mut self.pk_index) {
@@ -119,16 +120,13 @@ impl TableData {
                 index.entry(new_key).or_default().push(row_id);
             }
         }
-        self.rows[row_id] = Some(new_values);
-        Ok(())
+        Ok(std::mem::replace(old, new_values))
     }
 
-    /// Deletes a live row, maintaining indexes. No-op for dead rows.
-    pub(crate) fn delete_row(&mut self, row_id: usize) {
-        let old = match self.rows.get_mut(row_id) {
-            Some(slot @ Some(_)) => slot.take().expect("checked Some"),
-            _ => return,
-        };
+    /// Deletes a live row, maintaining indexes, and hands its values
+    /// back. `None` (and no change) for a dead or missing row.
+    pub(crate) fn delete_row(&mut self, row_id: usize) -> Option<Vec<DbValue>> {
+        let old = self.rows.get_mut(row_id)?.take()?;
         self.live -= 1;
         if let (Some(pk_col), Some(pk_index)) = (self.schema.primary_key(), &mut self.pk_index) {
             pk_index.remove(&old[pk_col].index_key());
@@ -142,6 +140,7 @@ impl TableData {
                 }
             }
         }
+        Some(old)
     }
 
     /// A live row's values.

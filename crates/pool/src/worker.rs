@@ -1,13 +1,12 @@
 //! Worker thread pools with per-worker state and busy/spare accounting.
 
 use crate::queue::{PushError, SyncQueue};
-use staged_metrics::{Counter, Gauge, Histogram};
+use staged_metrics::{Counter, Gauge};
 use std::error::Error;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
 
 /// Configuration for a [`WorkerPool`].
 ///
@@ -78,9 +77,6 @@ pub struct PoolStats {
     /// [`WorkerPool::try_submit`]). Overload must be observable, not
     /// silent.
     pub rejected: Counter,
-    /// Handler wall-clock time per job (service time, not queue wait).
-    /// Recorded for every invocation, including ones that panic.
-    pub service: Arc<Histogram>,
 }
 
 /// A fixed-size pool of worker threads consuming typed jobs from a
@@ -195,10 +191,8 @@ impl<J: Send + 'static> WorkerPool<J> {
                 .spawn(move || {
                     while let Some(job) = queue.pop() {
                         stats.busy.increment();
-                        let started = Instant::now();
                         let outcome =
                             panic::catch_unwind(AssertUnwindSafe(|| handler(&mut state, job)));
-                        stats.service.record(started.elapsed());
                         stats.busy.decrement();
                         match outcome {
                             Ok(()) => stats.completed.increment(),
@@ -535,26 +529,6 @@ mod tests {
         );
         // Non-listener threads are unaffected.
         pool.submit(2).unwrap();
-    }
-
-    #[test]
-    fn service_histogram_records_every_invocation() {
-        let pool = WorkerPool::new(
-            PoolConfig::new("timed", 1),
-            |_| (),
-            |_, fail: bool| {
-                thread::sleep(Duration::from_millis(2));
-                if fail {
-                    panic!("boom");
-                }
-            },
-        );
-        pool.submit(false).unwrap();
-        pool.submit(true).unwrap();
-        let stats = pool.stats_handle();
-        pool.shutdown();
-        assert_eq!(stats.service.count(), 2, "panicking jobs count too");
-        assert!(stats.service.min() >= Duration::from_millis(2));
     }
 
     #[test]
