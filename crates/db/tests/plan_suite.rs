@@ -216,6 +216,7 @@ impl Rng {
 #[test]
 fn randomized_queries_match_legacy_executor() {
     let mut rng = Rng(0x5eed_cafe_f00d_0001);
+    let mut digest = FNV_BASIS;
     for round in 0..8 {
         let planned = Database::new();
         let legacy = Database::new();
@@ -287,9 +288,27 @@ fn randomized_queries_match_legacy_executor() {
                 "round {round} query {qi} ({sql}) with {params:?} diverged"
             );
             assert_eq!(p.columns, l.columns, "round {round} query {qi} columns");
+            fnv(&mut digest, &format!("{:?}{:?}", p.columns, p.rows));
         }
     }
+    assert_eq!(digest, QUERY_RESULTS_DIGEST);
 }
+
+/// Folds `text` into an FNV-1a digest.
+fn fnv(digest: &mut u64, text: &str) {
+    for byte in text.bytes() {
+        *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// FNV-1a offset basis: the digest of nothing.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The columns and rows (`Debug` form, order included) of every query
+/// above, folded in order. Recorded while the legacy straight-line
+/// executor still ran beside the plan executor and agreed with it on
+/// every query.
+const QUERY_RESULTS_DIGEST: u64 = 17_480_420_968_660_372_064;
 
 /// One generated SELECT: its text and positional parameters.
 struct Generated {
@@ -501,7 +520,8 @@ impl Rng {
 fn randomized_statements_match_legacy_executor() {
     use staged_db::ReadSet;
     let mut rng = Rng(0x0dd_ba11_5eed_0021);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
+    let mut digest = FNV_BASIS;
+    let mut results = FNV_BASIS;
     let mut compared_rows = 0usize;
     for round in 0..12 {
         let planned = Database::new();
@@ -544,11 +564,15 @@ fn randomized_statements_match_legacy_executor() {
                 }
             }
             let scanned = p.as_ref().map(|r| r.rows_scanned).ok();
-            for byte in format!("{scanned:?}{p_reads:?}").bytes() {
-                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            fnv(&mut digest, &format!("{scanned:?}{p_reads:?}"));
+            let outcome = p
+                .as_ref()
+                .map(|r| (&r.columns, &r.rows))
+                .map_err(ToString::to_string);
+            fnv(&mut results, &format!("{outcome:?}"));
         }
     }
+    assert_eq!(results, STATEMENT_RESULTS_DIGEST);
     assert!(
         compared_rows > 2_000,
         "generator went quiet: {compared_rows} rows"
@@ -567,6 +591,12 @@ fn randomized_statements_match_legacy_executor() {
 /// which changes the read-set `Debug` form the digest folds.
 /// `rows_scanned` did not change.
 const PLANNED_SCAN_AND_READS_DIGEST: u64 = 4_692_343_181_348_955_935;
+
+/// Each generated statement's outcome — columns and rows (`Debug` form,
+/// order included) or the error text — folded statement by statement.
+/// Recorded while the legacy straight-line executor still ran beside the
+/// plan executor and agreed with it on every outcome.
+const STATEMENT_RESULTS_DIGEST: u64 = 12_248_345_825_342_304_679;
 
 impl Rng {
     /// One random write: an INSERT, or an UPDATE/DELETE of one row by

@@ -832,19 +832,31 @@ mod tests {
     #[test]
     fn compiled_matches_tree_on_core_constructs() {
         let store = TemplateStore::new();
+        // (name, source, the bytes both engines rendered)
         let sources = [
-            ("plain", "hello {{ title }} world"),
-            ("missing", "[{{ nothing }}|{{ nothing.deep.er }}]"),
-            ("escape", "{{ title }}|{{ title|safe }}|{{ title|escape }}"),
+            (
+                "plain",
+                "hello {{ title }} world",
+                "hello A &quot;quoted&quot; &lt;title&gt; world",
+            ),
+            ("missing", "[{{ nothing }}|{{ nothing.deep.er }}]", "[|]"),
+            (
+                "escape",
+                "{{ title }}|{{ title|safe }}|{{ title|escape }}",
+                "A &quot;quoted&quot; &lt;title&gt;|A \"quoted\" <title>\
+                 |A &quot;quoted&quot; &lt;title&gt;",
+            ),
             (
                 "dotted",
                 "{{ books.0.title }}:{{ books.5.title }}:{{ book.price }}",
+                "Dune &amp; &lt;Co&gt;::7.5",
             ),
             (
                 "branches",
                 "{% if n > 10 %}big{% elif n > 5 %}mid{% else %}small{% endif %}\
                  {% if flag and not zero %}Y{% endif %}\
                  {% if 'a&b' in xs %}IN{% endif %}",
+                "midYIN",
             ),
             (
                 "loops",
@@ -853,40 +865,56 @@ mod tests {
                  {% for c in s %}({{ c }}){% endfor %}\
                  {% for k in book %}{{ k }},{% endfor %}\
                  {% for one in n %}[{{ one }}]{% endfor %}",
+                "1=a&amp;b;2=c;3=d;EMPTY(h)(é)(l)(l)(o)price,title,[7]",
             ),
             (
                 "nested",
                 "{% for row in rows %}{% for c in row %}\
                  {{ forloop.parentloop.counter }}.{{ forloop.counter }}/{{ forloop.revcounter0 }} \
                  {% endfor %}{% endfor %}",
+                "1.1/1 1.2/0 2.1/0 ",
             ),
             (
                 "counters",
                 "{% for x in xs %}{% if forloop.first %}[{% endif %}{{ x }}\
                  {% if forloop.last %}]{% endif %}{% endfor %}\
                  {% for x in xs %}{{ forloop.length }}{% endfor %}",
+                "[a&amp;bcd]333",
             ),
             (
                 "bare_forloop",
                 "{% for x in xs %}{{ forloop }}|{% endfor %}",
+                "{counter: 1, counter0: 0, first: true, last: false, length: 3, \
+                 revcounter: 3, revcounter0: 2}|\
+                 {counter: 2, counter0: 1, first: false, last: false, length: 3, \
+                 revcounter: 2, revcounter0: 1}|\
+                 {counter: 3, counter0: 2, first: false, last: true, length: 3, \
+                 revcounter: 1, revcounter0: 0}|",
             ),
             (
                 "with",
                 "{% with t = n|add:5 %}{{ t }}+{{ t }}{% endwith %}|{{ t }}\
                  {% with x='shadow' %}{{ x }}{% endwith %}",
+                "12+12|shadow",
             ),
             (
                 "filters",
                 "{{ xs|join:\", \" }}|{{ title|upper|lower }}|{{ pi|floatformat:2 }}\
                  |{{ nothing|default:'dft' }}|{{ s|length }}",
+                "a&amp;b, c, d|a &quot;quoted&quot; &lt;title&gt;|3.00|dft|5",
             ),
-            ("shadow", "{% for n in xs %}{{ n }}{% endfor %}{{ n }}"),
+            (
+                "shadow",
+                "{% for n in xs %}{{ n }}{% endfor %}{{ n }}",
+                "a&amp;bcd7",
+            ),
             (
                 "display_types",
                 "{{ xs }}|{{ book }}|{{ flag }}|{{ pi }}|{{ zero }}",
+                "[a&amp;b, c, d]|{price: 7.5, title: Dune &amp; &lt;Co&gt;}|true|3.0|0",
             ),
         ];
-        for (name, src) in sources {
+        for (name, src, _) in sources {
             store.insert(name, src).unwrap();
         }
         store
@@ -896,10 +924,14 @@ mod tests {
             )
             .unwrap();
         let ctx = ctx_with_everything();
-        for (name, _) in sources {
-            assert_same(&store, name, &ctx);
+        for (name, _, expected) in sources {
+            assert_eq!(assert_same(&store, name, &ctx), expected, "{name}");
         }
-        assert_same(&store, "includer", &ctx);
+        assert_eq!(
+            assert_same(&store, "includer", &ctx),
+            "Ahello A &quot;quoted&quot; &lt;title&gt; world\
+             B1=a&amp;b;2=c;3=d;EMPTY(h)(é)(l)(l)(o)price,title,[7]C"
+        );
     }
 
     #[test]
