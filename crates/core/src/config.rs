@@ -17,8 +17,8 @@ use std::time::Duration;
 /// Defaults follow the paper's proportions at laptop scale: the general
 /// dynamic pool has **four times** the lengthy pool's threads (§3.3),
 /// database connections equal the total dynamic thread count, the
-/// quick/lengthy cutoff is the paper's 2 seconds scaled ×1000 to 2 ms,
-/// and the controller ticks at the paper's 1 Hz scaled to 100 ms.
+/// quick/lengthy cutoff is 5 ms (the paper's is 2 seconds), and the
+/// controller ticks at the paper's 1 Hz scaled to 100 ms.
 ///
 /// # Examples
 ///
@@ -50,7 +50,7 @@ pub struct ServerConfig {
     /// Database connections in the shared pool.
     pub db_connections: usize,
     /// Average data-generation time above which a page is *lengthy*
-    /// (paper: 2 s; scaled default: 2 ms).
+    /// (paper: 2 s; scaled default: 5 ms).
     pub lengthy_cutoff: Duration,
     /// How often the reserve controller updates `t_reserve` (paper:
     /// once per second; scaled default: 100 ms).

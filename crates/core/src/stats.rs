@@ -249,7 +249,7 @@ impl ServerStats {
             });
         }
         type CounterGetter = fn(&ServerStats) -> &Counter;
-        let flat: [(&'static str, CounterGetter); 10] = [
+        let unlabelled: [(&'static str, CounterGetter); 10] = [
             ("errors_total", |s| &s.errors),
             ("dropped_connections_total", |s| &s.dropped_connections),
             ("handler_panics_total", |s| &s.handler_panics),
@@ -261,7 +261,7 @@ impl ServerStats {
             ("stale_misses_total", |s| &s.stale_misses),
             ("slowloris_kills_total", |s| &s.slowloris_kills),
         ];
-        for (name, get) in flat {
+        for (name, get) in unlabelled {
             let stats = Arc::clone(self);
             registry.counter_fn(name, &[], move || get(&stats).value());
         }

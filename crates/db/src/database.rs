@@ -15,7 +15,7 @@ use crate::table::TableData;
 use crate::value::DbValue;
 use crate::wal::{CheckpointPhase, DurabilityConfig, DurabilityStatus, Wal, WalStats};
 use staged_pool::SyncQueue;
-use staged_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use staged_sync::atomic::{AtomicU64, Ordering};
 use staged_sync::{OrderedMutex, OrderedRwLock, Rank};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -163,7 +163,8 @@ struct TableEntry {
 }
 
 /// A statement-cache entry: the parsed AST plus, for SELECTs, the
-/// compiled plan (built lazily on first execution, dropped on DDL).
+/// compiled plan (built lazily on first execution, dropped on DDL; a
+/// failed planning attempt leaves it `None`).
 struct Prepared {
     stmt: Arc<Statement>,
     plan: Option<Arc<SelectPlan>>,
@@ -226,10 +227,6 @@ pub struct Database {
     /// Committed-mutation subscriber ([`Database::set_write_observer`]);
     /// feeds cache invalidation. `None` skips key collection entirely.
     write_observer: OrderedRwLock<Option<WriteObserver>>,
-    /// Whether SELECTs execute through the cost-based plan tree
-    /// (default) or the legacy straight-line path (the golden-test
-    /// comparison baseline, also the fallback when planning fails).
-    planner_enabled: AtomicBool,
     /// Per-plan-node timing subscriber ([`Database::set_plan_observer`]).
     plan_observer: OrderedRwLock<Option<PlanObserver>>,
     /// Route name → SQL texts executed under it, recorded by
@@ -264,7 +261,6 @@ impl Database {
             durable: OrderedRwLock::new(DURABLE_RANK, "db.durable", None),
             commit_gate: OrderedRwLock::new(COMMIT_GATE_RANK, "db.commit_gate", ()),
             write_observer: OrderedRwLock::new(WRITE_OBSERVER_RANK, "db.write_observer", None),
-            planner_enabled: AtomicBool::new(true),
             plan_observer: OrderedRwLock::new(PLAN_OBSERVER_RANK, "db.plan_observer", None),
             routes: OrderedMutex::new(ROUTES_RANK, "db.routes", HashMap::new()),
         }
@@ -349,7 +345,8 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// Syntax errors, unknown tables/columns, duplicate keys, and
+    /// Syntax errors, unknown tables/columns (a SELECT that cannot be
+    /// planned fails with the planning error), duplicate keys, and
     /// parameter-count mismatches.
     pub fn execute(&self, sql: &str, params: &[DbValue]) -> Result<QueryResult, DbError> {
         self.execute_tracked(sql, params, None)
@@ -381,9 +378,10 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// Syntax errors. Planning problems (unknown table/column) are
-    /// *not* errors here — the handle falls back to the legacy executor
-    /// and surfaces the real error on [`Plan::run`].
+    /// Syntax errors, and for a SELECT the planning errors: an unknown
+    /// table ([`DbError::NoSuchTable`]) or an unresolvable join column
+    /// ([`DbError::NoSuchColumn`]). Other unresolvable columns fail
+    /// only when a row is evaluated against them, on [`Plan::run`].
     pub fn plan(&self, sql: &str) -> Result<Plan<'_>, DbError> {
         let (stmt, plan) = self.prepare_cached(sql)?;
         Ok(Plan {
@@ -400,21 +398,9 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// Syntax errors.
+    /// As for [`Database::plan`].
     pub fn explain(&self, sql: &str) -> Result<String, DbError> {
         Ok(self.plan(sql)?.explain_json())
-    }
-
-    /// Enables or disables the plan-tree executor for SELECTs (enabled
-    /// by default). The legacy straight-line executor is kept as the
-    /// comparison baseline — results are byte-identical either way.
-    pub fn set_use_planner(&self, on: bool) {
-        self.planner_enabled.store(on, Ordering::Relaxed); // lint: allow(relaxed)
-    }
-
-    /// Whether SELECTs currently execute through the plan tree.
-    pub fn use_planner(&self) -> bool {
-        self.planner_enabled.load(Ordering::Relaxed) // lint: allow(relaxed)
     }
 
     /// Installs the per-plan-node timing observer (replacing any
@@ -454,7 +440,8 @@ impl Database {
     }
 
     /// Renders every statement a route has executed with its plan tree
-    /// as JSON, or `None` for an unknown route.
+    /// as JSON, or `None` for an unknown route. A statement that no
+    /// longer plans renders as an `error` node carrying the message.
     pub fn explain_route(&self, route: &str) -> Option<String> {
         let stmts = self.routes.lock().get(route).cloned()?;
         let mut out = String::from("{\"route\":");
@@ -467,16 +454,8 @@ impl Database {
             out.push_str("{\"sql\":");
             out.push_str(&json_str(sql));
             out.push_str(",\"plan\":");
-            match self.prepare_cached(sql) {
-                Ok((_, Some(plan))) => out.push_str(&plan.explain_json()),
-                Ok((stmt, None)) => {
-                    let kind = if stmt.is_write() {
-                        "write"
-                    } else {
-                        "legacy_select"
-                    };
-                    out.push_str(&format!("{{\"node\":{}}}", json_str(kind)));
-                }
+            match self.explain(sql) {
+                Ok(plan) => out.push_str(&plan),
                 Err(e) => out.push_str(&format!(
                     "{{\"node\":\"error\",\"detail\":{}}}",
                     json_str(&e.to_string())
@@ -488,8 +467,8 @@ impl Database {
         Some(out)
     }
 
-    /// Parses (cached) and, for SELECTs with the planner enabled, plans
-    /// (cached) one statement.
+    /// Parses (cached) and, for SELECTs, plans (cached) one statement:
+    /// the plan is `Some` exactly for a SELECT.
     fn prepare_cached(
         &self,
         sql: &str,
@@ -502,60 +481,48 @@ impl Database {
                 .get(sql)
                 .map(|p| (Arc::clone(&p.stmt), p.plan.clone()))
         };
-        if let Some((stmt, plan)) = hit {
-            if let Some(plan) = plan {
-                if self.use_planner() {
-                    return Ok((stmt, Some(plan)));
+        let stmt = match hit {
+            Some((stmt, Some(plan))) => return Ok((stmt, Some(plan))),
+            Some((stmt, None)) => stmt,
+            None => {
+                let stmt = Arc::new(parser::parse(sql)?);
+                let mut cache = self.stmt_cache.lock();
+                // Bound the cache to protect against unbounded ad-hoc SQL.
+                if cache.len() >= 4096 {
+                    cache.clear();
                 }
-                return Ok((stmt, None));
+                cache.insert(
+                    sql.to_string(),
+                    Prepared {
+                        stmt: Arc::clone(&stmt),
+                        plan: None,
+                    },
+                );
+                stmt
             }
-            return self.plan_into_cache(sql, stmt);
-        }
-        let stmt = Arc::new(parser::parse(sql)?);
-        {
-            let mut cache = self.stmt_cache.lock();
-            // Bound the cache to protect against unbounded ad-hoc SQL.
-            if cache.len() >= 4096 {
-                cache.clear();
-            }
-            cache.insert(
-                sql.to_string(),
-                Prepared {
-                    stmt: Arc::clone(&stmt),
-                    plan: None,
-                },
-            );
-        }
+        };
         self.plan_into_cache(sql, stmt)
     }
 
     /// Builds and caches the plan for a SELECT, outside the statement
     /// cache lock (planning takes the catalog and table locks, which
-    /// rank below it). A planning failure falls back to the legacy
-    /// executor, which surfaces the real error at execution.
+    /// rank below it). A planning failure is returned and not cached:
+    /// the next execution plans again, so DDL can make it succeed.
     fn plan_into_cache(
         &self,
         sql: &str,
         stmt: Arc<Statement>,
     ) -> Result<(Arc<Statement>, Option<Arc<SelectPlan>>), DbError> {
-        if !self.use_planner() || !matches!(&*stmt, Statement::Select(_)) {
-            return Ok((stmt, None));
-        }
-        let Ok(built) = self.build_plan(&stmt) else {
+        let Statement::Select(sel) = &*stmt else {
             return Ok((stmt, None));
         };
+        let built =
+            self.with_bound_tables(&stmt, sel, |bound| planner::build_select_plan(&stmt, bound))?;
         let built = Arc::new(built);
         if let Some(p) = self.stmt_cache.lock().get_mut(sql) {
             p.plan = Some(Arc::clone(&built));
         }
         Ok((stmt, Some(built)))
-    }
-
-    fn build_plan(&self, stmt: &Arc<Statement>) -> Result<SelectPlan, DbError> {
-        let Statement::Select(sel) = &**stmt else {
-            return Err(DbError::invalid("only SELECT statements are planned"));
-        };
-        self.with_bound_tables(stmt, sel, |bound| planner::build_select_plan(stmt, bound))
     }
 
     /// Drops every cached plan (statements stay parsed). Called after
@@ -611,14 +578,9 @@ impl Database {
         reads: Option<&mut ReadSet>,
     ) -> Result<QueryResult, DbError> {
         let mut stats = ExecStats::default();
-        let result = match (stmt, plan) {
-            (Statement::Select(_), Some(plan)) => {
-                self.run_select_planned(stmt, plan, params, &mut stats, reads)?
-            }
-            (Statement::Select(_), None) => {
-                self.run_select_statement(stmt, params, &mut stats, reads)?
-            }
-            _ => self.run_mutation(stmt, sql, params, &mut stats)?,
+        let result = match plan {
+            Some(plan) => self.run_select_planned(stmt, plan, params, &mut stats, reads)?,
+            None => self.run_mutation(stmt, sql, params, &mut stats)?,
         };
         // Synthetic latency is charged after the guards are gone.
         self.charge(stats.scanned, stats.written);
@@ -713,7 +675,7 @@ impl Database {
                     event,
                 )
             }
-            Statement::Select(_) => unreachable!("selects route through run_select_statement"),
+            Statement::Select(_) => unreachable!("every SELECT carries a plan"),
         };
         drop(gate);
         if let (Some(d), Some(seq)) = (&durable, seq) {
@@ -777,8 +739,7 @@ impl Database {
 
     /// Takes the read locks for every table a SELECT touches (sorted
     /// name order for deadlock freedom, deduplicated), binds them in
-    /// FROM/JOIN order with running column offsets, and runs `f` with
-    /// the guards held.
+    /// FROM/JOIN order, and runs `f` with the guards held.
     fn with_bound_tables<T>(
         &self,
         stmt: &Statement,
@@ -800,42 +761,17 @@ impl Database {
                 .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
             Ok(&guards[idx])
         };
-        let mut bound: Vec<BoundTable<'_>> = Vec::new();
-        let mut offset = 0;
-        let from_data = guard_of(&sel.from.table)?;
-        bound.push(BoundTable {
-            name: sel.from.effective_name().to_string(),
-            table: sel.from.table.clone(),
-            data: from_data,
-            offset,
-        });
-        offset += from_data.schema().arity();
-        for join in &sel.joins {
-            let data = guard_of(&join.table.table)?;
-            bound.push(BoundTable {
-                name: join.table.effective_name().to_string(),
-                table: join.table.table.clone(),
-                data,
-                offset,
-            });
-            offset += data.schema().arity();
-        }
+        let bound = std::iter::once(&sel.from)
+            .chain(sel.joins.iter().map(|j| &j.table))
+            .map(|t| {
+                Ok(BoundTable {
+                    name: t.effective_name().to_string(),
+                    table: t.table.clone(),
+                    data: guard_of(&t.table)?,
+                })
+            })
+            .collect::<Result<Vec<_>, DbError>>()?;
         f(&bound)
-    }
-
-    fn run_select_statement(
-        &self,
-        stmt: &Statement,
-        params: &[DbValue],
-        stats: &mut ExecStats,
-        reads: Option<&mut ReadSet>,
-    ) -> Result<QueryResult, DbError> {
-        match stmt {
-            Statement::Select(sel) => self.with_bound_tables(stmt, sel, |bound| {
-                exec::run_select(sel, params, bound, stats, reads)
-            }),
-            _ => unreachable!("mutations route through run_mutation"),
-        }
     }
 
     /// Executes a SELECT through its plan tree. Per-node timings are
@@ -1058,19 +994,11 @@ impl Plan<'_> {
 
     /// Renders the plan tree as JSON: node kind, chosen index, estimated
     /// rows, and cumulative measured rows/time per node. Non-SELECT
-    /// statements and legacy-executed SELECTs render a single
-    /// placeholder node.
+    /// statements render a single `write` placeholder node.
     pub fn explain_json(&self) -> String {
         match &self.plan {
             Some(plan) => plan.explain_json(),
-            None => {
-                let kind = if self.stmt.is_write() {
-                    "write"
-                } else {
-                    "legacy_select"
-                };
-                format!("{{\"node\":{}}}", json_str(kind))
-            }
+            None => "{\"node\":\"write\"}".to_string(),
         }
     }
 }
@@ -1467,21 +1395,9 @@ mod tests {
         assert!(tables.contains(&"item"));
         assert!(tables.contains(&"author"));
         // The inner side is probed through its primary key, so the
-        // planner refines the dependency to the exact rows joined;
-        // the legacy executor records the whole table instead.
+        // dependency is refined to the exact rows joined.
         let author = reads.reads().iter().find(|r| r.table == "author").unwrap();
         assert!(author.keys.is_some(), "PK index-loop join refines to keys");
-
-        db.set_use_planner(false);
-        let mut legacy = ReadSet::new();
-        db.execute_tracked(
-            "SELECT i_title, a_name FROM item JOIN author ON i_a_id = a_id WHERE i_id = 1",
-            &[],
-            Some(&mut legacy),
-        )
-        .unwrap();
-        let author = legacy.reads().iter().find(|r| r.table == "author").unwrap();
-        assert!(author.keys.is_none(), "legacy path stays table-wide");
     }
 
     #[test]

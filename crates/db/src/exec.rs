@@ -1,16 +1,18 @@
-//! Statement execution: expression evaluation, scans, joins,
-//! aggregation, ordering.
+//! Statement execution: expression binding and evaluation, the SELECT
+//! tail (projection, aggregation, ordering, LIMIT) that the plan
+//! executor in `plan.rs` feeds, and INSERT/UPDATE/DELETE.
 
 use crate::database::QueryResult;
 use crate::error::DbError;
-use crate::readset::{Changes, ReadSet, RowKey};
+use crate::planner;
+use crate::readset::Changes;
 use crate::sql::ast::*;
 use crate::table::TableData;
 use crate::value::DbValue;
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// A table bound into a query, with its column offset in the joined row.
+/// A table bound into a query, at its slot in FROM/JOIN order.
 pub(crate) struct BoundTable<'a> {
     /// Effective name (alias if given) — what column references resolve
     /// against.
@@ -19,7 +21,6 @@ pub(crate) struct BoundTable<'a> {
     /// under (an alias would never match a write event).
     pub table: String,
     pub data: &'a TableData,
-    pub offset: usize,
 }
 
 /// Rows visited during execution — the input to the cost model.
@@ -30,29 +31,15 @@ pub(crate) struct ExecStats {
 }
 
 /// A row as the evaluator sees it: one stored-row slice per bound
-/// table slot. The plan executor hands out references to the tables'
-/// own rows; the legacy executor presents its flat joined row as a
-/// single slot.
+/// table slot, referencing the tables' own rows.
 pub(crate) type RowRef<'r, 'a> = &'r [&'a [DbValue]];
 
 /// Resolves column names against the tables bound so far.
 pub(crate) struct Binder<'a> {
     pub(crate) tables: &'a [BoundTable<'a>],
-    /// Address columns in one flat joined row (slot 0, absolute
-    /// offset) — the legacy executor's row shape — instead of
-    /// `(table slot, column)`.
-    pub(crate) flat: bool,
 }
 
 impl Binder<'_> {
-    fn place(&self, slot: usize, col: usize) -> (usize, usize) {
-        if self.flat {
-            (0, self.tables[slot].offset + col)
-        } else {
-            (slot, col)
-        }
-    }
-
     /// Resolves a column reference to its `(slot, column)` address.
     pub(crate) fn resolve(&self, col: &ColRef) -> Result<(usize, usize), DbError> {
         match &col.table {
@@ -68,7 +55,7 @@ impl Binder<'_> {
                     .schema()
                     .column_index(&col.column)
                     .ok_or_else(missing)?;
-                Ok(self.place(slot, idx))
+                Ok((slot, idx))
             }
             None => {
                 let mut found = None;
@@ -80,7 +67,7 @@ impl Binder<'_> {
                                 col.column
                             )));
                         }
-                        found = Some(self.place(slot, idx));
+                        found = Some((slot, idx));
                     }
                 }
                 found.ok_or_else(|| DbError::NoSuchColumn(col.column.clone()))
@@ -451,178 +438,6 @@ pub(crate) fn is_resolvable(expr: &Expr, binder: &Binder<'_>) -> bool {
     }
 }
 
-/// Looks for an index-usable conjunct `col = constant` on table
-/// `target`; returns the column index and the key value.
-pub(crate) fn index_probe(
-    conjs: &[&Expr],
-    target: &BoundTable<'_>,
-    params: &[DbValue],
-) -> Result<Option<(usize, DbValue)>, DbError> {
-    for conj in conjs {
-        let Expr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = conj
-        else {
-            continue;
-        };
-        for (col_side, const_side) in [(left, right), (right, left)] {
-            let Expr::Column(c) = col_side.as_ref() else {
-                continue;
-            };
-            if let Some(t) = &c.table {
-                if *t != target.name {
-                    continue;
-                }
-            }
-            let Some(idx) = target.data.schema().column_index(&c.column) else {
-                continue;
-            };
-            if !target.data.has_index(idx) {
-                continue;
-            }
-            let key = match const_side.as_ref() {
-                Expr::Literal(v) => v.clone(),
-                Expr::Param(i) => params
-                    .get(*i)
-                    .cloned()
-                    .ok_or_else(|| DbError::invalid(format!("missing parameter #{}", i + 1)))?,
-                _ => continue,
-            };
-            return Ok(Some((idx, key)));
-        }
-    }
-    Ok(None)
-}
-
-/// Executes a SELECT against the bound tables (guards already held) the
-/// legacy straight-line way: one flat, owned joined row per survivor.
-/// Nothing in production reaches it; it is the oracle the differential
-/// suites hold the plan executor to. When `reads` is given, records
-/// what the statement depended on: an exact primary key for a PK point
-/// probe on the base table, the whole table otherwise
-/// (secondary-index membership can change under writes to *other*
-/// rows, so only PK probes are exact), and every joined table
-/// wholesale.
-pub(crate) fn run_select(
-    sel: &SelectStmt,
-    params: &[DbValue],
-    tables: &[BoundTable<'_>],
-    stats: &mut ExecStats,
-    reads: Option<&mut ReadSet>,
-) -> Result<QueryResult, DbError> {
-    let binder = |bound: usize| Binder {
-        tables: &tables[..bound],
-        flat: true,
-    };
-    let conjs: Vec<&Expr> = sel.where_.as_ref().map(conjuncts).unwrap_or_default();
-
-    // --- Base table row selection (index probe or full scan). ---
-    let base = &tables[0];
-    let base_ctx = binder(1);
-    let probe = index_probe(&conjs, base, params)?;
-    if let Some(reads) = reads {
-        match &probe {
-            // A PK point probe depends on exactly that key — even when
-            // the key matched nothing, so a later insert of it still
-            // invalidates a cached empty result.
-            Some((col, key)) if base.data.schema().primary_key() == Some(*col) => {
-                reads.record_key(&base.table, RowKey::of(key));
-            }
-            _ => reads.record_table(&base.table),
-        }
-        for joined in &tables[1..] {
-            reads.record_table(&joined.table);
-        }
-    }
-    let base_ids: Vec<usize> = match probe {
-        Some((col, key)) => base.data.lookup_eq(col, &key).to_vec(),
-        None => base.data.iter_live().map(|(id, _)| id).collect(),
-    };
-
-    // Early predicates touching only the base table.
-    let early: Vec<BoundExpr> = conjs
-        .iter()
-        .filter(|c| is_resolvable(c, &base_ctx))
-        .map(|c| base_ctx.bind(c))
-        .collect();
-    let mut rows: Vec<Vec<DbValue>> = Vec::new();
-    for id in base_ids {
-        let Some(r) = base.data.row(id) else { continue };
-        stats.scanned += 1;
-        let mut keep = true;
-        for pred in &early {
-            if !pred.holds(&[r], params)? {
-                keep = false;
-                break;
-            }
-        }
-        if keep {
-            rows.push(r.to_vec());
-        }
-    }
-
-    // --- Joins, innermost predicate application as tables bind. ---
-    for (join_idx, join) in sel.joins.iter().enumerate() {
-        let bound_count = join_idx + 1;
-        let new_table = &tables[bound_count];
-        let prev_ctx = binder(bound_count);
-        let now_ctx = binder(bound_count + 1);
-        let (outer_ref, inner_ref) = join_sides(join, new_table, &prev_ctx);
-        let (_, outer_idx) = prev_ctx.resolve(outer_ref)?;
-        let inner_col = new_table
-            .data
-            .schema()
-            .column_index(&inner_ref.column)
-            .ok_or_else(|| DbError::NoSuchColumn(inner_ref.column.clone()))?;
-        let use_index = new_table.data.has_index(inner_col);
-
-        let newly: Vec<BoundExpr> = conjs
-            .iter()
-            .filter(|c| is_resolvable(c, &now_ctx) && !is_resolvable(c, &prev_ctx))
-            .map(|c| now_ctx.bind(c))
-            .collect();
-
-        let mut next_rows = Vec::new();
-        for partial in rows {
-            let key = &partial[outer_idx];
-            let candidates: Vec<usize> = if use_index {
-                new_table.data.lookup_eq(inner_col, key).to_vec()
-            } else {
-                new_table.data.iter_live().map(|(id, _)| id).collect()
-            };
-            for cid in candidates {
-                let Some(inner_row) = new_table.data.row(cid) else {
-                    continue;
-                };
-                stats.scanned += 1;
-                if !use_index && !inner_row[inner_col].sql_eq(key) {
-                    continue;
-                }
-                let mut combined = partial.clone();
-                combined.extend(inner_row.iter().cloned());
-                let mut keep = true;
-                for pred in &newly {
-                    if !pred.holds(&[&combined], params)? {
-                        keep = false;
-                        break;
-                    }
-                }
-                if keep {
-                    next_rows.push(combined);
-                }
-            }
-        }
-        rows = next_rows;
-    }
-
-    // One-slot rows into the shared tail.
-    let tail = Tail::bind(sel, &binder(tables.len()));
-    let refs: Vec<&[DbValue]> = rows.iter().map(Vec::as_slice).collect();
-    finish_select(&tail, &refs, 1, params, stats, true)
-}
-
 /// Which side of a JOIN's `ON a = b` belongs to the already-bound
 /// tables and which to the newly bound one: `(outer, inner)`.
 pub(crate) fn join_sides<'j>(
@@ -678,9 +493,8 @@ enum OrderBy {
 }
 
 /// Everything downstream of row production — projection or
-/// aggregation, ORDER BY, LIMIT/OFFSET — bound once against the full
-/// table list (at plan time for the plan executor, at statement start
-/// for the legacy one).
+/// aggregation, ORDER BY, LIMIT/OFFSET — bound once, at plan time,
+/// against the full table list.
 #[derive(Debug)]
 pub(crate) struct Tail {
     columns: Vec<String>,
@@ -706,7 +520,6 @@ impl Tail {
                     star = true;
                     for (slot, bound) in binder.tables.iter().enumerate() {
                         for (i, col) in bound.data.schema().columns().iter().enumerate() {
-                            let (slot, i) = binder.place(slot, i);
                             columns.push(col.name.clone());
                             items.push(BoundExpr(Expr::Slot(slot, i)));
                         }
@@ -764,23 +577,17 @@ impl Tail {
     }
 }
 
-/// The shared tail of SELECT execution: projection/aggregation, ORDER
-/// BY, LIMIT/OFFSET. Both the legacy straight-line path and the plan
-/// executor feed their joined rows through this one function, so
-/// everything downstream of row production is byte-identical by
-/// construction. `rows` holds `stride` slots per joined row, back to
+/// The tail of SELECT execution: projection/aggregation, ORDER BY,
+/// LIMIT/OFFSET. `rows` holds `stride` slots per joined row, back to
 /// back. Only the rows inside the LIMIT/OFFSET window are projected
-/// (cloned out of the tables). `charge_aggregate` preserves the legacy
-/// executor's historical double-charge of aggregate input rows; the
-/// plan executor passes `false` (rows were already charged by the
-/// scan/join nodes).
+/// (cloned out of the tables). `scanned` is the rows the scan and join
+/// nodes visited; the tail visits no stored row of its own.
 pub(crate) fn finish_select(
     tail: &Tail,
     rows: &[&[DbValue]],
     stride: usize,
     params: &[DbValue],
-    stats: &mut ExecStats,
-    charge_aggregate: bool,
+    scanned: u64,
 ) -> Result<QueryResult, DbError> {
     let count = |e: &Option<Expr>| -> Result<Option<usize>, DbError> {
         let Some(e) = e else { return Ok(None) };
@@ -793,15 +600,7 @@ pub(crate) fn finish_select(
     let (offset, limit) = (count(&tail.offset)?, count(&tail.limit)?);
     let out_rows = if let Some(group_by) = &tail.group_by {
         let group_by = group_by.as_ref().map_err(Clone::clone)?;
-        let (mut out, keys) = aggregate_project(
-            tail,
-            group_by,
-            rows,
-            stride,
-            params,
-            stats,
-            charge_aggregate,
-        )?;
+        let (mut out, keys) = aggregate_project(tail, group_by, rows, stride, params)?;
         let kept = window(out.len(), &keys, &tail.order, offset, limit);
         kept.into_iter()
             .map(|i| std::mem::take(&mut out[i]))
@@ -837,7 +636,7 @@ pub(crate) fn finish_select(
         columns: tail.columns.clone(),
         rows: out_rows,
         rows_affected: 0,
-        rows_scanned: stats.scanned,
+        rows_scanned: scanned,
     })
 }
 
@@ -892,16 +691,11 @@ fn aggregate_project<'a>(
     rows: &[&'a [DbValue]],
     stride: usize,
     params: &'a [DbValue],
-    stats: &mut ExecStats,
-    charge: bool,
 ) -> Result<Aggregated<'a>, DbError> {
     // Group rows, groups in first-seen order.
     let mut groups: Vec<Vec<RowRef<'_, 'a>>> = Vec::new();
     let mut index: HashMap<Vec<crate::value::IndexKey>, usize> = HashMap::new();
     for row in rows.chunks_exact(stride) {
-        if charge {
-            stats.scanned += 1;
-        }
         let key = group_by
             .iter()
             .map(|&(s, c)| row[s][c].index_key())
@@ -1051,7 +845,6 @@ fn bind_target<'a>(table: &'a TableData, name: &str) -> BoundTable<'a> {
         name: name.to_string(),
         table: name.to_string(),
         data: table,
-        offset: 0,
     }
 }
 
@@ -1115,10 +908,7 @@ pub(crate) fn run_update(
     let pk = table.schema().primary_key();
     let (candidates, where_, set_exprs) = {
         let target = [bind_target(table, table_name)];
-        let binder = Binder {
-            tables: &target,
-            flat: true,
-        };
+        let binder = Binder { tables: &target };
         let set_exprs: Vec<BoundExpr> = sets.iter().map(|(_, e)| binder.bind(e)).collect();
         (
             candidate_ids(&target[0], where_, params)?,
@@ -1163,11 +953,7 @@ pub(crate) fn run_delete(
     let pk = table.schema().primary_key();
     let target = [bind_target(table, table_name)];
     let candidates = candidate_ids(&target[0], where_, params)?;
-    let binder = Binder {
-        tables: &target,
-        flat: true,
-    };
-    let where_ = where_.as_ref().map(|w| binder.bind(w));
+    let where_ = where_.as_ref().map(|w| Binder { tables: &target }.bind(w));
     let mut to_delete = Vec::new();
     for id in candidates {
         let Some(row) = table.row(id) else { continue };
@@ -1190,18 +976,18 @@ pub(crate) fn run_delete(
     Ok(to_delete.len())
 }
 
-/// Candidate row IDs for UPDATE/DELETE, via index when possible.
+/// Candidate row IDs for UPDATE/DELETE: the bucket of the first
+/// `col = constant` conjunct on an indexed column, else every live row.
 fn candidate_ids(
     target: &BoundTable<'_>,
     where_: &Option<Expr>,
     params: &[DbValue],
 ) -> Result<Vec<usize>, DbError> {
-    if let Some(w) = where_ {
-        if let Some((col, key)) = index_probe(&conjuncts(w), target, params)? {
-            return Ok(target.data.lookup_eq(col, &key).to_vec());
-        }
+    let conjs = where_.as_ref().map(conjuncts).unwrap_or_default();
+    match conjs.iter().find_map(|c| planner::match_eq(c, target)) {
+        Some((col, key)) => Ok(target.data.lookup_eq(col, &key.resolve(params)?).to_vec()),
+        None => Ok(target.data.iter_live().map(|(id, _)| id).collect()),
     }
-    Ok(target.data.iter_live().map(|(id, _)| id).collect())
 }
 
 #[cfg(test)]

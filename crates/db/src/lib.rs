@@ -26,10 +26,11 @@
 //! SELECTs execute through an explicit **plan tree** (seq/index/range
 //! scans, filter, index-loop/hash/nested-loop joins, aggregate, sort,
 //! limit) chosen by a cost-based planner from the WHERE predicates and
-//! live table cardinalities. Plans are cached per statement text and
-//! invalidated by DDL; results are byte-identical to the legacy
-//! straight-line executor, which remains available via
-//! [`Database::set_use_planner`]`(false)` as the comparison baseline.
+//! live table cardinalities. It is the only SELECT executor. Plans are
+//! cached per statement text and invalidated by DDL. A statement that
+//! cannot be planned (unknown table, unresolvable join column) fails
+//! with that error; the failure is not cached, so a later `CREATE
+//! TABLE` lets it plan.
 //!
 //! The planning surface:
 //!

@@ -3,17 +3,15 @@
 //!
 //! A [`SelectPlan`] is built once per statement text (under the table
 //! read locks, so schemas and cardinalities are consistent) and cached;
-//! every execution then walks the same tree. The executor is written to
-//! be **byte-identical** to the legacy straight-line path in `exec.rs`
-//! for every result: it reuses the same predicate partitioning, visits
-//! rows in the same order (index buckets in insertion order, range and
-//! sequential scans in row-id order, hash buckets built in row-id
-//! order), and funnels the produced rows through the shared
-//! [`exec::finish_select`] tail. Where the planner is *faster* it is
-//! because it visits fewer rows or copies fewer — every expression is
-//! bound to column addresses at plan time and the scan → filter → join
-//! pipeline carries references to the stored rows, so only the rows of
-//! the result are ever cloned — never because it reorders results.
+//! every execution then walks the same tree. Row order is
+//! deterministic: index buckets come out in insertion order, range and
+//! sequential scans in row-id order, and hash buckets are built in
+//! row-id order — the order a nested-loop rescan visits — so a join's
+//! output order does not depend on the join strategy the cost model
+//! picks. Every expression
+//! is bound to column addresses at plan time and the scan → filter →
+//! join pipeline carries references to the stored rows, so only the
+//! rows of the result are ever cloned ([`exec::finish_select`]).
 //!
 //! Per-node counters ([`PlanNode`]) accumulate measured rows and
 //! cumulative execution time across runs; the EXPLAIN surface renders
@@ -73,7 +71,7 @@ impl KeySource {
         }
     }
 
-    fn display(&self) -> String {
+    pub(crate) fn display(&self) -> String {
         match self {
             KeySource::Literal(v) => v.to_string(),
             KeySource::Param(i) => format!("?{}", i + 1),
@@ -107,15 +105,15 @@ pub(crate) enum BaseAccess {
 /// How one JOIN binds its inner table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JoinStrategy {
-    /// Probe the inner table's index per outer row (the legacy indexed
-    /// path, kept verbatim).
+    /// Probe the inner table's index per outer row; each bucket comes
+    /// out in insertion order.
     IndexLoop,
     /// Build a hash table over the inner table once, probe per outer
     /// row. Chosen when the inner side is unindexed and the build cost
     /// beats rescanning.
     Hash,
-    /// Rescan the inner table per outer row (the legacy unindexed
-    /// path); only worth it when the outer side is estimated tiny.
+    /// Rescan the inner table per outer row, in row-id order; only
+    /// worth it when the outer side is estimated tiny.
     NestedLoop,
 }
 
@@ -202,10 +200,10 @@ impl PlanNode {
 pub(crate) struct SelectPlan {
     pub(crate) stmt: Arc<Statement>,
     pub(crate) base: BaseAccess,
-    /// Conjuncts resolvable against the base table alone — applied
-    /// while scanning, exactly like the legacy early-predicate pass
-    /// (the probe conjunct included, so index prefilters stay sound).
-    /// Also the base table's row filter in read sets.
+    /// Conjuncts resolvable against the base table alone, in WHERE
+    /// order — applied while scanning (the probe conjunct included, so
+    /// index prefilters stay sound). Also the base table's row filter
+    /// in read sets.
     pub(crate) base_filter: Arc<[BoundExpr]>,
     pub(crate) joins: Vec<JoinPlan>,
     /// Projection/aggregation, ORDER BY and LIMIT, bound against every
@@ -219,8 +217,8 @@ pub(crate) struct SelectPlan {
     pub(crate) scan_node: usize,
     pub(crate) filter_node: Option<usize>,
     pub(crate) join_nodes: Vec<usize>,
-    /// Topmost of aggregate/sort/limit — where the shared projection
-    /// tail's time lands.
+    /// Bottom of aggregate/sort/limit — where the projection tail's
+    /// time lands.
     pub(crate) tail_node: Option<usize>,
     pub(crate) root: usize,
 }
@@ -464,7 +462,8 @@ pub(crate) fn run_planned<'a>(
     let mut visit = |r: &'a [DbValue]| -> Result<(), DbError> {
         stats.scanned += 1;
         visited += 1;
-        // Early predicates, applied exactly like the legacy executor.
+        // Base-table conjuncts, in WHERE order: the first failing or
+        // erroring one decides.
         for pred in plan.base_filter.iter() {
             if !pred.holds(&[r], params)? {
                 return Ok(());
@@ -510,8 +509,7 @@ pub(crate) fn run_planned<'a>(
             let lo_k = lo_v.map(|v| v.index_key());
             let hi_k = hi_v.map(|v| v.index_key());
             // An inverted range matches nothing (and would panic
-            // `BTreeMap::range`): answer empty like the legacy filter
-            // does.
+            // `BTreeMap::range`): answer empty, as the filter would.
             let inverted = matches!((&lo_k, &hi_k), (Some(lo), Some(hi)) if lo > hi);
             if !null_bound && !inverted {
                 let lo_b = lo_k.as_ref().map_or(Bound::Unbounded, Bound::Included);
@@ -548,8 +546,8 @@ pub(crate) fn run_planned<'a>(
             .is_some()
             .then(|| JoinKeys::new(if pk_probes { RowKey::of } else { RowKey::join }));
         // Hash join: build once over live rows in row-id order — bucket
-        // contents come out in the same order the legacy rescan visits
-        // them, so output ordering is preserved.
+        // contents come out in the order a nested-loop rescan visits
+        // them, so output ordering does not depend on the strategy.
         let mut hash: HashMap<IndexKey, Vec<&'a [DbValue]>> = HashMap::new();
         if jp.strategy == JoinStrategy::Hash {
             for (_, row) in new_table.data.iter_live() {
@@ -604,7 +602,7 @@ pub(crate) fn run_planned<'a>(
                     for &inner in hash.get(&key.index_key()).into_iter().flatten() {
                         stats.scanned += 1;
                         // IndexKey groups by f64 value; re-check with
-                        // sql_eq so edge cases match the legacy rescan.
+                        // sql_eq so edge cases match a nested-loop rescan.
                         if inner[jp.inner_col].sql_eq(key) {
                             emit(partial, inner)?;
                         }
@@ -634,12 +632,10 @@ pub(crate) fn run_planned<'a>(
         node_times.push((node.kind, nanos));
     }
 
-    // --- Shared projection / ORDER BY / LIMIT tail. Aggregate inputs
-    // were already charged by the scan and join nodes above, so the
-    // legacy double-charge is skipped (`charge_aggregate = false`).
+    // --- Projection / ORDER BY / LIMIT tail. ---
     let tt = Instant::now();
     let stride = plan.joins.len() + 1;
-    let result = exec::finish_select(&plan.tail, &rows, stride, params, stats, false)?;
+    let result = exec::finish_select(&plan.tail, &rows, stride, params, stats.scanned)?;
     if let Some(tail) = plan.tail_node {
         // The tail (aggregate/sort/limit) runs as one fused pass in
         // `finish_select`; its measured time lands on the bottom tail

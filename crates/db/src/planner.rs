@@ -9,12 +9,13 @@
 //! visited:
 //!
 //! * base access: a PK equality probe beats any other access; then the
-//!   legacy first-equality-conjunct index probe (kept identical so row
-//!   ordering is preserved); then a range probe over an indexed column
-//!   (`< <= > >= BETWEEN`); else a sequential scan;
-//! * joins: an indexed inner side keeps the legacy index loop; an
-//!   unindexed inner side compares `build + probes` (hash join) against
-//!   `outer × inner` (nested loop rescan) on estimated cardinalities;
+//!   first equality conjunct on an indexed column; then a range probe
+//!   over an indexed column (`< <= > >= BETWEEN`); else a sequential
+//!   scan;
+//! * joins: an indexed inner side is probed per outer row (index loop);
+//!   an unindexed inner side compares `build + probes` (hash join)
+//!   against `outer × inner` (nested loop rescan) on estimated
+//!   cardinalities;
 //! * single-row aggregates (`COUNT(*)`, `MIN`/`MAX` of an indexed
 //!   column, no WHERE/JOIN/GROUP/ORDER/LIMIT) short-cut to index
 //!   endpoints without scanning at all.
@@ -47,7 +48,6 @@ pub(crate) fn build_select_plan(
     // the executor carries one stored-row reference per bound table.
     let binder = |bound: usize| Binder {
         tables: &tables[..bound],
-        flat: false,
     };
     let base_ctx = binder(1);
     let tail = Tail::bind(sel, &binder(tables.len()));
@@ -89,7 +89,8 @@ pub(crate) fn build_select_plan(
         });
     }
 
-    // --- Predicate partition (same rule as the legacy executor). ---
+    // --- Predicate partition: each conjunct applies at the first table
+    // that makes all its columns resolvable. ---
     let base_filter: Arc<[BoundExpr]> = conjs
         .iter()
         .filter(|c| exec::is_resolvable(c, &base_ctx))
@@ -113,9 +114,9 @@ pub(crate) fn build_select_plan(
             "index_scan",
             Some(base.data.schema().columns()[*col].name.clone()),
             Some(if *pk {
-                format!("pk = {}", key_display(key))
+                format!("pk = {}", key.display())
             } else {
-                format!("= {}", key_display(key))
+                format!("= {}", key.display())
             }),
         ),
         BaseAccess::IndexRange { col, lo, hi } => (
@@ -146,8 +147,8 @@ pub(crate) fn build_select_plan(
         Some(prev)
     };
 
-    // --- Joins: replicate the legacy inner/outer resolution, then pick
-    // a strategy for each unindexed inner side. ---
+    // --- Joins: resolve which ON side is the new (inner) table, then
+    // pick a strategy for each unindexed inner side. ---
     let mut joins: Vec<JoinPlan> = Vec::new();
     let mut join_nodes: Vec<usize> = Vec::new();
     for (join_idx, join) in sel.joins.iter().enumerate() {
@@ -281,13 +282,6 @@ pub(crate) fn build_select_plan(
     })
 }
 
-fn key_display(key: &KeySource) -> String {
-    match key {
-        KeySource::Literal(v) => v.to_string(),
-        KeySource::Param(i) => format!("?{}", i + 1),
-    }
-}
-
 /// Average bucket size of the index on `col`.
 fn per_key_estimate(table: &BoundTable<'_>, col: usize) -> u64 {
     let n = table.data.len() as u64;
@@ -357,9 +351,8 @@ fn choose_base_access(conjs: &[&Expr], base: &BoundTable<'_>) -> BaseAccess {
             }
         }
     }
-    // 2. The legacy probe: the *first* equality conjunct on any indexed
-    // column — kept identical so multi-row bucket order (and therefore
-    // un-ORDERed result order) matches the legacy executor.
+    // 2. The *first* equality conjunct on any indexed column, in WHERE
+    // order: which bucket is walked fixes the un-ORDERed result order.
     for conj in conjs {
         if let Some((col, key)) = match_eq(conj, base) {
             return BaseAccess::IndexEq {
@@ -395,9 +388,10 @@ fn choose_base_access(conjs: &[&Expr], base: &BoundTable<'_>) -> BaseAccess {
     BaseAccess::SeqScan
 }
 
-/// Matches `col = constant` against the base table, with the same
-/// column-qualification rules as the legacy `index_probe`.
-fn match_eq(conj: &Expr, base: &BoundTable<'_>) -> Option<(usize, KeySource)> {
+/// Matches `col = constant` against the base table: the column is
+/// qualified by the base table's alias or name, or unqualified. Also
+/// how UPDATE/DELETE find an index probe for their single table.
+pub(crate) fn match_eq(conj: &Expr, base: &BoundTable<'_>) -> Option<(usize, KeySource)> {
     let Expr::Binary {
         op: BinOp::Eq,
         left,
@@ -469,9 +463,8 @@ fn match_range(
     }
 }
 
-/// Resolves an expression to an indexed column of the base table,
-/// using the legacy qualification rule (alias match, or unqualified
-/// name present in the base schema).
+/// Resolves an expression to an indexed column of the base table
+/// (alias match, or unqualified name present in the base schema).
 fn base_indexed_column(expr: &Expr, base: &BoundTable<'_>) -> Option<usize> {
     let Expr::Column(c) = expr else { return None };
     if let Some(t) = &c.table {

@@ -204,12 +204,6 @@ impl Statement {
             }
         }
     }
-
-    /// Whether the statement mutates data (needs a write lock).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn is_write(&self) -> bool {
-        !matches!(self, Statement::Select(_))
-    }
 }
 
 #[cfg(test)]
@@ -275,11 +269,5 @@ mod tests {
             offset: None,
         });
         assert_eq!(stmt.table_names(), vec!["a", "b"]);
-        assert!(!stmt.is_write());
-        let del = Statement::Delete {
-            table: "a".into(),
-            where_: None,
-        };
-        assert!(del.is_write());
     }
 }

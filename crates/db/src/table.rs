@@ -188,8 +188,8 @@ impl TableData {
     }
 
     /// Row IDs whose key on `col` falls in `[lo, hi]` bound-wise, sorted
-    /// ascending — the same order a full scan visits rows, so range
-    /// scans slot into the legacy executor's ordering byte-for-byte.
+    /// ascending — the same order a full scan visits rows, so a range
+    /// scan returns rows in the order a filtered full scan would.
     /// Caller must have checked [`TableData::has_index`].
     pub(crate) fn lookup_range(
         &self,

@@ -1,10 +1,10 @@
 //! Planner behaviour through the public API: access-path selection
 //! (asserted via the EXPLAIN JSON), the `plan`/`run` handle surface,
-//! DDL invalidation, and a seeded randomized equivalence sweep that
-//! byte-compares the plan-tree executor against the legacy straight-line
-//! executor over generated data and query shapes.
+//! DDL invalidation, planning failures, and seeded randomized sweeps
+//! over generated data and query shapes whose results are pinned by
+//! digests.
 
-use staged_db::{Database, DbValue};
+use staged_db::{Database, DbError, DbValue};
 
 fn sample(rows: i64) -> Database {
     let db = Database::new();
@@ -71,14 +71,18 @@ fn range_predicate_on_indexed_column_chooses_index_range() {
     let sql = "SELECT s FROM t WHERE k > 1 AND k <= 4";
     let k = kinds(&db.explain(sql).unwrap());
     assert_eq!(k, ["filter", "index_range"]);
-    let planned = db.execute(sql, &[]).unwrap();
+    let r = db.execute(sql, &[]).unwrap();
     // Buckets 1..=4 visited (the lower bound is inclusive in the
-    // prefilter; the filter re-applies strictness): 4 of 7 buckets.
-    assert_eq!(planned.rows_scanned, 40);
-    db.set_use_planner(false);
-    let legacy = db.execute(sql, &[]).unwrap();
-    assert_eq!(legacy.rows_scanned, 70);
-    assert_eq!(planned.rows, legacy.rows);
+    // prefilter; the filter re-applies strictness): 4 of 7 buckets,
+    // where a sequential scan visits all 70 rows.
+    assert_eq!(r.rows_scanned, 40);
+    // Rows come out in row-id order, as a filtered sequential scan
+    // returns them.
+    let expected: Vec<Vec<DbValue>> = (0..70)
+        .filter(|i| (2..=4).contains(&(i % 7)))
+        .map(|i| vec![DbValue::from(format!("row{i}"))])
+        .collect();
+    assert_eq!(r.rows, expected);
 }
 
 #[test]
@@ -138,15 +142,18 @@ fn unindexed_join_picks_hash_or_nested_loop_by_size() {
     let one = "SELECT s FROM t JOIN w ON k = x WHERE id = 3";
     let k = kinds(&db.explain(one).unwrap());
     assert!(k.contains(&"nested_loop_join".to_string()), "{k:?}");
-    // Both strategies produce identical rows to the legacy executor.
-    for sql in [many, one] {
-        let planned = db.execute(sql, &[]).unwrap();
-        db.set_use_planner(true);
-        db.set_use_planner(false);
-        let legacy = db.execute(sql, &[]).unwrap();
-        db.set_use_planner(true);
-        assert_eq!(planned.rows, legacy.rows, "{sql}");
-    }
+    // Either strategy emits, per outer row in row-id order, its inner
+    // matches in row-id order — the order of a nested-loop rescan.
+    let joined = |outer: &[i64]| -> Vec<Vec<DbValue>> {
+        outer
+            .iter()
+            .flat_map(|&i| (0..30).filter(move |j| j % 7 == i % 7).map(move |_| i))
+            .map(|i| vec![DbValue::from(format!("row{i}"))])
+            .collect()
+    };
+    let all: Vec<i64> = (0..40).collect();
+    assert_eq!(db.execute(many, &[]).unwrap().rows, joined(&all));
+    assert_eq!(db.execute(one, &[]).unwrap().rows, joined(&[3]));
 }
 
 #[test]
@@ -172,7 +179,7 @@ fn plan_handle_runs_with_fresh_params() {
     // Misses and parameter errors surface like `execute`.
     assert!(plan.run(&[DbValue::Int(999)]).unwrap().rows.is_empty());
     assert!(plan.run(&[]).is_err());
-    // Writes get a handle too (legacy-routed, placeholder EXPLAIN).
+    // Writes get a handle too (unplanned, placeholder EXPLAIN).
     let write = db.plan("UPDATE t SET s = ? WHERE id = ?").unwrap();
     assert_eq!(write.explain_json(), "{\"node\":\"write\"}");
     write
@@ -180,6 +187,48 @@ fn plan_handle_runs_with_fresh_params() {
         .unwrap();
     let r = db.execute("SELECT s FROM t WHERE id = 3", &[]).unwrap();
     assert_eq!(r.rows[0][0], DbValue::from("patched"));
+}
+
+/// A SELECT that cannot be planned fails with the planning error —
+/// from `execute`, through a plan handle and in EXPLAIN — and the
+/// failure is not cached: once its table exists the same text plans.
+#[test]
+fn planning_failures_are_errors() {
+    let db = sample(10);
+    db.execute("CREATE TABLE u (uid INT PRIMARY KEY, label TEXT)", &[])
+        .unwrap();
+    let bad_join = "SELECT s, label FROM t JOIN u ON t.nope = u.uid";
+    assert!(matches!(
+        db.execute(bad_join, &[]),
+        Err(DbError::NoSuchColumn(_))
+    ));
+    let via_handle = || db.plan(bad_join)?.run(&[]);
+    assert!(matches!(via_handle(), Err(DbError::NoSuchColumn(_))));
+    assert!(db.explain(bad_join).is_err());
+    db.note_route_statement("r", bad_join);
+    let explain = db.explain_route("r").unwrap();
+    assert!(explain.contains("\"node\":\"error\""), "{explain}");
+    // Planning comes before any parameter is read, so the bad join
+    // column is reported even when a probe parameter is also missing.
+    let with_param = "SELECT s FROM t JOIN u ON t.nope = u.uid WHERE t.k = ?";
+    assert!(matches!(
+        db.execute(with_param, &[]),
+        Err(DbError::NoSuchColumn(_))
+    ));
+
+    let later = "SELECT id FROM later WHERE id = 1";
+    assert!(matches!(
+        db.execute(later, &[]),
+        Err(DbError::NoSuchTable(_))
+    ));
+    db.execute("CREATE TABLE later (id INT PRIMARY KEY)", &[])
+        .unwrap();
+    db.execute("INSERT INTO later (id) VALUES (1)", &[])
+        .unwrap();
+    assert_eq!(
+        db.execute(later, &[]).unwrap().rows,
+        vec![vec![DbValue::Int(1)]]
+    );
 }
 
 #[test]
@@ -213,52 +262,49 @@ impl Rng {
     }
 }
 
+/// Fixed query shapes (index probes, ranges, the endpoint shortcut,
+/// GROUP BY, both join strategies, LIKE, LIMIT/OFFSET) over seeded
+/// tables with random parameters: every result must fold into
+/// [`QUERY_RESULTS_DIGEST`].
 #[test]
-fn randomized_queries_match_legacy_executor() {
+fn randomized_queries_match_frozen_results() {
     let mut rng = Rng(0x5eed_cafe_f00d_0001);
     let mut digest = FNV_BASIS;
-    for round in 0..8 {
-        let planned = Database::new();
-        let legacy = Database::new();
-        legacy.set_use_planner(false);
-        for db in [&planned, &legacy] {
-            db.execute(
-                "CREATE TABLE a (id INT PRIMARY KEY, g INT, x FLOAT, name TEXT)",
-                &[],
-            )
+    for _ in 0..8 {
+        let db = Database::new();
+        db.execute(
+            "CREATE TABLE a (id INT PRIMARY KEY, g INT, x FLOAT, name TEXT)",
+            &[],
+        )
+        .unwrap();
+        db.execute("CREATE INDEX ON a (g)", &[]).unwrap();
+        db.execute("CREATE TABLE b (bid INT PRIMARY KEY, g INT, tag TEXT)", &[])
             .unwrap();
-            db.execute("CREATE INDEX ON a (g)", &[]).unwrap();
-            db.execute("CREATE TABLE b (bid INT PRIMARY KEY, g INT, tag TEXT)", &[])
-                .unwrap();
-        }
         let n_a = 20 + rng.below(60) as i64;
         let n_b = 5 + rng.below(25) as i64;
-        let seed_rows = Rng(rng.next());
-        for db in [&planned, &legacy] {
-            let mut r = Rng(seed_rows.0);
-            for i in 0..n_a {
-                db.execute(
-                    "INSERT INTO a (id, g, x, name) VALUES (?, ?, ?, ?)",
-                    &[
-                        DbValue::Int(i),
-                        DbValue::Int(r.below(9) as i64),
-                        DbValue::Float(r.below(1000) as f64 / 10.0),
-                        DbValue::from(format!("n{}", r.below(30))),
-                    ],
-                )
-                .unwrap();
-            }
-            for i in 0..n_b {
-                db.execute(
-                    "INSERT INTO b (bid, g, tag) VALUES (?, ?, ?)",
-                    &[
-                        DbValue::Int(i),
-                        DbValue::Int(r.below(9) as i64),
-                        DbValue::from(format!("t{}", r.below(6))),
-                    ],
-                )
-                .unwrap();
-            }
+        let mut r = Rng(rng.next());
+        for i in 0..n_a {
+            db.execute(
+                "INSERT INTO a (id, g, x, name) VALUES (?, ?, ?, ?)",
+                &[
+                    DbValue::Int(i),
+                    DbValue::Int(r.below(9) as i64),
+                    DbValue::Float(r.below(1000) as f64 / 10.0),
+                    DbValue::from(format!("n{}", r.below(30))),
+                ],
+            )
+            .unwrap();
+        }
+        for i in 0..n_b {
+            db.execute(
+                "INSERT INTO b (bid, g, tag) VALUES (?, ?, ?)",
+                &[
+                    DbValue::Int(i),
+                    DbValue::Int(r.below(9) as i64),
+                    DbValue::from(format!("t{}", r.below(6))),
+                ],
+            )
+            .unwrap();
         }
         let queries = [
             "SELECT id, name FROM a WHERE g = ?",
@@ -272,7 +318,7 @@ fn randomized_queries_match_legacy_executor() {
             "SELECT id FROM a WHERE name LIKE 'n1%' ORDER BY id LIMIT 5",
             "SELECT id FROM a WHERE g = ? AND x > ? ORDER BY id LIMIT 3 OFFSET 1",
         ];
-        for (qi, sql) in queries.iter().enumerate() {
+        for sql in queries {
             let wanted = sql.matches('?').count();
             let params: Vec<DbValue> = (0..wanted)
                 .map(|_| match rng.below(3) {
@@ -281,17 +327,14 @@ fn randomized_queries_match_legacy_executor() {
                     _ => DbValue::Int(rng.below(40) as i64),
                 })
                 .collect();
-            let p = planned.execute(sql, &params).unwrap();
-            let l = legacy.execute(sql, &params).unwrap();
-            assert_eq!(
-                p.rows, l.rows,
-                "round {round} query {qi} ({sql}) with {params:?} diverged"
-            );
-            assert_eq!(p.columns, l.columns, "round {round} query {qi} columns");
-            fnv(&mut digest, &format!("{:?}{:?}", p.columns, p.rows));
+            let r = db.execute(sql, &params).unwrap();
+            fnv(&mut digest, &format!("{:?}{:?}", r.columns, r.rows));
         }
     }
-    assert_eq!(digest, QUERY_RESULTS_DIGEST);
+    assert_eq!(
+        digest, QUERY_RESULTS_DIGEST,
+        "the columns or rows of some query changed"
+    );
 }
 
 /// Folds `text` into an FNV-1a digest.
@@ -305,9 +348,9 @@ fn fnv(digest: &mut u64, text: &str) {
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The columns and rows (`Debug` form, order included) of every query
-/// above, folded in order. Recorded while the legacy straight-line
-/// executor still ran beside the plan executor and agreed with it on
-/// every query.
+/// above, folded in order. Recorded while a second, straight-line
+/// SELECT executor (since deleted) still ran beside the plan executor
+/// and agreed with it on every query.
 const QUERY_RESULTS_DIGEST: u64 = 17_480_420_968_660_372_064;
 
 /// One generated SELECT: its text and positional parameters.
@@ -502,31 +545,24 @@ impl Rng {
     }
 }
 
-/// Seeded differential property: random tables (NULLs, duplicate sort
-/// keys, Int/Float mixes in one column, empty tables) × random
-/// statements (AND/OR predicates over every operator, 0–2 joins of all
-/// three strategies, GROUP BY, ORDER BY on aliases and non-projected
-/// keys, LIMIT/OFFSET at and past the edges, LIMIT as a parameter).
-/// The plan executor must agree with the legacy executor on columns
-/// and rows, order included, and on errors. (Both feed the same tail,
-/// so what this holds still is row *production* — which rows reach the
-/// tail, in which order; the tie-break inside the tail is pinned
-/// against a model in `prop.rs`.) The two read-sets differ by design
-/// — the planner refines PK probes and PK joins to exact keys — so the
-/// planned read-set is held to the legacy one where that is exact, and
-/// otherwise, together with `rows_scanned`, to a digest recorded from
-/// the plan executor as it was before it stopped cloning rows.
+/// Seeded property over random tables (NULLs, duplicate sort keys,
+/// Int/Float mixes in one column, empty tables) × random statements
+/// (AND/OR predicates over every operator, 0–2 joins of all three
+/// strategies, GROUP BY, ORDER BY on aliases and non-projected keys,
+/// LIMIT/OFFSET at and past the edges, LIMIT as a parameter). Each
+/// statement's outcome — columns and rows, order included, or the error
+/// — folds into [`STATEMENT_RESULTS_DIGEST`]; its `rows_scanned` and
+/// read-set fold into [`PLANNED_SCAN_AND_READS_DIGEST`]. (The tie-break
+/// of the ORDER BY tail is also pinned against a model in `prop.rs`.)
 #[test]
-fn randomized_statements_match_legacy_executor() {
+fn randomized_statements_match_frozen_results() {
     use staged_db::ReadSet;
     let mut rng = Rng(0x0dd_ba11_5eed_0021);
     let mut digest = FNV_BASIS;
     let mut results = FNV_BASIS;
-    let mut compared_rows = 0usize;
+    let mut returned_rows = 0usize;
     for round in 0..12 {
-        let planned = Database::new();
-        let legacy = Database::new();
-        legacy.set_use_planner(false);
+        let db = Database::new();
         // Every fourth round leaves a table empty.
         let n_a = if round % 4 == 1 {
             0
@@ -534,48 +570,28 @@ fn randomized_statements_match_legacy_executor() {
             10 + rng.below(50)
         };
         let n_b = if round % 4 == 2 { 0 } else { 3 + rng.below(12) };
-        let seed = rng.next();
-        for db in [&planned, &legacy] {
-            generated_tables(db, seed, n_a, n_b);
-        }
+        generated_tables(&db, rng.next(), n_a, n_b);
         for _ in 0..60 {
             let Generated { sql, params } = rng.statement();
-            let (mut p_reads, mut l_reads) = (ReadSet::new(), ReadSet::new());
-            let p = planned.execute_tracked(&sql, &params, Some(&mut p_reads));
-            let l = legacy.execute_tracked(&sql, &params, Some(&mut l_reads));
-            let context = format!("round {round}: {sql} with {params:?}");
-            match (&p, &l) {
-                (Ok(p), Ok(l)) => {
-                    assert_eq!(p.columns, l.columns, "{context}");
-                    assert_eq!(p.rows, l.rows, "{context}");
-                    compared_rows += p.rows.len();
-                }
-                (p, l) => assert_eq!(p.as_ref().err(), l.as_ref().err(), "{context}"),
-            }
-            // Every planned dependency is one the legacy executor has
-            // too (an exact PK join that probed nothing records nothing);
-            // where the legacy read is exact, so is the planned one, key
-            // for key.
-            for pr in p_reads.reads() {
-                let lr = l_reads.reads().iter().find(|lr| lr.table == pr.table);
-                let lr = lr.unwrap_or_else(|| panic!("{context}: legacy never read {}", pr.table));
-                if lr.keys.is_some() {
-                    assert_eq!(pr, lr, "{context}");
-                }
-            }
-            let scanned = p.as_ref().map(|r| r.rows_scanned).ok();
-            fnv(&mut digest, &format!("{scanned:?}{p_reads:?}"));
-            let outcome = p
+            let mut reads = ReadSet::new();
+            let r = db.execute_tracked(&sql, &params, Some(&mut reads));
+            returned_rows += r.as_ref().map_or(0, |r| r.rows.len());
+            let scanned = r.as_ref().map(|r| r.rows_scanned).ok();
+            fnv(&mut digest, &format!("{scanned:?}{reads:?}"));
+            let outcome = r
                 .as_ref()
                 .map(|r| (&r.columns, &r.rows))
                 .map_err(ToString::to_string);
             fnv(&mut results, &format!("{outcome:?}"));
         }
     }
-    assert_eq!(results, STATEMENT_RESULTS_DIGEST);
     assert!(
-        compared_rows > 2_000,
-        "generator went quiet: {compared_rows} rows"
+        returned_rows > 2_000,
+        "generator went quiet: {returned_rows} rows"
+    );
+    assert_eq!(
+        results, STATEMENT_RESULTS_DIGEST,
+        "the columns, rows or error of some generated statement changed"
     );
     assert_eq!(
         digest, PLANNED_SCAN_AND_READS_DIGEST,
@@ -594,8 +610,9 @@ const PLANNED_SCAN_AND_READS_DIGEST: u64 = 4_692_343_181_348_955_935;
 
 /// Each generated statement's outcome — columns and rows (`Debug` form,
 /// order included) or the error text — folded statement by statement.
-/// Recorded while the legacy straight-line executor still ran beside the
-/// plan executor and agreed with it on every outcome.
+/// Recorded while a second, straight-line SELECT executor (since
+/// deleted) still ran beside the plan executor and agreed with it on
+/// every outcome.
 const STATEMENT_RESULTS_DIGEST: u64 = 12_248_345_825_342_304_679;
 
 impl Rng {

@@ -7,19 +7,21 @@
 //! caller-supplied `Vec<u8>` without cloning context values: resolution
 //! returns borrows into the [`Context`] wherever possible and only
 //! clones when a value was produced by a filter chain (which already
-//! owns it). The tree-walking renderer in `render.rs` is kept as the
-//! semantic reference; golden tests assert byte-identical output.
+//! owns it). It is the only template evaluator; the TPC-W page goldens
+//! (`crates/tpcw/tests/page_goldens.rs`) pin its output on real pages.
 
 use crate::ast::{CmpOp, Cond, FilterExpr, Node, Operand};
 use crate::error::TemplateError;
 use crate::filters;
-use crate::render::{compare, MAX_INCLUDE_DEPTH};
 use crate::store::TemplateStore;
 use crate::value::{Context, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::Arc;
+
+/// Maximum `{% include %}` nesting depth.
+const MAX_INCLUDE_DEPTH: usize = 16;
 
 /// A pre-parsed path segment: numeric segments index lists, the rest
 /// look up map keys — decided once at compile time instead of a
@@ -354,8 +356,7 @@ enum Binding<'a> {
     Owned(Value),
 }
 
-/// Render-time state shared across includes, mirroring the
-/// tree-walker's `RenderState`.
+/// Render-time state, shared across includes.
 struct Rt<'a> {
     ctx: &'a Context,
     store: Option<&'a TemplateStore>,
@@ -400,8 +401,8 @@ impl Res<'_, '_> {
         }
     }
 
-    /// Take ownership (filter input): clones exactly where the
-    /// tree-walker's resolve already cloned.
+    /// Take ownership (filter input): clones a borrowed value, moves
+    /// an owned one.
     fn into_value(self) -> Value {
         match self {
             Res::Ctx(v) | Res::Rt(v) => v.clone(),
@@ -441,8 +442,8 @@ fn walk_segs<'a, 'r>(mut cur: Res<'a, 'r>, segs: &[Seg]) -> Res<'a, 'r> {
 }
 
 /// Materializes the `forloop` metadata map (cold path: only a bare
-/// `{{ forloop }}` or an unknown attribute needs it), identical to the
-/// tree-walker's per-iteration map.
+/// `{{ forloop }}` or `{{ forloop.parentloop }}` needs it), with
+/// `parentloop` nested for inner loops.
 fn forloop_value(frames: &[Frame<'_>], idx: usize) -> Value {
     let f = &frames[idx];
     let mut m = BTreeMap::new();
@@ -543,6 +544,46 @@ fn eval<'a, 'r>(rt: &'r Rt<'a>, expr: &'r CExpr) -> Result<(Res<'a, 'r>, bool), 
         }
     }
     Ok((Res::Owned(value), safe))
+}
+
+/// Equality as templates see it: numbers (and numeric strings) compare
+/// by value unless both sides are strings.
+fn values_equal(a: &Value, b: &Value) -> bool {
+    match (a.as_f64(), b.as_f64()) {
+        (Some(x), Some(y)) if !matches!((a, b), (Value::Str(_), Value::Str(_))) => x == y,
+        _ => a == b,
+    }
+}
+
+/// `{% if %}` comparisons: numeric where both sides read as numbers
+/// (and are not both strings), else by display string; `in` tests list
+/// membership, substring or map key.
+fn compare(a: &Value, op: CmpOp, b: &Value) -> bool {
+    match op {
+        CmpOp::Eq => values_equal(a, b),
+        CmpOp::Ne => !values_equal(a, b),
+        CmpOp::Lt | CmpOp::Gt | CmpOp::Le | CmpOp::Ge => {
+            let ord = match (a.as_f64(), b.as_f64()) {
+                (Some(x), Some(y)) if !matches!((a, b), (Value::Str(_), Value::Str(_))) => {
+                    x.partial_cmp(&y)
+                }
+                _ => Some(a.to_display_string().cmp(&b.to_display_string())),
+            };
+            match (ord, op) {
+                (Some(o), CmpOp::Lt) => o.is_lt(),
+                (Some(o), CmpOp::Gt) => o.is_gt(),
+                (Some(o), CmpOp::Le) => o.is_le(),
+                (Some(o), CmpOp::Ge) => o.is_ge(),
+                _ => false,
+            }
+        }
+        CmpOp::In => match b {
+            Value::List(items) => items.iter().any(|i| values_equal(a, i)),
+            Value::Str(s) => s.contains(&a.to_display_string()),
+            Value::Map(m) => m.contains_key(&a.to_display_string()),
+            _ => false,
+        },
+    }
 }
 
 fn eval_cond<'a, 'r>(rt: &'r Rt<'a>, cond: &'r CCond) -> Result<bool, TemplateError> {
@@ -792,15 +833,6 @@ mod tests {
     use crate::value::{Context, Value};
     use std::collections::BTreeMap;
 
-    /// Renders through both engines and asserts byte-identical output.
-    fn assert_same(store: &TemplateStore, name: &str, ctx: &Context) -> String {
-        let template = store.get(name).unwrap();
-        let tree = template.render_tree(ctx, Some(store)).unwrap();
-        let compiled = store.render(name, ctx).unwrap();
-        assert_eq!(compiled, tree, "engines diverge on template '{name}'");
-        compiled
-    }
-
     fn ctx_with_everything() -> Context {
         let mut book = BTreeMap::new();
         book.insert("title".to_string(), Value::from("Dune & <Co>"));
@@ -832,7 +864,8 @@ mod tests {
     #[test]
     fn compiled_matches_tree_on_core_constructs() {
         let store = TemplateStore::new();
-        // (name, source, the bytes both engines rendered)
+        // (name, source, rendered bytes) — each expected string is what
+        // both this program and the AST tree-walker it replaced rendered.
         let sources = [
             (
                 "plain",
@@ -925,10 +958,10 @@ mod tests {
             .unwrap();
         let ctx = ctx_with_everything();
         for (name, _, expected) in sources {
-            assert_eq!(assert_same(&store, name, &ctx), expected, "{name}");
+            assert_eq!(store.render(name, &ctx).unwrap(), expected, "{name}");
         }
         assert_eq!(
-            assert_same(&store, "includer", &ctx),
+            store.render("includer", &ctx).unwrap(),
             "Ahello A &quot;quoted&quot; &lt;title&gt; world\
              B1=a&amp;b;2=c;3=d;EMPTY(h)(é)(l)(l)(o)price,title,[7]C"
         );
@@ -948,7 +981,7 @@ mod tests {
             .unwrap();
         let mut ctx = Context::new();
         ctx.insert("xs", Value::from(vec!["p".into(), "q".into()]));
-        let html = assert_same(&store, "outer", &ctx);
+        let html = store.render("outer", &ctx).unwrap();
         assert_eq!(html, "p:1;q:2;");
     }
 
@@ -960,7 +993,7 @@ mod tests {
             .unwrap();
         let mut ctx = Context::new();
         ctx.insert("s", "aé日");
-        let html = assert_same(&store, "t", &ctx);
+        let html = store.render("t", &ctx).unwrap();
         assert_eq!(html, "<a><é><日>");
     }
 
@@ -970,7 +1003,7 @@ mod tests {
         store
             .insert("t", "[{{ forloop }}{{ forloop.counter }}]")
             .unwrap();
-        let html = assert_same(&store, "t", &Context::new());
+        let html = store.render("t", &Context::new()).unwrap();
         assert_eq!(html, "[]");
     }
 

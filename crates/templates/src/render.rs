@@ -1,23 +1,18 @@
 //! Template compilation and rendering.
 
-use crate::ast::{CmpOp, Cond, FilterExpr, Node, Operand};
 use crate::error::TemplateError;
-use crate::filters;
 use crate::parser::parse;
 use crate::program::{render_program, Program};
 use crate::store::TemplateStore;
-use crate::value::{Context, Value};
-use std::collections::BTreeMap;
-
-/// Maximum `{% include %}` nesting depth.
-pub(crate) const MAX_INCLUDE_DEPTH: usize = 16;
+use crate::value::Context;
 
 /// A compiled template, safe to share across threads and render
 /// concurrently.
 ///
-/// Compilation happens once ([`Template::compile`]); rendering walks the
-/// AST against a [`Context`]. Output auto-escapes HTML unless a value
-/// passes through the `safe` filter, mirroring Django.
+/// Compilation happens once ([`Template::compile`]); rendering runs the
+/// compiled instruction stream against a [`Context`]. Output
+/// auto-escapes HTML unless a value passes through the `safe` filter,
+/// mirroring Django.
 ///
 /// # Examples
 ///
@@ -31,22 +26,20 @@ pub(crate) const MAX_INCLUDE_DEPTH: usize = 16;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Template {
-    nodes: Vec<Node>,
     program: Program,
 }
 
 impl Template {
-    /// Compiles template source: the AST is kept as the reference
-    /// renderer and additionally flattened into the instruction-stream
-    /// program that the hot path executes.
+    /// Compiles template source: parses it and flattens the syntax tree
+    /// into the instruction-stream program that rendering executes.
     ///
     /// # Errors
     ///
     /// [`TemplateError::Parse`] with a line number on syntax errors.
     pub fn compile(source: &str) -> Result<Self, TemplateError> {
-        let nodes = parse(source)?;
-        let program = Program::compile(&nodes);
-        Ok(Template { nodes, program })
+        Ok(Template {
+            program: Program::compile(&parse(source)?),
+        })
     }
 
     /// Renders with the given context. `{% include %}` tags fail without
@@ -95,253 +88,16 @@ impl Template {
         render_program(&self.program, ctx, store, out)
     }
 
-    /// Renders by walking the AST — the original renderer, kept as the
-    /// semantic reference for the compiled program. Golden tests assert
-    /// both produce byte-identical output.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Template::render_with`].
-    pub fn render_tree(
-        &self,
-        ctx: &Context,
-        store: Option<&TemplateStore>,
-    ) -> Result<String, TemplateError> {
-        let mut out = String::with_capacity(256);
-        let mut state = RenderState {
-            ctx,
-            store,
-            loops: Vec::new(),
-            scopes: Vec::new(),
-            include_depth: 0,
-        };
-        render_nodes(&self.nodes, &mut state, &mut out)?;
-        Ok(out)
-    }
-
-    pub(crate) fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
     pub(crate) fn program(&self) -> &Program {
         &self.program
     }
 }
 
-struct RenderState<'a> {
-    ctx: &'a Context,
-    store: Option<&'a TemplateStore>,
-    /// Innermost-last stack of `forloop` metadata maps.
-    loops: Vec<Value>,
-    /// Innermost-last stack of loop variable bindings.
-    scopes: Vec<(String, Value)>,
-    include_depth: usize,
-}
-
-impl RenderState<'_> {
-    fn resolve(&self, path: &[String]) -> Value {
-        let first = &path[0];
-        let mut current: Value = if first == "forloop" {
-            match self.loops.last() {
-                Some(m) => m.clone(),
-                None => Value::Null,
-            }
-        } else if let Some((_, v)) = self.scopes.iter().rev().find(|(n, _)| n == first) {
-            v.clone()
-        } else {
-            self.ctx.get(first).cloned().unwrap_or(Value::Null)
-        };
-        for segment in &path[1..] {
-            current = match segment.parse::<usize>() {
-                Ok(i) => current.index(i).cloned().unwrap_or(Value::Null),
-                Err(_) => current.get(segment).cloned().unwrap_or(Value::Null),
-            };
-        }
-        current
-    }
-
-    /// Evaluates a filter expression, returning the value and whether it
-    /// has been marked safe for HTML output.
-    fn eval(&self, expr: &FilterExpr) -> Result<(Value, bool), TemplateError> {
-        let mut value = match &expr.base {
-            Operand::Literal(v) => v.clone(),
-            Operand::Path(p) => self.resolve(p),
-        };
-        let mut safe = false;
-        for filter in &expr.filters {
-            let arg = match &filter.arg {
-                Some(Operand::Literal(v)) => Some(v.clone()),
-                Some(Operand::Path(p)) => Some(self.resolve(p)),
-                None => None,
-            };
-            let filtered = filters::apply(&filter.name, value, arg.as_ref())?;
-            value = filtered.value;
-            if let Some(s) = filtered.safe_override {
-                safe = s;
-            }
-        }
-        Ok((value, safe))
-    }
-
-    fn eval_cond(&self, cond: &Cond) -> Result<bool, TemplateError> {
-        match cond {
-            Cond::Or(a, b) => Ok(self.eval_cond(a)? || self.eval_cond(b)?),
-            Cond::And(a, b) => Ok(self.eval_cond(a)? && self.eval_cond(b)?),
-            Cond::Not(c) => Ok(!self.eval_cond(c)?),
-            Cond::Truthy(e) => Ok(self.eval(e)?.0.is_truthy()),
-            Cond::Compare(l, op, r) => {
-                let (lv, _) = self.eval(l)?;
-                let (rv, _) = self.eval(r)?;
-                Ok(compare(&lv, *op, &rv))
-            }
-        }
-    }
-}
-
-fn values_equal(a: &Value, b: &Value) -> bool {
-    match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) if !matches!((a, b), (Value::Str(_), Value::Str(_))) => x == y,
-        _ => a == b,
-    }
-}
-
-pub(crate) fn compare(a: &Value, op: CmpOp, b: &Value) -> bool {
-    match op {
-        CmpOp::Eq => values_equal(a, b),
-        CmpOp::Ne => !values_equal(a, b),
-        CmpOp::Lt | CmpOp::Gt | CmpOp::Le | CmpOp::Ge => {
-            let ord = match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) if !matches!((a, b), (Value::Str(_), Value::Str(_))) => {
-                    x.partial_cmp(&y)
-                }
-                _ => Some(a.to_display_string().cmp(&b.to_display_string())),
-            };
-            match (ord, op) {
-                (Some(o), CmpOp::Lt) => o.is_lt(),
-                (Some(o), CmpOp::Gt) => o.is_gt(),
-                (Some(o), CmpOp::Le) => o.is_le(),
-                (Some(o), CmpOp::Ge) => o.is_ge(),
-                _ => false,
-            }
-        }
-        CmpOp::In => match b {
-            Value::List(items) => items.iter().any(|i| values_equal(a, i)),
-            Value::Str(s) => s.contains(&a.to_display_string()),
-            Value::Map(m) => m.contains_key(&a.to_display_string()),
-            _ => false,
-        },
-    }
-}
-
-fn forloop_map(index: usize, len: usize, parent: Option<&Value>) -> Value {
-    let mut m = BTreeMap::new();
-    m.insert("counter".to_string(), Value::Int(index as i64 + 1));
-    m.insert("counter0".to_string(), Value::Int(index as i64));
-    m.insert("revcounter".to_string(), Value::Int((len - index) as i64));
-    m.insert(
-        "revcounter0".to_string(),
-        Value::Int((len - index - 1) as i64),
-    );
-    m.insert("first".to_string(), Value::Bool(index == 0));
-    m.insert("last".to_string(), Value::Bool(index + 1 == len));
-    m.insert("length".to_string(), Value::Int(len as i64));
-    if let Some(p) = parent {
-        m.insert("parentloop".to_string(), p.clone());
-    }
-    Value::Map(m)
-}
-
-fn render_nodes(
-    nodes: &[Node],
-    state: &mut RenderState<'_>,
-    out: &mut String,
-) -> Result<(), TemplateError> {
-    for node in nodes {
-        match node {
-            Node::Text(t) => out.push_str(t),
-            Node::Var(expr) => {
-                let (value, safe) = state.eval(expr)?;
-                let text = value.to_display_string();
-                if safe {
-                    out.push_str(&text);
-                } else {
-                    out.push_str(&filters::escape_html(&text));
-                }
-            }
-            Node::If { arms, else_body } => {
-                let mut taken = false;
-                for (cond, body) in arms {
-                    if state.eval_cond(cond)? {
-                        render_nodes(body, state, out)?;
-                        taken = true;
-                        break;
-                    }
-                }
-                if !taken {
-                    render_nodes(else_body, state, out)?;
-                }
-            }
-            Node::For {
-                var,
-                iterable,
-                body,
-                empty,
-            } => {
-                let (value, _) = state.eval(iterable)?;
-                let items: Vec<Value> = match value {
-                    Value::List(l) => l,
-                    Value::Str(s) => s.chars().map(|c| Value::Str(c.to_string())).collect(),
-                    Value::Map(m) => m.into_keys().map(Value::Str).collect(),
-                    Value::Null => Vec::new(),
-                    other => vec![other],
-                };
-                if items.is_empty() {
-                    render_nodes(empty, state, out)?;
-                } else {
-                    let len = items.len();
-                    let parent = state.loops.last().cloned();
-                    for (i, item) in items.into_iter().enumerate() {
-                        state.loops.push(forloop_map(i, len, parent.as_ref()));
-                        state.scopes.push((var.clone(), item));
-                        let result = render_nodes(body, state, out);
-                        state.scopes.pop();
-                        state.loops.pop();
-                        result?;
-                    }
-                }
-            }
-            Node::With { var, value, body } => {
-                let (v, _) = state.eval(value)?;
-                state.scopes.push((var.clone(), v));
-                let result = render_nodes(body, state, out);
-                state.scopes.pop();
-                result?;
-            }
-            Node::Include { name } => {
-                let store = state.store.ok_or_else(|| {
-                    TemplateError::render(format!(
-                        "include of '{name}' requires rendering through a TemplateStore"
-                    ))
-                })?;
-                if state.include_depth >= MAX_INCLUDE_DEPTH {
-                    return Err(TemplateError::render(format!(
-                        "include depth exceeds {MAX_INCLUDE_DEPTH} (template '{name}')"
-                    )));
-                }
-                let template = store.get(name)?;
-                state.include_depth += 1;
-                let result = render_nodes(template.nodes(), state, out);
-                state.include_depth -= 1;
-                result?;
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
+    use std::collections::BTreeMap;
 
     fn render(source: &str, ctx: &Context) -> String {
         Template::compile(source).unwrap().render(ctx).unwrap()
@@ -581,6 +337,4 @@ mod tests {
         let t = Template::compile("{{ x|zap }}").unwrap();
         assert!(t.render(&Context::new()).is_err());
     }
-
-    use std::collections::BTreeMap;
 }

@@ -7,8 +7,12 @@
 //! admin-confirm), so later pages see the writes of earlier ones.
 //! Population is seeded, so the byte stream is deterministic.
 //!
-//! Re-recording is a deliberate edit of the golden files; nothing in
-//! this test writes them.
+//! The golden files were recorded while a second, straight-line SELECT
+//! executor and an AST tree-walking template renderer still existed,
+//! and each page was checked to be byte-identical under both (since
+//! deleted); the files now stand in for them. Re-recording is a
+//! deliberate edit of the golden files; nothing in this test writes
+//! them.
 //!
 //! The same file holds the planner's deterministic scan-count gates on
 //! the two heaviest read pages (best-sellers and the subject search).
@@ -50,8 +54,6 @@ struct Page {
     route: String,
     template: String,
     body: Vec<u8>,
-    /// The same context rendered by the AST tree-walker.
-    tree: Vec<u8>,
 }
 
 /// Runs one target's handler and renders its template through the app's
@@ -68,20 +70,14 @@ fn serve(app: &App, conn: &PooledConnection, target: &str) -> Page {
     let PageOutcome::Template { name, context } = outcome else {
         panic!("{target}: expected an unrendered template outcome");
     };
-    let store = app.templates();
-    let body = store
+    let body = app
+        .templates()
         .render(&name, &context)
         .unwrap_or_else(|e| panic!("{target}: {name} render failed: {e}"));
-    let tree = store
-        .get(&name)
-        .unwrap()
-        .render_tree(&context, Some(store))
-        .unwrap_or_else(|e| panic!("{target}: {name} tree render failed: {e}"));
     Page {
         route: route.name.clone(),
         template: name,
         body: body.into_bytes(),
-        tree: tree.into_bytes(),
     }
 }
 
@@ -109,25 +105,9 @@ fn every_handler_renders_its_golden_bytes() {
     let pool = ConnectionPool::new(Arc::clone(&db), 2);
     let conn = pool.get();
 
-    let legacy_db = Arc::new(Database::new());
-    legacy_db.set_use_planner(false);
-    populate(&legacy_db, &scale);
-    let legacy_app = build_app(&legacy_db, &scale);
-    let legacy_pool = ConnectionPool::new(Arc::clone(&legacy_db), 2);
-    let legacy_conn = legacy_pool.get();
-
     let (mut routes, mut templates) = (HashSet::new(), HashSet::new());
     for (index, target) in TARGETS.iter().enumerate() {
         let page = serve(&app, &conn, target);
-        let legacy = serve(&legacy_app, &legacy_conn, target);
-        assert_eq!(
-            page.body, legacy.body,
-            "{target}: planner and legacy executors differ"
-        );
-        assert_eq!(
-            page.body, page.tree,
-            "{target}: compiled and tree renders differ"
-        );
         let path = golden_path(index, &page.route);
         let golden = std::fs::read(&path)
             .unwrap_or_else(|e| panic!("{target}: cannot read {}: {e}", path.display()));
@@ -185,23 +165,25 @@ const SEARCH_SUBJECT_SQL: &str =
      FROM item i JOIN author a ON i.i_a_id = a.a_id \
      WHERE i.i_subject = ? ORDER BY i.i_title LIMIT 50";
 
-/// Rows the legacy straight-line executor scanned for the best-sellers
-/// page (anchor + aggregate) at `ScaleConfig::tiny()`.
+// Rows the deleted straight-line SELECT executor scanned on the same
+// population (it had no range access and no MIN/MAX endpoint
+// shortcut), measured before it was deleted: the yardstick the
+// planner must halve.
+/// Best-sellers page (anchor + aggregate), straight-line executor.
 const LEGACY_BEST_SELLERS_SCANNED: u64 = 1_325;
-/// Rows the legacy executor scanned for the subject search (it has no
-/// range or index-probe access beyond equality on indexed columns, and
-/// `i_subject` is unindexed in the shipped schema).
+/// Subject search, straight-line executor (`i_subject` unindexed).
 const LEGACY_SEARCH_SUBJECT_SCANNED: u64 = 106;
 
-/// Rows scanned and result rows of one page's statements.
-fn best_sellers(db: &Database, window: i64) -> (u64, Vec<Vec<DbValue>>) {
+/// Rows scanned by the best-sellers page's two statements.
+fn best_sellers(db: &Database, window: i64) -> u64 {
     let max = db.execute(MAX_ORDERS_SQL, &[]).unwrap();
     let max_o = max.single_int().unwrap_or(0);
     let params = [DbValue::Int(max_o - window), DbValue::from("ARTS")];
     let r = db.execute(BEST_SELLERS_SQL, &params).unwrap();
-    (max.rows_scanned + r.rows_scanned, r.rows)
+    max.rows_scanned + r.rows_scanned
 }
 
+/// Rows scanned and result rows of the subject search.
 fn search_subject(db: &Database) -> (u64, Vec<Vec<DbValue>>) {
     let r = db
         .execute(SEARCH_SUBJECT_SQL, &[DbValue::from("ARTS")])
@@ -212,7 +194,7 @@ fn search_subject(db: &Database) -> (u64, Vec<Vec<DbValue>>) {
 /// Rows scanned is the quantity the synthetic cost model charges, and it
 /// is deterministic for a seeded population: the planner's access paths
 /// on the two heaviest read pages are pinned exactly, and each must stay
-/// at most half of what the legacy executor scanned.
+/// at most half of what the straight-line executor scanned.
 #[test]
 fn planner_scan_counts_on_the_heavy_pages() {
     let scale = ScaleConfig::tiny();
@@ -220,24 +202,14 @@ fn planner_scan_counts_on_the_heavy_pages() {
     populate(&db, &scale);
     let window = (scale.orders / 777).max(1) as i64;
 
-    db.set_use_planner(false);
-    let (legacy_best, legacy_best_rows) = best_sellers(&db, window);
-    let (legacy_search, legacy_search_rows) = search_subject(&db);
-    assert_eq!(legacy_best, LEGACY_BEST_SELLERS_SCANNED);
-    assert_eq!(legacy_search, LEGACY_SEARCH_SUBJECT_SCANNED);
-    db.set_use_planner(true);
-
     // MAX endpoint + `ol_o_id` range scan + PK index-loop joins.
-    let (scanned, best_rows) = best_sellers(&db, window);
+    let scanned = best_sellers(&db, window);
     assert_eq!(scanned, 12);
     assert!(scanned * 2 <= LEGACY_BEST_SELLERS_SCANNED);
-    assert_eq!(best_rows, legacy_best_rows);
 
-    // No `i_subject` index in the shipped schema: a full scan, like the
-    // legacy executor.
+    // No `i_subject` index in the shipped schema: a full scan of `item`.
     let (scanned, no_index_rows) = search_subject(&db);
     assert_eq!(scanned, 106);
-    assert_eq!(no_index_rows, legacy_search_rows);
     // The index a deployment would add for its search mix.
     db.execute("CREATE INDEX ON item (i_subject)", &[]).unwrap();
     let (scanned, index_rows) = search_subject(&db);
