@@ -76,12 +76,6 @@ const MATRIX: &[(&str, &str, &str, &str)] = &[
         "governor_slot_released_on_drop",
     ),
     (
-        "core_invalidate_nesting_flip",
-        "staged-check",
-        "model_suite",
-        "cache_invalidation_is_doc_first",
-    ),
-    (
         "readset_skip_after_image",
         "staged-db",
         "plan_suite",

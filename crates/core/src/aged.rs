@@ -1,7 +1,6 @@
-//! The entry map both response caches keep ([`crate::DocCache`] and
-//! the stale-render cache): entries by key, plus an index of keys by
-//! store time, so capacity eviction takes the oldest entry without
-//! scanning every entry under the cache lock.
+//! The response cache's entry map ([`crate::DocCache`]): entries by
+//! key, plus an index of keys by store time, so capacity eviction takes
+//! the oldest entry without scanning every entry under the cache lock.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
@@ -62,12 +61,6 @@ impl<V> AgedMap<V> {
         self.next_seq += 1;
         self.order.insert(stamp, key.to_string());
         self.entries.insert(key.to_string(), (stamp, value));
-    }
-
-    pub(crate) fn remove(&mut self, key: &str) {
-        if let Some((stamp, _)) = self.entries.remove(key) {
-            self.order.remove(&stamp);
-        }
     }
 
     /// Keeps the entries `keep` accepts; returns how many it dropped.
@@ -131,7 +124,7 @@ mod tests {
             m.insert(k, i, 8, HOUR);
         }
         assert_eq!(m.retain(|v| v % 2 == 1), 2);
-        m.remove("b");
+        assert_eq!(m.retain(|v| *v != 1), 1);
         assert_eq!((m.len(), m.order.len()), (1, 1));
         m.insert("e", 9, 1, HOUR);
         assert_eq!((m.len(), m.order.len()), (1, 1));

@@ -63,10 +63,12 @@ pub struct Route {
     pub name: String,
     /// The page handler ([`PageOutcome`]-producing function).
     pub handler: Handler,
-    /// Whether successful renders of this page may be retained in (and
-    /// served from) the staged server's stale cache when fresh
-    /// generation is unavailable. Off by default: only read-only pages
-    /// should opt in (serving a stale order-confirmation would lie).
+    /// Whether successful renders of this page may be retained in the
+    /// staged server's response cache — served stale when fresh
+    /// generation is unavailable, and fresh when
+    /// [`ServerConfig::doc_cache`](crate::ServerConfig::doc_cache) is
+    /// on. Off by default: only read-only pages should opt in (serving
+    /// a stale order-confirmation would lie).
     pub cacheable: bool,
 }
 
@@ -219,10 +221,15 @@ impl AppBuilder {
     }
 
     /// Marks an already-registered exact route as **stale-cacheable**:
-    /// the staged server may retain its successful renders and serve
-    /// them (with `Warning: 110` / `Age` headers) while the database is
-    /// unavailable. Only mark read-only pages — a stale copy of a page
-    /// that confirms a mutation would misreport what happened.
+    /// the staged server retains its successful `GET` renders in its
+    /// one response cache, tagged with what they read and evicted by
+    /// any write that touches it. While the database is unavailable (or
+    /// the request's deadline expired in a queue) a still-valid copy is
+    /// served with `Warning: 110` / `Age` headers; with
+    /// [`ServerConfig::doc_cache`](crate::ServerConfig::doc_cache) on,
+    /// it is also served fresh. Only mark read-only pages — a stale copy
+    /// of a page that confirms a mutation would misreport what
+    /// happened.
     ///
     /// # Panics
     ///

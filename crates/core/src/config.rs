@@ -1,4 +1,10 @@
 //! Server configuration.
+//!
+//! The response cache's bounds are not configuration: its TTL (60 s)
+//! and entry counts (1024 when it serves fresh hits, 256 when it only
+//! backs the degradation ladder) are constants beside the cache in
+//! `doccache.rs`. Only whether it serves fresh hits is a knob
+//! ([`ServerConfig::doc_cache`]).
 
 use crate::governor::GovernorConfig;
 use crate::overload::ListenerChaos;
@@ -129,35 +135,27 @@ pub struct ServerConfig {
     /// execution (see [`staged_db::CircuitBreaker`]). When the breaker
     /// opens, dynamic handlers fail fast instead of burning their
     /// deadline in acquisition backoff, and cache-marked pages degrade
-    /// to the stale-render cache. `None` (the default) disables it.
+    /// to a stale copy from the response cache. `None` (the default)
+    /// disables it.
     pub breaker: Option<BreakerConfig>,
-    /// How long a successful render stays servable from the stale cache
-    /// once fresh generation becomes unavailable.
-    pub stale_ttl: Duration,
-    /// Entry bound of the stale-render cache; `0` disables stale
-    /// serving entirely. Only routes marked
+    /// Whether the staged server's response cache
+    /// ([`DocCache`](crate::DocCache)) also serves fresh hits. The cache
+    /// itself always exists on [`StagedServer`](crate::StagedServer):
+    /// renders of routes marked
     /// [`AppBuilder::stale_cacheable`](crate::AppBuilder::stale_cacheable)
-    /// are cached. [`BaselineServer`](crate::BaselineServer) runs
-    /// without it whatever is set here (the paper's comparison).
-    pub stale_capacity: usize,
-    /// Whether to run the dependency-tracked dynamic-page cache
-    /// ([`DocCache`](crate::DocCache)): cacheable GET responses are
-    /// retained tagged with the tables/keys they read and served
-    /// straight from the parse stage — zero DB checkouts, zero render
-    /// work, zero allocations — until a committed write intersects
-    /// their read-set. **Off by default** so the paper-comparison
-    /// benches measure the paper's model, not the cache;
-    /// [`BaselineServer`](crate::BaselineServer) ignores it.
+    /// are retained tagged with the tables/keys they read, evicted when
+    /// a committed write intersects that read-set, and served stale
+    /// while fresh generation is unavailable. With this on, they are
+    /// also served fresh straight from the parse stage — zero DB
+    /// checkouts, zero render work, zero allocations. **Off by
+    /// default** so the paper-comparison benches measure the paper's
+    /// model, not the cache; [`BaselineServer`](crate::BaselineServer)
+    /// has no cache and ignores it.
     pub doc_cache: bool,
-    /// Freshness backstop for document-cache entries. Correctness comes
-    /// from write invalidation; the TTL only bounds how long an entry
-    /// whose tables never change may live.
-    pub doc_cache_ttl: Duration,
-    /// Entry bound of the document cache (oldest-out eviction past it).
-    pub doc_cache_capacity: usize,
-    /// Graceful-shutdown budget: how long [`ServerHandle::shutdown`]
-    /// (see [`crate::ServerHandle`]) waits for queued and in-flight
-    /// requests to finish before force-joining the pools.
+    /// Graceful-shutdown budget: how long
+    /// [`ServerHandle::shutdown`](crate::ServerHandle::shutdown) waits
+    /// for queued and in-flight requests to finish before force-joining
+    /// the pools.
     pub drain_deadline: Duration,
     /// Capacity of the slowest-trace ring served by `GET /debug/traces`
     /// (the N slowest served requests keep their full stage timeline).
@@ -215,11 +213,7 @@ impl Default for ServerConfig {
             chaos: None,
             fault_plan: None,
             breaker: None,
-            stale_ttl: Duration::from_secs(30),
-            stale_capacity: 256,
             doc_cache: false,
-            doc_cache_ttl: Duration::from_secs(60),
-            doc_cache_capacity: 1024,
             drain_deadline: Duration::from_secs(5),
             trace_ring: 32,
             governor: GovernorConfig::default(),
@@ -342,16 +336,6 @@ impl ServerConfig {
             self.baseline_workers
         );
         assert!(self.queue_factor >= 1, "queue_factor must be at least 1");
-        if self.doc_cache {
-            assert!(
-                self.doc_cache_capacity > 0,
-                "an enabled document cache needs a nonzero capacity"
-            );
-            assert!(
-                !self.doc_cache_ttl.is_zero(),
-                "an enabled document cache needs a nonzero TTL backstop"
-            );
-        }
         if let Some(chaos) = &self.chaos {
             chaos.validate();
         }

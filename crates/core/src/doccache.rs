@@ -1,4 +1,5 @@
-//! The dependency-tracked dynamic-page cache (DESIGN.md §14).
+//! The one response cache: dependency-tracked rendered pages (DESIGN.md
+//! §14), read by two lookups.
 //!
 //! PAPERS.md "Vcache" insight: a dynamic page is cacheable *if you know
 //! what it read*. Each miss renders normally while the connection
@@ -15,6 +16,15 @@
 //! depends on was written after that snapshot — the worst case is a
 //! lost caching opportunity, never a stale entry.
 //!
+//! The same entries serve two policies, decided at lookup time:
+//! [`DocCache::lookup`] answers fresh hits from the parse stage (only
+//! when [`ServerConfig::doc_cache`](crate::ServerConfig) is on), and
+//! [`DocCache::lookup_stale`] is the degradation ladder's middle rung —
+//! the same entry as a `200` with `Warning: 110` / `Age` while fresh
+//! generation is unavailable. Both see only entries that passed the
+//! publish guard and survived every later write, so the ladder degrades
+//! *age*, never correctness.
+//!
 //! The hit path is allocation-free: one rank-118 read lock, a `HashMap`
 //! probe, an `Arc` bump, and relaxed counter increments.
 
@@ -27,10 +37,21 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Rank of the cache state (DESIGN.md §10): below the stale ladder's
-/// `core.stale.entries` (120) so the invalidation engine may evict from
-/// the document cache and then the stale cache under one write event.
+/// Rank of the cache state (DESIGN.md §10).
 const STATE_RANK: Rank = Rank::new(118);
+
+/// How long an entry stays servable, fresh or stale: a backstop for
+/// pages whose tables never change.
+pub(crate) const TTL: Duration = Duration::from_secs(60);
+
+/// Entry bound when the cache serves fresh hits.
+pub(crate) const HIT_CAPACITY: usize = 1024;
+
+/// Entry bound when the cache only backs the degradation ladder.
+pub(crate) const LADDER_CAPACITY: usize = 256;
+
+/// The RFC 7234 warning attached to every stale response.
+const STALE_WARNING: &str = "110 - \"Response is Stale\"";
 
 /// One cached rendered page.
 struct CacheEntry {
@@ -65,12 +86,13 @@ pub enum Lookup {
     Miss(u64),
 }
 
-/// The dependency-tracked dynamic-page cache.
+/// The dependency-tracked response cache.
 ///
-/// See the module docs for the model. Constructed by the staged server
-/// when [`ServerConfig::doc_cache`](crate::ServerConfig) is on; the
-/// baseline server and the paper-comparison bench legs never build one,
-/// keeping Table 2 runs valid.
+/// See the module docs for the model. The staged server always builds
+/// one — it backs the degradation ladder — and serves fresh hits from
+/// it only when [`ServerConfig::doc_cache`](crate::ServerConfig) is on;
+/// the thread-per-request baseline has none, keeping the paper's model
+/// comparison valid.
 pub struct DocCache {
     state: OrderedRwLock<CacheState>,
     ttl: Duration,
@@ -140,6 +162,33 @@ impl DocCache {
     }
     // lint: end_hot_path
 
+    /// The epoch snapshot a [`Lookup::Miss`] would carry, taken without
+    /// serving or counting anything — for requests the cache only
+    /// retains for the ladder, which still need the publish guard.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.state.read().epoch
+    }
+
+    /// The degradation ladder's lookup: the entry under `key`, if still
+    /// valid (no write evicted it and it is within the TTL), as a `200`
+    /// carrying `Warning: 110` and its `Age`. The cached body is shared
+    /// into the response, not copied. Counts nothing — the hit, miss
+    /// and bytes-served counters describe the fresh path.
+    pub fn lookup_stale(&self, key: &str) -> Option<Response> {
+        let (body, age) = {
+            let state = self.state.read();
+            let (entry, age) = state.entries.get(key)?;
+            if age > self.ttl {
+                return None;
+            }
+            (entry.response.body_shared(), age)
+        };
+        let mut resp = Response::html(body);
+        resp.headers_mut().set("Warning", STALE_WARNING);
+        resp.headers_mut().set("Age", age.as_secs().to_string());
+        Some(resp)
+    }
+
     /// Publishes a rendered page under `key`, tagged with the read set
     /// collected during its render and the epoch `snapshot` its lookup
     /// returned. Returns `false` (and caches nothing) when a dependent
@@ -188,8 +237,9 @@ impl DocCache {
 
     /// Applies one committed write: bumps the table's version (so
     /// in-flight renders that read the old data cannot publish) and
-    /// evicts every entry whose read-set the write intersects.
-    pub(crate) fn invalidate(&self, event: &WriteEvent) {
+    /// evicts every entry whose read-set the write intersects. The
+    /// server's database write observer calls this for every mutation.
+    pub fn invalidate(&self, event: &WriteEvent) {
         let mut state = self.state.write();
         state.epoch += 1;
         let epoch = state.epoch;
@@ -258,13 +308,67 @@ impl DocCache {
     }
 }
 
+/// Writes the normalized cache key for one request into `out`: the page
+/// name plus its sorted query parameters, so `/product_detail?i_id=7`
+/// and `?i_id=8` cache separately while parameter order doesn't split
+/// entries.
+///
+/// Emits in selection order rather than materializing a sorted `Vec`,
+/// so a reused `out` (the header stage's per-thread buffer) makes key
+/// derivation allocation-free once the buffer has grown to page size.
+/// Quadratic in the parameter count, which TPC-W bounds at a handful.
+// lint: hot_path — runs per dynamic GET before cache lookup; must not
+// allocate beyond the caller's reusable buffer.
+pub fn write_key(out: &mut String, page: &str, params: &[(String, String)]) {
+    out.clear();
+    out.push_str(page);
+    let mut last: Option<&(String, String)> = None;
+    loop {
+        let mut next: Option<&(String, String)> = None;
+        for p in params {
+            if let Some(done) = last {
+                if p <= done {
+                    continue;
+                }
+            }
+            match next {
+                Some(n) if p >= n => {}
+                _ => next = Some(p),
+            }
+        }
+        let Some(n) = next else { break };
+        // Duplicated parameters are emitted as many times as they
+        // appear, matching a sort-then-emit of the full list.
+        for _ in 0..params.iter().filter(|p| *p == n).count() {
+            out.push('&');
+            out.push_str(&n.0);
+            out.push('=');
+            out.push_str(&n.1);
+        }
+        last = Some(n);
+    }
+}
+// lint: end_hot_path
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use staged_db::{Database, DbValue};
 
+    /// A read of the whole `item` table and a read of its row 1.
+    const SCAN: &str = "SELECT COUNT(*) FROM item";
+    const ROW1: &str = "SELECT v FROM item WHERE id = 1";
+    const WRITE_ROW1: &str = "UPDATE item SET v = 11 WHERE id = 1";
+    const INSERT_ROW2: &str = "INSERT INTO item (id, v) VALUES (2, 20)";
+
     fn page(body: &str) -> Arc<Response> {
         Arc::new(Response::html(body.to_string()))
+    }
+
+    /// Publishes `body` under `key`, tagged with what `sql` reads, with
+    /// a current epoch snapshot.
+    fn put(cache: &DocCache, key: &str, body: Arc<Response>, sql: &str) {
+        assert!(cache.publish(key, body, reads_for(sql), cache.epoch()));
     }
 
     /// Builds a ReadSet through the real executor: `SELECT … WHERE id = ?`
@@ -306,8 +410,7 @@ mod tests {
         let Lookup::Miss(s0) = cache.lookup("item?id=1") else {
             panic!("cold cache should miss");
         };
-        let reads = reads_for("SELECT v FROM item WHERE id = 1");
-        assert!(cache.publish("item?id=1", page("<p>10</p>"), reads, s0));
+        assert!(cache.publish("item?id=1", page("<p>10</p>"), reads_for(ROW1), s0));
         match cache.lookup("item?id=1") {
             Lookup::Hit(r) => assert_eq!(r.body(), b"<p>10</p>"),
             Lookup::Miss(_) => panic!("published entry should hit"),
@@ -320,12 +423,8 @@ mod tests {
     #[test]
     fn write_to_read_key_evicts() {
         let cache = DocCache::new(Duration::from_secs(60), 16);
-        let Lookup::Miss(s0) = cache.lookup("k") else {
-            panic!()
-        };
-        let reads = reads_for("SELECT v FROM item WHERE id = 1");
-        cache.publish("k", page("x"), reads, s0);
-        cache.invalidate(&event_for("UPDATE item SET v = 11 WHERE id = 1"));
+        put(&cache, "k", page("x"), ROW1);
+        cache.invalidate(&event_for(WRITE_ROW1));
         assert!(matches!(cache.lookup("k"), Lookup::Miss(_)));
         assert_eq!(cache.invalidations(), 1);
     }
@@ -333,12 +432,8 @@ mod tests {
     #[test]
     fn write_to_other_key_spares_exact_read() {
         let cache = DocCache::new(Duration::from_secs(60), 16);
-        let Lookup::Miss(s0) = cache.lookup("k") else {
-            panic!()
-        };
-        let reads = reads_for("SELECT v FROM item WHERE id = 1");
-        cache.publish("k", page("x"), reads, s0);
-        cache.invalidate(&event_for("INSERT INTO item (id, v) VALUES (2, 20)"));
+        put(&cache, "k", page("x"), ROW1);
+        cache.invalidate(&event_for(INSERT_ROW2));
         assert!(
             matches!(cache.lookup("k"), Lookup::Hit(_)),
             "a write to another row must not evict an exact-key entry"
@@ -348,12 +443,8 @@ mod tests {
     #[test]
     fn write_evicts_whole_table_readers() {
         let cache = DocCache::new(Duration::from_secs(60), 16);
-        let Lookup::Miss(s0) = cache.lookup("k") else {
-            panic!()
-        };
-        let reads = reads_for("SELECT COUNT(*) FROM item");
-        cache.publish("k", page("x"), reads, s0);
-        cache.invalidate(&event_for("INSERT INTO item (id, v) VALUES (2, 20)"));
+        put(&cache, "k", page("x"), SCAN);
+        cache.invalidate(&event_for(INSERT_ROW2));
         assert!(
             matches!(cache.lookup("k"), Lookup::Miss(_)),
             "a scan depends on every row, including new ones"
@@ -366,59 +457,139 @@ mod tests {
         let Lookup::Miss(s0) = cache.lookup("k") else {
             panic!()
         };
-        let reads = reads_for("SELECT v FROM item WHERE id = 1");
         // A write to the dependent table lands between the lookup and
         // the publish: the render may embed pre-write data.
-        cache.invalidate(&event_for("UPDATE item SET v = 11 WHERE id = 1"));
-        assert!(!cache.publish("k", page("stale"), reads, s0));
+        cache.invalidate(&event_for(WRITE_ROW1));
+        assert!(!cache.publish("k", page("stale"), reads_for(ROW1), s0));
         assert!(matches!(cache.lookup("k"), Lookup::Miss(_)));
         assert_eq!(cache.stale_discards(), 1);
     }
 
     #[test]
+    fn ladder_never_serves_a_render_that_raced_a_write() {
+        let cache = DocCache::new(Duration::from_secs(60), 8);
+        let Lookup::Miss(s0) = cache.lookup("k") else {
+            panic!("cold cache should miss")
+        };
+        cache.invalidate(&event_for(WRITE_ROW1));
+        assert!(!cache.publish("k", page("pre-write"), reads_for(ROW1), s0));
+        assert!(
+            cache.lookup_stale("k").is_none(),
+            "a brownout must not serve a render the write superseded"
+        );
+    }
+
+    #[test]
     fn ttl_expiry_is_a_miss() {
         let cache = DocCache::new(Duration::ZERO, 16);
-        let Lookup::Miss(s0) = cache.lookup("k") else {
-            panic!()
-        };
-        cache.publish("k", page("x"), reads_for("SELECT COUNT(*) FROM item"), s0);
+        put(&cache, "k", page("x"), SCAN);
         std::thread::sleep(Duration::from_millis(2));
         assert!(matches!(cache.lookup("k"), Lookup::Miss(_)));
+        assert!(
+            cache.lookup_stale("k").is_none(),
+            "expired for the ladder too"
+        );
     }
 
     #[test]
     fn capacity_evicts_oldest() {
         let cache = DocCache::new(Duration::from_secs(60), 2);
-        let reads = reads_for("SELECT COUNT(*) FROM item");
         for key in ["a", "b", "c"] {
-            let Lookup::Miss(s0) = cache.lookup(key) else {
-                panic!()
-            };
-            cache.publish(key, page(key), Arc::clone(&reads), s0);
+            put(&cache, key, page(key), SCAN);
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(cache.len(), 2);
         assert!(matches!(cache.lookup("a"), Lookup::Miss(_)), "oldest out");
+        assert!(cache.lookup_stale("a").is_none());
+        assert!(cache.lookup_stale("b").is_some());
         assert!(matches!(cache.lookup("c"), Lookup::Hit(_)));
+    }
+
+    #[test]
+    fn refresh_updates_in_place_without_eviction() {
+        let cache = DocCache::new(Duration::from_secs(60), 2);
+        put(&cache, "a", page("1"), SCAN);
+        put(&cache, "b", page("2"), SCAN);
+        put(&cache, "a", page("1-new"), SCAN);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.lookup_stale("a").unwrap().body(), b"1-new");
+        assert!(cache.lookup_stale("b").is_some());
+    }
+
+    #[test]
+    fn write_evicts_dependent_entries_only() {
+        let cache = DocCache::new(Duration::from_secs(60), 8);
+        put(&cache, "item?id=1", page("one"), ROW1);
+        put(
+            &cache,
+            "item?id=2",
+            page("two"),
+            "SELECT v FROM item WHERE id = 2",
+        );
+        cache.invalidate(&event_for(WRITE_ROW1));
+        assert!(cache.lookup_stale("item?id=1").is_none(), "dependent");
+        assert!(cache.lookup_stale("item?id=2").is_some(), "independent");
     }
 
     #[test]
     fn hits_share_one_response_allocation() {
         let cache = DocCache::new(Duration::from_secs(60), 16);
-        let Lookup::Miss(s0) = cache.lookup("k") else {
-            panic!()
-        };
         let published = page("shared");
-        cache.publish(
-            "k",
-            Arc::clone(&published),
-            reads_for("SELECT COUNT(*) FROM item"),
-            s0,
-        );
+        put(&cache, "k", Arc::clone(&published), SCAN);
         let (Lookup::Hit(a), Lookup::Hit(b)) = (cache.lookup("k"), cache.lookup("k")) else {
             panic!("both lookups should hit")
         };
         assert!(Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&a, &published));
+        let stale = cache.lookup_stale("k").unwrap();
+        assert_eq!(stale.body().as_ptr(), published.body().as_ptr());
+    }
+
+    #[test]
+    fn stale_hit_within_ttl_reports_age() {
+        let cache = DocCache::new(Duration::from_secs(60), 8);
+        assert!(cache.lookup_stale("home").is_none(), "cold cache");
+        put(&cache, "home", page("<h1>hi</h1>"), SCAN);
+        let resp = cache.lookup_stale("home").expect("valid entry");
+        assert_eq!(resp.body(), b"<h1>hi</h1>");
+        assert_eq!(resp.headers().get("warning"), Some(STALE_WARNING));
+        assert_eq!(resp.headers().get("age"), Some("0"));
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.bytes_served()),
+            (0, 0, 0),
+            "the ladder does not count as fresh traffic"
+        );
+    }
+
+    #[test]
+    fn write_key_matches_sort_then_emit() {
+        let params = [
+            ("y".to_string(), "2".to_string()),
+            ("x".to_string(), "1".to_string()),
+            ("y".to_string(), "2".to_string()),
+            ("a".to_string(), "0".to_string()),
+        ];
+        let mut sorted = params.to_vec();
+        sorted.sort_unstable();
+        let mut reference = String::from("page");
+        for (k, v) in &sorted {
+            reference.push('&');
+            reference.push_str(k);
+            reference.push('=');
+            reference.push_str(v);
+        }
+        let mut out = String::from("junk from a previous request");
+        write_key(&mut out, "page", &params);
+        assert_eq!(out, reference);
+        // Parameter order does not split entries.
+        let mut reversed = String::new();
+        write_key(
+            &mut reversed,
+            "page",
+            &sorted.into_iter().rev().collect::<Vec<_>>(),
+        );
+        assert_eq!(reversed, reference);
+        write_key(&mut out, "page", &[]);
+        assert_eq!(out, "page");
     }
 }

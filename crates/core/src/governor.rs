@@ -35,7 +35,7 @@ use std::net::{IpAddr, TcpStream};
 use std::sync::Arc;
 
 /// Rank of the governor's per-IP count map (DESIGN.md §12): between the
-/// overload sample window (110) and the stale-cache entries (120).
+/// overload sample window (110) and the response cache state (118).
 const PER_IP_RANK: Rank = Rank::new(115);
 
 /// Count-zero per-IP entries are retained (steady-state admits are then

@@ -70,12 +70,11 @@ mod pipeline;
 mod scheduler;
 mod server;
 mod stages;
-mod stale;
 mod stats;
 
 pub use app::{App, AppBuilder, Handler, PageOutcome, Route};
 pub use config::ServerConfig;
-pub use doccache::{DocCache, Lookup};
+pub use doccache::{write_key, DocCache, Lookup};
 pub use error::AppError;
 pub use governor::GovernorConfig;
 pub use handle::{PoolSnapshot, ServerHandle, ShutdownError};
@@ -83,25 +82,19 @@ pub use health::{Phase, Readiness};
 pub use overload::{ChaosAction, ListenerChaos};
 pub use scheduler::{DynamicPoolChoice, RequestClass, ReserveController, ServiceTimeTracker};
 pub use server::{BaselineServer, StagedServer};
-pub use stale::write_key;
 pub use stats::{RequestKind, ServerStats, ShedPoint, StatsSnapshot};
 
 /// Crate-private protocol objects wrapped for the model checker.
 ///
 /// The concurrency model suite (`crates/check`) drives the connection
-/// governor, the stale cache, and the cache-invalidation helper directly
-/// under the cooperative scheduler. Those types are deliberately
-/// `pub(crate)` in release builds, so this module — which exists only
-/// under `--cfg model` — exposes thin wrappers instead of widening the
-/// production API.
+/// governor directly under the cooperative scheduler. It is
+/// deliberately `pub(crate)` in release builds, so this module — which
+/// exists only under `--cfg model` — exposes a thin wrapper instead of
+/// widening the production API.
 #[cfg(model)]
 pub mod model_fixtures {
     use crate::governor::{ConnPermit, ConnectionGovernor};
-    use crate::stale::StaleCache;
-    use staged_db::{ReadSet, WriteEvent};
     use std::net::IpAddr;
-    use std::sync::Arc;
-    use std::time::Duration;
 
     /// Wraps [`ConnectionGovernor`] for model tests.
     pub struct Governor(ConnectionGovernor);
@@ -125,49 +118,6 @@ pub mod model_fixtures {
         pub fn open(&self) -> usize {
             self.0.open()
         }
-    }
-
-    /// Wraps the crate-private [`StaleCache`] for model tests.
-    pub struct Stale(StaleCache);
-
-    impl Stale {
-        /// A cache usable for `ttl` holding at most `capacity` entries.
-        pub fn new(ttl: Duration, capacity: usize) -> Self {
-            Stale(StaleCache::new(ttl, capacity))
-        }
-
-        /// Stores one rendered body tagged with its read dependencies.
-        pub fn put_tagged(&self, key: &str, body: &str, reads: Option<Arc<ReadSet>>) {
-            self.0.put_tagged(key, body, reads);
-        }
-
-        /// Evicts entries that depend on the written rows.
-        pub fn invalidate(&self, event: &WriteEvent) {
-            self.0.invalidate(event);
-        }
-
-        /// The cached body, if present and fresh enough to serve.
-        pub fn get(&self, key: &str) -> Option<Vec<u8>> {
-            self.0.get(key).map(|hit| hit.body.as_slice().to_vec())
-        }
-
-        /// Number of live entries.
-        pub fn len(&self) -> usize {
-            self.0.len()
-        }
-
-        /// `true` when the cache holds no entries.
-        pub fn is_empty(&self) -> bool {
-            self.0.len() == 0
-        }
-    }
-
-    /// Invalidates the document cache and the stale cache for one write,
-    /// in the production order (doc cache first). This is the helper the
-    /// server's write observer calls; the
-    /// `core_invalidate_nesting_flip` mutant reverses the order.
-    pub fn invalidate_caches(dc: Option<&crate::DocCache>, sc: &Stale, event: &WriteEvent) {
-        crate::server::invalidate_caches(dc, &sc.0, event);
     }
 }
 

@@ -27,7 +27,6 @@ use crate::governor::{ConnectionGovernor, GovernedStream};
 use crate::health::Readiness;
 use crate::overload::{drain_before_close, overload_response, DbSlot, RetryEstimator};
 use crate::scheduler::{ReserveController, ServiceTimeTracker};
-use crate::stale::StaleCache;
 use crate::stats::{RequestKind, ServerStats, ShedPoint};
 use staged_db::{CircuitBreaker, Database, ReadSet};
 use staged_http::{Connection, HttpError, Method, Request, RequestLine, Response};
@@ -176,11 +175,10 @@ impl Work {
     }
 }
 
-/// The normalized cache key of a `GET` of a cache-marked route (shared
-/// by the stale ladder and the document cache), with the document-cache
-/// epoch snapshot taken at the miss, *before* the first query —
-/// [`DocCache::publish`] uses it to reject renders that raced a write.
-/// A request without one must never be served from either cache.
+/// The normalized cache key of a `GET` of a cache-marked route, with
+/// the cache epoch snapshot taken at the miss, *before* the first query
+/// — [`DocCache::publish`] uses it to reject renders that raced a
+/// write. A request without one must never be served from the cache.
 pub(crate) struct CacheSlot {
     pub key: String,
     pub snapshot: u64,
@@ -208,12 +206,12 @@ pub(crate) struct RenderWork {
     pub kind: RequestKind,
     /// Whether the template is classified lengthy to render.
     pub lengthy: bool,
-    /// Carried through so the render stage can both retain a fresh
+    /// Carried through so the render stage can both publish a fresh
     /// render and fall back to a stale one when the deadline expired in
     /// its queue.
     pub cache: Option<CacheSlot>,
     /// The tables/keys the handler's queries read, collected by the
-    /// dynamic stage; tags the retained render for invalidation.
+    /// dynamic stage; tags the published render for invalidation.
     pub reads: Option<Arc<ReadSet>>,
 }
 
@@ -233,14 +231,16 @@ pub(crate) struct Core {
     pub budget: Option<Duration>,
     /// Adaptive `Retry-After` advice for shed responses.
     pub retry: RetryEstimator,
-    /// Stale copies of successful renders — the degradation ladder's
-    /// middle rung (fresh → stale → shed). `Arc`-shared with the
-    /// database write observer, which evicts entries a write touched.
-    pub stale: Arc<StaleCache>,
-    /// The dependency-tracked dynamic-page cache; `None` unless
-    /// [`crate::ServerConfig::doc_cache`] is on. Hits are served from
-    /// the parse stage without touching the dynamic or render stages.
-    pub doc_cache: Option<Arc<DocCache>>,
+    /// The one response cache: successful renders of cache-marked
+    /// pages, tagged with what they read. It backs the degradation
+    /// ladder (fresh → stale → shed) and, with `serve_hits`, fresh hits.
+    /// `Arc`-shared with the database write observer, which evicts
+    /// entries a write touched. `None` when the model has no cache.
+    pub cache: Option<Arc<DocCache>>,
+    /// Whether the parse stage answers fresh hits from `cache`
+    /// ([`crate::ServerConfig::doc_cache`]) without touching the
+    /// dynamic or render stages.
+    pub serve_hits: bool,
     /// Lifecycle phase, served by `/readyz`.
     pub readiness: Arc<Readiness>,
     /// The database circuit breaker (shared with the connection pool),
@@ -392,30 +392,45 @@ impl Core {
     /// would waste a saturated stage's time).
     fn expire(&self, mut job: Job) {
         self.stats.deadline_expired.increment();
-        if let Work::Render(work) = &job.work {
-            // A stale copy (sent with `Connection: close` — the client
-            // has been waiting the whole budget already) still beats
-            // rendering a page nobody may be listening for, and beats a
-            // 503 for one that was cacheable.
-            if let Some(hit) = work.cache.as_ref().and_then(|c| self.stale.get(&c.key)) {
+        // A stale copy (sent with `Connection: close` — the client has
+        // been waiting the whole budget already) still beats generating
+        // or rendering a page nobody may be listening for, and beats a
+        // 503 for one that was cacheable — whichever queue it expired in.
+        let ladder = match &job.work {
+            Work::Dynamic(d) => d
+                .cache
+                .as_ref()
+                .zip(d.page.as_deref())
+                .map(|(slot, page)| (slot, d.kind, page)),
+            Work::Render(r) => r.cache.as_ref().map(|slot| (slot, r.kind, r.page.as_str())),
+            Work::Parse | Work::Static(_) => None,
+        };
+        if let Some((slot, kind, page)) = ladder {
+            if let Some(mut response) = self.stale_copy(slot) {
                 self.stats.degraded.increment();
                 job.trace.note(TraceEvent::StaleServed);
-                let mut response = hit.response();
                 response.set_close();
+                let method = job.work.method();
                 self.respond(
                     job.conn,
                     job.trace,
-                    work.method,
+                    method,
                     &response,
                     false,
-                    Some(work.kind),
-                    Some(&work.page),
+                    Some(kind),
+                    Some(page),
                 );
                 return;
             }
         }
         self.refuse(&mut job.conn, job.work.method());
         job.trace.finish(TraceOutcome::Expired, None);
+    }
+
+    /// The ladder's middle rung: a still-valid cached copy of the
+    /// request's page, marked stale.
+    pub(crate) fn stale_copy(&self, slot: &CacheSlot) -> Option<Response> {
+        self.cache.as_ref()?.lookup_stale(&slot.key)
     }
 
     /// Sends a response (honouring `HEAD`) and returns the connection's

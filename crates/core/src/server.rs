@@ -8,14 +8,13 @@
 
 use crate::app::App;
 use crate::config::ServerConfig;
-use crate::doccache::DocCache;
+use crate::doccache::{self, DocCache};
 use crate::governor::{ConnectionGovernor, GovernedStream};
 use crate::handle::{FaultFn, ServerHandle, ShutdownError, ShutdownFn};
 use crate::health::Readiness;
 use crate::overload::{ChaosAction, DbSlot, RetryEstimator};
 use crate::pipeline::{Core, Job, Place, PoolPort, Scheduler, StageMap};
 use crate::scheduler::{ReserveController, ServiceTimeTracker};
-use crate::stale::StaleCache;
 use crate::stats::{ServerStats, ShedPoint};
 use staged_db::{ConnectionPool, Database};
 use staged_http::{Connection, Method};
@@ -42,10 +41,12 @@ struct PoolSpec {
 }
 
 /// A request-processing model: the pools that exist (upstream first;
-/// the listener feeds the first) and which of them runs each stage.
+/// the listener feeds the first), which of them runs each stage, and
+/// whether the model keeps a response cache at all.
 struct Model {
     pools: Vec<PoolSpec>,
     map: StageMap,
+    cached: bool,
 }
 
 impl Model {
@@ -116,12 +117,17 @@ impl Model {
             render: Place::Pool(4),
             render_lengthy: Place::Pool(pools.len() - 1),
         };
-        Model { pools, map }
+        Model {
+            pools,
+            map,
+            cached: true,
+        }
     }
 
     /// The conventional thread-per-request server (Figure 4): one pool
     /// whose workers each own a database connection; the worker that
     /// dequeues a connection runs every stage of every request on it.
+    /// It caches nothing, as the paper's servers do not.
     fn thread_per_request(c: &ServerConfig) -> Model {
         Model {
             pools: vec![PoolSpec {
@@ -139,6 +145,7 @@ impl Model {
                 render: Place::Inline,
                 render_lengthy: Place::Inline,
             },
+            cached: false,
         }
     }
 }
@@ -209,8 +216,8 @@ impl StagedServer {
 /// `Retry-After` instead of blocking the accept loop, and connections
 /// whose queue wait exceeds `request_deadline` are answered `503` at
 /// dequeue. To keep the comparison the paper's, it runs no reserve
-/// controller and neither response cache (`stale_capacity` and
-/// `doc_cache` are ignored).
+/// controller and no response cache — no stale ladder, and
+/// `doc_cache` is ignored.
 #[derive(Debug)]
 pub struct BaselineServer;
 
@@ -229,16 +236,11 @@ impl BaselineServer {
     pub fn start(config: ServerConfig, app: App, db: Arc<Database>) -> io::Result<ServerHandle> {
         config.validate();
         let model = Model::thread_per_request(&config);
-        let config = ServerConfig {
-            stale_capacity: 0,
-            doc_cache: false,
-            ..config
-        };
         start(config, model, app, db)
     }
 }
 
-/// Starts a server of the given model: registry, caches, the model's
+/// Starts a server of the given model: registry, cache, the model's
 /// pools, the reserve controller (when the map gives the scheduler
 /// something to choose between), the listener, and the drain-aware
 /// shutdown closure.
@@ -265,22 +267,24 @@ fn start(
     let set_fault: FaultFn = Arc::new(move |plan| fault_pool.set_fault_plan(plan));
     let readiness = Arc::new(Readiness::new());
 
-    let stale = Arc::new(StaleCache::new(config.stale_ttl, config.stale_capacity));
-    let doc_cache = config.doc_cache.then(|| {
-        Arc::new(DocCache::new(
-            config.doc_cache_ttl,
-            config.doc_cache_capacity,
-        ))
+    // One cache for the ladder and, with `doc_cache`, fresh hits; the
+    // hit-serving bound is the larger one.
+    let serve_hits = model.cached && config.doc_cache;
+    let cache = model.cached.then(|| {
+        let capacity = if serve_hits {
+            doccache::HIT_CAPACITY
+        } else {
+            doccache::LADDER_CAPACITY
+        };
+        Arc::new(DocCache::new(doccache::TTL, capacity))
     });
     // The invalidation engine: every committed mutation evicts
-    // dependent entries from the document cache and the stale ladder
-    // (rank 118 before rank 120). The observer deliberately captures
-    // only the two caches — capturing the shared server context would
-    // create an Arc cycle through the database.
-    if doc_cache.is_some() || stale.enabled() {
-        let dc = doc_cache.clone();
-        let sc = Arc::clone(&stale);
-        db.set_write_observer(move |event| invalidate_caches(dc.as_deref(), &sc, event));
+    // dependent entries. The observer deliberately captures only the
+    // cache — capturing the shared server context would create an Arc
+    // cycle through the database.
+    if let Some(cache) = &cache {
+        let cache = Arc::clone(cache);
+        db.set_write_observer(move |event| cache.invalidate(event));
     }
 
     // Each pool's queue and stats block exist before the pool itself so
@@ -306,8 +310,10 @@ fn start(
     stats.register_into(&registry);
     register_page_tracker(&registry, &tracker);
     register_plan_observer(&registry, &db);
-    if let Some(dc) = &doc_cache {
-        register_doc_cache(&registry, dc);
+    // The `doc_cache_*` families describe the hit path; a ladder-only
+    // cache exports none.
+    if let Some(cache) = cache.as_ref().filter(|_| serve_hits) {
+        register_doc_cache(&registry, cache);
     }
 
     // Table 1 needs two dynamic pools to choose between; a map that
@@ -352,8 +358,8 @@ fn start(
         scheduler,
         budget: config.request_deadline,
         retry,
-        stale,
-        doc_cache,
+        cache,
+        serve_hits,
         readiness: Arc::clone(&readiness),
         breaker: breaker.clone(),
         registry: Arc::clone(&registry),
@@ -627,33 +633,6 @@ fn register_plan_observer(registry: &Registry, db: &Arc<Database>) {
         if let Some((_, h)) = hists.iter().find(|(k, _)| *k == node) {
             h.record(elapsed);
         }
-    });
-}
-
-/// Invalidates both response caches for one write event, document cache
-/// first. The order is load-bearing: the doc cache is the authoritative
-/// fast path, so it must be purged before the stale fallback. Flipping
-/// the order opens a window where the stale cache is already clean but
-/// the doc cache still serves the outdated page — a reader that sees the
-/// stale cache empty can then observe a doc-cache hit for data the write
-/// already superseded. Routing every caller through this helper keeps
-/// the direction in one place, where the model checker can flip it and
-/// watch a concurrent reader observe that incoherent state.
-pub(crate) fn invalidate_caches(
-    dc: Option<&DocCache>,
-    sc: &StaleCache,
-    event: &staged_db::WriteEvent,
-) {
-    staged_sync::mutant!("core_invalidate_nesting_flip" => {
-        sc.invalidate(event);
-        if let Some(dc) = dc {
-            dc.invalidate(event);
-        }
-    } else {
-        if let Some(dc) = dc {
-            dc.invalidate(event);
-        }
-        sc.invalidate(event);
     });
 }
 

@@ -1,17 +1,16 @@
 //! The pipeline's stage functions: parse (with the probe endpoints and
-//! the document-cache hit path), static, dynamic and render. Each takes
+//! the cache hit path), static, dynamic and render. Each takes
 //! the job's connection and trace, does its work on the calling thread,
 //! and returns the next [`Job`] — or the result of [`Core::respond`] —
 //! for [`Core::drive`] to place.
 
 use crate::app::{PageOutcome, Route};
-use crate::doccache::Lookup;
+use crate::doccache::{write_key, Lookup};
 use crate::error::AppError;
 use crate::health::{self, HealthView};
 use crate::overload::{overload_response, DbSlot};
 use crate::pipeline::{CacheSlot, Conn, Core, DynWork, Job, RenderWork, Work};
 use crate::scheduler::{DynamicPoolChoice, RequestClass};
-use crate::stale;
 use crate::stats::{RequestKind, ServerStats};
 use staged_db::{PooledConnection, ReadSet};
 use staged_http::{
@@ -73,54 +72,57 @@ impl Core {
             Some((r, _)) => (Some(r.name.clone()), r.cacheable),
             None => (None, false),
         };
-        // Only GETs of cache-marked routes may ever be served from a
-        // cache (document or stale), and only when one is on. The key
-        // is built in the thread's reusable buffer; a document-cache
-        // hit is answered right here — no DB checkout, no render, no
-        // allocation — and only a miss pays for the owned key the job
-        // carries downstream.
-        let caching = self.doc_cache.is_some() || self.stale.enabled();
-        let cache = if cacheable && caching && request.method() == Method::Get {
-            enum KeyOutcome {
-                Hit(Arc<Response>),
-                Miss(String),
-            }
-            let mut snapshot = 0u64;
-            let outcome = KEY_BUF.with(|buf| {
-                let mut buf = buf.borrow_mut();
-                // lint: hot_path — cache-hit serve: key derivation reuses
-                // the per-thread buffer; a hit costs one map probe and an
-                // Arc bump before the vectored write in `respond`.
-                stale::write_key(
-                    &mut buf,
-                    page.as_deref().unwrap_or_default(),
-                    &request.params,
-                );
-                if let Some(dc) = &self.doc_cache {
-                    match dc.lookup(&buf) {
-                        Lookup::Hit(response) => return KeyOutcome::Hit(response),
-                        Lookup::Miss(taken) => snapshot = taken,
-                    }
+        // Only GETs of cache-marked routes may ever be served from the
+        // cache, and only when the model has one. The key is built in
+        // the thread's reusable buffer; a fresh hit (when the cache
+        // serves hits) is answered right here — no DB checkout, no
+        // render, no allocation — and only a miss pays for the owned
+        // key the job carries downstream. Ladder-only requests take the
+        // epoch snapshot too, so their publish has the same race guard.
+        let cache = match &self.cache {
+            Some(dc) if cacheable && request.method() == Method::Get => {
+                enum KeyOutcome {
+                    Hit(Arc<Response>),
+                    Miss(String),
                 }
-                // lint: end_hot_path
-                KeyOutcome::Miss(buf.clone())
-            });
-            match outcome {
-                KeyOutcome::Hit(response) => {
-                    return self.respond(
-                        conn,
-                        trace,
-                        request.method(),
-                        &response,
-                        request.keep_alive(),
-                        Some(RequestKind::QuickDynamic),
-                        page.as_deref(),
+                let mut snapshot = 0u64;
+                let outcome = KEY_BUF.with(|buf| {
+                    let mut buf = buf.borrow_mut();
+                    // lint: hot_path — cache-hit serve: key derivation reuses
+                    // the per-thread buffer; a hit costs one map probe and an
+                    // Arc bump before the vectored write in `respond`.
+                    write_key(
+                        &mut buf,
+                        page.as_deref().unwrap_or_default(),
+                        &request.params,
                     );
+                    if self.serve_hits {
+                        match dc.lookup(&buf) {
+                            Lookup::Hit(response) => return KeyOutcome::Hit(response),
+                            Lookup::Miss(taken) => snapshot = taken,
+                        }
+                    } else {
+                        snapshot = dc.epoch();
+                    }
+                    // lint: end_hot_path
+                    KeyOutcome::Miss(buf.clone())
+                });
+                match outcome {
+                    KeyOutcome::Hit(response) => {
+                        return self.respond(
+                            conn,
+                            trace,
+                            request.method(),
+                            &response,
+                            request.keep_alive(),
+                            Some(RequestKind::QuickDynamic),
+                            page.as_deref(),
+                        );
+                    }
+                    KeyOutcome::Miss(key) => Some(CacheSlot { key, snapshot }),
                 }
-                KeyOutcome::Miss(key) => Some(CacheSlot { key, snapshot }),
             }
-        } else {
-            None
+            _ => None,
         };
 
         // Classification and Table 1 dispatch. Without a scheduler the
@@ -266,11 +268,10 @@ impl Core {
             merged = merge_captures(&request, &captures);
             &merged
         };
-        // Collect the handler's read set when some cache will tag an
+        // Collect the handler's read set when the cache will tag an
         // entry with it. The slot re-arms tracking across connection
         // replacement, and a lost set (starved re-checkout) just means
-        // the render is cached conservatively or not at all — never
-        // served stale.
+        // the render is not cached — never served stale.
         if cache.is_some() {
             slot.begin_read_tracking();
         }
@@ -307,16 +308,15 @@ impl Core {
                 });
             }
             Ok(PageOutcome::Body(response)) => {
-                // Cache-marked pre-rendered pages join the stale ladder
-                // (and the document cache) too — but only plain HTML
-                // 200s, because a stale hit is rehydrated as
-                // `Response::html`.
+                // Cache-marked pre-rendered pages are cached too — but
+                // only plain HTML 200s, because a stale copy is
+                // rehydrated as `Response::html`.
                 if let Some(slot) = &cache {
                     if response.status() == StatusCode::OK
                         && response.headers().get("content-type")
                             == Some("text/html; charset=utf-8")
                     {
-                        self.retain(slot, &response, &reads);
+                        self.publish(slot, &response, &reads);
                     }
                 }
                 response
@@ -327,11 +327,11 @@ impl Core {
                 // handler bug gets. The degradation ladder: serve a
                 // stale copy if one exists, 503 only without one.
                 trace.note(TraceEvent::Unavailable);
-                match cache.as_ref().and_then(|c| self.stale.get(&c.key)) {
-                    Some(hit) => {
+                match cache.as_ref().and_then(|c| self.stale_copy(c)) {
+                    Some(response) => {
                         self.stats.degraded.increment();
                         trace.note(TraceEvent::StaleServed);
-                        hit.response()
+                        response
                     }
                     None => {
                         if cache.is_some() {
@@ -364,7 +364,7 @@ impl Core {
         let started = Instant::now();
         // The zero-copy hot path: render into a pooled buffer, freeze
         // it into a shared body, and hand that same allocation to the
-        // caches and the connection writer.
+        // cache and the connection writer.
         let mut buf = staged_http::BufferPool::global().get();
         let templates = self.app.templates();
         let response = match templates.render_into(&work.name, &work.context, &mut buf) {
@@ -372,7 +372,7 @@ impl Core {
                 self.app.charge_render(buf.len());
                 let response = Response::html(buf.freeze());
                 if let Some(slot) = &work.cache {
-                    self.retain(slot, &response, &work.reads);
+                    self.publish(slot, &response, &work.reads);
                 }
                 response
             }
@@ -395,14 +395,12 @@ impl Core {
         )
     }
 
-    /// Retains a finished page for the stale ladder and publishes it
-    /// for healthy-path reuse, tagged with what it read. `publish`
-    /// discards it if a write to a dependent table landed after this
-    /// request's snapshot.
-    fn retain(&self, slot: &CacheSlot, response: &Response, reads: &Option<Arc<ReadSet>>) {
-        self.stale
-            .put_tagged(&slot.key, response.body_shared(), reads.clone());
-        if let (Some(dc), Some(reads)) = (&self.doc_cache, reads) {
+    /// Publishes a finished page to the cache, tagged with what it
+    /// read. The cache discards it if a write to a dependent table
+    /// landed after this request's snapshot; a render without a read
+    /// set is not cached at all.
+    fn publish(&self, slot: &CacheSlot, response: &Response, reads: &Option<Arc<ReadSet>>) {
+        if let (Some(dc), Some(reads)) = (&self.cache, reads) {
             dc.publish(
                 &slot.key,
                 Arc::new(response.clone()),

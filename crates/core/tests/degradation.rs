@@ -45,7 +45,9 @@ fn test_breaker() -> BreakerConfig {
 
 /// Two template-rendered query pages — `/books` marked stale-cacheable,
 /// `/uncached` not — plus a cache-marked page that is never fetched
-/// while healthy (`/never_warm`), to prove the 503 rung.
+/// while healthy (`/never_warm`), to prove the 503 rung, and an
+/// uncached page that always holds its dynamic worker for 400 ms
+/// (`/slow`).
 fn ladder_app(slow: Arc<AtomicBool>) -> App {
     let templates = Arc::new(TemplateStore::new());
     templates
@@ -69,6 +71,10 @@ fn ladder_app(slow: Arc<AtomicBool>) -> App {
         .route("/books", "books", query(Some(Arc::clone(&slow))))
         .route("/uncached", "uncached", query(Some(slow)))
         .route("/never_warm", "never_warm", query(None))
+        .route("/slow", "slow", |_req, _db| {
+            std::thread::sleep(Duration::from_millis(400));
+            Ok(PageOutcome::Body(staged_http::Response::html("slow")))
+        })
         .stale_cacheable("/books")
         .stale_cacheable("/never_warm")
         .build()
@@ -115,7 +121,7 @@ fn staged_ladder_outage_brownout_recovery() {
     .unwrap();
 
     // Rung 1 — healthy: a fresh render, no staleness markers, and the
-    // response warms the stale cache.
+    // response warms the response cache.
     let fresh = fetch(server.addr(), Method::Get, "/books", &[]).unwrap();
     assert_eq!(fresh.status, StatusCode::OK);
     assert!(fresh.headers.get("warning").is_none());
@@ -192,7 +198,7 @@ fn baseline_breaker_fails_fast_and_recovers_without_stale() {
     let shed = fetch_until(&server, "/books", "a breaker-open 503", |r| {
         r.status == StatusCode::SERVICE_UNAVAILABLE
     });
-    // No stale cache on the baseline — the paper's comparison model
+    // No response cache on the baseline — the paper's comparison model
     // stays untouched; outage requests get the 503 rung directly.
     assert!(shed.headers.get("warning").is_none());
     assert!(shed.headers.get("retry-after").is_some());
@@ -257,6 +263,56 @@ fn expired_render_jobs_downgrade_to_stale_not_fresh_render() {
         r.status != StatusCode::OK
     });
     assert_eq!(resp.status, StatusCode::SERVICE_UNAVAILABLE);
+    server.shutdown().expect("clean shutdown");
+}
+
+/// Deadline propagation into the dynamic queues: with every general
+/// dynamic worker parked on a slow uncached page, a warmed cache-marked
+/// page spends its whole budget waiting in the general queue. It is
+/// downgraded to its stale copy (and the connection closed), not
+/// answered `503` while a valid copy exists.
+#[test]
+fn expired_dynamic_jobs_downgrade_to_stale() {
+    let mut config = ServerConfig::small();
+    config.request_deadline = Some(Duration::from_millis(100));
+    let general_workers = config.general_workers;
+    let server = StagedServer::start(
+        config,
+        ladder_app(Arc::new(AtomicBool::new(false))),
+        demo_db(),
+    )
+    .unwrap();
+    let addr = server.addr();
+    let fresh = fetch(addr, Method::Get, "/books", &[]).unwrap();
+    assert_eq!(fresh.status, StatusCode::OK);
+
+    // An unmeasured page classifies quick, so every `/slow` goes to
+    // the general pool: one per worker, plus one queued.
+    let parked: Vec<_> = (0..=general_workers)
+        .map(|_| std::thread::spawn(move || fetch(addr, Method::Get, "/slow", &[])))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server
+        .pool_snapshots()
+        .iter()
+        .find(|p| p.name == "general-dynamic")
+        .map_or(0, |p| p.busy)
+        < general_workers
+    {
+        assert!(Instant::now() < deadline, "general pool never filled");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let resp = fetch(addr, Method::Get, "/books", &[]).unwrap();
+    assert_eq!(resp.status, StatusCode::OK, "expired in the general queue");
+    assert_eq!(resp.headers.get("warning"), Some(STALE_WARNING));
+    assert_eq!(resp.headers.get("connection"), Some("close"));
+    assert_eq!(resp.body, b"<ul>2 books</ul>");
+    assert!(server.stats().deadline_expired.value() >= 1);
+    assert!(server.stats().degraded.value() >= 1);
+    for p in parked {
+        let _ = p.join().expect("a /slow client thread panicked");
+    }
     server.shutdown().expect("clean shutdown");
 }
 

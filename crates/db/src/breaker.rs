@@ -131,7 +131,7 @@ enum Inner {
     },
 }
 
-/// A per-pool circuit breaker (see the [module docs](self)).
+/// A per-pool circuit breaker (see the `breaker` module docs).
 ///
 /// # Examples
 ///

@@ -137,10 +137,10 @@ impl TableRead {
 
 /// Which tables (and which rows of them) a request's statements read.
 ///
-/// Collected per statement by [`Database::execute_tracked`]
-/// (see [`crate::Database::execute_tracked`]) and merged across a
-/// request by [`PooledConnection`](crate::PooledConnection)'s tracking
-/// mode.
+/// Collected per statement by
+/// [`Database::execute_tracked`](crate::Database::execute_tracked) and
+/// merged across a request by
+/// [`PooledConnection`](crate::PooledConnection)'s tracking mode.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReadSet {
     reads: Vec<TableRead>,
@@ -335,8 +335,8 @@ impl Changes {
 }
 
 /// A subscriber to committed mutations, installed with
-/// [`Database::set_write_observer`]
-/// (see [`crate::Database::set_write_observer`]). Called with **zero
+/// [`Database::set_write_observer`](crate::Database::set_write_observer).
+/// Called with **zero
 /// database locks held**, so observers may take their own locks freely.
 pub type WriteObserver = Arc<dyn Fn(&WriteEvent) + Send + Sync>;
 

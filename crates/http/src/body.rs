@@ -4,7 +4,7 @@
 //! request. Two allocation habits make that path expensive:
 //!
 //! 1. every render grows a fresh `String`/`Vec` from zero, and
-//! 2. every consumer (stale cache, writer, HEAD handler) that wants the
+//! 2. every consumer (response cache, writer, HEAD handler) that wants the
 //!    body after the render copies it.
 //!
 //! This module removes both. A [`BufferPool`] recycles body-sized

@@ -79,8 +79,8 @@ struct Entry {
     value: Value,
 }
 
-/// A registry of named metrics with labels; see the [module
-/// docs](self) for the naming rules and an example.
+/// A registry of named metrics with labels; see the `registry` module
+/// docs for the naming rules and an example.
 ///
 /// Cheap to share behind an `Arc`; registration normally happens once at
 /// server start, scrapes clone the (small) entry list and read every

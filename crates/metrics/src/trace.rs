@@ -255,8 +255,8 @@ struct HubInner {
     duration: Arc<Histogram>,
 }
 
-/// The aggregation point for finished [`Trace`]s; see the [module
-/// docs](self). Cheap to clone (one `Arc`).
+/// The aggregation point for finished [`Trace`]s; see the `trace`
+/// module docs. Cheap to clone (one `Arc`).
 #[derive(Clone)]
 pub struct TraceHub {
     inner: Arc<HubInner>,

@@ -4,7 +4,7 @@
 //! types are the std types, so the cost is zero by construction. Under
 //! `RUSTFLAGS="--cfg model"` the integer/bool atomics are replaced by
 //! newtype wrappers that report every access to the model scheduler
-//! ([`crate::model`]) as a schedule point, letting the checker explore
+//! (`staged_sync::model`) as a schedule point, letting the checker explore
 //! interleavings around lock-free code too.
 //!
 //! The xtask lint bans `use std::sync::atomic` outside `crates/sync`
