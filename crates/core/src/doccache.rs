@@ -51,7 +51,7 @@ pub(crate) const HIT_CAPACITY: usize = 1024;
 pub(crate) const LADDER_CAPACITY: usize = 256;
 
 /// The RFC 7234 warning attached to every stale response.
-const STALE_WARNING: &str = "110 - \"Response is Stale\"";
+pub(crate) const STALE_WARNING: &str = "110 - \"Response is Stale\"";
 
 /// One cached rendered page.
 struct CacheEntry {
@@ -351,23 +351,23 @@ pub fn write_key(out: &mut String, page: &str, params: &[(String, String)]) {
 // lint: end_hot_path
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use staged_db::{Database, DbValue};
 
     /// A read of the whole `item` table and a read of its row 1.
-    const SCAN: &str = "SELECT COUNT(*) FROM item";
-    const ROW1: &str = "SELECT v FROM item WHERE id = 1";
-    const WRITE_ROW1: &str = "UPDATE item SET v = 11 WHERE id = 1";
+    pub(crate) const SCAN: &str = "SELECT COUNT(*) FROM item";
+    pub(crate) const ROW1: &str = "SELECT v FROM item WHERE id = 1";
+    pub(crate) const WRITE_ROW1: &str = "UPDATE item SET v = 11 WHERE id = 1";
     const INSERT_ROW2: &str = "INSERT INTO item (id, v) VALUES (2, 20)";
 
-    fn page(body: &str) -> Arc<Response> {
+    pub(crate) fn page(body: &str) -> Arc<Response> {
         Arc::new(Response::html(body.to_string()))
     }
 
     /// Publishes `body` under `key`, tagged with what `sql` reads, with
     /// a current epoch snapshot.
-    fn put(cache: &DocCache, key: &str, body: Arc<Response>, sql: &str) {
+    pub(crate) fn put(cache: &DocCache, key: &str, body: Arc<Response>, sql: &str) {
         assert!(cache.publish(key, body, reads_for(sql), cache.epoch()));
     }
 
@@ -387,7 +387,7 @@ mod tests {
         Arc::new(rs)
     }
 
-    fn event_for(db_sql: &str) -> WriteEvent {
+    pub(crate) fn event_for(db_sql: &str) -> WriteEvent {
         let db = Database::new();
         db.execute("CREATE TABLE item (id INT PRIMARY KEY, v INT)", &[])
             .unwrap();
@@ -485,10 +485,6 @@ mod tests {
         put(&cache, "k", page("x"), SCAN);
         std::thread::sleep(Duration::from_millis(2));
         assert!(matches!(cache.lookup("k"), Lookup::Miss(_)));
-        assert!(
-            cache.lookup_stale("k").is_none(),
-            "expired for the ladder too"
-        );
     }
 
     #[test]
@@ -500,35 +496,7 @@ mod tests {
         }
         assert_eq!(cache.len(), 2);
         assert!(matches!(cache.lookup("a"), Lookup::Miss(_)), "oldest out");
-        assert!(cache.lookup_stale("a").is_none());
-        assert!(cache.lookup_stale("b").is_some());
         assert!(matches!(cache.lookup("c"), Lookup::Hit(_)));
-    }
-
-    #[test]
-    fn refresh_updates_in_place_without_eviction() {
-        let cache = DocCache::new(Duration::from_secs(60), 2);
-        put(&cache, "a", page("1"), SCAN);
-        put(&cache, "b", page("2"), SCAN);
-        put(&cache, "a", page("1-new"), SCAN);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.lookup_stale("a").unwrap().body(), b"1-new");
-        assert!(cache.lookup_stale("b").is_some());
-    }
-
-    #[test]
-    fn write_evicts_dependent_entries_only() {
-        let cache = DocCache::new(Duration::from_secs(60), 8);
-        put(&cache, "item?id=1", page("one"), ROW1);
-        put(
-            &cache,
-            "item?id=2",
-            page("two"),
-            "SELECT v FROM item WHERE id = 2",
-        );
-        cache.invalidate(&event_for(WRITE_ROW1));
-        assert!(cache.lookup_stale("item?id=1").is_none(), "dependent");
-        assert!(cache.lookup_stale("item?id=2").is_some(), "independent");
     }
 
     #[test]
@@ -541,55 +509,5 @@ mod tests {
         };
         assert!(Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&a, &published));
-        let stale = cache.lookup_stale("k").unwrap();
-        assert_eq!(stale.body().as_ptr(), published.body().as_ptr());
-    }
-
-    #[test]
-    fn stale_hit_within_ttl_reports_age() {
-        let cache = DocCache::new(Duration::from_secs(60), 8);
-        assert!(cache.lookup_stale("home").is_none(), "cold cache");
-        put(&cache, "home", page("<h1>hi</h1>"), SCAN);
-        let resp = cache.lookup_stale("home").expect("valid entry");
-        assert_eq!(resp.body(), b"<h1>hi</h1>");
-        assert_eq!(resp.headers().get("warning"), Some(STALE_WARNING));
-        assert_eq!(resp.headers().get("age"), Some("0"));
-        assert_eq!(
-            (cache.hits(), cache.misses(), cache.bytes_served()),
-            (0, 0, 0),
-            "the ladder does not count as fresh traffic"
-        );
-    }
-
-    #[test]
-    fn write_key_matches_sort_then_emit() {
-        let params = [
-            ("y".to_string(), "2".to_string()),
-            ("x".to_string(), "1".to_string()),
-            ("y".to_string(), "2".to_string()),
-            ("a".to_string(), "0".to_string()),
-        ];
-        let mut sorted = params.to_vec();
-        sorted.sort_unstable();
-        let mut reference = String::from("page");
-        for (k, v) in &sorted {
-            reference.push('&');
-            reference.push_str(k);
-            reference.push('=');
-            reference.push_str(v);
-        }
-        let mut out = String::from("junk from a previous request");
-        write_key(&mut out, "page", &params);
-        assert_eq!(out, reference);
-        // Parameter order does not split entries.
-        let mut reversed = String::new();
-        write_key(
-            &mut reversed,
-            "page",
-            &sorted.into_iter().rev().collect::<Vec<_>>(),
-        );
-        assert_eq!(reversed, reference);
-        write_key(&mut out, "page", &[]);
-        assert_eq!(out, "page");
     }
 }

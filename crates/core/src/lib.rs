@@ -131,3 +131,10 @@ pub use staged_metrics::{Registry, Snapshot};
 pub use staged_db::{
     BreakerConfig, BreakerState, CircuitBreaker, DurabilityConfig, DurabilityStatus, FsyncPolicy,
 };
+
+/// The degradation ladder's stale lookup ([`DocCache::lookup_stale`])
+/// and the cache key both lookups share ([`write_key`]).
+#[cfg(test)]
+mod stale {
+    mod tests;
+}
