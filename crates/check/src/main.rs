@@ -76,6 +76,12 @@ const MATRIX: &[(&str, &str, &str, &str)] = &[
         "governor_slot_released_on_drop",
     ),
     (
+        "dispatch_split_claim",
+        "staged-check",
+        "model_suite",
+        "dispatch_claims_general_threads_atomically",
+    ),
+    (
         "readset_skip_after_image",
         "staged-db",
         "plan_suite",

@@ -14,7 +14,9 @@
 #![cfg(model)]
 
 use staged_core::model_fixtures as corefix;
-use staged_core::{DocCache, GovernorConfig, Lookup, RequestKind, ServerStats};
+use staged_core::{
+    DocCache, GovernorConfig, Lookup, RequestClass, RequestKind, ReserveController, ServerStats,
+};
 use staged_db::model_fixtures::ModelWal;
 use staged_db::{ConnectionPool, CrashPlan, Database, FsyncPolicy, ReadSet, WriteEvent};
 use staged_http::Response;
@@ -162,7 +164,7 @@ fn doccache_serves_only_current_data() {
             let (truth, dc) = (Arc::clone(&truth), Arc::clone(&dc));
             model::spawn("writer", move || {
                 truth.store(1, Ordering::Release);
-                dc.invalidate(&event("item"));
+                corefix::invalidate(&dc, &event("item"));
             })
         };
         render.join();
@@ -287,6 +289,41 @@ fn governor_slot_released_on_drop() {
         );
         assert_eq!(gov.open(), 1, "only the fresh permit should be open");
         drop(fresh);
+    });
+}
+
+// ---------------------------------------------------------------------
+// Protocol 6: Table 1 dispatch claims general threads atomically
+// ---------------------------------------------------------------------
+
+/// Two header workers dispatch a lengthy request each at the same time
+/// to a two-thread general pool whose reserve is one: only one thread
+/// is above the reserve, so exactly one request may take it and the
+/// other goes to the lengthy pool. Kills `dispatch_split_claim` (both
+/// read `t_spare` = 2 before either claim counts, and both spill onto
+/// the general pool).
+#[test]
+fn dispatch_claims_general_threads_atomically() {
+    let cfg = Config::random("dispatch_claims_atomically", 200);
+    model::explore(&cfg, || {
+        let general = Arc::new(corefix::SpareThreads::new(2));
+        let controller = Arc::new(ReserveController::new(1));
+        let headers: Vec<_> = (0..2)
+            .map(|_| {
+                let (general, controller) = (Arc::clone(&general), Arc::clone(&controller));
+                model::spawn("header", move || {
+                    general.dispatch(&controller, RequestClass::Lengthy)
+                })
+            })
+            .collect();
+        let claims: Vec<_> = headers.into_iter().map(|h| h.join()).collect();
+        assert_eq!(
+            claims.iter().flatten().count(),
+            1,
+            "a lengthy burst took a reserved general thread"
+        );
+        drop(claims);
+        assert_eq!(general.spare(), 2, "a dropped claim must free its thread");
     });
 }
 

@@ -239,7 +239,7 @@ impl DocCache {
     /// in-flight renders that read the old data cannot publish) and
     /// evicts every entry whose read-set the write intersects. The
     /// server's database write observer calls this for every mutation.
-    pub fn invalidate(&self, event: &WriteEvent) {
+    pub(crate) fn invalidate(&self, event: &WriteEvent) {
         let mut state = self.state.write();
         state.epoch += 1;
         let epoch = state.epoch;

@@ -87,14 +87,53 @@ pub use stats::{RequestKind, ServerStats, ShedPoint, StatsSnapshot};
 /// Crate-private protocol objects wrapped for the model checker.
 ///
 /// The concurrency model suite (`crates/check`) drives the connection
-/// governor directly under the cooperative scheduler. It is
+/// governor, the cache's write invalidation and the Table 1 dispatch
+/// claim directly under the cooperative scheduler. Those are
 /// deliberately `pub(crate)` in release builds, so this module — which
-/// exists only under `--cfg model` — exposes a thin wrapper instead of
+/// exists only under `--cfg model` — exposes thin wrappers instead of
 /// widening the production API.
 #[cfg(model)]
 pub mod model_fixtures {
     use crate::governor::{ConnPermit, ConnectionGovernor};
+    use crate::pipeline;
+    use crate::{DocCache, RequestClass, ReserveController};
+    use staged_db::WriteEvent;
     use std::net::IpAddr;
+    use std::sync::Arc;
+
+    /// Applies one committed write to `cache`, as the server's database
+    /// write observer does.
+    pub fn invalidate(cache: &DocCache, event: &WriteEvent) {
+        cache.invalidate(event);
+    }
+
+    /// Wraps the general dynamic pool's Table 1 thread count.
+    pub struct SpareThreads(Arc<pipeline::SpareThreads>);
+
+    /// A claimed general-pool thread; released on drop.
+    pub struct Claim(#[allow(dead_code)] pipeline::Claim);
+
+    impl SpareThreads {
+        /// A general pool of `workers` threads, none claimed.
+        pub fn new(workers: usize) -> Self {
+            SpareThreads(Arc::new(pipeline::SpareThreads::new(workers)))
+        }
+
+        /// Dispatches one request: a claim on a general thread, or
+        /// `None` for the lengthy pool.
+        pub fn dispatch(
+            &self,
+            controller: &ReserveController,
+            class: RequestClass,
+        ) -> Option<Claim> {
+            self.0.dispatch(controller, class).map(Claim)
+        }
+
+        /// The live `t_spare`.
+        pub fn spare(&self) -> usize {
+            self.0.spare()
+        }
+    }
 
     /// Wraps [`ConnectionGovernor`] for model tests.
     pub struct Governor(ConnectionGovernor);

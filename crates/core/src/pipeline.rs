@@ -26,13 +26,13 @@ use crate::doccache::DocCache;
 use crate::governor::{ConnectionGovernor, GovernedStream};
 use crate::health::Readiness;
 use crate::overload::{drain_before_close, overload_response, DbSlot, RetryEstimator};
-use crate::scheduler::{ReserveController, ServiceTimeTracker};
+use crate::scheduler::{DynamicPoolChoice, RequestClass, ReserveController, ServiceTimeTracker};
 use crate::stats::{RequestKind, ServerStats, ShedPoint};
 use staged_db::{CircuitBreaker, Database, ReadSet};
 use staged_http::{Connection, HttpError, Method, Request, RequestLine, Response};
 use staged_metrics::{Histogram, Registry, Stage, Trace, TraceEvent, TraceHub, TraceOutcome};
 use staged_pool::{PoolStats, PushError, SyncQueue};
-use staged_sync::atomic::{AtomicBool, Ordering};
+use staged_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use staged_templates::Context;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,39 +89,97 @@ impl StageMap {
 
 /// One pool as the pipeline sees it: where to push, whom to charge a
 /// rejection to, and where a stage execution's service time goes.
-#[derive(Clone)]
 pub(crate) struct PoolPort {
     pub queue: Arc<SyncQueue<Job>>,
     pub stats: Arc<PoolStats>,
     /// `stage_service_seconds{stage=…}`: one sample per request per
     /// visit to this pool, recorded by [`Core::drive`].
     pub service: Arc<Histogram>,
-    pub workers: usize,
-}
-
-impl PoolPort {
-    /// Idle threads in this pool — the live `t_spare` when called on
-    /// the general dynamic pool.
-    ///
-    /// Jobs already queued but not yet popped count as committed — the
-    /// busy gauge alone lags dispatch, so a burst of lengthy requests
-    /// arriving at an idle server would all read a stale spare count
-    /// and spill onto the general pool together, starving the quick
-    /// traffic the reserve exists to protect.
-    pub(crate) fn spare(&self) -> usize {
-        let busy = usize::try_from(self.stats.busy.value().max(0)).unwrap_or(0);
-        self.workers
-            .saturating_sub(busy)
-            .saturating_sub(self.queue.len())
-    }
 }
 
 /// The paper's Table 1 dispatcher; present only when the map gives the
 /// general and lengthy stages pools of their own.
 pub(crate) struct Scheduler {
     pub controller: Arc<ReserveController>,
-    /// The general dynamic pool, whose idle threads are `t_spare`.
-    pub general: PoolPort,
+    /// The general dynamic pool's threads, whose unclaimed count is
+    /// `t_spare`.
+    pub general: Arc<SpareThreads>,
+}
+
+/// The general dynamic pool's threads as Table 1 counts them: `t_spare`
+/// is the pool size minus the jobs dispatched to it and not yet done.
+///
+/// Reading `t_spare` and claiming a thread are one compare-and-swap, so
+/// header workers dispatching a burst at once each see the claims of
+/// the others: the burst cannot all read the same `t_spare` and spill
+/// onto every general thread, starving the quick traffic the reserve
+/// exists to protect.
+pub(crate) struct SpareThreads {
+    workers: usize,
+    /// Jobs dispatched to the pool and not yet done: a count that
+    /// publishes no other data, so no ordering pairs with it.
+    claimed: AtomicUsize,
+}
+
+/// One general-pool thread claimed by a dispatched job. Dropping it —
+/// when the job's dynamic stage returns, or the job is shed or expires
+/// on the way — returns the thread to `t_spare`.
+pub(crate) struct Claim(Arc<SpareThreads>);
+
+impl SpareThreads {
+    pub(crate) fn new(workers: usize) -> Self {
+        SpareThreads {
+            workers,
+            claimed: AtomicUsize::new(0),
+        }
+    }
+
+    /// The live `t_spare`.
+    pub(crate) fn spare(&self) -> usize {
+        self.workers
+            .saturating_sub(self.claimed.load(Ordering::Acquire))
+    }
+
+    /// Applies Table 1 to one request: a claim on a general thread, or
+    /// `None` when the request belongs in the lengthy pool.
+    pub(crate) fn dispatch(
+        self: &Arc<Self>,
+        controller: &ReserveController,
+        class: RequestClass,
+    ) -> Option<Claim> {
+        staged_sync::mutant!("dispatch_split_claim" => {
+            // broken: decide on one read of t_spare and count the claim
+            // separately — concurrent dispatchers read the same t_spare
+            if controller.dispatch(class, self.spare()) == DynamicPoolChoice::Lengthy {
+                return None;
+            }
+            self.claimed.fetch_add(1, Ordering::AcqRel);
+            Some(Claim(Arc::clone(self)))
+        } else {
+            let mut claimed = self.claimed.load(Ordering::Acquire);
+            loop {
+                let spare = self.workers.saturating_sub(claimed);
+                if controller.dispatch(class, spare) == DynamicPoolChoice::Lengthy {
+                    return None;
+                }
+                match self.claimed.compare_exchange(
+                    claimed,
+                    claimed + 1,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                ) {
+                    Ok(_) => return Some(Claim(Arc::clone(self))),
+                    Err(now) => claimed = now,
+                }
+            }
+        })
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        self.0.claimed.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// A connection between stages, with whatever the next stage needs.
@@ -192,6 +250,9 @@ pub(crate) struct DynWork {
     pub kind: RequestKind,
     /// The Table 1 dispatch decision.
     pub lengthy: bool,
+    /// The general-pool thread a request dispatched there holds until
+    /// its dynamic stage returns.
+    pub claim: Option<Claim>,
     pub cache: Option<CacheSlot>,
 }
 

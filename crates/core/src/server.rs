@@ -13,7 +13,7 @@ use crate::governor::{ConnectionGovernor, GovernedStream};
 use crate::handle::{FaultFn, ServerHandle, ShutdownError, ShutdownFn};
 use crate::health::Readiness;
 use crate::overload::{ChaosAction, DbSlot, RetryEstimator};
-use crate::pipeline::{Core, Job, Place, PoolPort, Scheduler, StageMap};
+use crate::pipeline::{Core, Job, Place, PoolPort, Scheduler, SpareThreads, StageMap};
 use crate::scheduler::{ReserveController, ServiceTimeTracker};
 use crate::stats::{ServerStats, ShedPoint};
 use staged_db::{ConnectionPool, Database};
@@ -288,9 +288,8 @@ fn start(
     }
 
     // Each pool's queue and stats block exist before the pool itself so
-    // the pipeline can push to it, charge hand-off rejections to it,
-    // and read the general pool's busy gauge (the t_spare signal). This
-    // loop, the server counters and the collectors below are the whole
+    // the pipeline can push to it and charge hand-off rejections to it.
+    // This loop, the server counters and the collectors below are the whole
     // `/metrics` surface.
     let pools: Vec<PoolPort> = model
         .pools
@@ -300,7 +299,6 @@ fn start(
                 queue: Arc::new(SyncQueue::bounded(spec.bound)),
                 stats: Arc::new(PoolStats::default()),
                 service: registry.histogram("stage_service_seconds", &[("stage", spec.stage)]),
-                workers: spec.workers,
             };
             register_stage(&registry, spec.stage, &port.queue);
             register_pool(&registry, spec.pool, &port.stats);
@@ -325,9 +323,9 @@ fn start(
                     config.min_reserve,
                     config.max_reserve,
                 )),
-                general: pools[general].clone(),
+                general: Arc::new(SpareThreads::new(model.pools[general].workers)),
             };
-            let general = s.general.clone();
+            let general = Arc::clone(&s.general);
             registry.gauge_fn("scheduler_t_spare", &[], move || general.spare() as f64);
             let c = Arc::clone(&s.controller);
             registry.gauge_fn("scheduler_t_reserve", &[], move || c.reserve() as f64);
@@ -400,7 +398,7 @@ fn start(
     let controller_thread = core.scheduler.as_ref().map(|s| {
         let stop = Arc::clone(&stop);
         let controller = Arc::clone(&s.controller);
-        let general = s.general.clone();
+        let general = Arc::clone(&s.general);
         let tick = config.controller_tick;
         std::thread::Builder::new()
             .name("reserve-controller".to_string())

@@ -10,7 +10,7 @@ use crate::error::AppError;
 use crate::health::{self, HealthView};
 use crate::overload::{overload_response, DbSlot};
 use crate::pipeline::{CacheSlot, Conn, Core, DynWork, Job, RenderWork, Work};
-use crate::scheduler::{DynamicPoolChoice, RequestClass};
+use crate::scheduler::RequestClass;
 use crate::stats::{RequestKind, ServerStats};
 use staged_db::{PooledConnection, ReadSet};
 use staged_http::{
@@ -136,17 +136,19 @@ impl Core {
             RequestClass::Lengthy => RequestKind::LengthyDynamic,
         };
         trace.classified(class == RequestClass::Lengthy);
-        let lengthy = match &self.scheduler {
+        let (lengthy, claim) = match &self.scheduler {
             Some(s) => {
-                s.controller.dispatch(class, s.general.spare()) == DynamicPoolChoice::Lengthy
+                let claim = s.general.dispatch(&s.controller, class);
+                (claim.is_none(), claim)
             }
-            None => class == RequestClass::Lengthy,
+            None => (class == RequestClass::Lengthy, None),
         };
         let work = Work::Dynamic(DynWork {
             request,
             page,
             kind,
             lengthy,
+            claim,
             cache,
         });
         Some(Job {
@@ -243,11 +245,13 @@ impl Core {
         work: DynWork,
         slot: &mut DbSlot,
     ) -> Option<Job> {
+        // The general-pool claim is held until this stage returns.
         let DynWork {
             request,
             page,
             kind,
             cache,
+            claim: _claim,
             ..
         } = work;
         let keep_alive = request.keep_alive();
