@@ -146,6 +146,62 @@ fn staged_metrics_exposition_is_valid_and_complete() {
     server.shutdown().expect("clean shutdown");
 }
 
+/// The server-counter schema, frozen: every series of the server's own
+/// counters is exported at `0` by a freshly started server of either
+/// model (a `/metrics` scrape is a probe, not a completion). Dashboards
+/// and the benchmark scrape these names, so they must not drift.
+#[test]
+fn server_counter_schema_is_frozen() {
+    let mut expected: Vec<String> = ["static", "quick-dynamic", "lengthy-dynamic"]
+        .iter()
+        .map(|class| format!("requests_completed_total{{class=\"{class}\"}} 0"))
+        .collect();
+    expected.extend(
+        [
+            "listener",
+            "static-stage",
+            "general",
+            "lengthy",
+            "render",
+            "keep-alive",
+        ]
+        .iter()
+        .map(|point| format!("sheds_total{{point=\"{point}\"}} 0")),
+    );
+    expected.extend(
+        [
+            "errors",
+            "dropped_connections",
+            "handler_panics",
+            "deadline_expired",
+            "pool_starved",
+            "chaos_killed",
+            "chaos_stalled",
+            "degraded",
+            "stale_misses",
+            "slowloris_kills",
+        ]
+        .iter()
+        .map(|name| format!("{name}_total 0")),
+    );
+    assert_eq!(expected.len(), 19);
+    for which in ["staged", "baseline"] {
+        let server = if which == "staged" {
+            StagedServer::start(ServerConfig::small(), demo_app(), demo_db()).unwrap()
+        } else {
+            BaselineServer::start(ServerConfig::small(), demo_app(), demo_db()).unwrap()
+        };
+        let text = scrape(&server);
+        for series in &expected {
+            assert!(
+                text.lines().any(|line| line == series),
+                "{which}: missing `{series}`\n{text}"
+            );
+        }
+        server.shutdown().expect("clean shutdown");
+    }
+}
+
 #[test]
 fn staged_slow_trace_ring_serves_json() {
     let server = StagedServer::start(ServerConfig::small(), demo_app(), demo_db()).unwrap();
