@@ -22,7 +22,6 @@ use staged_bench::{json_row, Experiment, Model};
 use staged_db::{BreakerConfig, FaultPlan};
 use staged_metrics::Snapshot;
 use staged_tpcw::run_workload;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// One phase row for the `--json` artifact, rendered through the shared
@@ -174,15 +173,12 @@ fn main() {
         let server = args.exp.start_server(model, db);
         for phase in &phases {
             server.set_fault_plan(phase.plan);
-            let stats = Arc::clone(server.stats());
-            let degraded_before = stats.degraded.value();
-            let misses_before = stats.stale_misses.value();
-            let restart = Arc::clone(&stats);
-            let report = run_workload(server.addr(), &args.exp.workload(), move || {
-                restart.restart_series();
-            });
-            let degraded = stats.degraded.value() - degraded_before;
-            let stale_misses = stats.stale_misses.value() - misses_before;
+            let count = |name| server.registry().value(name, &[]).unwrap_or(0.0) as u64;
+            let degraded_before = count("degraded_total");
+            let misses_before = count("stale_misses_total");
+            let report = run_workload(server.addr(), &args.exp.workload(), || {});
+            let degraded = count("degraded_total") - degraded_before;
+            let stale_misses = count("stale_misses_total") - misses_before;
             let opened = server.breaker().map_or(0, |b| b.opened_total());
             let panics: u64 = server.pool_snapshots().iter().map(|p| p.panicked).sum();
             println!(

@@ -178,7 +178,14 @@ fn main() {
             exp.ebs = args.base_ebs * level;
             let outcome = run_model(&exp, model, &[]);
             let report = &outcome.report;
-            let stats = outcome.server.stats();
+            let registry = outcome.server.registry();
+            let shed_at = |point: ShedPoint| {
+                let labels = [("point", point.label())];
+                registry.value("sheds_total", &labels).unwrap_or(0.0) as u64
+            };
+            let sheds = registry.family_sum("sheds_total") as u64;
+            let deadline_expired =
+                registry.value("deadline_expired_total", &[]).unwrap_or(0.0) as u64;
             let snapshots = outcome.server.pool_snapshots();
             let panics: u64 = snapshots.iter().map(|p| p.panicked).sum();
             println!(
@@ -190,23 +197,20 @@ fn main() {
                 report.shed_rate() * 100.0,
                 report.overall_p99_ms,
                 report.overall_mean_ms,
-                stats.total_sheds(),
+                sheds,
                 panics,
             );
             // Per-stage shed breakdown (server side), only when any.
-            if stats.total_sheds() > 0 {
+            if sheds > 0 {
                 let detail: Vec<String> = ShedPoint::ALL
                     .iter()
-                    .filter(|p| stats.shed(**p) > 0)
-                    .map(|p| format!("{p}={}", stats.shed(*p)))
+                    .filter(|p| shed_at(**p) > 0)
+                    .map(|p| format!("{p}={}", shed_at(*p)))
                     .collect();
                 println!("       sheds by stage: {}", detail.join(", "));
             }
-            if stats.deadline_expired.value() > 0 {
-                println!(
-                    "       deadline-expired: {}",
-                    stats.deadline_expired.value()
-                );
+            if deadline_expired > 0 {
+                println!("       deadline-expired: {deadline_expired}");
             }
             if !first_row {
                 json_rows.push(',');
@@ -219,8 +223,8 @@ fn main() {
                 shed_rate: report.shed_rate(),
                 p99_ms: report.overall_p99_ms,
                 mean_ms: report.overall_mean_ms,
-                sheds: stats.total_sheds(),
-                deadline_expired: stats.deadline_expired.value(),
+                sheds,
+                deadline_expired,
                 panics,
             };
             json_rows.push_str(&json_row(&[("model", model.label())], &row));

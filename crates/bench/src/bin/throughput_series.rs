@@ -15,7 +15,7 @@
 //! allocations/request against a previously written `--json` artifact
 //! and exits non-zero on a >20 % regression — the CI bench-smoke gate.
 
-use staged_bench::{json_row, print_series, run_model_with, Experiment, Model};
+use staged_bench::{json_row, print_series, run_model_with, Experiment, Model, RunOutcome};
 use staged_core::RequestKind;
 use staged_metrics::{SeriesPoint, Snapshot};
 use staged_sync::atomic::{AtomicU64, Ordering};
@@ -170,6 +170,14 @@ fn merge(a: &[SeriesPoint], b: &[SeriesPoint]) -> Vec<SeriesPoint> {
     out
 }
 
+/// Completions of both dynamic classes per bucket.
+fn dynamic(outcome: &RunOutcome) -> Vec<SeriesPoint> {
+    merge(
+        &outcome.completions[RequestKind::QuickDynamic.label()],
+        &outcome.completions[RequestKind::LengthyDynamic.label()],
+    )
+}
+
 struct ModelRow {
     model: Model,
     ebs: usize,
@@ -269,7 +277,10 @@ fn main() {
                     "Figure 9: total throughput per bucket, {} server",
                     model.label()
                 ),
-                &outcome.server.stats().total_series().counts_per_bucket(),
+                &merge(
+                    &outcome.completions[RequestKind::Static.label()],
+                    &dynamic(outcome),
+                ),
             );
         }
         for (kind, figure) in [
@@ -285,15 +296,9 @@ fn main() {
             ),
         ] {
             for (model, outcome) in &outcomes {
-                let stats = outcome.server.stats();
                 let series = match kind {
-                    Some(k) => stats.series(k).counts_per_bucket(),
-                    None => merge(
-                        &stats.series(RequestKind::QuickDynamic).counts_per_bucket(),
-                        &stats
-                            .series(RequestKind::LengthyDynamic)
-                            .counts_per_bucket(),
-                    ),
+                    Some(k) => outcome.completions[k.label()].clone(),
+                    None => dynamic(outcome),
                 };
                 print_series(&format!("{figure}, {} server", model.label()), &series);
             }

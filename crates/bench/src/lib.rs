@@ -9,16 +9,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use staged_core::{BaselineServer, ServerConfig, ServerHandle, StagedServer};
+use staged_core::{BaselineServer, RequestKind, ServerConfig, ServerHandle, StagedServer};
 use staged_db::{CostModel, Database};
-use staged_metrics::{SeriesPoint, Snapshot};
-use staged_pool::QueueSampler;
+use staged_metrics::{Registry, SeriesPoint, Snapshot, TimeSeries};
+use staged_pool::{QueueSampler, SamplerHandle};
 use staged_tpcw::{build_app, populate, run_workload, ScaleConfig, WorkloadConfig, WorkloadReport};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
+use staged_sync::atomic::{AtomicU64, Ordering};
 use staged_sync::{OrderedMutex, Rank};
 use std::collections::HashMap;
 
@@ -207,6 +208,15 @@ impl Experiment {
         }
     }
 
+    /// Width of the sampled series' buckets (queue lengths, and the
+    /// completions behind Figures 9 and 10): a twentieth of the
+    /// measurement interval, so a run of any length plots at the same
+    /// resolution — 1 s at the default 20 s (the paper: per-minute
+    /// buckets over a 50-minute window).
+    pub fn sample_interval(&self) -> Duration {
+        (self.measure / 20).max(Duration::from_millis(1))
+    }
+
     /// The workload configuration for this experiment.
     pub fn workload(&self) -> WorkloadConfig {
         WorkloadConfig {
@@ -224,32 +234,37 @@ impl Experiment {
 pub struct RunOutcome {
     /// Client-side per-page measurements (Tables 3 & 4).
     pub report: WorkloadReport,
-    /// The server handle's statistics, still alive for series export.
+    /// The server, still running, for registry reads.
     pub server: ServerHandle,
     /// Sampled queue-length traces by gauge name (Figures 7 & 8).
     pub queue_traces: BTreeMap<String, Vec<SeriesPoint>>,
+    /// Completions per bucket of the measurement interval, by
+    /// [`RequestKind::label`] (Figures 9 & 10).
+    pub completions: BTreeMap<&'static str, Vec<SeriesPoint>>,
 }
 
 /// Runs one model once: fresh database, fresh server, full workload.
-/// Queue gauges named in `trace_queues` are sampled at the server's
-/// stats bucket width.
+/// Queue gauges named in `trace_queues` are sampled from the start of
+/// ramp-up, completions from the start of measurement, both every
+/// [`Experiment::sample_interval`].
 pub fn run_model(exp: &Experiment, model: Model, trace_queues: &[&str]) -> RunOutcome {
     run_model_with(exp, model, trace_queues, || {})
 }
 
 /// [`run_model`] with an extra hook invoked at the exact start of the
-/// measurement interval (after ramp-up), on top of the built-in series
-/// restart. The throughput benchmark uses it to snapshot the global
+/// measurement interval (after ramp-up), just after completion sampling
+/// starts. The throughput benchmark uses it to snapshot the global
 /// allocation counter so ramp-up allocations are excluded.
 pub fn run_model_with(
     exp: &Experiment,
     model: Model,
     trace_queues: &[&str],
-    on_measure_start: impl Fn() + Send + 'static,
+    on_measure_start: impl FnOnce(),
 ) -> RunOutcome {
     let db = exp.build_database();
     let server = exp.start_server(model, db);
-    let mut sampler = QueueSampler::new(exp.server.stats_bucket);
+    let interval = exp.sample_interval();
+    let mut sampler = QueueSampler::new(interval);
     let mut series = Vec::new();
     for name in trace_queues {
         let depth = server
@@ -260,21 +275,53 @@ pub fn run_model_with(
         series.push((name.to_string(), sampler.track(*name, gauge)));
     }
     let sampler_handle = sampler.start();
-    let stats = Arc::clone(server.stats());
-    let report = run_workload(server.addr(), &exp.workload(), move || {
-        stats.restart_series();
+    let mut completions = None;
+    let report = run_workload(server.addr(), &exp.workload(), || {
+        completions = Some(sample_completions(server.registry(), interval));
         on_measure_start();
     });
+    let (completion_handle, completions) = completions.expect("measurement started");
+    completion_handle.stop();
     sampler_handle.stop();
     let queue_traces = series
         .into_iter()
         .map(|(name, ts)| (name, ts.bucket_means()))
         .collect();
+    let completions = completions
+        .into_iter()
+        .map(|(class, ts)| (class, ts.counts_per_bucket()))
+        .collect();
     RunOutcome {
         report,
         server,
         queue_traces,
+        completions,
     }
+}
+
+/// Starts sampling the `requests_completed_total{class}` counters in
+/// `registry` every `interval`: each bucket of a class's series holds
+/// the completions since the previous sample, counted from this call
+/// on. The sampler samples once more when stopped, so the buckets sum
+/// to the counters' movement between this call and the stop.
+fn sample_completions(
+    registry: &Registry,
+    interval: Duration,
+) -> (SamplerHandle, Vec<(&'static str, Arc<TimeSeries>)>) {
+    let mut sampler = QueueSampler::new(interval);
+    let series = RequestKind::ALL
+        .iter()
+        .map(|kind| {
+            let counter = registry.counter("requests_completed_total", &[("class", kind.label())]);
+            let seen = AtomicU64::new(counter.value());
+            let since_last = move || {
+                let now = counter.value();
+                (now - seen.swap(now, Ordering::AcqRel)) as usize
+            };
+            (kind.label(), sampler.track(kind.label(), since_last))
+        })
+        .collect();
+    (sampler.start(), series)
 }
 
 /// Builds one row of a `--json` artifact: string tags first (model,
@@ -337,6 +384,61 @@ mod tests {
             );
             outcome.server.shutdown().expect("clean shutdown");
         }
+    }
+
+    #[test]
+    fn completion_series_cover_exactly_the_measurement_window() {
+        // Exact accounting on a bare registry: completions before the
+        // start are excluded, and the buckets sum to the counters'
+        // movement up to the stop, the last partial bucket included.
+        let registry = Registry::new();
+        let quick = registry.counter("requests_completed_total", &[("class", "quick-dynamic")]);
+        quick.add(5); // ramp-up
+        let (handle, series) = sample_completions(&registry, Duration::from_millis(5));
+        quick.add(3);
+        std::thread::sleep(Duration::from_millis(20));
+        quick.add(2);
+        handle.stop();
+        let totals: Vec<(&str, f64)> = series.iter().map(|(c, ts)| (*c, ts.total())).collect();
+        assert_eq!(
+            totals,
+            [
+                ("static", 0.0),
+                ("quick-dynamic", 5.0),
+                ("lengthy-dynamic", 0.0)
+            ]
+        );
+        assert!(
+            series[1].1.counts_per_bucket().len() > 1,
+            "one bucket per sample"
+        );
+
+        // Wired to a live run: every class has a series, and the ramp-up
+        // completions the counters hold are not in it.
+        let exp = Experiment {
+            scale: ScaleConfig::tiny(),
+            server: ServerConfig::small(),
+            cost: CostModel::free(),
+            db_capacity: 0,
+            ebs: 4,
+            ramp: Duration::from_millis(200),
+            measure: Duration::from_millis(400),
+        };
+        let outcome = run_model(&exp, Model::Modified, &[]);
+        let registry = outcome.server.registry();
+        for kind in RequestKind::ALL {
+            assert!(!outcome.completions[kind.label()].is_empty(), "{kind}");
+        }
+        let window: f64 = outcome
+            .completions
+            .values()
+            .flatten()
+            .map(|p| p.value)
+            .sum();
+        let total = registry.family_sum("requests_completed_total");
+        assert!(window > 0.0, "no completions measured");
+        assert!(window < total, "ramp-up completions must be excluded");
+        outcome.server.shutdown().expect("clean shutdown");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use staged_core::model_fixtures as corefix;
 use staged_core::{
-    DocCache, GovernorConfig, Lookup, RequestClass, RequestKind, ReserveController, ServerStats,
+    DocCache, GovernorConfig, Lookup, Registry, RequestClass, RequestKind, ReserveController,
 };
 use staged_db::model_fixtures::ModelWal;
 use staged_db::{ConnectionPool, CrashPlan, Database, FsyncPolicy, ReadSet, WriteEvent};
@@ -331,9 +331,11 @@ fn dispatch_claims_general_threads_atomically() {
 // Completion counters trail the response bytes
 // ---------------------------------------------------------------------
 
-/// Workers record a request's completion *after* writing its response —
-/// so a client that has the bytes may briefly see a counter that has
-/// not moved, but a moved counter always means the bytes were written.
+/// Workers bump a request's completion counter — the registry cell
+/// behind `requests_completed_total{class}` — *after* writing its
+/// response, so a client that has the bytes may briefly see a counter
+/// that has not moved, but a moved counter always means the bytes were
+/// written.
 /// This is the ordering `tests/cross_crate.rs` leans on when it polls
 /// for counters to settle after a response arrives; here the checker
 /// proves the direction can't invert on any interleaving.
@@ -342,18 +344,19 @@ fn stats_completion_follows_send() {
     let cfg = Config::random("stats_completion_follows_send", 200);
     model::explore(&cfg, || {
         let sent = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ServerStats::new(Duration::from_secs(1)));
+        let labels = [("class", RequestKind::LengthyDynamic.label())];
+        let completed = Registry::new().counter("requests_completed_total", &labels);
         let worker = {
-            let (sent, stats) = (Arc::clone(&sent), Arc::clone(&stats));
+            let (sent, completed) = (Arc::clone(&sent), Arc::clone(&completed));
             model::spawn("worker", move || {
                 sent.store(true, Ordering::Release); // response bytes written
-                stats.record_completion(RequestKind::LengthyDynamic);
+                completed.increment();
             })
         };
         let observer = {
-            let (sent, stats) = (Arc::clone(&sent), Arc::clone(&stats));
+            let (sent, completed) = (Arc::clone(&sent), Arc::clone(&completed));
             model::spawn("observer", move || {
-                if stats.completed(RequestKind::LengthyDynamic) >= 1 {
+                if completed.value() >= 1 {
                     assert!(
                         sent.load(Ordering::Acquire),
                         "completion counter moved before the response was sent"

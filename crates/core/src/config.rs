@@ -1,10 +1,23 @@
 //! Server configuration.
 //!
-//! The response cache's bounds are not configuration: its TTL (60 s)
-//! and entry counts (1024 when it serves fresh hits, 256 when it only
-//! backs the degradation ladder) are constants beside the cache in
-//! `doccache.rs`. Only whether it serves fresh hits is a knob
-//! ([`ServerConfig::doc_cache`]).
+//! Values no caller needs to change are not configuration; each is a
+//! constant beside its one reader:
+//!
+//! - the response cache's TTL (60 s) and entry counts (1024 when it
+//!   serves fresh hits, 256 when it only backs the degradation ladder):
+//!   `doccache.rs`. Only whether it serves fresh hits is a knob
+//!   ([`ServerConfig::doc_cache`]);
+//! - the floor of the adaptive `Retry-After` (1 s) and the re-checkout
+//!   attempts after a worker's database connection dies (2):
+//!   `overload.rs`;
+//! - the render split's lengthy-template cutoff (5 ms) and the
+//!   graceful-shutdown drain budget (5 s): `server.rs`.
+//!
+//! Every stage's queue holds `workers × queue_factor` jobs; there are
+//! no per-stage caps, so a test pins a bound through the pool size and
+//! [`ServerConfig::queue_factor`]. The bucket width of the Figures 9/10
+//! completion series belongs to the bench harness that samples the
+//! `requests_completed_total` counters (`staged-bench`).
 
 use crate::governor::GovernorConfig;
 use crate::overload::ListenerChaos;
@@ -17,7 +30,7 @@ use std::time::Duration;
 /// which pools exist and which stage runs on which — is chosen by the
 /// entry point ([`StagedServer::start`](crate::StagedServer::start) or
 /// [`BaselineServer::start`](crate::BaselineServer::start)), not by a
-/// field here; the per-pool sizes and queue caps below configure the
+/// field here; the per-pool sizes and queue factor below configure the
 /// pools of whichever model is started and the rest applies to both.
 ///
 /// Defaults follow the paper's proportions at laptop scale: the general
@@ -69,9 +82,6 @@ pub struct ServerConfig {
     /// general pool (see `ReserveController::with_max`). Default: half
     /// the general pool.
     pub max_reserve: usize,
-    /// Bucket width for throughput time series (paper reports per
-    /// minute over a 50-minute window; scaled default: 1 s buckets).
-    pub stats_bucket: Duration,
     /// HTTP parse limits.
     pub limits: ParseLimits,
     /// Socket read timeout: how long a worker waits for request bytes
@@ -85,36 +95,17 @@ pub struct ServerConfig {
     /// benchmark"). When on, a quarter of `render_workers` (at least
     /// one) forms the lengthy-render pool.
     pub split_render: bool,
-    /// Average render time above which a template is *lengthy* (only
-    /// used when `split_render` is on).
-    pub render_cutoff: Duration,
     /// Multiplier sizing each stage's bounded queue from its pool width
-    /// (`cap = workers × queue_factor`) when no explicit cap is set.
-    /// Generous by default so the paper-reproduction runs never shed;
-    /// shrink it (or set explicit per-stage caps) to exercise overload
-    /// control.
+    /// (`bound = workers × queue_factor`). Generous by default so the
+    /// paper-reproduction runs never shed; shrink it (with the pool
+    /// sizes, to pin one stage's bound) to exercise overload control.
     pub queue_factor: usize,
-    /// Explicit bound for the header queue (accepted connections
-    /// waiting to be parsed); overrides `queue_factor`.
-    pub header_queue_cap: Option<usize>,
-    /// Explicit bound for the static-request queue.
-    pub static_queue_cap: Option<usize>,
-    /// Explicit bound for the general dynamic queue.
-    pub general_queue_cap: Option<usize>,
-    /// Explicit bound for the lengthy dynamic queue.
-    pub lengthy_queue_cap: Option<usize>,
-    /// Explicit bound for the render queue(s).
-    pub render_queue_cap: Option<usize>,
-    /// Explicit bound for the thread-per-request model's single queue.
-    pub baseline_queue_cap: Option<usize>,
     /// End-to-end time budget per request, measured from the moment the
     /// request line arrives. Stages check the remaining budget when they
     /// dequeue work and answer `503` instead of serving requests whose
     /// deadline already passed (no point rendering a page the client
     /// gave up on). `None` (the default) disables deadline checking.
     pub request_deadline: Option<Duration>,
-    /// `Retry-After` value advertised on shed (`503`) responses.
-    pub retry_after: Duration,
     /// Socket write timeout: how long a worker blocks transmitting a
     /// response before the connection is dropped (defends workers
     /// against clients that stop reading). `None` waits forever.
@@ -122,9 +113,6 @@ pub struct ServerConfig {
     /// How long a dynamic worker waits to check a replacement database
     /// connection out after its own dies mid-request.
     pub db_acquire_timeout: Duration,
-    /// Re-checkout attempts (with backoff) before a request whose
-    /// connection died is answered `503`.
-    pub db_acquire_retries: u32,
     /// Deterministic listener-level chaos (randomly kill or stall
     /// accepted sockets). `None` (the default) disables it.
     pub chaos: Option<ListenerChaos>,
@@ -152,11 +140,6 @@ pub struct ServerConfig {
     /// model, not the cache; [`BaselineServer`](crate::BaselineServer)
     /// has no cache and ignores it.
     pub doc_cache: bool,
-    /// Graceful-shutdown budget: how long
-    /// [`ServerHandle::shutdown`](crate::ServerHandle::shutdown) waits
-    /// for queued and in-flight requests to finish before force-joining
-    /// the pools.
-    pub drain_deadline: Duration,
     /// Capacity of the slowest-trace ring served by `GET /debug/traces`
     /// (the N slowest served requests keep their full stage timeline).
     /// `0` disables trace retention; outcome counters still work.
@@ -193,28 +176,17 @@ impl Default for ServerConfig {
             controller_tick: Duration::from_millis(100),
             min_reserve: 8,
             max_reserve: general_workers / 2,
-            stats_bucket: Duration::from_secs(1),
             limits: ParseLimits::default(),
             read_timeout: Some(Duration::from_secs(10)),
             split_render: false,
-            render_cutoff: Duration::from_millis(5),
             queue_factor: 64,
-            header_queue_cap: None,
-            static_queue_cap: None,
-            general_queue_cap: None,
-            lengthy_queue_cap: None,
-            render_queue_cap: None,
-            baseline_queue_cap: None,
             request_deadline: None,
-            retry_after: Duration::from_secs(1),
             write_timeout: Some(Duration::from_secs(10)),
             db_acquire_timeout: Duration::from_millis(500),
-            db_acquire_retries: 2,
             chaos: None,
             fault_plan: None,
             breaker: None,
             doc_cache: false,
-            drain_deadline: Duration::from_secs(5),
             trace_ring: 32,
             governor: GovernorConfig::default(),
             durability: None,
@@ -236,7 +208,6 @@ impl ServerConfig {
             min_reserve: 1,
             max_reserve: 2,
             controller_tick: Duration::from_millis(20),
-            stats_bucket: Duration::from_millis(100),
             read_timeout: Some(Duration::from_millis(500)),
             write_timeout: Some(Duration::from_millis(500)),
             db_acquire_timeout: Duration::from_millis(50),
@@ -244,64 +215,9 @@ impl ServerConfig {
         }
     }
 
-    /// Effective bound of the header (accepted-connection) queue.
-    pub fn header_queue_bound(&self) -> usize {
-        Self::bound(
-            self.header_queue_cap,
-            self.header_workers,
-            self.queue_factor,
-        )
-    }
-
-    /// Effective bound of the static-request queue.
-    pub fn static_queue_bound(&self) -> usize {
-        Self::bound(
-            self.static_queue_cap,
-            self.static_workers,
-            self.queue_factor,
-        )
-    }
-
-    /// Effective bound of the general dynamic queue.
-    pub fn general_queue_bound(&self) -> usize {
-        Self::bound(
-            self.general_queue_cap,
-            self.general_workers,
-            self.queue_factor,
-        )
-    }
-
-    /// Effective bound of the lengthy dynamic queue.
-    pub fn lengthy_queue_bound(&self) -> usize {
-        Self::bound(
-            self.lengthy_queue_cap,
-            self.lengthy_workers,
-            self.queue_factor,
-        )
-    }
-
-    /// Effective bound of the render queue(s).
-    pub fn render_queue_bound(&self) -> usize {
-        Self::bound(
-            self.render_queue_cap,
-            self.render_workers,
-            self.queue_factor,
-        )
-    }
-
-    /// Effective bound of the thread-per-request model's worker queue.
-    pub fn baseline_queue_bound(&self) -> usize {
-        Self::bound(
-            self.baseline_queue_cap,
-            self.baseline_workers,
-            self.queue_factor,
-        )
-    }
-
-    fn bound(explicit: Option<usize>, workers: usize, factor: usize) -> usize {
-        explicit
-            .unwrap_or_else(|| workers.saturating_mul(factor))
-            .max(1)
+    /// The bound of the queue feeding a pool of `workers` threads.
+    pub(crate) fn queue_bound(&self, workers: usize) -> usize {
+        workers.saturating_mul(self.queue_factor).max(1)
     }
 
     /// Validates internal consistency.
@@ -393,24 +309,14 @@ mod tests {
     #[test]
     fn queue_bounds_follow_pool_widths() {
         let c = ServerConfig::default();
-        assert_eq!(c.header_queue_bound(), c.header_workers * c.queue_factor);
-        assert_eq!(c.general_queue_bound(), c.general_workers * c.queue_factor);
-        assert_eq!(
-            c.baseline_queue_bound(),
-            c.baseline_workers * c.queue_factor
-        );
-    }
-
-    #[test]
-    fn explicit_queue_caps_override_factor() {
-        let c = ServerConfig {
-            header_queue_cap: Some(3),
-            // clamped: a bound of zero would shed everything
-            static_queue_cap: Some(0),
+        assert_eq!(c.queue_bound(c.header_workers), c.header_workers * 64);
+        let one_slot = ServerConfig {
+            queue_factor: 1,
             ..ServerConfig::default()
         };
-        assert_eq!(c.header_queue_bound(), 3);
-        assert_eq!(c.static_queue_bound(), 1);
+        assert_eq!(one_slot.queue_bound(1), 1);
+        // Clamped: a bound of zero would shed everything.
+        assert_eq!(c.queue_bound(0), 1);
     }
 
     #[test]

@@ -351,51 +351,46 @@ pub fn write_key(out: &mut String, page: &str, params: &[(String, String)]) {
 // lint: end_hot_path
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use staged_db::{Database, DbValue};
+    use staged_db::Database;
 
     /// A read of the whole `item` table and a read of its row 1.
-    pub(crate) const SCAN: &str = "SELECT COUNT(*) FROM item";
-    pub(crate) const ROW1: &str = "SELECT v FROM item WHERE id = 1";
-    pub(crate) const WRITE_ROW1: &str = "UPDATE item SET v = 11 WHERE id = 1";
+    const SCAN: &str = "SELECT COUNT(*) FROM item";
+    const ROW1: &str = "SELECT v FROM item WHERE id = 1";
+    const WRITE_ROW1: &str = "UPDATE item SET v = 11 WHERE id = 1";
     const INSERT_ROW2: &str = "INSERT INTO item (id, v) VALUES (2, 20)";
 
-    pub(crate) fn page(body: &str) -> Arc<Response> {
+    fn page(body: &str) -> Arc<Response> {
         Arc::new(Response::html(body.to_string()))
     }
 
     /// Publishes `body` under `key`, tagged with what `sql` reads, with
     /// a current epoch snapshot.
-    pub(crate) fn put(cache: &DocCache, key: &str, body: Arc<Response>, sql: &str) {
+    fn put(cache: &DocCache, key: &str, body: Arc<Response>, sql: &str) {
         assert!(cache.publish(key, body, reads_for(sql), cache.epoch()));
+    }
+
+    /// A database holding `item` row 1.
+    fn item_db() -> Database {
+        let db = Database::new();
+        db.execute("CREATE TABLE item (id INT PRIMARY KEY, v INT)", &[])
+            .unwrap();
+        db.execute("INSERT INTO item (id, v) VALUES (1, 10)", &[])
+            .unwrap();
+        db
     }
 
     /// Builds a ReadSet through the real executor: `SELECT … WHERE id = ?`
     /// on a PK records an exact key; a scan records the whole table.
     fn reads_for(sql: &str) -> Arc<ReadSet> {
-        let db = Database::new();
-        db.execute("CREATE TABLE item (id INT PRIMARY KEY, v INT)", &[])
-            .unwrap();
-        db.execute(
-            "INSERT INTO item (id, v) VALUES (?, ?)",
-            &[DbValue::Int(1), DbValue::Int(10)],
-        )
-        .unwrap();
         let mut rs = ReadSet::new();
-        db.execute_tracked(sql, &[], Some(&mut rs)).unwrap();
+        item_db().execute_tracked(sql, &[], Some(&mut rs)).unwrap();
         Arc::new(rs)
     }
 
-    pub(crate) fn event_for(db_sql: &str) -> WriteEvent {
-        let db = Database::new();
-        db.execute("CREATE TABLE item (id INT PRIMARY KEY, v INT)", &[])
-            .unwrap();
-        db.execute(
-            "INSERT INTO item (id, v) VALUES (?, ?)",
-            &[DbValue::Int(1), DbValue::Int(10)],
-        )
-        .unwrap();
+    fn event_for(db_sql: &str) -> WriteEvent {
+        let db = item_db();
         let events = Arc::new(std::sync::Mutex::new(Vec::new()));
         let sink = Arc::clone(&events);
         db.set_write_observer(move |e| sink.lock().unwrap().push(e.clone()));
@@ -481,10 +476,14 @@ pub(crate) mod tests {
 
     #[test]
     fn ttl_expiry_is_a_miss() {
-        let cache = DocCache::new(Duration::ZERO, 16);
+        let cache = DocCache::new(Duration::from_millis(10), 16);
         put(&cache, "k", page("x"), SCAN);
-        std::thread::sleep(Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(15));
         assert!(matches!(cache.lookup("k"), Lookup::Miss(_)));
+        assert!(
+            cache.lookup_stale("k").is_none(),
+            "expired for the ladder too"
+        );
     }
 
     #[test]
@@ -495,6 +494,8 @@ pub(crate) mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(cache.len(), 2);
+        assert!(cache.lookup_stale("a").is_none(), "oldest out");
+        assert!(cache.lookup_stale("b").is_some());
         assert!(matches!(cache.lookup("a"), Lookup::Miss(_)), "oldest out");
         assert!(matches!(cache.lookup("c"), Lookup::Hit(_)));
     }
@@ -509,5 +510,86 @@ pub(crate) mod tests {
         };
         assert!(Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&a, &published));
+        for _ in 0..2 {
+            let stale = cache.lookup_stale("k").expect("valid entry");
+            assert_eq!(
+                stale.body().as_ptr(),
+                published.body().as_ptr(),
+                "the stale response must not copy the page"
+            );
+        }
+    }
+
+    #[test]
+    fn hit_within_ttl_reports_age() {
+        let cache = DocCache::new(Duration::from_secs(60), 8);
+        assert!(cache.lookup_stale("home").is_none(), "cold cache");
+        put(&cache, "home", page("<h1>hi</h1>"), SCAN);
+        let resp = cache.lookup_stale("home").expect("valid entry");
+        assert_eq!(resp.body(), b"<h1>hi</h1>");
+        assert_eq!(resp.headers().get("warning"), Some(STALE_WARNING));
+        assert_eq!(resp.headers().get("age"), Some("0"));
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.bytes_served()),
+            (0, 0, 0),
+            "the ladder does not count as fresh traffic"
+        );
+    }
+
+    #[test]
+    fn refresh_updates_in_place_without_eviction() {
+        let cache = DocCache::new(Duration::from_secs(60), 2);
+        put(&cache, "a", page("1"), SCAN);
+        put(&cache, "b", page("2"), SCAN);
+        put(&cache, "a", page("1-new"), SCAN);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.lookup_stale("a").unwrap().body(), b"1-new");
+        assert!(cache.lookup_stale("b").is_some());
+    }
+
+    #[test]
+    fn write_evicts_dependent_entries_only() {
+        let cache = DocCache::new(Duration::from_secs(60), 8);
+        put(&cache, "item?id=1", page("one"), ROW1);
+        put(
+            &cache,
+            "item?id=2",
+            page("two"),
+            "SELECT v FROM item WHERE id = 2",
+        );
+        cache.invalidate(&event_for(WRITE_ROW1));
+        assert!(cache.lookup_stale("item?id=1").is_none(), "dependent");
+        assert!(cache.lookup_stale("item?id=2").is_some(), "independent");
+    }
+
+    /// `write_key` of `page` with `params`, over a buffer holding junk
+    /// from a previous request.
+    fn key(params: &[(&str, &str)]) -> String {
+        let params: Vec<_> = params
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        let mut out = String::from("junk from a previous request");
+        write_key(&mut out, "page", &params);
+        out
+    }
+
+    #[test]
+    fn write_key_matches_sort_then_emit() {
+        let params = [("y", "2"), ("x", "1"), ("y", "2"), ("a", "0")];
+        let mut sorted = params.to_vec();
+        sorted.sort_unstable();
+        let reference: String = sorted.iter().map(|(k, v)| format!("&{k}={v}")).collect();
+        assert_eq!(key(&params), format!("page{reference}"));
+    }
+
+    #[test]
+    fn cache_key_is_order_insensitive() {
+        assert_eq!(
+            key(&[("x", "1"), ("y", "2")]),
+            key(&[("y", "2"), ("x", "1")])
+        );
+        assert_ne!(key(&[("x", "1")]), key(&[]));
+        assert_eq!(key(&[]), "page");
     }
 }

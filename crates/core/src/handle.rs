@@ -2,7 +2,6 @@
 
 use crate::health::Readiness;
 use crate::scheduler::ServiceTimeTracker;
-use crate::stats::ServerStats;
 use staged_db::{CircuitBreaker, FaultPlan};
 use staged_metrics::{Registry, Snapshot};
 use std::fmt;
@@ -69,14 +68,16 @@ impl Snapshot for PoolSnapshot {
     }
 }
 
-/// A running server: its address, statistics, metrics registry, and
-/// shutdown control.
+/// A running server: its address, metrics registry, and shutdown
+/// control.
 ///
 /// All introspection flows through one [`Registry`]
 /// ([`ServerHandle::registry`]): queue depths, scheduler gauges, pool
-/// counters, latency histograms. `/healthz`, `/metrics`, and the bench
-/// bins read the same surface — e.g. a queue depth is
-/// `registry().value("stage_queue_depth", &[("stage", "general")])`.
+/// and request counters, latency histograms. `/healthz`, `/metrics`,
+/// and the bench bins read the same surface — e.g. a queue depth is
+/// `registry().value("stage_queue_depth", &[("stage", "general")])`,
+/// and all completions are
+/// `registry().family_sum("requests_completed_total")`.
 /// [`ServerHandle::pool_snapshots`] is a typed view over the registry's
 /// `pool_*` families.
 ///
@@ -85,7 +86,6 @@ impl Snapshot for PoolSnapshot {
 /// stop).
 pub struct ServerHandle {
     addr: SocketAddr,
-    stats: Arc<ServerStats>,
     tracker: Arc<ServiceTimeTracker>,
     registry: Arc<Registry>,
     readiness: Arc<Readiness>,
@@ -103,12 +103,8 @@ impl fmt::Debug for ServerHandle {
 }
 
 impl ServerHandle {
-    // A private constructor with one caller; a builder would be
-    // ceremony without benefit.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         addr: SocketAddr,
-        stats: Arc<ServerStats>,
         tracker: Arc<ServiceTimeTracker>,
         registry: Arc<Registry>,
         readiness: Arc<Readiness>,
@@ -118,7 +114,6 @@ impl ServerHandle {
     ) -> Self {
         ServerHandle {
             addr,
-            stats,
             tracker,
             registry,
             readiness,
@@ -160,11 +155,6 @@ impl ServerHandle {
     /// The bound listen address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Shared server statistics.
-    pub fn stats(&self) -> &Arc<ServerStats> {
-        &self.stats
     }
 
     /// The live per-page data-generation tracker (the scheduler's

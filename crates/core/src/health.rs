@@ -100,13 +100,16 @@ impl HealthView<'_> {
         self.registry.value(name, &[]).unwrap_or(0.0).max(0.0) as u64
     }
 
-    /// Sums a labelled family — e.g. total completions across classes.
-    fn family_sum(&self, name: &str) -> u64 {
-        self.registry
-            .samples(name)
-            .iter()
-            .map(|(_, v)| v.max(0.0))
-            .sum::<f64>() as u64
+    /// Writes `,"key":{"v":n,…}`: family `name`'s value per value `v` of
+    /// its label `label`.
+    fn by_label(&self, s: &mut String, key: &str, name: &str, label: &str) {
+        let _ = write!(s, ",\"{key}\":{{");
+        for (i, v) in self.registry.label_values(name, label).iter().enumerate() {
+            let n = self.registry.value(name, &[(label, v)]).unwrap_or(0.0);
+            let comma = if i > 0 { "," } else { "" };
+            let _ = write!(s, "{comma}\"{v}\":{}", n.max(0.0) as u64);
+        }
+        s.push('}');
     }
 
     fn body(&self) -> String {
@@ -131,24 +134,7 @@ impl HealthView<'_> {
             }
             None => s.push_str(",\"breaker\":null"),
         }
-        s.push_str(",\"queues\":{");
-        for (i, stage) in self
-            .registry
-            .label_values("stage_queue_depth", "stage")
-            .iter()
-            .enumerate()
-        {
-            if i > 0 {
-                s.push(',');
-            }
-            let depth = self
-                .registry
-                .value("stage_queue_depth", &[("stage", stage)])
-                .unwrap_or(0.0)
-                .max(0.0) as u64;
-            let _ = write!(s, "\"{stage}\":{depth}");
-        }
-        s.push('}');
+        self.by_label(&mut s, "queues", "stage_queue_depth", "stage");
         if let (Some(t_spare), Some(t_reserve)) = (
             self.registry.value("scheduler_t_spare", &[]),
             self.registry.value("scheduler_t_reserve", &[]),
@@ -163,7 +149,7 @@ impl HealthView<'_> {
         let _ = write!(
             s,
             ",\"counters\":{{\"completed\":{},\"errors\":{},\"degraded\":{},\"stale_misses\":{},\"deadline_expired\":{},\"pool_starved\":{},\"handler_panics\":{},\"dropped_connections\":{}}}",
-            self.family_sum("requests_completed_total"),
+            self.registry.family_sum("requests_completed_total") as u64,
             self.counter("errors_total"),
             self.counter("degraded_total"),
             self.counter("stale_misses_total"),
@@ -172,24 +158,7 @@ impl HealthView<'_> {
             self.counter("handler_panics_total"),
             self.counter("dropped_connections_total")
         );
-        s.push_str(",\"sheds\":{");
-        for (i, point) in self
-            .registry
-            .label_values("sheds_total", "point")
-            .iter()
-            .enumerate()
-        {
-            if i > 0 {
-                s.push(',');
-            }
-            let n = self
-                .registry
-                .value("sheds_total", &[("point", point)])
-                .unwrap_or(0.0)
-                .max(0.0) as u64;
-            let _ = write!(s, "\"{point}\":{n}");
-        }
-        s.push('}');
+        self.by_label(&mut s, "sheds", "sheds_total", "point");
         // Connection-admission picture (only present once a governor has
         // registered — both servers do at start; absent in unit-test
         // registries that predate it).
@@ -352,67 +321,52 @@ pub(crate) fn explain_response(db: &staged_db::Database, route: Option<&str>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use staged_pool::PoolStats;
-    use std::sync::Arc;
+    use crate::stats::{Counters, RequestKind, ShedPoint};
     use std::time::Duration;
 
     /// Builds a registry shaped like the staged server's: stage depth
-    /// gauges, scheduler gauges, stats counters, and one pool family.
+    /// gauges, scheduler gauges, the server's counters, and one pool.
     fn populated_registry() -> Registry {
         let r = Registry::new();
         r.gauge_fn("stage_queue_depth", &[("stage", "header")], || 2.0);
         r.gauge_fn("stage_queue_depth", &[("stage", "render")], || 0.0);
         r.gauge_fn("scheduler_t_spare", &[], || 3.0);
         r.gauge_fn("scheduler_t_reserve", &[], || 1.0);
-        r.counter_fn("requests_completed_total", &[("class", "static")], || 4);
-        r.counter_fn(
-            "requests_completed_total",
-            &[("class", "quick-dynamic")],
-            || 6,
-        );
-        r.counter_fn("errors_total", &[], || 0);
-        r.counter_fn("degraded_total", &[], || 1);
-        r.counter_fn("stale_misses_total", &[], || 0);
-        r.counter_fn("deadline_expired_total", &[], || 0);
-        r.counter_fn("pool_starved_total", &[], || 0);
-        r.counter_fn("handler_panics_total", &[], || 0);
-        r.counter_fn("dropped_connections_total", &[], || 0);
-        r.counter_fn("sheds_total", &[("point", "listener")], || 5);
-        let pool = Arc::new(PoolStats::default());
-        pool.completed.add(9);
-        let p = Arc::clone(&pool);
-        r.counter_fn("pool_completed_total", &[("pool", "general-dynamic")], {
-            let p = Arc::clone(&p);
-            move || p.completed.value()
-        });
-        r.counter_fn("pool_panics_total", &[("pool", "general-dynamic")], {
-            let p = Arc::clone(&p);
-            move || p.panicked.value()
-        });
-        r.counter_fn("pool_rejected_total", &[("pool", "general-dynamic")], {
-            let p = Arc::clone(&p);
-            move || p.rejected.value()
-        });
-        r.gauge_fn("pool_busy_workers", &[("pool", "general-dynamic")], {
-            let p = Arc::clone(&p);
-            move || p.busy.value() as f64
-        });
+        let c = Counters::register_into(&r);
+        c.completed(RequestKind::Static).add(4);
+        c.completed(RequestKind::QuickDynamic).add(6);
+        c.degraded.increment();
+        c.shed(ShedPoint::Listener).add(5);
+        let pool = [("pool", "general-dynamic")];
+        r.counter("pool_completed_total", &pool).add(9);
+        r.counter("pool_panics_total", &pool);
+        r.counter("pool_rejected_total", &pool);
+        r.gauge_fn("pool_busy_workers", &pool, || 0.0);
         r
+    }
+
+    /// A view of `registry` in `phase`, with no breaker and no WAL.
+    fn view(registry: &Registry, phase: Phase) -> HealthView<'_> {
+        HealthView {
+            phase,
+            breaker: None,
+            registry,
+            durability: None,
+        }
+    }
+
+    fn payload(v: &HealthView<'_>) -> String {
+        String::from_utf8(v.healthz().body().to_vec()).unwrap()
     }
 
     #[test]
     fn healthz_payload_is_wellformed() {
         let registry = populated_registry();
-        let v = HealthView {
-            phase: Phase::Ready,
-            breaker: None,
-            registry: &registry,
-            durability: None,
-        };
+        let v = view(&registry, Phase::Ready);
         let resp = v.healthz();
         assert_eq!(resp.status(), StatusCode::OK);
         assert_eq!(resp.headers().get("content-type"), Some("application/json"));
-        let body = String::from_utf8(resp.body().to_vec()).unwrap();
+        let body = payload(&v);
         assert!(body.contains("\"phase\":\"ready\""), "{body}");
         assert!(body.contains("\"ready\":true"), "{body}");
         assert!(body.contains("\"breaker\":null"), "{body}");
@@ -428,24 +382,14 @@ mod tests {
     #[test]
     fn readyz_rejects_outside_ready_phase() {
         let registry = Registry::new();
-        let v = HealthView {
-            phase: Phase::Draining,
-            breaker: None,
-            registry: &registry,
-            durability: None,
-        };
+        let v = view(&registry, Phase::Draining);
         let resp = v.readyz(Duration::from_secs(2));
         assert_eq!(resp.status(), StatusCode::SERVICE_UNAVAILABLE);
         assert_eq!(resp.headers().get("retry-after"), Some("2"));
         let body = String::from_utf8(resp.body().to_vec()).unwrap();
         assert!(body.contains("\"phase\":\"draining\""), "{body}");
 
-        let v = HealthView {
-            phase: Phase::Ready,
-            breaker: None,
-            registry: &registry,
-            durability: None,
-        };
+        let v = view(&registry, Phase::Ready);
         assert_eq!(v.readyz(Duration::from_secs(2)).status(), StatusCode::OK);
     }
 
@@ -459,7 +403,7 @@ mod tests {
             registry: &registry,
             durability: None,
         };
-        let body = String::from_utf8(v.healthz().body().to_vec()).unwrap();
+        let body = payload(&v);
         assert!(body.contains("\"state\":\"closed\""), "{body}");
         // No scheduler gauges registered → no scheduler object at all.
         assert!(!body.contains("scheduler"), "{body}");
@@ -481,14 +425,9 @@ mod tests {
         );
         registry.counter_fn("keepalive_harvested_total", &[], || 1);
         registry.counter_fn("keepalive_capped_total", &[], || 4);
-        registry.counter_fn("slowloris_kills_total", &[], || 5);
-        let v = HealthView {
-            phase: Phase::Ready,
-            breaker: None,
-            registry: &registry,
-            durability: None,
-        };
-        let body = String::from_utf8(v.healthz().body().to_vec()).unwrap();
+        registry.counter("slowloris_kills_total", &[]).add(5);
+        let v = view(&registry, Phase::Ready);
+        let body = payload(&v);
         assert!(body.contains("\"connections\":{\"open\":7"), "{body}");
         assert!(body.contains("\"rejected_global\":3"), "{body}");
         assert!(body.contains("\"rejected_per_ip\":2"), "{body}");
@@ -496,13 +435,8 @@ mod tests {
 
         // A registry without the governor families omits the section.
         let bare = populated_registry();
-        let v = HealthView {
-            phase: Phase::Ready,
-            breaker: None,
-            registry: &bare,
-            durability: None,
-        };
-        let body = String::from_utf8(v.healthz().body().to_vec()).unwrap();
+        let v = view(&bare, Phase::Ready);
+        let body = payload(&v);
         assert!(!body.contains("\"connections\""), "{body}");
     }
 
@@ -516,26 +450,16 @@ mod tests {
         registry.counter_fn("doc_cache_invalidations_total", &[], || 1);
         registry.counter_fn("doc_cache_stale_discards_total", &[], || 0);
         registry.counter_fn("doc_cache_bytes_served_total", &[], || 4096);
-        let v = HealthView {
-            phase: Phase::Ready,
-            breaker: None,
-            registry: &registry,
-            durability: None,
-        };
-        let body = String::from_utf8(v.healthz().body().to_vec()).unwrap();
+        let v = view(&registry, Phase::Ready);
+        let body = payload(&v);
         assert!(body.contains("\"doc_cache\":{\"entries\":3"), "{body}");
         assert!(body.contains("\"hits\":12"), "{body}");
         assert!(body.contains("\"bytes_served\":4096"), "{body}");
 
         // A registry without the cache families omits the section.
         let bare = populated_registry();
-        let v = HealthView {
-            phase: Phase::Ready,
-            breaker: None,
-            registry: &bare,
-            durability: None,
-        };
-        let body = String::from_utf8(v.healthz().body().to_vec()).unwrap();
+        let v = view(&bare, Phase::Ready);
+        let body = payload(&v);
         assert!(!body.contains("\"doc_cache\""), "{body}");
     }
 
@@ -563,7 +487,7 @@ mod tests {
             registry: &registry,
             durability: Some(status),
         };
-        let body = String::from_utf8(v.healthz().body().to_vec()).unwrap();
+        let body = payload(&v);
         assert!(
             body.contains("\"durability\":{\"mode\":\"always\""),
             "{body}"
@@ -574,13 +498,8 @@ mod tests {
         assert!(body.contains("\"poisoned\":false"), "{body}");
 
         // In-memory servers omit the section entirely.
-        let v = HealthView {
-            phase: Phase::Ready,
-            breaker: None,
-            registry: &registry,
-            durability: None,
-        };
-        let body = String::from_utf8(v.healthz().body().to_vec()).unwrap();
+        let v = view(&registry, Phase::Ready);
+        let body = payload(&v);
         assert!(!body.contains("\"durability\""), "{body}");
     }
 

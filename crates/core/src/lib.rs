@@ -82,7 +82,7 @@ pub use health::{Phase, Readiness};
 pub use overload::{ChaosAction, ListenerChaos};
 pub use scheduler::{DynamicPoolChoice, RequestClass, ReserveController, ServiceTimeTracker};
 pub use server::{BaselineServer, StagedServer};
-pub use stats::{RequestKind, ServerStats, ShedPoint, StatsSnapshot};
+pub use stats::{RequestKind, ShedPoint};
 
 /// Crate-private protocol objects wrapped for the model checker.
 ///
@@ -170,10 +170,3 @@ pub use staged_metrics::{Registry, Snapshot};
 pub use staged_db::{
     BreakerConfig, BreakerState, CircuitBreaker, DurabilityConfig, DurabilityStatus, FsyncPolicy,
 };
-
-/// The degradation ladder's stale lookup ([`DocCache::lookup_stale`])
-/// and the cache key both lookups share ([`write_key`]).
-#[cfg(test)]
-mod stale {
-    mod tests;
-}

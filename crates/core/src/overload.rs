@@ -150,6 +150,10 @@ pub(crate) fn drain_before_close(stream: &mut std::net::TcpStream) {
     }
 }
 
+/// Lower clamp on the adaptive `Retry-After` estimate, and the advice
+/// while no drain rate is measurable yet.
+pub(crate) const RETRY_AFTER_FLOOR: Duration = Duration::from_secs(1);
+
 /// Upper clamp on the adaptive `Retry-After` estimate.
 pub(crate) const MAX_RETRY_AFTER: Duration = Duration::from_secs(30);
 
@@ -164,11 +168,10 @@ const RETRY_SAMPLE_WINDOW: Duration = Duration::from_secs(5);
 ///
 /// Completion-rate samples are taken on each call (sheds are exactly
 /// when the estimate is needed), over a sliding ~5 s window. With no
-/// measurable drain yet — cold start, or a stalled server — the
-/// configured floor is advertised. Estimates clamp to
-/// `[floor, MAX_RETRY_AFTER]`.
+/// measurable drain yet — cold start, or a stalled server — the floor
+/// is advertised. Estimates clamp to
+/// `[RETRY_AFTER_FLOOR, MAX_RETRY_AFTER]`.
 pub(crate) struct RetryEstimator {
-    floor: Duration,
     depth: Box<dyn Fn() -> usize + Send + Sync>,
     completed: Box<dyn Fn() -> u64 + Send + Sync>,
     samples: OrderedMutex<VecDeque<(Instant, u64)>>,
@@ -176,12 +179,10 @@ pub(crate) struct RetryEstimator {
 
 impl RetryEstimator {
     pub(crate) fn new(
-        floor: Duration,
         depth: Box<dyn Fn() -> usize + Send + Sync>,
         completed: Box<dyn Fn() -> u64 + Send + Sync>,
     ) -> Self {
         RetryEstimator {
-            floor,
             depth,
             completed,
             samples: OrderedMutex::new(SAMPLES_RANK, "core.overload.samples", VecDeque::new()),
@@ -206,15 +207,19 @@ impl RetryEstimator {
         let elapsed = now.duration_since(first_t);
         drop(samples);
         if elapsed < Duration::from_millis(50) || total <= first_total {
-            // No measurable drain: fall back to the configured floor.
-            return self.floor;
+            // No measurable drain: fall back to the floor.
+            return RETRY_AFTER_FLOOR;
         }
         let rate = (total - first_total) as f64 / elapsed.as_secs_f64();
         let depth = (self.depth)() as f64;
         let estimate = Duration::from_secs_f64((depth / rate).max(0.0));
-        estimate.clamp(self.floor, MAX_RETRY_AFTER)
+        estimate.clamp(RETRY_AFTER_FLOOR, MAX_RETRY_AFTER)
     }
 }
+
+/// Re-checkout attempts (with backoff) before a request whose
+/// connection died is answered `503`.
+const DB_ACQUIRE_RETRIES: u32 = 2;
 
 /// A dynamic worker's database connection slot. The paper's contract —
 /// each dynamic worker *owns* a connection for its lifetime — meets
@@ -226,7 +231,6 @@ pub(crate) struct DbSlot {
     pool: ConnectionPool,
     conn: Option<PooledConnection>,
     acquire_timeout: Duration,
-    retries: u32,
     /// Whether the current request wants its read set collected. Kept
     /// on the slot (not just the connection) so a replacement
     /// connection checked out mid-request re-arms tracking — otherwise
@@ -239,12 +243,11 @@ impl DbSlot {
     /// Checks the worker's initial connection out, blocking like the
     /// original design did — at startup the pool is sized to cover
     /// every dynamic worker, so this returns immediately.
-    pub(crate) fn new(pool: &ConnectionPool, acquire_timeout: Duration, retries: u32) -> Self {
+    pub(crate) fn new(pool: &ConnectionPool, acquire_timeout: Duration) -> Self {
         DbSlot {
             conn: Some(pool.get()),
             pool: pool.clone(),
             acquire_timeout,
-            retries,
             track_reads: false,
         }
     }
@@ -276,7 +279,7 @@ impl DbSlot {
             self.conn = None;
         }
         if self.conn.is_none() {
-            for attempt in 0..=self.retries {
+            for attempt in 0..=DB_ACQUIRE_RETRIES {
                 if attempt > 0 {
                     std::thread::sleep(Duration::from_millis(2u64 << attempt.min(6)));
                 }
@@ -364,9 +367,9 @@ mod tests {
 
     #[test]
     fn retry_estimator_falls_back_to_floor_when_cold() {
-        let est = RetryEstimator::new(Duration::from_secs(1), Box::new(|| 100), Box::new(|| 0));
-        assert_eq!(est.advise(), Duration::from_secs(1));
-        assert_eq!(est.advise(), Duration::from_secs(1), "no completions yet");
+        let est = RetryEstimator::new(Box::new(|| 100), Box::new(|| 0));
+        assert_eq!(est.advise(), RETRY_AFTER_FLOOR);
+        assert_eq!(est.advise(), RETRY_AFTER_FLOOR, "no completions yet");
     }
 
     #[test]
@@ -375,7 +378,6 @@ mod tests {
         let completed = Arc::new(AtomicU64::new(0));
         let depth = Arc::new(AtomicUsize::new(5_000));
         let est = RetryEstimator::new(
-            Duration::from_secs(1),
             Box::new({
                 let d = Arc::clone(&depth);
                 move || d.load(Ordering::Relaxed) // lint: allow(relaxed)
@@ -403,7 +405,7 @@ mod tests {
         // A shallow backlog drains fast: advice returns to the floor.
         depth.store(1, Ordering::Relaxed); // lint: allow(relaxed)
         completed.store(120, Ordering::Relaxed); // lint: allow(relaxed)
-        assert_eq!(est.advise(), Duration::from_secs(1));
+        assert_eq!(est.advise(), RETRY_AFTER_FLOOR);
     }
 
     #[test]
@@ -439,7 +441,7 @@ mod tests {
     #[test]
     fn db_slot_replaces_dead_connection() {
         let pool = ConnectionPool::new(Arc::new(Database::new()), 2);
-        let mut slot = DbSlot::new(&pool, Duration::from_millis(50), 1);
+        let mut slot = DbSlot::new(&pool, Duration::from_millis(50));
         assert!(!slot.conn().expect("initial checkout").is_dead());
         slot.invalidate();
         assert!(
@@ -456,7 +458,6 @@ mod tests {
             pool: pool.clone(),
             conn: None,
             acquire_timeout: Duration::from_millis(10),
-            retries: 1,
             track_reads: false,
         };
         assert!(slot.conn().is_none(), "starved pool must not block forever");

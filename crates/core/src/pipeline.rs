@@ -27,7 +27,7 @@ use crate::governor::{ConnectionGovernor, GovernedStream};
 use crate::health::Readiness;
 use crate::overload::{drain_before_close, overload_response, DbSlot, RetryEstimator};
 use crate::scheduler::{DynamicPoolChoice, RequestClass, ReserveController, ServiceTimeTracker};
-use crate::stats::{RequestKind, ServerStats, ShedPoint};
+use crate::stats::{Counters, RequestKind, ShedPoint};
 use staged_db::{CircuitBreaker, Database, ReadSet};
 use staged_http::{Connection, HttpError, Method, Request, RequestLine, Response};
 use staged_metrics::{Histogram, Registry, Stage, Trace, TraceEvent, TraceHub, TraceOutcome};
@@ -279,7 +279,8 @@ pub(crate) struct RenderWork {
 /// Everything the stages share. One per server, whatever the model.
 pub(crate) struct Core {
     pub app: App,
-    pub stats: Arc<ServerStats>,
+    /// The server's counters, cells of `registry`.
+    pub counters: Counters,
     pub tracker: Arc<ServiceTimeTracker>,
     /// Per-template render-time tracker for the render split.
     pub render_tracker: ServiceTimeTracker,
@@ -426,7 +427,7 @@ impl Core {
     pub(crate) fn refuse(&self, conn: &mut Conn, method: Method) {
         let response = overload_response(self.retry.advise());
         if conn.send_for_method(method, &response).is_err() {
-            self.stats.dropped_connections.increment();
+            self.counters.dropped_connections.increment();
         } else {
             // The request may be partly (or wholly) unread; drain it so
             // closing doesn't RST the 503 away.
@@ -438,7 +439,7 @@ impl Core {
     /// Sheds are not completions: goodput counts only requests actually
     /// served.
     fn shed(&self, mut job: Job, point: ShedPoint) {
-        self.stats.record_shed(point);
+        self.counters.shed(point).increment();
         job.trace.note(TraceEvent::Shed);
         // An idle keep-alive connection is owed no response; dropping
         // it is cheaper than any request it might send later.
@@ -452,7 +453,7 @@ impl Core {
     /// connection (the client has almost certainly given up; serving it
     /// would waste a saturated stage's time).
     fn expire(&self, mut job: Job) {
-        self.stats.deadline_expired.increment();
+        self.counters.deadline_expired.increment();
         // A stale copy (sent with `Connection: close` — the client has
         // been waiting the whole budget already) still beats generating
         // or rendering a page nobody may be listening for, and beats a
@@ -468,7 +469,7 @@ impl Core {
         };
         if let Some((slot, kind, page)) = ladder {
             if let Some(mut response) = self.stale_copy(slot) {
-                self.stats.degraded.increment();
+                self.counters.degraded.increment();
                 job.trace.note(TraceEvent::StaleServed);
                 response.set_close();
                 let method = job.work.method();
@@ -513,13 +514,13 @@ impl Core {
     ) -> Option<Job> {
         trace.stage_done();
         if conn.send_for_method(method, response).is_err() {
-            self.stats.dropped_connections.increment();
+            self.counters.dropped_connections.increment();
             trace.finish(TraceOutcome::Dropped, page);
             return None;
         }
         let (outcome, page) = match kind {
             Some(kind) => {
-                self.stats.record_completion(kind);
+                self.counters.completed(kind).increment();
                 (TraceOutcome::Served, page)
             }
             None => (TraceOutcome::Probe, None),
@@ -565,14 +566,14 @@ impl Core {
         match e.response_status() {
             Some(status) => {
                 if e.is_lifecycle_timeout() {
-                    self.stats.slowloris_kills.increment();
+                    self.counters.slowloris_kills.increment();
                 }
                 let mut resp = Response::error(status);
                 resp.set_close();
                 let _ = conn.send(&resp);
-                self.stats.errors.increment();
+                self.counters.errors.increment();
             }
-            None => self.stats.dropped_connections.increment(),
+            None => self.counters.dropped_connections.increment(),
         }
         trace.finish(TraceOutcome::Dropped, None);
         None

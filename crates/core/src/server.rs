@@ -15,7 +15,7 @@ use crate::health::Readiness;
 use crate::overload::{ChaosAction, DbSlot, RetryEstimator};
 use crate::pipeline::{Core, Job, Place, PoolPort, Scheduler, SpareThreads, StageMap};
 use crate::scheduler::{ReserveController, ServiceTimeTracker};
-use crate::stats::{ServerStats, ShedPoint};
+use crate::stats::{Counters, ShedPoint};
 use staged_db::{ConnectionPool, Database};
 use staged_http::{Connection, Method};
 use staged_metrics::{Registry, TraceHub};
@@ -26,15 +26,25 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Average render time above which a template is *lengthy* when the
+/// render split is on (the same 5 ms as the default `lengthy_cutoff`).
+const RENDER_CUTOFF: Duration = Duration::from_millis(5);
+
+/// Graceful-shutdown budget: how long
+/// [`ServerHandle::shutdown`](crate::ServerHandle::shutdown) waits for
+/// queued and in-flight requests to finish before force-joining the
+/// pools.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+
 /// One row of a model's pool table.
 struct PoolSpec {
     /// Pool name: thread-name prefix and the `pool` metric label.
     pool: &'static str,
     /// The `stage` metric label of the pool's queue and service time.
     stage: &'static str,
+    /// Worker threads; the pool's queue holds `workers × queue_factor`
+    /// jobs.
     workers: usize,
-    /// Bound of the pool's queue.
-    bound: usize,
     /// Whether each worker owns a [`DbSlot`] for its lifetime. The map
     /// must place the dynamic stages only on such pools.
     owns_db: bool,
@@ -62,50 +72,24 @@ impl Model {
             0
         };
         let render = (c.render_workers - lengthy_render).max(1);
-        let spec = |pool, stage, workers, bound, owns_db| PoolSpec {
+        let spec = |pool, stage, workers, owns_db| PoolSpec {
             pool,
             stage,
             workers,
-            bound,
             owns_db,
         };
         let mut pools = vec![
-            spec(
-                "header-parsing",
-                "header",
-                c.header_workers,
-                c.header_queue_bound(),
-                false,
-            ),
-            spec(
-                "static",
-                "static",
-                c.static_workers,
-                c.static_queue_bound(),
-                false,
-            ),
-            spec(
-                "general-dynamic",
-                "general",
-                c.general_workers,
-                c.general_queue_bound(),
-                true,
-            ),
-            spec(
-                "lengthy-dynamic",
-                "lengthy",
-                c.lengthy_workers,
-                c.lengthy_queue_bound(),
-                true,
-            ),
-            spec("render", "render", render, c.render_queue_bound(), false),
+            spec("header-parsing", "header", c.header_workers, false),
+            spec("static", "static", c.static_workers, false),
+            spec("general-dynamic", "general", c.general_workers, true),
+            spec("lengthy-dynamic", "lengthy", c.lengthy_workers, true),
+            spec("render", "render", render, false),
         ];
         if c.split_render {
             pools.push(spec(
                 "render-lengthy",
                 "render-lengthy",
                 lengthy_render,
-                c.render_queue_bound(),
                 false,
             ));
         }
@@ -134,7 +118,6 @@ impl Model {
                 pool: "baseline-worker",
                 stage: "worker",
                 workers: c.baseline_workers,
-                bound: c.baseline_queue_bound(),
                 owns_db: true,
             }],
             map: StageMap {
@@ -252,7 +235,6 @@ fn start(
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(config.addr)?;
     let addr = listener.local_addr()?;
-    let stats = Arc::new(ServerStats::new(config.stats_bucket));
     let tracker = Arc::new(ServiceTimeTracker::new(config.lengthy_cutoff));
     let registry = Arc::new(Registry::new());
     let trace_hub = TraceHub::new(&registry, config.trace_ring);
@@ -296,7 +278,7 @@ fn start(
         .iter()
         .map(|spec| {
             let port = PoolPort {
-                queue: Arc::new(SyncQueue::bounded(spec.bound)),
+                queue: Arc::new(SyncQueue::bounded(config.queue_bound(spec.workers))),
                 stats: Arc::new(PoolStats::default()),
                 service: registry.histogram("stage_service_seconds", &[("stage", spec.stage)]),
             };
@@ -305,7 +287,7 @@ fn start(
             port
         })
         .collect();
-    stats.register_into(&registry);
+    let counters = Counters::register_into(&registry);
     register_page_tracker(&registry, &tracker);
     register_plan_observer(&registry, &db);
     // The `doc_cache_*` families describe the hit path; a ladder-only
@@ -338,19 +320,18 @@ fn start(
     // measured completion rate.
     let retry = {
         let queues: Vec<_> = pools.iter().map(|p| Arc::clone(&p.queue)).collect();
-        let st = Arc::clone(&stats);
+        let registry = Arc::clone(&registry);
         RetryEstimator::new(
-            config.retry_after,
             Box::new(move || queues.iter().map(|q| q.len()).sum()),
-            Box::new(move || st.total_completed()),
+            Box::new(move || registry.family_sum("requests_completed_total") as u64),
         )
     };
 
     let core = Arc::new(Core {
         app,
-        stats: Arc::clone(&stats),
+        counters,
         tracker: Arc::clone(&tracker),
-        render_tracker: ServiceTimeTracker::new(config.render_cutoff),
+        render_tracker: ServiceTimeTracker::new(RENDER_CUTOFF),
         map: model.map,
         pools,
         scheduler,
@@ -379,13 +360,8 @@ fn start(
                 Arc::clone(&port.stats),
                 PoolConfig::new(spec.pool, spec.workers),
                 |_| {
-                    spec.owns_db.then(|| {
-                        DbSlot::new(
-                            &connections,
-                            config.db_acquire_timeout,
-                            config.db_acquire_retries,
-                        )
-                    })
+                    spec.owns_db
+                        .then(|| DbSlot::new(&connections, config.db_acquire_timeout))
                 },
                 move |slot: &mut Option<DbSlot>, job: Job| core.drive(index, slot, job),
             )
@@ -411,7 +387,6 @@ fn start(
             .expect("failed to spawn controller thread")
     });
 
-    let drain_deadline = config.drain_deadline;
     let listener_thread = {
         let core = Arc::clone(&core);
         let stop = Arc::clone(&stop);
@@ -437,12 +412,12 @@ fn start(
         if let Some(thread) = controller_thread {
             let _ = thread.join();
         }
-        // Wait (bounded by `drain_deadline`) until every stage is idle:
+        // Wait (bounded by `DRAIN_DEADLINE`) until every stage is idle:
         // no queued jobs and no busy workers. Closing the queues
         // upstream-first below also drains their backlogs, but only
         // this wait covers jobs *between* stages (popped from one
         // queue, not yet pushed to the next).
-        let deadline = Instant::now() + drain_deadline;
+        let deadline = Instant::now() + DRAIN_DEADLINE;
         let active = || {
             core.pools
                 .iter()
@@ -470,7 +445,7 @@ fn start(
     });
 
     Ok(ServerHandle::new(
-        addr, stats, tracker, registry, readiness, set_fault, breaker, shutdown,
+        addr, tracker, registry, readiness, set_fault, breaker, shutdown,
     ))
 }
 
@@ -485,7 +460,7 @@ fn accept_loop(core: &Core, listener: &TcpListener, stop: &AtomicBool, config: &
             break;
         }
         let Ok(stream) = incoming else {
-            core.stats.dropped_connections.increment();
+            core.counters.dropped_connections.increment();
             continue;
         };
         let seq = conn_seq;
@@ -493,11 +468,11 @@ fn accept_loop(core: &Core, listener: &TcpListener, stop: &AtomicBool, config: &
         match config.chaos.map_or(ChaosAction::Pass, |c| c.decide(seq)) {
             ChaosAction::Pass => {}
             ChaosAction::Kill => {
-                core.stats.chaos_killed.increment();
+                core.counters.chaos_killed.increment();
                 continue;
             }
             ChaosAction::Stall => {
-                core.stats.chaos_stalled.increment();
+                core.counters.chaos_stalled.increment();
                 std::thread::sleep(config.chaos.expect("stall implies chaos").stall);
             }
         }

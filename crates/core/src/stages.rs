@@ -11,7 +11,7 @@ use crate::health::{self, HealthView};
 use crate::overload::{overload_response, DbSlot};
 use crate::pipeline::{CacheSlot, Conn, Core, DynWork, Job, RenderWork, Work};
 use crate::scheduler::RequestClass;
-use crate::stats::{RequestKind, ServerStats};
+use crate::stats::{Counters, RequestKind};
 use staged_db::{PooledConnection, ReadSet};
 use staged_http::{
     HeaderMap, HttpError, Method, Request, RequestLine, Response, RouteParams, StatusCode,
@@ -218,7 +218,7 @@ impl Core {
         let response = self.app.statics().response_for_request(path, &headers);
         self.app.charge_static();
         if response.status() == StatusCode::NOT_FOUND {
-            self.stats.errors.increment();
+            self.counters.errors.increment();
         }
         self.respond(
             conn,
@@ -257,7 +257,7 @@ impl Core {
         let keep_alive = request.keep_alive();
         let method = request.method();
         let (Some(page), Some((route, captures))) = (page, self.app.route(request.path())) else {
-            self.stats.errors.increment();
+            self.counters.errors.increment();
             let response = Response::error(StatusCode::NOT_FOUND);
             return self.respond(conn, trace, method, &response, keep_alive, Some(kind), None);
         };
@@ -279,7 +279,7 @@ impl Core {
         if cache.is_some() {
             slot.begin_read_tracking();
         }
-        let outcome = run_handler_with_slot(route, request, slot, &self.stats);
+        let outcome = run_handler_with_slot(route, request, slot, &self.counters);
         let reads = if cache.is_some() {
             slot.take_read_set().map(Arc::new)
         } else {
@@ -333,21 +333,21 @@ impl Core {
                 trace.note(TraceEvent::Unavailable);
                 match cache.as_ref().and_then(|c| self.stale_copy(c)) {
                     Some(response) => {
-                        self.stats.degraded.increment();
+                        self.counters.degraded.increment();
                         trace.note(TraceEvent::StaleServed);
                         response
                     }
                     None => {
                         if cache.is_some() {
-                            self.stats.stale_misses.increment();
+                            self.counters.stale_misses.increment();
                         }
-                        self.stats.errors.increment();
+                        self.counters.errors.increment();
                         overload_response(self.retry.advise())
                     }
                 }
             }
             Err(_) => {
-                self.stats.errors.increment();
+                self.counters.errors.increment();
                 Response::error(StatusCode::INTERNAL_SERVER_ERROR)
             }
         };
@@ -381,7 +381,7 @@ impl Core {
                 response
             }
             Err(_) => {
-                self.stats.errors.increment();
+                self.counters.errors.increment();
                 Response::error(StatusCode::INTERNAL_SERVER_ERROR)
             }
         };
@@ -453,7 +453,7 @@ fn run_handler(
     route: &Route,
     request: &Request,
     db_conn: &PooledConnection,
-    stats: &ServerStats,
+    counters: &Counters,
 ) -> Result<PageOutcome, AppError> {
     // Tag the connection with the page it is serving so every statement
     // the handler runs is attributed to it on `/debug/explain`.
@@ -461,7 +461,7 @@ fn run_handler(
     let result = match panic::catch_unwind(AssertUnwindSafe(|| (route.handler)(request, db_conn))) {
         Ok(result) => result,
         Err(_) => {
-            stats.handler_panics.increment();
+            counters.handler_panics.increment();
             Err(AppError::handler("handler panicked"))
         }
     };
@@ -477,14 +477,14 @@ fn run_handler_with_slot(
     route: &Route,
     request: &Request,
     slot: &mut DbSlot,
-    stats: &ServerStats,
+    counters: &Counters,
 ) -> Result<PageOutcome, AppError> {
     for attempt in 0..2 {
         let Some(db_conn) = slot.conn() else {
-            stats.pool_starved.increment();
+            counters.pool_starved.increment();
             return Err(AppError::Unavailable("database pool starved".into()));
         };
-        let result = run_handler(route, request, db_conn, stats);
+        let result = run_handler(route, request, db_conn, counters);
         match &result {
             Err(e) if e.is_unavailable() && attempt == 0 => {
                 // The connection died mid-request; discard it and retry

@@ -1,10 +1,13 @@
-//! Server-side statistics: per-class completion counters and time
-//! series (the data behind the paper's Figures 9 and 10).
+//! The server's own counters: completions by class (the data behind the
+//! paper's Figures 9 and 10), sheds by pipeline point, and the
+//! error/degradation totals. They are cells of the metrics registry:
+//! the pipeline holds handles taken once at start, so an increment is
+//! one atomic add, and `/metrics`, `/healthz` and the bench bins all
+//! read the same cells.
 
-use staged_metrics::{Counter, Registry, Snapshot, TimeSeries};
+use staged_metrics::{Counter, Registry};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The completion class of a request, as the paper's Figure 10 breaks
 /// throughput down: static, quick dynamic, lengthy dynamic.
@@ -90,255 +93,80 @@ impl fmt::Display for ShedPoint {
     }
 }
 
-/// Shared observable server statistics.
-#[derive(Debug)]
-pub struct ServerStats {
-    /// Completed requests by class.
-    completed: [Counter; 3],
-    /// Time-bucketed completions by class (Figure 10 series).
-    series: [TimeSeries; 3],
-    /// Time-bucketed completions overall (Figure 9 series).
-    total_series: TimeSeries,
-    /// Requests shed with `503`, by pipeline point.
-    sheds: [Counter; 6],
-    /// Responses that ended in an error status (4xx/5xx generated by
-    /// the server machinery).
-    pub errors: Counter,
+/// Handles to the server's counters in its registry.
+pub(crate) struct Counters {
+    /// `requests_completed_total{class}`, in [`RequestKind::ALL`] order.
+    completed: [Arc<Counter>; 3],
+    /// `sheds_total{point}`, in [`ShedPoint::ALL`] order.
+    sheds: [Arc<Counter>; 6],
+    /// Responses with an error status generated by the server machinery.
+    pub errors: Arc<Counter>,
     /// Connections dropped due to parse failures or I/O errors.
-    pub dropped_connections: Counter,
+    pub dropped_connections: Arc<Counter>,
     /// Handler panics converted to 500s.
-    pub handler_panics: Counter,
+    pub handler_panics: Arc<Counter>,
     /// Requests answered `503` because their deadline had already
     /// passed when a stage dequeued them.
-    pub deadline_expired: Counter,
+    pub deadline_expired: Arc<Counter>,
     /// Requests answered `503` because no database connection could be
     /// re-acquired after the worker's own died.
-    pub pool_starved: Counter,
+    pub pool_starved: Arc<Counter>,
     /// Accepted sockets dropped by the chaos knob.
-    pub chaos_killed: Counter,
+    pub chaos_killed: Arc<Counter>,
     /// Accepted sockets whose enqueue the chaos knob stalled.
-    pub chaos_stalled: Counter,
-    /// Requests answered from the stale-render cache (`2xx` with
-    /// `Warning: 110`) because fresh generation was unavailable — the
-    /// middle rung of the degradation ladder.
-    pub degraded: Counter,
+    pub chaos_stalled: Arc<Counter>,
+    /// Requests answered from the response cache's stale copy (`2xx`
+    /// with `Warning: 110`) because fresh generation was unavailable —
+    /// the middle rung of the degradation ladder.
+    pub degraded: Arc<Counter>,
     /// Degradation attempts that found no usable stale copy and fell
     /// through to a `503`.
-    pub stale_misses: Counter,
+    pub stale_misses: Arc<Counter>,
     /// Connections killed by a lifecycle budget — the peer failed to
     /// deliver a complete header block before the wall-clock deadline,
     /// or trickled a body below the minimum throughput (answered `408`
     /// with `Connection: close`).
-    pub slowloris_kills: Counter,
+    pub slowloris_kills: Arc<Counter>,
 }
 
-impl ServerStats {
-    /// Creates stats with the given time-series bucket width.
-    pub fn new(bucket: Duration) -> Self {
-        ServerStats {
-            completed: [Counter::new(), Counter::new(), Counter::new()],
-            series: [
-                TimeSeries::new(bucket),
-                TimeSeries::new(bucket),
-                TimeSeries::new(bucket),
-            ],
-            total_series: TimeSeries::new(bucket),
-            sheds: std::array::from_fn(|_| Counter::new()),
-            errors: Counter::new(),
-            dropped_connections: Counter::new(),
-            handler_panics: Counter::new(),
-            deadline_expired: Counter::new(),
-            pool_starved: Counter::new(),
-            chaos_killed: Counter::new(),
-            chaos_stalled: Counter::new(),
-            degraded: Counter::new(),
-            stale_misses: Counter::new(),
-            slowloris_kills: Counter::new(),
-        }
-    }
-
-    fn idx(kind: RequestKind) -> usize {
-        match kind {
-            RequestKind::Static => 0,
-            RequestKind::QuickDynamic => 1,
-            RequestKind::LengthyDynamic => 2,
-        }
-    }
-
-    fn shed_idx(point: ShedPoint) -> usize {
-        match point {
-            ShedPoint::Listener => 0,
-            ShedPoint::StaticStage => 1,
-            ShedPoint::General => 2,
-            ShedPoint::Lengthy => 3,
-            ShedPoint::Render => 4,
-            ShedPoint::KeepAlive => 5,
-        }
-    }
-
-    /// Records one request shed with a `503` at `point`. Sheds are
-    /// deliberately **not** completions: goodput counts only requests
-    /// the server actually served.
-    pub fn record_shed(&self, point: ShedPoint) {
-        self.sheds[Self::shed_idx(point)].increment();
-    }
-
-    /// Shed count at one pipeline point.
-    pub fn shed(&self, point: ShedPoint) -> u64 {
-        self.sheds[Self::shed_idx(point)].value()
-    }
-
-    /// Total requests shed across all pipeline points.
-    pub fn total_sheds(&self) -> u64 {
-        ShedPoint::ALL.iter().map(|p| self.shed(*p)).sum()
-    }
-
-    /// Records one completed request.
-    pub fn record_completion(&self, kind: RequestKind) {
-        let i = Self::idx(kind);
-        self.completed[i].increment();
-        self.series[i].increment();
-        self.total_series.increment();
-    }
-
-    /// Completed count for a class.
-    pub fn completed(&self, kind: RequestKind) -> u64 {
-        self.completed[Self::idx(kind)].value()
-    }
-
-    /// Total completed requests.
-    pub fn total_completed(&self) -> u64 {
-        RequestKind::ALL.iter().map(|k| self.completed(*k)).sum()
-    }
-
-    /// The per-class throughput series (Figure 10).
-    pub fn series(&self, kind: RequestKind) -> &TimeSeries {
-        &self.series[Self::idx(kind)]
-    }
-
-    /// The overall throughput series (Figure 9).
-    pub fn total_series(&self) -> &TimeSeries {
-        &self.total_series
-    }
-
-    /// Rebases all time series to *now* (end of warm-up), without
-    /// resetting the counters.
-    pub fn restart_series(&self) {
-        for s in &self.series {
-            s.restart();
-        }
-        self.total_series.restart();
-    }
-
-    /// Registers every counter into `registry` under the names the
-    /// health payload and `/metrics` exporter read:
+impl Counters {
+    /// Registers every counter in `registry` under the names `/metrics`
+    /// exports and the health payload reads:
     /// `requests_completed_total{class=…}`, `sheds_total{point=…}`, and
-    /// the flat `*_total` error/degradation counters. Both servers call
-    /// this once at start.
-    pub fn register_into(self: &Arc<Self>, registry: &Registry) {
-        for kind in RequestKind::ALL {
-            let stats = Arc::clone(self);
-            registry.counter_fn("requests_completed_total", &[("class", kind.label())], {
-                move || stats.completed(kind)
-            });
-        }
-        for point in ShedPoint::ALL {
-            let stats = Arc::clone(self);
-            registry.counter_fn("sheds_total", &[("point", point.label())], {
-                move || stats.shed(point)
-            });
-        }
-        type CounterGetter = fn(&ServerStats) -> &Counter;
-        let unlabelled: [(&'static str, CounterGetter); 10] = [
-            ("errors_total", |s| &s.errors),
-            ("dropped_connections_total", |s| &s.dropped_connections),
-            ("handler_panics_total", |s| &s.handler_panics),
-            ("deadline_expired_total", |s| &s.deadline_expired),
-            ("pool_starved_total", |s| &s.pool_starved),
-            ("chaos_killed_total", |s| &s.chaos_killed),
-            ("chaos_stalled_total", |s| &s.chaos_stalled),
-            ("degraded_total", |s| &s.degraded),
-            ("stale_misses_total", |s| &s.stale_misses),
-            ("slowloris_kills_total", |s| &s.slowloris_kills),
-        ];
-        for (name, get) in unlabelled {
-            let stats = Arc::clone(self);
-            registry.counter_fn(name, &[], move || get(&stats).value());
+    /// the flat `*_total` error/degradation counters.
+    pub(crate) fn register_into(registry: &Registry) -> Self {
+        let flat = |name| registry.counter(name, &[]);
+        Counters {
+            completed: RequestKind::ALL.map(|kind| {
+                registry.counter("requests_completed_total", &[("class", kind.label())])
+            }),
+            sheds: ShedPoint::ALL
+                .map(|point| registry.counter("sheds_total", &[("point", point.label())])),
+            errors: flat("errors_total"),
+            dropped_connections: flat("dropped_connections_total"),
+            handler_panics: flat("handler_panics_total"),
+            deadline_expired: flat("deadline_expired_total"),
+            pool_starved: flat("pool_starved_total"),
+            chaos_killed: flat("chaos_killed_total"),
+            chaos_stalled: flat("chaos_stalled_total"),
+            degraded: flat("degraded_total"),
+            stale_misses: flat("stale_misses_total"),
+            slowloris_kills: flat("slowloris_kills_total"),
         }
     }
 
-    /// An owned point-in-time view of every counter, implementing
-    /// [`Snapshot`] for the shared text/JSON encodings the bench bins
-    /// emit.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            completed_static: self.completed(RequestKind::Static),
-            completed_quick_dynamic: self.completed(RequestKind::QuickDynamic),
-            completed_lengthy_dynamic: self.completed(RequestKind::LengthyDynamic),
-            total_sheds: self.total_sheds(),
-            errors: self.errors.value(),
-            dropped_connections: self.dropped_connections.value(),
-            handler_panics: self.handler_panics.value(),
-            deadline_expired: self.deadline_expired.value(),
-            pool_starved: self.pool_starved.value(),
-            degraded: self.degraded.value(),
-            stale_misses: self.stale_misses.value(),
-            slowloris_kills: self.slowloris_kills.value(),
-        }
+    /// Completions of class `kind` — bumped only once the response is
+    /// written.
+    pub(crate) fn completed(&self, kind: RequestKind) -> &Counter {
+        // Declaration order is `ALL` order.
+        &self.completed[kind as usize]
     }
-}
 
-/// An owned snapshot of [`ServerStats`]' counters (time series are
-/// reported separately; they are not point-in-time scalars).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Completed static requests.
-    pub completed_static: u64,
-    /// Completed quick-dynamic requests.
-    pub completed_quick_dynamic: u64,
-    /// Completed lengthy-dynamic requests.
-    pub completed_lengthy_dynamic: u64,
-    /// Requests shed with `503` at any pipeline point.
-    pub total_sheds: u64,
-    /// Responses with server-generated error statuses.
-    pub errors: u64,
-    /// Connections dropped on parse/I-O failure.
-    pub dropped_connections: u64,
-    /// Handler panics converted to 500s.
-    pub handler_panics: u64,
-    /// Requests `503`ed because their deadline had passed.
-    pub deadline_expired: u64,
-    /// Requests `503`ed waiting for a replacement DB connection.
-    pub pool_starved: u64,
-    /// Requests served stale (degradation ladder middle rung).
-    pub degraded: u64,
-    /// Degradation attempts with no usable stale copy.
-    pub stale_misses: u64,
-    /// Connections killed by a lifecycle budget (header deadline or
-    /// minimum body throughput).
-    pub slowloris_kills: u64,
-}
-
-impl Snapshot for StatsSnapshot {
-    fn fields(&self, emit: &mut dyn FnMut(&'static str, f64)) {
-        emit("completed_static", self.completed_static as f64);
-        emit(
-            "completed_quick_dynamic",
-            self.completed_quick_dynamic as f64,
-        );
-        emit(
-            "completed_lengthy_dynamic",
-            self.completed_lengthy_dynamic as f64,
-        );
-        emit("total_sheds", self.total_sheds as f64);
-        emit("errors", self.errors as f64);
-        emit("dropped_connections", self.dropped_connections as f64);
-        emit("handler_panics", self.handler_panics as f64);
-        emit("deadline_expired", self.deadline_expired as f64);
-        emit("pool_starved", self.pool_starved as f64);
-        emit("degraded", self.degraded as f64);
-        emit("stale_misses", self.stale_misses as f64);
-        emit("slowloris_kills", self.slowloris_kills as f64);
+    /// Requests shed with a `503` at `point`. Sheds are deliberately
+    /// **not** completions: goodput counts only requests the server
+    /// actually served.
+    pub(crate) fn shed(&self, point: ShedPoint) -> &Counter {
+        &self.sheds[point as usize]
     }
 }
 
@@ -348,25 +176,17 @@ mod tests {
 
     #[test]
     fn records_by_kind() {
-        let s = ServerStats::new(Duration::from_secs(60));
-        s.record_completion(RequestKind::Static);
-        s.record_completion(RequestKind::Static);
-        s.record_completion(RequestKind::QuickDynamic);
-        assert_eq!(s.completed(RequestKind::Static), 2);
-        assert_eq!(s.completed(RequestKind::QuickDynamic), 1);
-        assert_eq!(s.completed(RequestKind::LengthyDynamic), 0);
-        assert_eq!(s.total_completed(), 3);
-        assert_eq!(s.total_series().total(), 3.0);
-        assert_eq!(s.series(RequestKind::Static).total(), 2.0);
-    }
-
-    #[test]
-    fn restart_clears_series_not_counters() {
-        let s = ServerStats::new(Duration::from_secs(60));
-        s.record_completion(RequestKind::Static);
-        s.restart_series();
-        assert_eq!(s.total_series().total(), 0.0);
-        assert_eq!(s.completed(RequestKind::Static), 1);
+        let r = Registry::new();
+        let c = Counters::register_into(&r);
+        c.completed(RequestKind::Static).increment();
+        c.completed(RequestKind::Static).increment();
+        c.completed(RequestKind::QuickDynamic).increment();
+        let class =
+            |kind: RequestKind| r.value("requests_completed_total", &[("class", kind.label())]);
+        assert_eq!(class(RequestKind::Static), Some(2.0));
+        assert_eq!(class(RequestKind::QuickDynamic), Some(1.0));
+        assert_eq!(class(RequestKind::LengthyDynamic), Some(0.0));
+        assert_eq!(r.family_sum("requests_completed_total"), 3.0);
     }
 
     #[test]
@@ -379,48 +199,43 @@ mod tests {
 
     #[test]
     fn register_into_exposes_every_counter() {
-        let s = Arc::new(ServerStats::new(Duration::from_secs(60)));
         let r = Registry::new();
-        s.register_into(&r);
-        s.record_completion(RequestKind::Static);
-        s.record_shed(ShedPoint::General);
-        s.degraded.increment();
-        assert_eq!(
-            r.value("requests_completed_total", &[("class", "static")]),
-            Some(1.0)
-        );
-        assert_eq!(r.value("sheds_total", &[("point", "general")]), Some(1.0));
-        assert_eq!(r.value("sheds_total", &[("point", "render")]), Some(0.0));
+        let c = Counters::register_into(&r);
+        c.degraded.increment();
+        c.slowloris_kills.increment();
         assert_eq!(r.value("degraded_total", &[]), Some(1.0));
+        assert_eq!(r.value("slowloris_kills_total", &[]), Some(1.0));
         assert_eq!(r.value("errors_total", &[]), Some(0.0));
-    }
-
-    #[test]
-    fn snapshot_encodes_via_shared_trait() {
-        let s = ServerStats::new(Duration::from_secs(60));
-        s.record_completion(RequestKind::QuickDynamic);
-        s.errors.increment();
-        let snap = s.snapshot();
-        let mut json = String::new();
-        snap.encode_json(&mut json).unwrap();
-        assert!(json.contains("\"completed_quick_dynamic\":1"), "{json}");
-        assert!(json.contains("\"errors\":1"), "{json}");
-        let mut text = String::new();
-        snap.encode(&mut text).unwrap();
-        assert!(text.contains("errors 1\n"), "{text}");
+        // Every class and shed point is its own labelled cell.
+        for (i, kind) in RequestKind::ALL.into_iter().enumerate() {
+            c.completed(kind).add(i as u64 + 1);
+        }
+        for (i, point) in ShedPoint::ALL.into_iter().enumerate() {
+            c.shed(point).add(10 * (i as u64 + 1));
+        }
+        for (i, kind) in RequestKind::ALL.into_iter().enumerate() {
+            let labels = [("class", kind.label())];
+            let want = Some(i as f64 + 1.0);
+            assert_eq!(r.value("requests_completed_total", &labels), want);
+        }
+        for (i, point) in ShedPoint::ALL.into_iter().enumerate() {
+            let labels = [("point", point.label())];
+            let want = Some(10.0 * (i as f64 + 1.0));
+            assert_eq!(r.value("sheds_total", &labels), want);
+        }
     }
 
     #[test]
     fn sheds_tracked_per_point_and_not_counted_as_completions() {
-        let s = ServerStats::new(Duration::from_secs(60));
-        s.record_shed(ShedPoint::Listener);
-        s.record_shed(ShedPoint::Listener);
-        s.record_shed(ShedPoint::General);
-        assert_eq!(s.shed(ShedPoint::Listener), 2);
-        assert_eq!(s.shed(ShedPoint::General), 1);
-        assert_eq!(s.shed(ShedPoint::Render), 0);
-        assert_eq!(s.total_sheds(), 3);
-        assert_eq!(s.total_completed(), 0);
-        assert_eq!(s.total_series().total(), 0.0);
+        let r = Registry::new();
+        let c = Counters::register_into(&r);
+        c.shed(ShedPoint::Listener).increment();
+        c.shed(ShedPoint::Listener).increment();
+        c.shed(ShedPoint::General).increment();
+        assert_eq!(c.shed(ShedPoint::Listener).value(), 2);
+        assert_eq!(c.shed(ShedPoint::General).value(), 1);
+        assert_eq!(c.shed(ShedPoint::Render).value(), 0);
+        assert_eq!(r.family_sum("sheds_total"), 3.0);
+        assert_eq!(r.family_sum("requests_completed_total"), 0.0);
     }
 }

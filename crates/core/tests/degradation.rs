@@ -109,6 +109,14 @@ fn healthz_body(server: &ServerHandle) -> String {
     String::from_utf8(resp.body.clone()).unwrap()
 }
 
+/// One of the server's flat `*_total` counters.
+fn counter(server: &ServerHandle, name: &str) -> f64 {
+    server
+        .registry()
+        .value(name, &[])
+        .expect("registered counter")
+}
+
 #[test]
 fn staged_ladder_outage_brownout_recovery() {
     let mut config = ServerConfig::small();
@@ -136,7 +144,7 @@ fn staged_ladder_outage_brownout_recovery() {
     assert_eq!(stale.headers.get("warning"), Some(STALE_WARNING));
     assert!(stale.headers.get("age").is_some(), "stale 200 carries Age");
     assert_eq!(stale.body, b"<ul>2 books</ul>");
-    assert!(server.stats().degraded.value() >= 1);
+    assert!(counter(&server, "degraded_total") >= 1.0);
 
     let breaker = server.breaker().expect("breaker configured");
     assert!(breaker.opened_total() >= 1, "breaker must have opened");
@@ -153,7 +161,7 @@ fn staged_ladder_outage_brownout_recovery() {
         r.status == StatusCode::SERVICE_UNAVAILABLE
     });
     assert!(miss.headers.get("retry-after").is_some());
-    assert!(server.stats().stale_misses.value() >= 1);
+    assert!(counter(&server, "stale_misses_total") >= 1.0);
 
     // Rung 3 — recovery: the database heals, a half-open probe
     // succeeds, the breaker closes, and responses are fresh again.
@@ -254,8 +262,8 @@ fn expired_render_jobs_downgrade_to_stale_not_fresh_render() {
         Some("close"),
         "an expired request's client may be gone; do not keep it alive"
     );
-    assert!(server.stats().deadline_expired.value() >= 1);
-    assert!(server.stats().degraded.value() >= 1);
+    assert!(counter(&server, "deadline_expired_total") >= 1.0);
+    assert!(counter(&server, "degraded_total") >= 1.0);
 
     // The same expiry without a stale copy is a plain 503 — never a
     // fresh render of a request nobody is waiting for.
@@ -308,8 +316,8 @@ fn expired_dynamic_jobs_downgrade_to_stale() {
     assert_eq!(resp.headers.get("warning"), Some(STALE_WARNING));
     assert_eq!(resp.headers.get("connection"), Some("close"));
     assert_eq!(resp.body, b"<ul>2 books</ul>");
-    assert!(server.stats().deadline_expired.value() >= 1);
-    assert!(server.stats().degraded.value() >= 1);
+    assert!(counter(&server, "deadline_expired_total") >= 1.0);
+    assert!(counter(&server, "degraded_total") >= 1.0);
     for p in parked {
         let _ = p.join().expect("a /slow client thread panicked");
     }
@@ -384,7 +392,11 @@ fn health_endpoints_report_state_on_both_servers() {
 
         // Health probes are not completions; the goodput series must
         // not be skewed by monitoring traffic.
-        assert_eq!(server.stats().total_completed(), 0, "{which}");
+        assert_eq!(
+            server.registry().family_sum("requests_completed_total"),
+            0.0,
+            "{which}"
+        );
         server.shutdown().expect("clean shutdown");
     }
 }

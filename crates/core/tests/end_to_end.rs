@@ -1,7 +1,8 @@
 //! End-to-end tests driving every server model over real TCP.
 
 use staged_core::{
-    App, BaselineServer, PageOutcome, ServerConfig, ServerHandle, StagedServer, StatsSnapshot,
+    App, BaselineServer, PageOutcome, RequestKind, ServerConfig, ServerHandle, ShedPoint,
+    StagedServer,
 };
 use staged_db::{Database, DbValue};
 use staged_http::{fetch, Method, Response, StaticFiles, StatusCode};
@@ -95,10 +96,44 @@ fn demo_db() -> Arc<Database> {
 /// counter moves; wait for the counters to settle.
 fn settle(server: &ServerHandle, expected_total: u64) {
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while server.stats().total_completed() < expected_total && std::time::Instant::now() < deadline
-    {
+    let completed = || server.registry().family_sum("requests_completed_total");
+    while completed() < expected_total as f64 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// Every series of the server's own counters, read from the registry as
+/// `(family{label=value}, count)`.
+fn server_counters(server: &ServerHandle) -> Vec<(String, f64)> {
+    let registry = server.registry();
+    let mut out: Vec<(String, f64)> = RequestKind::ALL
+        .iter()
+        .map(|kind| ("requests_completed_total", "class", kind.label()))
+        .chain(
+            ShedPoint::ALL
+                .iter()
+                .map(|point| ("sheds_total", "point", point.label())),
+        )
+        .map(|(family, key, value)| {
+            let count = registry.value(family, &[(key, value)]).unwrap();
+            (format!("{family}{{{key}={value}}}"), count)
+        })
+        .collect();
+    for family in [
+        "errors_total",
+        "dropped_connections_total",
+        "handler_panics_total",
+        "deadline_expired_total",
+        "pool_starved_total",
+        "chaos_killed_total",
+        "chaos_stalled_total",
+        "degraded_total",
+        "stale_misses_total",
+        "slowloris_kills_total",
+    ] {
+        out.push((family.to_string(), registry.value(family, &[]).unwrap()));
+    }
+    out
 }
 
 /// Runs `test` against each stage→pool map: thread-per-request, the
@@ -152,7 +187,7 @@ fn every_map_answers_the_same_script_identically() {
     ];
     /// One map's run: its name, each step's (status line, body), and
     /// the server counters afterwards.
-    type Run = (String, Vec<(String, String)>, StatsSnapshot);
+    type Run = (String, Vec<(String, String)>, Vec<(String, f64)>);
     let runs: std::cell::RefCell<Vec<Run>> = Default::default();
     each_server(|server, which| {
         let answers = SCRIPT
@@ -173,9 +208,9 @@ fn every_map_answers_the_same_script_identically() {
             })
             .collect();
         // Every connection was read to its close, which follows the
-        // counter updates: the snapshot is settled.
+        // counter updates: the counters are settled.
         runs.borrow_mut()
-            .push((which.to_string(), answers, server.stats().snapshot()));
+            .push((which.to_string(), answers, server_counters(server)));
     });
     let runs = runs.into_inner();
     let (_, expected_answers, expected_stats) = &runs[0];
@@ -195,10 +230,17 @@ fn every_map_answers_the_same_script_identically() {
     );
     assert_eq!(expected_answers[4].1, "", "HEAD carries no body");
     assert_eq!(expected_answers[5].1, "book=42");
-    assert_eq!(expected_stats.completed_static, 2);
-    assert_eq!(expected_stats.completed_quick_dynamic, 4);
-    assert_eq!(expected_stats.errors, 3, "two 404s and the 400");
-    assert_eq!(expected_stats.dropped_connections, 0);
+    let count = |series: &str| {
+        expected_stats
+            .iter()
+            .find(|(name, _)| name == series)
+            .unwrap_or_else(|| panic!("no counter {series}"))
+            .1
+    };
+    assert_eq!(count("requests_completed_total{class=static}"), 2.0);
+    assert_eq!(count("requests_completed_total{class=quick-dynamic}"), 4.0);
+    assert_eq!(count("errors_total"), 3.0, "two 404s and the 400");
+    assert_eq!(count("dropped_connections_total"), 0.0);
     for (which, answers, stats) in &runs[1..] {
         for (((step, _), got), want) in SCRIPT.iter().zip(answers).zip(expected_answers) {
             assert_eq!(got, want, "{which} differs from {} on {step}", runs[0].0);
@@ -353,7 +395,11 @@ fn handler_panics_become_500s_and_server_survives() {
         // still works.
         let resp = fetch(server.addr(), Method::Get, "/books", &[]).unwrap();
         assert_eq!(resp.status, StatusCode::OK, "{which}");
-        assert_eq!(server.stats().handler_panics.value(), 1, "{which}");
+        assert_eq!(
+            server.registry().value("handler_panics_total", &[]),
+            Some(1.0),
+            "{which}"
+        );
     });
 }
 
@@ -381,21 +427,22 @@ fn completions_recorded_by_class() {
         fetch(server.addr(), Method::Get, "/slow", &[]).unwrap();
         fetch(server.addr(), Method::Get, "/slow", &[]).unwrap();
         settle(server, 6);
-        let stats = server.stats();
-        assert_eq!(
-            stats.completed(staged_core::RequestKind::Static),
-            1,
-            "{which}"
-        );
+        let registry = server.registry();
+        let completed = |kind: RequestKind| {
+            let labels = [("class", kind.label())];
+            registry.value("requests_completed_total", &labels).unwrap()
+        };
+        assert_eq!(completed(RequestKind::Static), 1.0, "{which}");
+        assert!(completed(RequestKind::QuickDynamic) >= 3.0, "{which}");
         assert!(
-            stats.completed(staged_core::RequestKind::QuickDynamic) >= 3,
-            "{which}"
-        );
-        assert!(
-            stats.completed(staged_core::RequestKind::LengthyDynamic) >= 1,
+            completed(RequestKind::LengthyDynamic) >= 1.0,
             "{which}: second /slow should be classified lengthy"
         );
-        assert_eq!(stats.total_completed(), 6, "{which}");
+        assert_eq!(
+            registry.family_sum("requests_completed_total"),
+            6.0,
+            "{which}"
+        );
     });
 }
 
@@ -422,7 +469,11 @@ fn concurrent_clients_are_all_served() {
             h.join().unwrap();
         }
         settle(server, 40);
-        assert_eq!(server.stats().total_completed(), 40, "{which}");
+        assert_eq!(
+            server.registry().family_sum("requests_completed_total"),
+            40.0,
+            "{which}"
+        );
     });
 }
 

@@ -1,8 +1,8 @@
-//! Scrape tests for the observability endpoints: `GET /metrics` must be
-//! valid Prometheus text exposition carrying every family the ISSUE
-//! promises, and `GET /debug/traces` must be JSON from the slow-trace
-//! ring. This is also the CI scrape check (`.github/workflows/ci.yml`
-//! runs exactly this test).
+//! The scrape check: boots both servers, hits `GET /metrics`, and
+//! validates the Prometheus exposition (format plus every promised
+//! family, with the server-counter schema frozen), plus the
+//! `GET /debug/traces` JSON ring. CI runs it with the rest of the
+//! workspace's tests.
 
 use staged_core::{App, BaselineServer, PageOutcome, ServerConfig, ServerHandle, StagedServer};
 use staged_db::{Database, DbValue};
@@ -61,8 +61,8 @@ fn demo_db() -> Arc<Database> {
 /// wait for them so the scrape sees settled values.
 fn settle(server: &ServerHandle, expected_total: u64) {
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while server.stats().total_completed() < expected_total && std::time::Instant::now() < deadline
-    {
+    let completed = || server.registry().family_sum("requests_completed_total");
+    while completed() < expected_total as f64 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
 }

@@ -123,6 +123,28 @@ fn saturate_and_probe(
     responses
 }
 
+/// A server whose dynamic path is one worker behind a one-slot queue
+/// (every queue holds `workers × queue_factor` jobs), with enough header
+/// workers and header-queue room that a burst of four probes is never
+/// shed before it reaches that queue.
+fn one_slot_config() -> ServerConfig {
+    ServerConfig {
+        header_workers: 4,
+        general_workers: 1,
+        baseline_workers: 1,
+        min_reserve: 0,
+        max_reserve: 0,
+        queue_factor: 1,
+        ..ServerConfig::small()
+    }
+}
+
+/// Requests shed at `point`.
+fn sheds_at(server: &ServerHandle, point: ShedPoint) -> u64 {
+    let labels = [("point", point.label())];
+    server.registry().value("sheds_total", &labels).unwrap() as u64
+}
+
 fn assert_shed_response(resp: &staged_http::ClientResponse, which: &str) {
     assert_eq!(resp.status, StatusCode::SERVICE_UNAVAILABLE, "{which}");
     let retry: u64 = resp
@@ -145,8 +167,7 @@ fn assert_shed_response(resp: &staged_http::ClientResponse, which: &str) {
 fn staged_sheds_parseable_503_when_dynamic_queue_fills() {
     let started = Arc::new(AtomicUsize::new(0));
     let release = Arc::new(AtomicBool::new(false));
-    let mut config = ServerConfig::small();
-    config.general_queue_cap = Some(1);
+    let config = one_slot_config();
     let server = StagedServer::start(
         config.clone(),
         gated_app(started.clone(), release.clone()),
@@ -169,18 +190,19 @@ fn staged_sheds_parseable_503_when_dynamic_queue_fills() {
 
     // Static requests stay admitted while the dynamic stage is refusing
     // work — the whole point of per-stage queues.
-    let stats = server.stats();
-    assert!(
-        stats.shed(ShedPoint::General) >= 3,
-        "sheds recorded per stage"
+    let general = sheds_at(&server, ShedPoint::General);
+    assert!(general >= 3, "sheds recorded per stage");
+    assert_eq!(
+        server.registry().family_sum("sheds_total") as u64,
+        general,
+        "no stage but the general queue shed"
     );
-    assert_eq!(stats.total_sheds(), stats.shed(ShedPoint::General));
     let snapshot = server
         .pool_snapshots()
         .into_iter()
         .find(|p| p.name == "general-dynamic")
         .expect("general pool snapshot");
-    assert_eq!(snapshot.rejected, stats.shed(ShedPoint::General));
+    assert_eq!(snapshot.rejected, general);
     server.shutdown().expect("clean shutdown");
 }
 
@@ -188,8 +210,7 @@ fn staged_sheds_parseable_503_when_dynamic_queue_fills() {
 fn staged_static_path_survives_dynamic_saturation() {
     let started = Arc::new(AtomicUsize::new(0));
     let release = Arc::new(AtomicBool::new(false));
-    let mut config = ServerConfig::small();
-    config.general_queue_cap = Some(1);
+    let config = one_slot_config();
     let server = StagedServer::start(
         config.clone(),
         gated_app(started.clone(), release.clone()),
@@ -214,7 +235,7 @@ fn staged_static_path_survives_dynamic_saturation() {
         assert_eq!(resp.status, StatusCode::OK);
         assert_eq!(resp.body, b"GIF89a-pixel");
     }
-    assert_eq!(server.stats().shed(ShedPoint::StaticStage), 0);
+    assert_eq!(sheds_at(&server, ShedPoint::StaticStage), 0);
 
     release.store(true, Ordering::SeqCst);
     for h in holders {
@@ -227,8 +248,7 @@ fn staged_static_path_survives_dynamic_saturation() {
 fn baseline_sheds_parseable_503_when_worker_queue_fills() {
     let started = Arc::new(AtomicUsize::new(0));
     let release = Arc::new(AtomicBool::new(false));
-    let mut config = ServerConfig::small();
-    config.baseline_queue_cap = Some(1);
+    let config = one_slot_config();
     let server = BaselineServer::start(
         config.clone(),
         gated_app(started.clone(), release.clone()),
@@ -249,11 +269,11 @@ fn baseline_sheds_parseable_503_when_worker_queue_fills() {
         assert_shed_response(resp, "baseline");
     }
     // The baseline can only shed at its front door.
-    let stats = server.stats();
-    assert!(stats.shed(ShedPoint::Listener) >= 3);
+    let listener = sheds_at(&server, ShedPoint::Listener);
+    assert!(listener >= 3);
     let snapshot = &server.pool_snapshots()[0];
     assert_eq!(snapshot.name, "baseline-worker");
-    assert_eq!(snapshot.rejected, stats.shed(ShedPoint::Listener));
+    assert_eq!(snapshot.rejected, listener);
     server.shutdown().expect("clean shutdown");
 }
 
@@ -274,7 +294,7 @@ fn expired_deadlines_answer_503_on_both_servers() {
         assert_eq!(resp.status, StatusCode::SERVICE_UNAVAILABLE, "{which}");
         assert!(resp.headers.get("retry-after").is_some(), "{which}");
         assert!(
-            server.stats().deadline_expired.value() >= 1,
+            server.registry().value("deadline_expired_total", &[]) >= Some(1.0),
             "{which}: expiry must be counted"
         );
         server.shutdown().expect("clean shutdown");
@@ -331,9 +351,8 @@ fn fault_mode_run_keeps_both_servers_alive() {
         let ok: u64 = clients.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(ok > 0, "{which}: goodput must stay positive under faults");
 
-        let stats = server.stats();
         assert!(
-            stats.chaos_killed.value() > 0,
+            server.registry().value("chaos_killed_total", &[]) > Some(0.0),
             "{which}: chaos must have fired"
         );
         for pool in server.pool_snapshots() {

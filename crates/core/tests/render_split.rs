@@ -37,7 +37,6 @@ fn app_with_two_templates() -> App {
 fn config(split: bool) -> ServerConfig {
     ServerConfig {
         split_render: split,
-        render_cutoff: Duration::from_millis(5),
         render_workers: 4,
         ..ServerConfig::small()
     }
@@ -71,11 +70,12 @@ fn split_render_exposes_lengthy_gauge_and_serves_both_classes() {
     }
     // Completion counters are incremented just after the response is
     // written; wait for them to settle.
+    let completed = || server.registry().family_sum("requests_completed_total");
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while server.stats().total_completed() < 7 && std::time::Instant::now() < deadline {
+    while completed() < 7.0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(server.stats().total_completed(), 7);
+    assert_eq!(completed(), 7.0);
     server.shutdown().expect("clean shutdown");
 }
 

@@ -152,7 +152,7 @@ impl Registry {
     }
 
     /// Registers a counter whose value is read through a closure — how
-    /// pre-existing `Counter`s (pool stats, server stats) join the
+    /// pre-existing `Counter`s (pool stats, cache counters) join the
     /// registry without being moved.
     pub fn counter_fn(
         &self,
@@ -290,6 +290,12 @@ impl Registry {
             }
         }
         out
+    }
+
+    /// Sums every sample of family `name`, counting negative readings
+    /// as zero — e.g. completions across all classes.
+    pub fn family_sum(&self, name: &str) -> f64 {
+        self.samples(name).iter().map(|(_, v)| v.max(0.0)).sum()
     }
 
     /// Renders the whole registry in Prometheus text exposition format

@@ -10,7 +10,9 @@ type GaugeFn = Box<dyn Fn() -> usize + Send + Sync>;
 
 /// Periodically samples a set of named gauges (typically queue lengths)
 /// into [`TimeSeries`], producing the traces behind the paper's
-/// Figures 7 and 8.
+/// Figures 7 and 8. It samples once more when stopped, so a gauge that
+/// reports the movement of a counter since its previous reading loses
+/// nothing at the end of a run.
 ///
 /// # Examples
 ///
@@ -83,9 +85,13 @@ impl QueueSampler {
                 // Acquire pairs with the Release store in `stop_inner`:
                 // the sampler must observe everything the stopping
                 // thread published before raising the flag.
-                while !stop2.load(Ordering::Acquire) {
+                loop {
+                    let stopping = stop2.load(Ordering::Acquire);
                     for (_, gauge, series) in &targets {
                         series.observe(gauge() as f64);
+                    }
+                    if stopping {
+                        break;
                     }
                     thread::sleep(interval);
                 }
@@ -169,6 +175,20 @@ mod tests {
             .bucket_means()
             .iter()
             .any(|p| (p.value - 9.0).abs() < 1e-9));
+    }
+
+    #[test]
+    fn samples_once_more_when_stopped() {
+        // A delta gauge: each reading takes what accumulated since the
+        // previous one.
+        let pending = Arc::new(AtomicUsize::new(0));
+        let p2 = Arc::clone(&pending);
+        let mut sampler = QueueSampler::new(Duration::from_millis(50));
+        let series = sampler.track("delta", move || p2.swap(0, Ordering::AcqRel));
+        let handle = sampler.start();
+        pending.store(5, Ordering::Release);
+        handle.stop();
+        assert_eq!(series.total(), 5.0, "movement before the stop is kept");
     }
 
     #[test]

@@ -246,8 +246,8 @@ impl Browser {
 /// reports per-page response times and completion counts.
 ///
 /// `on_measurement_start` fires when ramp-up ends (the paper drops its
-/// first five minutes); use it to restart server-side time series so
-/// client and server windows align.
+/// first five minutes); use it to start server-side sampling so client
+/// and server windows align.
 pub fn run_workload(
     addr: SocketAddr,
     config: &WorkloadConfig,

@@ -124,8 +124,7 @@ fn workload_runs_against_both_servers() {
         } else {
             BaselineServer::start(cfg, app, Arc::clone(&db)).unwrap()
         };
-        let stats = Arc::clone(server.stats());
-        let report = run_workload(server.addr(), &wl, || stats.restart_series());
+        let report = run_workload(server.addr(), &wl, || {});
         assert!(
             report.total_interactions > 20,
             "staged={staged}: only {} interactions",
@@ -147,9 +146,12 @@ fn workload_runs_against_both_servers() {
             report.page("product_detail").unwrap().count > 0,
             "staged={staged}"
         );
-        // Server-side stats saw both static and dynamic traffic.
-        assert!(stats.completed(staged_core::RequestKind::Static) > 0);
-        assert!(stats.total_completed() > report.total_interactions);
+        // Server-side counters saw both static and dynamic traffic.
+        let registry = server.registry();
+        let labels = [("class", staged_core::RequestKind::Static.label())];
+        assert!(registry.value("requests_completed_total", &labels) > Some(0.0));
+        let completed = registry.family_sum("requests_completed_total");
+        assert!(completed > report.total_interactions as f64);
         server.shutdown().expect("clean shutdown");
     }
 }

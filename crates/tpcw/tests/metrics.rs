@@ -31,7 +31,8 @@ fn tpcw_metrics_scrape_is_valid_prometheus() {
         assert_eq!(resp.status, StatusCode::OK, "{target}");
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while server.stats().total_completed() < 4 && std::time::Instant::now() < deadline {
+    let completed = || server.registry().family_sum("requests_completed_total");
+    while completed() < 4.0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
 

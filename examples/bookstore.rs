@@ -61,8 +61,7 @@ fn main() {
         } else {
             BaselineServer::start(server_config.clone(), app, db).expect("bind")
         };
-        let stats = Arc::clone(server.stats());
-        let report = run_workload(server.addr(), &workload, move || stats.restart_series());
+        let report = run_workload(server.addr(), &workload, || {});
         eprintln!(
             "  {} interactions ({:.0}/min), {} errors",
             report.total_interactions,

@@ -52,10 +52,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_reserve: 4,
         lengthy_cutoff: Duration::from_millis(5),
         controller_tick: Duration::from_millis(50),
-        // Overload control: the lengthy queue holds at most 6 waiting
-        // requests — the spike below offers far more, and the excess is
-        // shed with 503 instead of queuing without bound.
-        lengthy_queue_cap: Some(6),
+        // Overload control: every queue holds `workers × 3` jobs, so the
+        // lengthy queue (2 workers) takes at most 6 waiting requests —
+        // the spike below offers far more, and the excess is shed with
+        // 503 instead of queuing without bound.
+        queue_factor: 3,
         // Guard the database with a circuit breaker so its health is
         // reported below (and in /healthz) alongside the pool stats.
         breaker: Some(BreakerConfig::default()),
@@ -85,6 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gauge = |metric: &str, labels: &[(&str, &str)]| {
         server.registry().value(metric, labels).unwrap_or(0.0) as usize
     };
+    let sheds = || server.registry().family_sum("sheds_total") as u64;
     let observe = |phase: &str, at: Duration| {
         println!(
             "{:>6} {:>8} {:>10} {:>10} {:>10} {:>8}",
@@ -93,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             gauge("scheduler_t_spare", &[]),
             gauge("scheduler_t_reserve", &[]),
             gauge("stage_queue_depth", &[("stage", "lengthy")]),
-            server.stats().total_sheds(),
+            sheds(),
         );
     };
 
@@ -135,11 +137,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let final_reserve = gauge("scheduler_t_reserve", &[]);
-    let sheds = server.stats().total_sheds();
     println!("\nfinal t_reserve: {final_reserve} (grew under the spike, relaxed after)");
     println!(
-        "shed {sheds} lengthy requests with 503 + Retry-After \
-         (bounded queue, cap 6) while quick traffic kept being served"
+        "shed {} lengthy requests with 503 + Retry-After \
+         (bounded queue, cap 6) while quick traffic kept being served",
+        sheds()
     );
 
     // Worker health: a panicked worker is replaced, but the count must

@@ -80,10 +80,16 @@ fn classifier_routes_lengthy_pages_to_lengthy_pool() {
     assert_eq!(resp.status, StatusCode::OK);
     // A worker counts its completion before it takes its next job, so
     // a point lookup that waited behind a scan always sees it counted.
-    let stats = server.stats();
+    let completed = |kind: RequestKind| {
+        let labels = [("class", kind.label())];
+        server
+            .registry()
+            .value("requests_completed_total", &labels)
+            .unwrap()
+    };
     assert_eq!(
-        stats.completed(RequestKind::LengthyDynamic),
-        0,
+        completed(RequestKind::LengthyDynamic),
+        0.0,
         "the quick request must not wait for a lengthy scan"
     );
     let still_scanning = handles.iter().any(|h| !h.is_finished());
@@ -102,11 +108,11 @@ fn classifier_routes_lengthy_pages_to_lengthy_pool() {
     // explored interleaving — the counter always catches up, so this
     // poll converges and its direction is the only sound one.
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while stats.completed(RequestKind::LengthyDynamic) < 4 && std::time::Instant::now() < deadline {
+    while completed(RequestKind::LengthyDynamic) < 4.0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert!(stats.completed(RequestKind::LengthyDynamic) >= 4);
-    assert!(stats.completed(RequestKind::QuickDynamic) >= 1);
+    assert!(completed(RequestKind::LengthyDynamic) >= 4.0);
+    assert!(completed(RequestKind::QuickDynamic) >= 1.0);
     server.shutdown().expect("clean shutdown");
 }
 

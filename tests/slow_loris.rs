@@ -37,7 +37,7 @@ fn stalled_connections_are_dropped_and_workers_freed() {
     let resp = fetch(addr, Method::Get, "/ping", &[]).unwrap();
     assert_eq!(resp.status, StatusCode::OK);
     assert!(
-        server.stats().dropped_connections.value() >= 2,
+        server.registry().value("dropped_connections_total", &[]) >= Some(2.0),
         "stalled connections should be counted as dropped"
     );
     server.shutdown().expect("clean shutdown");
