@@ -476,14 +476,18 @@ mod tests {
 
     #[test]
     fn ttl_expiry_is_a_miss() {
-        let cache = DocCache::new(Duration::from_millis(10), 16);
+        let cache = DocCache::new(Duration::ZERO, 16);
         put(&cache, "k", page("x"), SCAN);
-        std::thread::sleep(Duration::from_millis(15));
+        std::thread::sleep(Duration::from_millis(2));
         assert!(matches!(cache.lookup("k"), Lookup::Miss(_)));
-        assert!(
-            cache.lookup_stale("k").is_none(),
-            "expired for the ladder too"
-        );
+    }
+
+    #[test]
+    fn ladder_drops_expired_entries() {
+        let cache = DocCache::new(Duration::from_millis(10), 8);
+        put(&cache, "home", page("x"), SCAN);
+        std::thread::sleep(Duration::from_millis(15));
+        assert!(cache.lookup_stale("home").is_none());
     }
 
     #[test]
@@ -494,10 +498,21 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup_stale("a").is_none(), "oldest out");
-        assert!(cache.lookup_stale("b").is_some());
         assert!(matches!(cache.lookup("a"), Lookup::Miss(_)), "oldest out");
         assert!(matches!(cache.lookup("c"), Lookup::Hit(_)));
+    }
+
+    #[test]
+    fn ladder_capacity_evicts_oldest() {
+        let cache = DocCache::new(Duration::from_secs(60), 2);
+        for key in ["a", "b", "c"] {
+            put(&cache, key, page(key), SCAN);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(cache.len(), 2);
+        assert!(cache.lookup_stale("a").is_none(), "oldest entry evicted");
+        assert!(cache.lookup_stale("b").is_some());
+        assert!(cache.lookup_stale("c").is_some());
     }
 
     #[test]
@@ -510,10 +525,17 @@ mod tests {
         };
         assert!(Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&a, &published));
+    }
+
+    #[test]
+    fn ladder_hits_share_the_stored_allocation() {
+        let cache = DocCache::new(Duration::from_secs(60), 8);
+        let published = page("<h1>page</h1>");
+        put(&cache, "home", Arc::clone(&published), SCAN);
         for _ in 0..2 {
-            let stale = cache.lookup_stale("k").expect("valid entry");
+            let resp = cache.lookup_stale("home").unwrap();
             assert_eq!(
-                stale.body().as_ptr(),
+                resp.body().as_ptr(),
                 published.body().as_ptr(),
                 "the stale response must not copy the page"
             );
