@@ -367,7 +367,7 @@ impl Database {
         reads: Option<&mut ReadSet>,
     ) -> Result<QueryResult, DbError> {
         let (stmt, plan) = self.prepare_cached(sql)?;
-        self.execute_statement(&stmt, plan.as_deref(), sql, params, reads)
+        self.execute_statement(&stmt, plan.as_deref(), sql, params, reads, true)
     }
 
     /// Compiles `sql` into a reusable [`Plan`] handle: parse once, plan
@@ -576,10 +576,13 @@ impl Database {
         sql: &str,
         params: &[DbValue],
         reads: Option<&mut ReadSet>,
+        kernels: bool,
     ) -> Result<QueryResult, DbError> {
         let mut stats = ExecStats::default();
         let result = match plan {
-            Some(plan) => self.run_select_planned(stmt, plan, params, &mut stats, reads)?,
+            Some(plan) => {
+                self.run_select_planned(stmt, plan, params, &mut stats, reads, kernels)?
+            }
             None => self.run_mutation(stmt, sql, params, &mut stats)?,
         };
         // Synthetic latency is charged after the guards are gone.
@@ -785,13 +788,14 @@ impl Database {
         params: &[DbValue],
         stats: &mut ExecStats,
         reads: Option<&mut ReadSet>,
+        kernels: bool,
     ) -> Result<QueryResult, DbError> {
         // Observer slot read (guard dropped) before any table lock.
         let observer = self.plan_observer.read().clone();
         let mut node_times: Vec<(&'static str, u64)> = Vec::new();
         let sel = plan.select();
         let result = self.with_bound_tables(stmt, sel, |bound| {
-            plan::run_planned(plan, params, bound, stats, reads, &mut node_times)
+            plan::run_planned(plan, params, bound, stats, reads, kernels, &mut node_times)
         })?;
         if let Some(obs) = observer {
             for (kind, nanos) in node_times {
@@ -988,8 +992,37 @@ impl Plan<'_> {
         params: &[DbValue],
         reads: Option<&mut ReadSet>,
     ) -> Result<QueryResult, DbError> {
-        self.db
-            .execute_statement(&self.stmt, self.plan.as_deref(), &self.sql, params, reads)
+        self.db.execute_statement(
+            &self.stmt,
+            self.plan.as_deref(),
+            &self.sql,
+            params,
+            reads,
+            true,
+        )
+    }
+
+    /// [`Plan::run_tracked`] with every base filter tested through the
+    /// general expression evaluator, never a scan kernel: the reference
+    /// the kernel-agreement property test compares against.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Database::execute`].
+    #[doc(hidden)]
+    pub fn run_without_scan_kernels(
+        &self,
+        params: &[DbValue],
+        reads: Option<&mut ReadSet>,
+    ) -> Result<QueryResult, DbError> {
+        self.db.execute_statement(
+            &self.stmt,
+            self.plan.as_deref(),
+            &self.sql,
+            params,
+            reads,
+            false,
+        )
     }
 
     /// Renders the plan tree as JSON: node kind, chosen index, estimated

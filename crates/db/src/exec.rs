@@ -154,6 +154,21 @@ impl BoundExpr {
     pub(crate) fn holds(&self, row: RowRef<'_, '_>, params: &[DbValue]) -> Result<bool, DbError> {
         holds(&self.0, row, params)
     }
+
+    /// `(op, column, constant)` when this is `column op constant` over
+    /// slot 0 with a literal or parameter on the right — or, for the
+    /// symmetric `=`, on either side. The shapes a scan kernel tests.
+    pub(crate) fn column_vs_constant(&self) -> Option<(BinOp, usize, &Expr)> {
+        let Expr::Binary { op, left, right } = &self.0 else {
+            return None;
+        };
+        let constant = |e: &Expr| matches!(e, Expr::Literal(_) | Expr::Param(_));
+        match (&**left, &**right) {
+            (Expr::Slot(0, col), c) if constant(c) => Some((*op, *col, c)),
+            (c, Expr::Slot(0, col)) if *op == BinOp::Eq && constant(c) => Some((*op, *col, c)),
+            _ => None,
+        }
+    }
 }
 
 fn eval<'a>(
@@ -365,6 +380,37 @@ pub(crate) fn like_match(pattern: &str, text: &str) -> bool {
     let p: Vec<char> = pattern.to_lowercase().chars().collect();
     let t: Vec<char> = text.to_lowercase().chars().collect();
     wildcard_match(&p, &t, '%', '_', |a, b| a.eq_ignore_ascii_case(&b))
+}
+
+/// The literal of a `%literal%` pattern whose literal is ASCII and
+/// holds no wildcard: the shape where `like_match` is a case-folded
+/// substring test ([`contains_ignore_ascii_case`]). `None` otherwise.
+pub(crate) fn infix_literal(pattern: &str) -> Option<&str> {
+    let lit = pattern.strip_prefix('%')?.strip_suffix('%')?;
+    (lit.is_ascii() && !lit.contains(['%', '_'])).then_some(lit)
+}
+
+/// Whether `text` contains the ASCII `needle`, ASCII case folded.
+/// Agrees with `like_match("%needle%", text)` whenever it says yes; on
+/// a non-ASCII `text` a no can still be a Unicode-folded match (`K`,
+/// the Kelvin sign, lowercases to `k`), so callers re-check those
+/// with `like_match`.
+#[inline]
+pub(crate) fn contains_ignore_ascii_case(text: &[u8], needle: &[u8]) -> bool {
+    let Some(&first) = needle.first() else {
+        return true;
+    };
+    let Some(last_start) = text.len().checked_sub(needle.len()) else {
+        return false;
+    };
+    // `b | 0x20` folds ASCII letters to lower case and leaves every
+    // byte that equals `first` equal: a cheap superset test for where a
+    // match can start, confirmed by the full comparison.
+    let fold = first | 0x20;
+    text[..=last_start]
+        .iter()
+        .enumerate()
+        .any(|(i, &b)| b | 0x20 == fold && text[i..i + needle.len()].eq_ignore_ascii_case(needle))
 }
 
 /// Iterative two-pointer wildcard match: on a mismatch, resume after
@@ -1046,6 +1092,7 @@ mod tests {
         #[test]
         fn like_agrees_with_the_recursive_definition(
             pattern in "[%_abAİßı\u{301}k\u{212a} ]{0,7}",
+            literal in "[%_abAKkİ ]{0,4}",
             text in "[abABİßıi\u{301}\u{307}kK\u{212a} ]{0,10}",
         ) {
             proptest::prop_assert_eq!(
@@ -1053,6 +1100,22 @@ mod tests {
                 like_match_recursive(&pattern, &text),
                 "pattern {:?} text {:?}", pattern, text
             );
+            // `%literal%`: the scan kernel's substring test, with its
+            // `like_match` re-check on non-ASCII text, where it applies.
+            let infix = format!("%{literal}%");
+            let wanted = like_match_recursive(&infix, &text);
+            proptest::prop_assert_eq!(
+                like_match(&infix, &text), wanted,
+                "pattern {:?} text {:?}", infix, text
+            );
+            if let Some(needle) = infix_literal(&infix) {
+                let kernel = contains_ignore_ascii_case(text.as_bytes(), needle.as_bytes())
+                    || (!text.is_ascii() && like_match(&infix, &text));
+                proptest::prop_assert_eq!(
+                    kernel, wanted,
+                    "kernel: pattern {:?} text {:?}", infix, text
+                );
+            }
         }
     }
 

@@ -102,6 +102,85 @@ pub(crate) enum BaseAccess {
     },
 }
 
+/// How a sequential scan tests its base filter, chosen at plan time
+/// from the filter's shape. A lone `column = constant` or `column LIKE
+/// constant` conjunct is tested in place by a typed kernel; every other
+/// shape goes through [`BoundExpr::holds`]. A kernel keeps `holds`'s
+/// verdict on every row, so rows, order, `rows_scanned` and read sets
+/// do not depend on which test ran.
+#[derive(Debug, Clone)]
+pub(crate) enum ScanTest {
+    /// Every conjunct through `holds`, in WHERE order.
+    Holds,
+    /// `row[col]` `sql_eq` the key.
+    Eq { col: usize, key: KeySource },
+    /// `row[col] LIKE pattern`: a case-folded substring search when the
+    /// pattern is `%literal%` (decided per execution, since the pattern
+    /// is usually a parameter), `holds` otherwise.
+    Like { col: usize, pattern: KeySource },
+}
+
+/// A [`ScanTest`] resolved against one execution's parameters.
+enum Kernel<'p> {
+    Eq {
+        col: usize,
+        key: &'p DbValue,
+    },
+    Contains {
+        col: usize,
+        needle: &'p [u8],
+        pattern: &'p str,
+    },
+}
+
+impl Kernel<'_> {
+    /// The conjunct's verdict on one stored row: `holds`'s own.
+    #[inline]
+    fn holds(&self, row: &[DbValue]) -> bool {
+        match *self {
+            Kernel::Eq { col, key } => row[col].sql_eq(key),
+            Kernel::Contains {
+                col,
+                needle,
+                pattern,
+            } => match &row[col] {
+                DbValue::Text(s) => {
+                    exec::contains_ignore_ascii_case(s.as_bytes(), needle)
+                        || (!s.is_ascii() && exec::like_match(pattern, s))
+                }
+                _ => false,
+            },
+        }
+    }
+}
+
+impl ScanTest {
+    /// The kernel for these parameters; `None` means `holds` — also
+    /// when a parameter is missing, so the error is `holds`'s own.
+    fn kernel<'p>(&'p self, params: &'p [DbValue]) -> Option<Kernel<'p>> {
+        let constant = |k: &'p KeySource| match k {
+            KeySource::Literal(v) => Some(v),
+            KeySource::Param(i) => params.get(*i),
+        };
+        match self {
+            ScanTest::Holds => None,
+            ScanTest::Eq { col, key } => Some(Kernel::Eq {
+                col: *col,
+                key: constant(key)?,
+            }),
+            ScanTest::Like { col, pattern } => {
+                let pattern = constant(pattern)?.as_str()?;
+                let needle = exec::infix_literal(pattern)?.as_bytes();
+                Some(Kernel::Contains {
+                    col: *col,
+                    needle,
+                    pattern,
+                })
+            }
+        }
+    }
+}
+
 /// How one JOIN binds its inner table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JoinStrategy {
@@ -205,6 +284,8 @@ pub(crate) struct SelectPlan {
     /// index prefilters stay sound). Also the base table's row filter
     /// in read sets.
     pub(crate) base_filter: Arc<[BoundExpr]>,
+    /// How a sequential scan tests `base_filter`.
+    pub(crate) scan_test: ScanTest,
     pub(crate) joins: Vec<JoinPlan>,
     /// Projection/aggregation, ORDER BY and LIMIT, bound against every
     /// table of the statement.
@@ -392,14 +473,17 @@ impl JoinKeys {
 }
 
 /// Executes a compiled plan against the bound tables (guards already
-/// held). `node_times` receives `(node kind, nanos)` pairs for the
-/// metrics observer, which runs after the guards drop.
+/// held). `kernels: false` tests every base filter through `holds`,
+/// whatever [`ScanTest`] the planner chose. `node_times` receives
+/// `(node kind, nanos)` pairs for the metrics observer, which runs
+/// after the guards drop.
 pub(crate) fn run_planned<'a>(
     plan: &'a SelectPlan,
     params: &'a [DbValue],
     tables: &'a [BoundTable<'a>],
     stats: &mut ExecStats,
     reads: Option<&mut ReadSet>,
+    kernels: bool,
     node_times: &mut Vec<(&'static str, u64)>,
 ) -> Result<QueryResult, DbError> {
     let sel = plan.select();
@@ -479,11 +563,24 @@ pub(crate) fn run_planned<'a>(
             .try_for_each(&mut visit)
     };
     match &plan.base {
-        BaseAccess::SeqScan => {
-            for (_, r) in base.data.iter_live() {
-                visit(r)?;
+        BaseAccess::SeqScan => match plan.scan_test.kernel(params).filter(|_| kernels) {
+            None => {
+                for (_, r) in base.data.iter_live() {
+                    visit(r)?;
+                }
             }
-        }
+            Some(kernel) => {
+                // lint: hot_path — once per row of the table, under its read lock
+                for (_, r) in base.data.iter_live() {
+                    stats.scanned += 1;
+                    visited += 1;
+                    if kernel.holds(r) {
+                        rows.push(r);
+                    }
+                }
+                // lint: end_hot_path
+            }
+        },
         BaseAccess::IndexEq { col, key, pk } => {
             let key = key.resolve(params)?;
             if let (Some(deps), true) = (&mut deps, *pk) {

@@ -77,6 +77,7 @@ pub(crate) fn build_select_plan(
             stmt: Arc::clone(stmt),
             base: BaseAccess::SeqScan, // unused on the shortcut path
             base_filter: Arc::new([]),
+            scan_test: ScanTest::Holds,
             joins: Vec::new(),
             tail,
             shortcut: Some(items),
@@ -268,6 +269,7 @@ pub(crate) fn build_select_plan(
 
     Ok(SelectPlan {
         stmt: Arc::clone(stmt),
+        scan_test: scan_test(&access, &base_filter),
         base: access,
         base_filter,
         joins,
@@ -280,6 +282,24 @@ pub(crate) fn build_select_plan(
         tail_node,
         root: prev,
     })
+}
+
+/// The scan kernel for a lone `column = constant` or `column LIKE
+/// constant` conjunct under a sequential scan; `holds` for anything
+/// else (index probes re-apply their own conjunct through `holds`).
+fn scan_test(access: &BaseAccess, base_filter: &[BoundExpr]) -> ScanTest {
+    let (BaseAccess::SeqScan, [lone]) = (access, base_filter) else {
+        return ScanTest::Holds;
+    };
+    match lone.column_vs_constant() {
+        Some((BinOp::Eq, col, c)) => {
+            key_source(c).map_or(ScanTest::Holds, |key| ScanTest::Eq { col, key })
+        }
+        Some((BinOp::Like, col, c)) => {
+            key_source(c).map_or(ScanTest::Holds, |pattern| ScanTest::Like { col, pattern })
+        }
+        _ => ScanTest::Holds,
+    }
 }
 
 /// Average bucket size of the index on `col`.

@@ -742,3 +742,158 @@ fn spared_writes_leave_results_unchanged() {
         "too few cases: {spared} spared, {evicted} evicted"
     );
 }
+
+/// Text cells for [`scan_kernels_agree_with_holds`]: mixed case, the
+/// wildcard characters as data, and non-ASCII text whose Unicode case
+/// folding `like_match` honours (`İ` lowercases to `i` + U+0307, the
+/// Kelvin sign to `k`).
+const KERNEL_TEXTS: [&str; 16] = [
+    "river",
+    "Lost River Crown",
+    "RIVERS",
+    "riv",
+    "50% off_now",
+    "a_b",
+    "",
+    "Straße",
+    "STRASSE",
+    "İstanbul",
+    "i\u{307}stanbul",
+    "\u{212a}elvin",
+    "kelvin",
+    "Ünïcode river",
+    "x",
+    "X%",
+];
+
+/// LIKE patterns: `%literal%` with an ASCII literal (the substring
+/// kernel) and every shape that must fall back to `holds` — a wildcard
+/// inside, a missing end `%`, a non-ASCII literal, a lone `%`.
+const KERNEL_PATTERNS: [&str; 16] = [
+    "%river%", "%RIVER%", "%k%", "%i%", "%%", "%x%", "%50\\%%", "%a_b%", "%50%_%", "%off_%",
+    "river%", "%river", "%İ%", "%ß%", "%", "_%",
+];
+
+/// Scan kernels against the general evaluator: over seeded tables with
+/// NULLs, mixed-case and non-ASCII text, Int/Float mixes in one column
+/// and deleted rows, every lone `column = constant` and `column LIKE
+/// constant` filter (parameter or literal, column on either side of
+/// `=`) — alone, ordered, limited and joined — returns the same
+/// columns, rows and order, the same `rows_scanned` and the same read
+/// set with its kernel as through `holds`. Patterns with a wildcard
+/// inside the literal fall back to `holds` and must agree all the same.
+#[test]
+fn scan_kernels_agree_with_holds() {
+    use staged_db::ReadSet;
+    let mut rng = Rng(0x5ca1_ab1e_5eed_0032);
+    let (mut kernel_hits, mut statements) = (0usize, 0usize);
+    for round in 0..10 {
+        let db = Database::new();
+        db.execute(
+            "CREATE TABLE k (id INT PRIMARY KEY, t TEXT, n INT, f FLOAT)",
+            &[],
+        )
+        .unwrap();
+        db.execute("CREATE TABLE j (jid INT PRIMARY KEY, n INT, tag TEXT)", &[])
+            .unwrap();
+        let rows = if round == 3 { 0 } else { 20 + rng.below(60) };
+        for id in 0..rows {
+            let t = DbValue::from(rng.pick(&KERNEL_TEXTS));
+            let n = rng.number(5);
+            let f = DbValue::Float(rng.below(4) as f64);
+            let row = [
+                DbValue::Int(id as i64),
+                rng.nullable(t),
+                rng.nullable(n),
+                rng.nullable(f),
+            ];
+            db.execute("INSERT INTO k (id, t, n, f) VALUES (?, ?, ?, ?)", &row)
+                .unwrap();
+        }
+        for jid in 0..6 {
+            db.execute(
+                "INSERT INTO j (jid, n, tag) VALUES (?, ?, ?)",
+                &[
+                    DbValue::Int(jid),
+                    DbValue::Int(jid % 4),
+                    DbValue::from(format!("t{jid}")),
+                ],
+            )
+            .unwrap();
+        }
+        // Holes in row-id order.
+        db.execute("DELETE FROM k WHERE f = 3.0", &[]).unwrap();
+        for _ in 0..40 {
+            let (sql, params) = match rng.below(8) {
+                0 => (
+                    "SELECT id, t FROM k WHERE t LIKE ?".to_string(),
+                    vec![DbValue::from(rng.pick(&KERNEL_PATTERNS))],
+                ),
+                1 => (
+                    format!(
+                        "SELECT * FROM k WHERE t LIKE '{}' ORDER BY t DESC, id LIMIT 7",
+                        rng.pick(&KERNEL_PATTERNS)
+                    ),
+                    vec![],
+                ),
+                2 => (
+                    "SELECT k.id, j.tag FROM k JOIN j ON k.n = j.n WHERE k.t LIKE ?".to_string(),
+                    vec![DbValue::from(rng.pick(&KERNEL_PATTERNS))],
+                ),
+                3 => (
+                    "SELECT id, n FROM k WHERE t = ? ORDER BY n, id".to_string(),
+                    vec![DbValue::from(rng.pick(&KERNEL_TEXTS))],
+                ),
+                4 => {
+                    let n = rng.number(5);
+                    (
+                        "SELECT id FROM k WHERE n = ?".to_string(),
+                        vec![rng.nullable(n)],
+                    )
+                }
+                5 => (
+                    "SELECT id, f FROM k WHERE ? = f LIMIT 4".to_string(),
+                    vec![rng.number(4)],
+                ),
+                6 => (
+                    format!("SELECT id FROM k WHERE n = {}", rng.below(5)),
+                    vec![],
+                ),
+                // A type mismatch: text against the numeric column.
+                _ => (
+                    "SELECT id FROM k WHERE n = ?".to_string(),
+                    vec![DbValue::from(rng.pick(&KERNEL_TEXTS))],
+                ),
+            };
+            let plan = db.plan(&sql).unwrap();
+            let mut kernel_reads = ReadSet::new();
+            let mut holds_reads = ReadSet::new();
+            let kernel = plan.run_tracked(&params, Some(&mut kernel_reads));
+            let holds = plan.run_without_scan_kernels(&params, Some(&mut holds_reads));
+            let context = format!("round {round}: {sql} with {params:?}");
+            let (kernel, holds) = (kernel.unwrap(), holds.unwrap());
+            assert_eq!(kernel.columns, holds.columns, "{context}");
+            assert_eq!(kernel.rows, holds.rows, "{context}");
+            assert_eq!(kernel.rows_scanned, holds.rows_scanned, "{context}");
+            assert_eq!(
+                format!("{kernel_reads:?}"),
+                format!("{holds_reads:?}"),
+                "{context}"
+            );
+            statements += 1;
+            kernel_hits += usize::from(!kernel.rows.is_empty());
+        }
+        // A missing parameter is `holds`'s error on both paths.
+        let plan = db.plan("SELECT id FROM k WHERE t LIKE ?").unwrap();
+        assert_eq!(
+            plan.run(&[]).map_err(|e| e.to_string()).err(),
+            plan.run_without_scan_kernels(&[], None)
+                .map_err(|e| e.to_string())
+                .err(),
+        );
+    }
+    assert!(
+        statements == 400 && kernel_hits > 150,
+        "too few matching statements: {kernel_hits} of {statements}"
+    );
+}

@@ -6,8 +6,9 @@
 //! subset those examples rely on, plus the surrounding machinery a web
 //! server needs:
 //!
-//! * `{{ variable.path }}` substitution with dotted lookup into maps and
-//!   lists, HTML **auto-escaping** by default;
+//! * `{{ variable.path }}` substitution with dotted lookup into maps,
+//!   lists and query-result [`Table`]s, HTML **auto-escaping** by
+//!   default;
 //! * `{% if %} / {% elif %} / {% else %} / {% endif %}`;
 //! * `{% for x in xs %} … {% empty %} … {% endfor %}` with the
 //!   `forloop.counter` family;
@@ -51,4 +52,4 @@ pub use error::TemplateError;
 pub use filters::escape_html;
 pub use render::Template;
 pub use store::TemplateStore;
-pub use value::{Context, Value};
+pub use value::{Context, Table, Value};

@@ -3,19 +3,25 @@
 //! [`Program::compile`] flattens the parsed AST into a `Vec<Op>` with
 //! pre-resolved jump targets, pre-parsed variable paths (map keys vs.
 //! list indices are classified once, at compile time) and interned
-//! loop-variable names. [`execute`] renders a program into a
-//! caller-supplied `Vec<u8>` without cloning context values: resolution
-//! returns borrows into the [`Context`] wherever possible and only
-//! clones when a value was produced by a filter chain (which already
-//! owns it). It is the only template evaluator; the TPC-W page goldens
-//! (`crates/tpcw/tests/page_goldens.rs`) pin its output on real pages.
+//! loop-variable names, and filter names resolved to [`Filter`]s.
+//! [`execute`] renders a program into a caller-supplied `Vec<u8>`
+//! without cloning context values: resolution returns borrows into the
+//! [`Context`] wherever possible — a query-result [`Table`]'s rows and
+//! cells included — and only clones when a value was produced by a
+//! filter chain (which already owns it). Per render, each include is
+//! looked up in the store once, and each `{{ row.column }}` of a table
+//! loop finds its column index once per loop. It is the only template
+//! evaluator; the TPC-W page goldens (`crates/tpcw/tests/page_goldens.rs`)
+//! pin its output on real pages.
 
 use crate::ast::{CmpOp, Cond, FilterExpr, Node, Operand};
 use crate::error::TemplateError;
-use crate::filters;
+use crate::filters::{self, write_str, Filter};
+use crate::render::Template;
 use crate::store::TemplateStore;
-use crate::value::{Context, Value};
+use crate::value::{Context, Table, Value};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::Arc;
@@ -57,7 +63,7 @@ pub(crate) enum COperand {
 
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CFilter {
-    name: Box<str>,
+    kind: Filter,
     arg: Option<COperand>,
 }
 
@@ -156,7 +162,7 @@ fn compile_expr(expr: &FilterExpr) -> CExpr {
             .filters
             .iter()
             .map(|f| CFilter {
-                name: f.name.as_str().into(),
+                kind: Filter::parse(&f.name),
                 arg: f.arg.as_ref().map(compile_operand),
             })
             .collect(),
@@ -271,11 +277,18 @@ enum FrameSrc<'a> {
     OwnedKeys(Vec<String>),
     SingleBorrowed(&'a Value),
     SingleOwned(Value),
+    BorrowedTable(&'a Table),
+    OwnedTable(Box<Table>),
 }
 
 #[derive(Debug)]
 struct Frame<'a> {
     src: FrameSrc<'a>,
+    /// Table loops: the column index each `{{ row.key }}` resolved to,
+    /// keyed by the address of the compiled key (programs are immutable
+    /// and alive for the whole render), so a key is searched among the
+    /// column names on the first row only.
+    columns: RefCell<Vec<(usize, Option<usize>)>>,
     /// Iteration number (0-based).
     index: usize,
     /// Total iterations (character count for strings).
@@ -302,12 +315,20 @@ impl<'a> Frame<'a> {
             FrameSrc::BorrowedKeys(k) => (k.len(), 0),
             FrameSrc::OwnedKeys(k) => (k.len(), 0),
             FrameSrc::SingleBorrowed(_) | FrameSrc::SingleOwned(_) => (1, 0),
+            FrameSrc::BorrowedTable(t) => (t.len(), 0),
+            FrameSrc::OwnedTable(t) => (t.len(), 0),
         };
         if len == 0 {
             return None;
         }
+        let columns = match &src {
+            FrameSrc::BorrowedTable(t) => Vec::with_capacity(t.columns().len()),
+            FrameSrc::OwnedTable(t) => Vec::with_capacity(t.columns().len()),
+            _ => Vec::new(),
+        };
         Some(Frame {
             src,
+            columns: RefCell::new(columns),
             index: 0,
             len,
             byte_pos: 0,
@@ -342,7 +363,34 @@ impl<'a> Frame<'a> {
             FrameSrc::OwnedKeys(k) => Res::RtStr(&k[self.index]),
             FrameSrc::SingleBorrowed(v) => Res::Ctx(v),
             FrameSrc::SingleOwned(v) => Res::Rt(v),
+            FrameSrc::BorrowedTable(t) => Res::CtxRow(t, self.index),
+            FrameSrc::OwnedTable(t) => Res::RtRow(t, self.index),
         }
+    }
+
+    /// The current row's cell in the column named `key`, for a table
+    /// loop; `None` for other loops. A missing column is `Null`.
+    fn cell<'r>(&'r self, key: &str) -> Option<Res<'a, 'r>> {
+        let table: &Table = match &self.src {
+            FrameSrc::BorrowedTable(t) => t,
+            FrameSrc::OwnedTable(t) => t,
+            _ => return None,
+        };
+        let id = key.as_ptr() as usize;
+        let mut memo = self.columns.borrow_mut();
+        let col = match memo.iter().find(|(k, _)| *k == id) {
+            Some(&(_, col)) => col,
+            None => {
+                let col = table.column_index(key);
+                memo.push((id, col));
+                col
+            }
+        };
+        Some(match (&self.src, col) {
+            (_, None) => Res::Null,
+            (FrameSrc::BorrowedTable(t), Some(c)) => Res::Ctx(&t.row(self.index)?[c]),
+            (_, Some(c)) => Res::Rt(&table.row(self.index)?[c]),
+        })
     }
 }
 
@@ -363,6 +411,9 @@ struct Rt<'a> {
     frames: Vec<Frame<'a>>,
     bindings: Vec<(Arc<str>, Binding<'a>)>,
     include_depth: usize,
+    /// Templates included so far, keyed by the address of the include
+    /// op's name: one store lookup per include per render, not per row.
+    includes: Vec<(usize, Arc<Template>)>,
 }
 
 /// A resolved value. `Ctx*` variants borrow from the context and stay
@@ -375,6 +426,10 @@ enum Res<'a, 'r> {
     Rt(&'r Value),
     CtxStr(&'a str),
     RtStr(&'r str),
+    /// Row `usize` of a context table.
+    CtxRow(&'a Table, usize),
+    /// Row `usize` of a render-time table.
+    RtRow(&'r Table, usize),
     Owned(Value),
     Null,
 }
@@ -384,19 +439,41 @@ impl Res<'_, '_> {
         match self {
             Res::Ctx(v) | Res::Rt(v) => v.is_truthy(),
             Res::CtxStr(s) | Res::RtStr(s) => !s.is_empty(),
+            // A row is truthy as the map of its columns would be.
+            Res::CtxRow(t, _) | Res::RtRow(t, _) => !t.columns().is_empty(),
             Res::Owned(v) => v.is_truthy(),
             Res::Null => false,
         }
     }
 
-    /// Borrow as a full [`Value`] for the comparison/filter-argument
-    /// paths, materializing only string slices (rare: one-character
-    /// loop items or map keys used in a comparison).
+    /// The text of a string value, borrowed.
+    fn as_text(&self) -> Option<&str> {
+        match self {
+            Res::Ctx(Value::Str(s)) | Res::Rt(Value::Str(s)) | Res::Owned(Value::Str(s)) => Some(s),
+            Res::CtxStr(s) | Res::RtStr(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Numeric view, as [`Value::as_f64`] of the resolved value.
+    fn as_f64(&self) -> Option<f64> {
+        match self {
+            Res::Ctx(v) | Res::Rt(v) => v.as_f64(),
+            Res::Owned(v) => v.as_f64(),
+            Res::CtxStr(s) | Res::RtStr(s) => s.trim().parse().ok(),
+            Res::CtxRow(..) | Res::RtRow(..) | Res::Null => None,
+        }
+    }
+
+    /// Borrow as a full [`Value`] for the comparison/filter paths,
+    /// materializing only string slices and whole table rows (rare:
+    /// one-character loop items, map keys or rows used as values).
     fn as_value(&self) -> Cow<'_, Value> {
         match self {
             Res::Ctx(v) | Res::Rt(v) => Cow::Borrowed(*v),
             Res::Owned(v) => Cow::Borrowed(v),
             Res::CtxStr(s) | Res::RtStr(s) => Cow::Owned(Value::Str((*s).to_string())),
+            Res::CtxRow(t, i) | Res::RtRow(t, i) => Cow::Owned(t.row_value(*i)),
             Res::Null => Cow::Owned(Value::Null),
         }
     }
@@ -408,6 +485,7 @@ impl Res<'_, '_> {
             Res::Ctx(v) | Res::Rt(v) => v.clone(),
             Res::Owned(v) => v,
             Res::CtxStr(s) | Res::RtStr(s) => Value::Str(s.to_string()),
+            Res::CtxRow(t, i) | Res::RtRow(t, i) => t.row_value(i),
             Res::Null => Value::Null,
         }
     }
@@ -418,13 +496,23 @@ impl Res<'_, '_> {
 fn walk_segs<'a, 'r>(mut cur: Res<'a, 'r>, segs: &[Seg]) -> Res<'a, 'r> {
     for seg in segs {
         cur = match cur {
-            Res::Ctx(v) => match seg {
-                Seg::Key(k) => v.get(k).map(Res::Ctx).unwrap_or(Res::Null),
-                Seg::Index(i) => v.index(*i).map(Res::Ctx).unwrap_or(Res::Null),
+            Res::Ctx(v) => match (v, seg) {
+                (Value::Table(t), Seg::Index(i)) if *i < t.len() => Res::CtxRow(t, *i),
+                (_, Seg::Key(k)) => v.get(k).map(Res::Ctx).unwrap_or(Res::Null),
+                (_, Seg::Index(i)) => v.index(*i).map(Res::Ctx).unwrap_or(Res::Null),
             },
-            Res::Rt(v) => match seg {
-                Seg::Key(k) => v.get(k).map(Res::Rt).unwrap_or(Res::Null),
-                Seg::Index(i) => v.index(*i).map(Res::Rt).unwrap_or(Res::Null),
+            Res::Rt(v) => match (v, seg) {
+                (Value::Table(t), Seg::Index(i)) if *i < t.len() => Res::RtRow(t, *i),
+                (_, Seg::Key(k)) => v.get(k).map(Res::Rt).unwrap_or(Res::Null),
+                (_, Seg::Index(i)) => v.index(*i).map(Res::Rt).unwrap_or(Res::Null),
+            },
+            Res::CtxRow(t, i) => match seg {
+                Seg::Key(k) => column(t, i, k).map(Res::Ctx).unwrap_or(Res::Null),
+                Seg::Index(_) => Res::Null,
+            },
+            Res::RtRow(t, i) => match seg {
+                Seg::Key(k) => column(t, i, k).map(Res::Rt).unwrap_or(Res::Null),
+                Seg::Index(_) => Res::Null,
             },
             Res::Owned(v) => match (v, seg) {
                 (Value::Map(mut m), Seg::Key(k)) => {
@@ -433,12 +521,18 @@ fn walk_segs<'a, 'r>(mut cur: Res<'a, 'r>, segs: &[Seg]) -> Res<'a, 'r> {
                 (Value::List(mut l), Seg::Index(i)) if *i < l.len() => {
                     Res::Owned(l.swap_remove(*i))
                 }
+                (Value::Table(t), Seg::Index(i)) if *i < t.len() => Res::Owned(t.row_value(*i)),
                 _ => Res::Null,
             },
             Res::CtxStr(_) | Res::RtStr(_) | Res::Null => Res::Null,
         };
     }
     cur
+}
+
+/// The cell of row `row` in the column named `key`.
+fn column<'t>(table: &'t Table, row: usize, key: &str) -> Option<&'t Value> {
+    Some(&table.row(row)?[table.column_index(key)?])
 }
 
 /// Materializes the `forloop` metadata map (cold path: only a bare
@@ -507,7 +601,15 @@ fn resolve<'a, 'r>(rt: &'r Rt<'a>, path: &'r CPath) -> Res<'a, 'r> {
         Root::Name(name) => {
             let bound = rt.bindings.iter().rev().find(|(n, _)| n == name);
             match bound {
-                Some((_, Binding::Loop(i))) => rt.frames[*i].current(),
+                Some((_, Binding::Loop(i))) => {
+                    let frame = &rt.frames[*i];
+                    if let Some((Seg::Key(k), rest)) = path.segs.split_first() {
+                        if let Some(cell) = frame.cell(k) {
+                            return walk_segs(cell, rest);
+                        }
+                    }
+                    frame.current()
+                }
                 Some((_, Binding::Ctx(v))) => Res::Ctx(v),
                 Some((_, Binding::CtxStr(s))) => Res::CtxStr(s),
                 Some((_, Binding::Owned(v))) => Res::Rt(v),
@@ -518,32 +620,92 @@ fn resolve<'a, 'r>(rt: &'r Rt<'a>, path: &'r CPath) -> Res<'a, 'r> {
     walk_segs(cur, &path.segs)
 }
 
-fn eval<'a, 'r>(rt: &'r Rt<'a>, expr: &'r CExpr) -> Result<(Res<'a, 'r>, bool), TemplateError> {
-    let base = match &expr.base {
+fn operand<'a, 'r>(rt: &'r Rt<'a>, op: &'r COperand) -> Res<'a, 'r> {
+    match op {
         COperand::Literal(v) => Res::Rt(v),
         COperand::Path(p) => resolve(rt, p),
-    };
-    if expr.filters.is_empty() {
+    }
+}
+
+fn eval<'a, 'r>(rt: &'r Rt<'a>, expr: &'r CExpr) -> Result<(Res<'a, 'r>, bool), TemplateError> {
+    apply_filters(rt, operand(rt, &expr.base), &expr.filters)
+}
+
+/// Runs a filter chain over `base`. The first filter reads `base` in
+/// place; each later one takes over its predecessor's output.
+fn apply_filters<'a, 'r>(
+    rt: &'r Rt<'a>,
+    base: Res<'a, 'r>,
+    chain: &'r [CFilter],
+) -> Result<(Res<'a, 'r>, bool), TemplateError> {
+    if chain.is_empty() {
         return Ok((base, false));
     }
-    let mut value = base.into_value();
+    let mut value: Option<Value> = None;
     let mut safe = false;
-    for filter in expr.filters.iter() {
-        let arg: Option<Cow<'_, Value>> = match &filter.arg {
-            Some(COperand::Literal(v)) => Some(Cow::Borrowed(v)),
-            Some(COperand::Path(p)) => {
-                let res = resolve(rt, p);
-                Some(Cow::Owned(res.into_value()))
-            }
-            None => None,
+    for filter in chain {
+        let arg = filter.arg.as_ref().map(|a| operand(rt, a));
+        let arg = arg.as_ref().map(Res::as_value);
+        let input = match value.take() {
+            Some(v) => Cow::Owned(v),
+            None => base.as_value(),
         };
-        let filtered = filters::apply(&filter.name, value, arg.as_deref())?;
-        value = filtered.value;
+        let filtered = filters::apply(&filter.kind, input, arg.as_deref())?;
+        value = Some(filtered.value);
         if let Some(s) = filtered.safe_override {
             safe = s;
         }
     }
-    Ok((Res::Owned(value), safe))
+    Ok((Res::Owned(value.unwrap_or_default()), safe))
+}
+
+/// Evaluates `{{ expr }}` into `out`. A chain ending in `default`,
+/// `floatformat`, `title` or `urlencode` writes its last step straight
+/// into the buffer — the chosen operand as it resolved, the formatted
+/// number, the re-cased or encoded text — never an intermediate
+/// `Value`.
+fn write_var(rt: &Rt<'_>, expr: &CExpr, out: &mut Vec<u8>) -> Result<(), TemplateError> {
+    let direct = expr.filters.split_last().filter(|(last, _)| {
+        matches!(
+            last.kind,
+            Filter::Default | Filter::Floatformat | Filter::Title | Filter::Urlencode
+        )
+    });
+    let Some((last, chain)) = direct else {
+        let (res, safe) = eval(rt, expr)?;
+        write_res(&res, safe, out);
+        return Ok(());
+    };
+    let (input, safe) = apply_filters(rt, operand(rt, &expr.base), chain)?;
+    let arg = last.arg.as_ref().map(|a| operand(rt, a));
+    match (&last.kind, input.as_text()) {
+        (Filter::Default, _) => {
+            let arg =
+                arg.ok_or_else(|| TemplateError::render("filter 'default' requires an argument"))?;
+            write_res(if input.is_truthy() { &input } else { &arg }, safe, out);
+        }
+        (Filter::Floatformat, _) => {
+            let digits = filters::floatformat_digits(arg.as_ref().map(Res::as_value).as_deref())?;
+            let x = input
+                .as_f64()
+                .ok_or_else(|| TemplateError::render("floatformat input must be numeric"))?;
+            // Digits, a sign and a point: nothing to escape.
+            filters::write_floatformat(x, digits, out);
+        }
+        (Filter::Title, Some(text)) => filters::write_title(text, !safe, out),
+        (Filter::Urlencode, Some(text)) => filters::write_urlencoded(text, out),
+        // Not text: through the filter's `Value` form.
+        _ => {
+            let arg = arg.as_ref().map(Res::as_value);
+            let filtered = filters::apply(&last.kind, input.as_value(), arg.as_deref())?;
+            write_display(
+                &filtered.value,
+                !filtered.safe_override.unwrap_or(safe),
+                out,
+            );
+        }
+    }
+    Ok(())
 }
 
 /// Equality as templates see it: numbers (and numeric strings) compare
@@ -607,6 +769,7 @@ fn frame_src<'a>(res: Res<'a, '_>) -> Option<FrameSrc<'a>> {
     match res {
         Res::Ctx(v) => match v {
             Value::List(l) => Some(FrameSrc::BorrowedList(l)),
+            Value::Table(t) => Some(FrameSrc::BorrowedTable(t)),
             Value::Str(s) => Some(FrameSrc::BorrowedStr(s)),
             Value::Map(m) => Some(FrameSrc::BorrowedKeys(
                 m.keys().map(String::as_str).collect(),
@@ -616,6 +779,7 @@ fn frame_src<'a>(res: Res<'a, '_>) -> Option<FrameSrc<'a>> {
         },
         Res::Rt(v) => match v {
             Value::List(l) => Some(FrameSrc::OwnedList(l.clone())),
+            Value::Table(t) => Some(FrameSrc::OwnedTable(t.clone())),
             Value::Str(s) => Some(FrameSrc::OwnedStr(s.clone())),
             Value::Map(m) => Some(FrameSrc::OwnedKeys(m.keys().cloned().collect())),
             Value::Null => None,
@@ -623,6 +787,7 @@ fn frame_src<'a>(res: Res<'a, '_>) -> Option<FrameSrc<'a>> {
         },
         Res::Owned(v) => match v {
             Value::List(l) => Some(FrameSrc::OwnedList(l)),
+            Value::Table(t) => Some(FrameSrc::OwnedTable(t)),
             Value::Str(s) => Some(FrameSrc::OwnedStr(s)),
             Value::Map(m) => Some(FrameSrc::OwnedKeys(m.into_keys().collect())),
             Value::Null => None,
@@ -630,36 +795,9 @@ fn frame_src<'a>(res: Res<'a, '_>) -> Option<FrameSrc<'a>> {
         },
         Res::CtxStr(s) => Some(FrameSrc::BorrowedStr(s)),
         Res::RtStr(s) => Some(FrameSrc::OwnedStr(s.to_string())),
+        // A row iterates as the map of its columns: its keys.
+        row @ (Res::CtxRow(..) | Res::RtRow(..)) => frame_src(Res::Owned(row.into_value())),
         Res::Null => None,
-    }
-}
-
-/// Streams `&`/`<`/`>`/`"`/`'` escapes without building an intermediate
-/// `String`; unescaped spans are copied in bulk.
-fn write_escaped(s: &str, out: &mut Vec<u8>) {
-    let bytes = s.as_bytes();
-    let mut start = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        let rep: &[u8] = match b {
-            b'&' => b"&amp;",
-            b'<' => b"&lt;",
-            b'>' => b"&gt;",
-            b'"' => b"&quot;",
-            b'\'' => b"&#x27;",
-            _ => continue,
-        };
-        out.extend_from_slice(&bytes[start..i]);
-        out.extend_from_slice(rep);
-        start = i + 1;
-    }
-    out.extend_from_slice(&bytes[start..]);
-}
-
-fn write_str(s: &str, escape: bool, out: &mut Vec<u8>) {
-    if escape {
-        write_escaped(s, out);
-    } else {
-        out.extend_from_slice(s.as_bytes());
     }
 }
 
@@ -671,9 +809,7 @@ fn write_display(v: &Value, escape: bool, out: &mut Vec<u8>) {
     match v {
         Value::Null => {}
         Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
+        Value::Int(i) => filters::write_int(*i, out),
         Value::Float(f) => {
             if f.fract() == 0.0 && f.abs() < 1e15 {
                 let _ = write!(out, "{f:.1}");
@@ -704,6 +840,16 @@ fn write_display(v: &Value, escape: bool, out: &mut Vec<u8>) {
             }
             out.push(b'}');
         }
+        Value::Table(t) => {
+            out.push(b'[');
+            for i in 0..t.len() {
+                if i > 0 {
+                    out.extend_from_slice(b", ");
+                }
+                write_display(&t.row_value(i), escape, out);
+            }
+            out.push(b']');
+        }
     }
 }
 
@@ -712,6 +858,7 @@ fn write_res(res: &Res<'_, '_>, safe: bool, out: &mut Vec<u8>) {
         Res::Ctx(v) | Res::Rt(v) => write_display(v, !safe, out),
         Res::Owned(v) => write_display(v, !safe, out),
         Res::CtxStr(s) | Res::RtStr(s) => write_str(s, !safe, out),
+        Res::CtxRow(t, i) | Res::RtRow(t, i) => write_display(&t.row_value(*i), !safe, out),
         Res::Null => {}
     }
 }
@@ -729,6 +876,7 @@ pub(crate) fn render_program(
         frames: Vec::new(),
         bindings: Vec::new(),
         include_depth: 0,
+        includes: Vec::new(),
     };
     execute(program.ops(), &mut rt, out)
 }
@@ -742,8 +890,7 @@ fn execute(ops: &[Op], rt: &mut Rt<'_>, out: &mut Vec<u8>) -> Result<(), Templat
                 pc += 1;
             }
             Op::Var(expr) => {
-                let (res, safe) = eval(rt, expr)?;
-                write_res(&res, safe, out);
+                write_var(rt, expr, out)?;
                 pc += 1;
             }
             Op::BranchIfNot { cond, target } => {
@@ -794,6 +941,9 @@ fn execute(ops: &[Op], rt: &mut Rt<'_>, out: &mut Vec<u8>) -> Result<(), Templat
                         Res::Rt(v) => Binding::Owned(v.clone()),
                         Res::RtStr(s) => Binding::Owned(Value::Str(s.to_string())),
                         Res::Owned(v) => Binding::Owned(v),
+                        row @ (Res::CtxRow(..) | Res::RtRow(..)) => {
+                            Binding::Owned(row.into_value())
+                        }
                         Res::Null => Binding::Owned(Value::Null),
                     }
                 };
@@ -815,7 +965,15 @@ fn execute(ops: &[Op], rt: &mut Rt<'_>, out: &mut Vec<u8>) -> Result<(), Templat
                         "include depth exceeds {MAX_INCLUDE_DEPTH} (template '{name}')"
                     )));
                 }
-                let template = store.get(name)?;
+                let key = name.as_ptr() as usize;
+                let template = match rt.includes.iter().find(|(k, _)| *k == key) {
+                    Some((_, t)) => Arc::clone(t),
+                    None => {
+                        let t = store.get(name)?;
+                        rt.includes.push((key, Arc::clone(&t)));
+                        t
+                    }
+                };
                 rt.include_depth += 1;
                 let result = execute(template.program().ops(), rt, out);
                 rt.include_depth -= 1;

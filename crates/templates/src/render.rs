@@ -96,7 +96,7 @@ impl Template {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
+    use crate::value::{Table, Value};
     use std::collections::BTreeMap;
 
     fn render(source: &str, ctx: &Context) -> String {
@@ -138,6 +138,16 @@ mod tests {
             "&lt;script&gt;alert(1)&lt;/script&gt;"
         );
         assert_eq!(render("{{ evil|safe }}", &ctx), "<script>alert(1)</script>");
+        // Filters that write straight into the buffer escape too.
+        ctx.insert("name", "o'NEIL & <sons> 'x co");
+        assert_eq!(
+            render(
+                "{{ name|title }}|{{ name|title|safe }}|{{ name|urlencode }}",
+                &ctx
+            ),
+            "O&#x27;neil &amp; &lt;sons&gt; &#x27;x Co|O'neil & <sons> 'x Co\
+             |o%27NEIL%20%26%20%3Csons%3E%20%27x%20co"
+        );
     }
 
     #[test]
@@ -330,6 +340,95 @@ mod tests {
         ctx.insert("n", 4);
         ctx.insert("inc", 3);
         assert_eq!(render("{{ n|add:inc }}", &ctx), "7");
+    }
+
+    /// A query-result table: `rows` books with a NULL author on row 2.
+    fn books(rows: usize) -> Value {
+        let columns = ["title", "cost", "author"].map(String::from).to_vec();
+        let mut t = Table::with_capacity(columns, rows);
+        for i in 0..rows {
+            let author = if i == 1 {
+                Value::Null
+            } else {
+                Value::from("Le Guin & Co")
+            };
+            t.push_row([
+                Value::from(format!("Book <{i}>")),
+                Value::Float(i as f64 + 0.5),
+                author,
+            ]);
+        }
+        Value::from(t)
+    }
+
+    #[test]
+    fn table_rows_drive_for_and_empty() {
+        let src = "{% for b in books %}[{{ b.title }}|{{ b.cost|floatformat:2 }}|{{ b.author }}]\
+                   {% empty %}none{% endfor %}";
+        let mut ctx = Context::new();
+        ctx.insert("books", books(2));
+        assert_eq!(
+            render(src, &ctx),
+            "[Book &lt;0&gt;|0.50|Le Guin &amp; Co][Book &lt;1&gt;|1.50|]"
+        );
+        ctx.insert("books", books(0));
+        assert_eq!(render(src, &ctx), "none");
+    }
+
+    #[test]
+    fn table_loops_count_and_measure() {
+        let src = "{% for b in books %}{{ forloop.counter }}/{{ forloop.length }}\
+                   {% if forloop.last %}.{% else %},{% endif %}{% endfor %} \
+                   {{ books|length }} book{{ books|length|pluralize }}";
+        let mut ctx = Context::new();
+        for (rows, want) in [
+            (3, "1/3,2/3,3/3. 3 books"),
+            (1, "1/1. 1 book"),
+            (0, " 0 books"),
+        ] {
+            ctx.insert("books", books(rows));
+            assert_eq!(render(src, &ctx), want, "{rows} rows");
+        }
+    }
+
+    #[test]
+    fn table_truthiness() {
+        let src = "{% if books %}some{% else %}none{% endif %}\
+                   {% if books.0 %}+row{% endif %}{% if not books.7 %}-row{% endif %}";
+        let mut ctx = Context::new();
+        ctx.insert("books", books(2));
+        assert_eq!(render(src, &ctx), "some+row-row");
+        ctx.insert("books", books(0));
+        assert_eq!(render(src, &ctx), "none-row");
+        assert!(!books(0).is_truthy());
+        assert!(books(1).is_truthy());
+    }
+
+    #[test]
+    fn missing_table_column_renders_empty_like_a_missing_key() {
+        let mut map = BTreeMap::new();
+        map.insert("title".to_string(), Value::from("T"));
+        let mut ctx = Context::new();
+        ctx.insert("books", books(1));
+        ctx.insert("maps", Value::from(vec![Value::from(map)]));
+        let src = "{% for b in books %}[{{ b.isbn }}|{{ b.isbn.deep }}|{{ b.isbn|default:'-' }}]{% endfor %}\
+                   {% for b in maps %}[{{ b.isbn }}|{{ b.isbn.deep }}|{{ b.isbn|default:'-' }}]{% endfor %}\
+                   [{{ books.0.isbn }}|{{ books.3.title }}|{{ books.title }}]";
+        assert_eq!(render(src, &ctx), "[||-][||-][||]");
+    }
+
+    #[test]
+    fn table_rows_read_as_maps_of_their_columns() {
+        let mut ctx = Context::new();
+        ctx.insert("books", books(2));
+        assert_eq!(
+            render("{{ books.1.title }}|{{ books.0 }}|{% for k in books.0 %}{{ k }};{% endfor %}", &ctx),
+            "Book &lt;1&gt;|{author: Le Guin &amp; Co, cost: 0.5, title: Book &lt;0&gt;}|author;cost;title;"
+        );
+        assert_eq!(
+            render("{% with b=books.1 %}{{ b.cost }}{% endwith %}", &ctx),
+            "1.5"
+        );
     }
 
     #[test]

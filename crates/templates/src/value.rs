@@ -30,13 +30,15 @@ pub enum Value {
     Str(String),
     /// An ordered list.
     List(Vec<Value>),
-    /// A string-keyed map.
+    /// A string-keyed map: a record of scalars the handler computed.
     Map(BTreeMap<String, Value>),
+    /// A column-named row table: a query result, moved in whole.
+    Table(Box<Table>),
 }
 
 impl Value {
     /// Django-style truthiness: `Null`, `false`, `0`, `0.0`, `""`, empty
-    /// list and empty map are falsy.
+    /// list, empty map and a table without rows are falsy.
     pub fn is_truthy(&self) -> bool {
         match self {
             Value::Null => false,
@@ -46,10 +48,12 @@ impl Value {
             Value::Str(s) => !s.is_empty(),
             Value::List(l) => !l.is_empty(),
             Value::Map(m) => !m.is_empty(),
+            Value::Table(t) => !t.is_empty(),
         }
     }
 
-    /// Looks up a map key.
+    /// Looks up a map key. Table rows are not values; templates reach
+    /// them as `table.N` and their cells as `table.N.column`.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Map(m) => m.get(key),
@@ -65,11 +69,13 @@ impl Value {
         }
     }
 
-    /// Number of elements (list), entries (map), or characters (string).
+    /// Number of elements (list), entries (map), rows (table), or
+    /// characters (string).
     pub fn len(&self) -> Option<usize> {
         match self {
             Value::List(l) => Some(l.len()),
             Value::Map(m) => Some(m.len()),
+            Value::Table(t) => Some(t.len()),
             Value::Str(s) => Some(s.chars().count()),
             _ => None,
         }
@@ -106,6 +112,12 @@ impl Value {
                     .map(|(k, v)| format!("{k}: {}", v.to_display_string()))
                     .collect();
                 format!("{{{}}}", items.join(", "))
+            }
+            Value::Table(t) => {
+                let rows: Vec<String> = (0..t.len())
+                    .map(|i| t.row_value(i).to_display_string())
+                    .collect();
+                format!("[{}]", rows.join(", "))
             }
         }
     }
@@ -195,6 +207,12 @@ impl From<BTreeMap<String, Value>> for Value {
     }
 }
 
+impl From<Table> for Value {
+    fn from(t: Table) -> Self {
+        Value::Table(Box::new(t))
+    }
+}
+
 impl<T: Into<Value>> From<Option<T>> for Value {
     fn from(o: Option<T>) -> Self {
         match o {
@@ -213,6 +231,108 @@ impl FromIterator<Value> for Value {
 impl FromIterator<(String, Value)> for Value {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
         Value::Map(iter.into_iter().collect())
+    }
+}
+
+/// A column-named row table — the shape of a query result. A handler
+/// moves its result rows in whole (cells row-major, no per-row maps);
+/// `{% for row in table %}` walks the rows, `{{ row.column }}` reads a
+/// cell (resolved to a column index once per loop), `table.N` is row
+/// `N`. A row reads like a map of its columns: a missing column renders
+/// empty, like a missing key.
+///
+/// # Examples
+///
+/// ```
+/// use staged_templates::{Context, Table, Template, Value};
+///
+/// let mut books = Table::new(vec!["title".into(), "cost".into()]);
+/// books.push_row([Value::from("Dune"), Value::Float(9.5)]);
+/// books.push_row([Value::from("Emma"), Value::Float(4.0)]);
+/// let mut ctx = Context::new();
+/// ctx.insert("books", books);
+/// let t = Template::compile(
+///     "{% for b in books %}{{ b.title }} ${{ b.cost|floatformat:2 }};{% endfor %}",
+/// )
+/// .unwrap();
+/// assert_eq!(t.render(&ctx).unwrap(), "Dune $9.50;Emma $4.00;");
+/// ```
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Table {
+    columns: Vec<String>,
+    /// Row-major, `columns.len()` cells per row.
+    cells: Vec<Value>,
+    rows: usize,
+}
+
+impl Table {
+    /// An empty table with these column names.
+    pub fn new(columns: Vec<String>) -> Self {
+        Self::with_capacity(columns, 0)
+    }
+
+    /// An empty table with room for `rows` rows.
+    pub fn with_capacity(columns: Vec<String>, rows: usize) -> Self {
+        let cells = Vec::with_capacity(columns.len() * rows);
+        Table {
+            columns,
+            cells,
+            rows: 0,
+        }
+    }
+
+    /// Appends a row.
+    ///
+    /// # Panics
+    ///
+    /// When the row does not have one cell per column.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = Value>) {
+        let before = self.cells.len();
+        self.cells.extend(row);
+        assert_eq!(
+            self.cells.len() - before,
+            self.columns.len(),
+            "a table row needs one cell per column"
+        );
+        self.rows += 1;
+    }
+
+    /// The column names, in order.
+    pub fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    /// Position of a named column.
+    pub fn column_index(&self, name: &str) -> Option<usize> {
+        self.columns.iter().position(|c| c == name)
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// The cells of row `i`, in column order.
+    pub fn row(&self, i: usize) -> Option<&[Value]> {
+        let width = self.columns.len();
+        (i < self.rows).then(|| &self.cells[i * width..(i + 1) * width])
+    }
+
+    /// Row `i` as a map of its columns: how a row behaves wherever it
+    /// is used as a whole value (printed, compared, filtered, bound by
+    /// `{% with %}`). Empty past the end.
+    pub(crate) fn row_value(&self, i: usize) -> Value {
+        let cells = self.row(i).unwrap_or_default();
+        self.columns
+            .iter()
+            .cloned()
+            .zip(cells.iter().cloned())
+            .collect()
     }
 }
 
@@ -343,6 +463,28 @@ mod tests {
     fn option_conversion() {
         assert_eq!(Value::from(Some(3i64)), Value::Int(3));
         assert_eq!(Value::from(Option::<i64>::None), Value::Null);
+    }
+
+    #[test]
+    fn table_rows_and_columns() {
+        let mut t = Table::with_capacity(vec!["a".into(), "b".into()], 2);
+        assert!(!Value::from(t.clone()).is_truthy());
+        t.push_row([Value::Int(1), Value::from("x")]);
+        t.push_row([Value::Null, Value::from("y")]);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.column_index("b"), Some(1));
+        assert_eq!(t.row(1), Some(&[Value::Null, Value::from("y")][..]));
+        assert_eq!(t.row(2), None);
+        let v = Value::from(t);
+        assert!(v.is_truthy());
+        assert_eq!(v.len(), Some(2));
+        assert_eq!(v.to_display_string(), "[{a: 1, b: x}, {a: , b: y}]");
+    }
+
+    #[test]
+    #[should_panic(expected = "one cell per column")]
+    fn table_rejects_a_short_row() {
+        Table::new(vec!["a".into(), "b".into()]).push_row([Value::Int(1)]);
     }
 
     #[test]

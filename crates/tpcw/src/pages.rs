@@ -11,8 +11,7 @@ use staged_core::{AppError, PageOutcome};
 use staged_db::{DbValue, PooledConnection, QueryResult};
 use staged_http::Request;
 use staged_sync::atomic::{AtomicI64, Ordering};
-use staged_templates::{Context, Value};
-use std::collections::BTreeMap;
+use staged_templates::{Context, Table, Value};
 
 /// Shared mutable identifiers and scale facts the handlers need.
 #[derive(Debug)]
@@ -36,42 +35,24 @@ impl TpcwState {
 
 type PageResult = Result<PageOutcome, AppError>;
 
-fn map(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Map(
-        pairs
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<String, Value>>(),
-    )
+/// Moves a query result into the template context as a row table: the
+/// column names are the statement's (`AS` aliases), the rows and their
+/// text cells are moved, not copied, and render reads them in place.
+fn table(result: QueryResult) -> Value {
+    let mut table = Table::with_capacity(result.columns, result.rows.len());
+    for row in result.rows {
+        table.push_row(row.into_iter().map(cell));
+    }
+    Value::from(table)
 }
 
-fn author_name(fname: &DbValue, lname: &DbValue) -> Value {
-    Value::from(format!("{fname} {lname}"))
-}
-
-fn value_of(v: &DbValue) -> Value {
+fn cell(v: DbValue) -> Value {
     match v {
         DbValue::Null => Value::Null,
-        DbValue::Int(i) => Value::Int(*i),
-        DbValue::Float(f) => Value::Float(*f),
-        DbValue::Text(s) => Value::Str(s.clone()),
+        DbValue::Int(i) => Value::Int(i),
+        DbValue::Float(f) => Value::Float(f),
+        DbValue::Text(s) => Value::Str(s),
     }
-}
-
-/// Builds the template item map from a `(i_id, i_title, i_cost,
-/// i_thumbnail, a_fname, a_lname, …)` result row.
-fn item_row(row: &[DbValue]) -> Value {
-    map(vec![
-        ("id", value_of(&row[0])),
-        ("title", value_of(&row[1])),
-        ("cost", value_of(&row[2])),
-        ("thumbnail", value_of(&row[3])),
-        ("author", author_name(&row[4], &row[5])),
-    ])
-}
-
-fn item_rows(result: &QueryResult) -> Value {
-    Value::List(result.rows.iter().map(|r| item_row(r)).collect())
 }
 
 fn subjects_value() -> Value {
@@ -92,32 +73,27 @@ pub(crate) fn home(state: &TpcwState, req: &Request, db: &PooledConnection) -> P
     let c_id = req.param_u64("c_id").unwrap_or(0) as i64;
     if c_id > 0 {
         let r = db.execute(
-            "SELECT c_fname, c_lname FROM customer WHERE c_id = ?",
+            "SELECT c_fname AS fname, c_lname AS lname FROM customer WHERE c_id = ?",
             &[DbValue::Int(c_id)],
         )?;
-        if let Some(row) = r.first() {
-            ctx.insert(
-                "customer",
-                map(vec![
-                    ("fname", value_of(&row[0])),
-                    ("lname", value_of(&row[1])),
-                ]),
-            );
-        }
+        ctx.insert("customer", table(r));
     }
-    let mut promos = Vec::with_capacity(5);
+    // Five single-row lookups, gathered into one table.
+    let mut promos: Option<QueryResult> = None;
     for k in 0..5i64 {
         let i_id = (c_id * 17 + k * 31).rem_euclid(state.items) + 1;
         let r = db.execute(
-            "SELECT i.i_id, i.i_title, i.i_cost, i.i_thumbnail, a.a_fname, a.a_lname \
+            "SELECT i.i_id AS id, i.i_title AS title, i.i_cost AS cost, \
+             i.i_thumbnail AS thumbnail, a.a_fname AS fname, a.a_lname AS lname \
              FROM item i JOIN author a ON i.i_a_id = a.a_id WHERE i.i_id = ?",
             &[DbValue::Int(i_id)],
         )?;
-        if let Some(row) = r.first() {
-            promos.push(item_row(row));
+        match &mut promos {
+            Some(p) => p.rows.extend(r.rows),
+            None => promos = Some(r),
         }
     }
-    ctx.insert("promotions", Value::List(promos));
+    ctx.insert("promotions", promos.map_or(Value::Null, table));
     ctx.insert("subjects", subjects_value());
     Ok(PageOutcome::template("home.html", ctx))
 }
@@ -128,14 +104,15 @@ pub(crate) fn home(state: &TpcwState, req: &Request, db: &PooledConnection) -> P
 pub(crate) fn new_products(_state: &TpcwState, req: &Request, db: &PooledConnection) -> PageResult {
     let subject = req.param("subject").unwrap_or("ARTS").to_string();
     let r = db.execute(
-        "SELECT i.i_id, i.i_title, i.i_cost, i.i_thumbnail, a.a_fname, a.a_lname \
+        "SELECT i.i_id AS id, i.i_title AS title, i.i_cost AS cost, \
+         i.i_thumbnail AS thumbnail, a.a_fname AS fname, a.a_lname AS lname \
          FROM item i JOIN author a ON i.i_a_id = a.a_id \
          WHERE i.i_subject = ? ORDER BY i.i_pub_date DESC, i.i_title LIMIT 50",
         &[DbValue::from(subject.as_str())],
     )?;
     let mut ctx = base_ctx("New Products", req);
     ctx.insert("subject", subject);
-    ctx.insert("items", item_rows(&r));
+    ctx.insert("items", table(r));
     Ok(PageOutcome::template("new_products.html", ctx))
 }
 
@@ -151,7 +128,8 @@ pub(crate) fn best_sellers(state: &TpcwState, req: &Request, db: &PooledConnecti
         .unwrap_or(0);
     let window_start = max_o - state.bestseller_window;
     let r = db.execute(
-        "SELECT i.i_id, i.i_title, i.i_cost, i.i_thumbnail, a.a_fname, a.a_lname, \
+        "SELECT i.i_id AS id, i.i_title AS title, i.i_cost AS cost, \
+         i.i_thumbnail AS thumbnail, a.a_fname AS fname, a.a_lname AS lname, \
          SUM(ol.ol_qty) AS total \
          FROM order_line ol JOIN item i ON ol.ol_i_id = i.i_id \
          JOIN author a ON i.i_a_id = a.a_id \
@@ -162,7 +140,7 @@ pub(crate) fn best_sellers(state: &TpcwState, req: &Request, db: &PooledConnecti
     )?;
     let mut ctx = base_ctx("Best Sellers", req);
     ctx.insert("subject", subject);
-    ctx.insert("items", item_rows(&r));
+    ctx.insert("items", table(r));
     Ok(PageOutcome::template("best_sellers.html", ctx))
 }
 
@@ -174,20 +152,15 @@ pub(crate) fn product_detail(
 ) -> PageResult {
     let i_id = req.param_u64("i_id").unwrap_or(1) as i64;
     let r = db.execute(
-        "SELECT i.i_id, i.i_title, i.i_cost, i.i_thumbnail, a.a_fname, a.a_lname, \
-         i.i_subject, i.i_srp \
+        "SELECT i.i_id AS id, i.i_title AS title, i.i_cost AS cost, \
+         i.i_thumbnail AS thumbnail, a.a_fname AS fname, a.a_lname AS lname, \
+         i.i_subject AS subject, i.i_srp AS srp \
          FROM item i JOIN author a ON i.i_a_id = a.a_id WHERE i.i_id = ?",
         &[DbValue::Int(i_id)],
     )?;
-    let row = r
-        .first()
-        .ok_or_else(|| AppError::handler(format!("no such item: {i_id}")))?;
-    let mut item = match item_row(row) {
-        Value::Map(m) => m,
-        _ => unreachable!("item_row returns a map"),
-    };
-    item.insert("subject".to_string(), value_of(&row[6]));
-    item.insert("srp".to_string(), value_of(&row[7]));
+    if r.rows.is_empty() {
+        return Err(AppError::handler(format!("no such item: {i_id}")));
+    }
     let stock = db
         .execute(
             "SELECT st_qty FROM stock WHERE st_i_id = ?",
@@ -195,10 +168,10 @@ pub(crate) fn product_detail(
         )?
         .single_int()
         .unwrap_or(0);
-    item.insert("stock".to_string(), Value::Int(stock));
-    item.insert("in_stock".to_string(), Value::Bool(stock > 0));
     let mut ctx = base_ctx("Product Detail", req);
-    ctx.insert("item", Value::Map(item));
+    ctx.insert("item", table(r));
+    ctx.insert("stock", stock);
+    ctx.insert("in_stock", stock > 0);
     Ok(PageOutcome::template("product_detail.html", ctx))
 }
 
@@ -226,19 +199,22 @@ pub(crate) fn execute_search(
     let pattern = format!("%{query}%");
     let r = match kind.as_str() {
         "author" => db.execute(
-            "SELECT i.i_id, i.i_title, i.i_cost, i.i_thumbnail, a.a_fname, a.a_lname \
+            "SELECT i.i_id AS id, i.i_title AS title, i.i_cost AS cost, \
+             i.i_thumbnail AS thumbnail, a.a_fname AS fname, a.a_lname AS lname \
              FROM author a JOIN item i ON i.i_a_id = a.a_id \
              WHERE a.a_lname LIKE ? ORDER BY i.i_title LIMIT 50",
             &[DbValue::from(pattern.as_str())],
         )?,
         "subject" => db.execute(
-            "SELECT i.i_id, i.i_title, i.i_cost, i.i_thumbnail, a.a_fname, a.a_lname \
+            "SELECT i.i_id AS id, i.i_title AS title, i.i_cost AS cost, \
+             i.i_thumbnail AS thumbnail, a.a_fname AS fname, a.a_lname AS lname \
              FROM item i JOIN author a ON i.i_a_id = a.a_id \
              WHERE i.i_subject = ? ORDER BY i.i_title LIMIT 50",
             &[DbValue::from(query.as_str())],
         )?,
         _ => db.execute(
-            "SELECT i.i_id, i.i_title, i.i_cost, i.i_thumbnail, a.a_fname, a.a_lname \
+            "SELECT i.i_id AS id, i.i_title AS title, i.i_cost AS cost, \
+             i.i_thumbnail AS thumbnail, a.a_fname AS fname, a.a_lname AS lname \
              FROM item i JOIN author a ON i.i_a_id = a.a_id \
              WHERE i.i_title LIKE ? ORDER BY i.i_title LIMIT 50",
             &[DbValue::from(pattern.as_str())],
@@ -247,37 +223,26 @@ pub(crate) fn execute_search(
     let mut ctx = base_ctx("Search Results", req);
     ctx.insert("kind", kind);
     ctx.insert("query", query);
-    ctx.insert("items", item_rows(&r));
+    ctx.insert("items", table(r));
     Ok(PageOutcome::template("execute_search.html", ctx))
 }
 
 /// Reads a cart's lines joined with item details; returns the template
-/// list and the pre-discount total.
+/// table and the pre-discount total.
 fn cart_lines(db: &PooledConnection, sc_id: i64) -> Result<(Value, f64), AppError> {
     let r = db.execute(
-        "SELECT i.i_title, scl.scl_qty, i.i_cost \
+        "SELECT i.i_title AS title, scl.scl_qty AS qty, i.i_cost AS cost, \
+         i.i_cost * scl.scl_qty AS subtotal \
          FROM shopping_cart_line scl JOIN item i ON scl.scl_i_id = i.i_id \
          WHERE scl.scl_sc_id = ?",
         &[DbValue::Int(sc_id)],
     )?;
-    let mut total = 0.0;
-    let lines: Vec<Value> = r
+    let total = r
         .rows
         .iter()
-        .map(|row| {
-            let qty = row[1].as_int().unwrap_or(0);
-            let cost = row[2].as_f64().unwrap_or(0.0);
-            let subtotal = cost * qty as f64;
-            total += subtotal;
-            map(vec![
-                ("title", value_of(&row[0])),
-                ("qty", Value::Int(qty)),
-                ("cost", Value::Float(cost)),
-                ("subtotal", Value::Float(subtotal)),
-            ])
-        })
-        .collect();
-    Ok((Value::List(lines), total))
+        .filter_map(|row| row[3].as_f64())
+        .fold(0.0, |total, subtotal| total + subtotal);
+    Ok((table(r), total))
 }
 
 /// `GET /shopping_cart?c_id=&sc_id=&i_id=&qty=` — creates the cart on
@@ -343,18 +308,10 @@ pub(crate) fn customer_registration(
     ctx.insert("sc_id", req.param_u64("sc_id").unwrap_or(0));
     if c_id > 0 {
         let r = db.execute(
-            "SELECT c_fname, c_lname FROM customer WHERE c_id = ?",
+            "SELECT c_fname AS fname FROM customer WHERE c_id = ?",
             &[DbValue::Int(c_id)],
         )?;
-        if let Some(row) = r.first() {
-            ctx.insert(
-                "customer",
-                map(vec![
-                    ("fname", value_of(&row[0])),
-                    ("lname", value_of(&row[1])),
-                ]),
-            );
-        }
+        ctx.insert("customer", table(r));
     }
     Ok(PageOutcome::template("customer_registration.html", ctx))
 }
@@ -381,7 +338,8 @@ pub(crate) fn buy_request(state: &TpcwState, req: &Request, db: &PooledConnectio
         )?;
     }
     let customer = db.execute(
-        "SELECT c_fname, c_lname, c_addr_id, c_discount FROM customer WHERE c_id = ?",
+        "SELECT c_fname AS fname, c_lname AS lname, c_addr_id, c_discount \
+         FROM customer WHERE c_id = ?",
         &[DbValue::Int(c_id)],
     )?;
     let row = customer
@@ -391,27 +349,13 @@ pub(crate) fn buy_request(state: &TpcwState, req: &Request, db: &PooledConnectio
     let addr_id = row[2].as_int().unwrap_or(1);
     let mut ctx = base_ctx("Confirm Order", req);
     ctx.insert("c_id", c_id);
-    ctx.insert(
-        "customer",
-        map(vec![
-            ("fname", value_of(&row[0])),
-            ("lname", value_of(&row[1])),
-        ]),
-    );
+    ctx.insert("customer", table(customer));
     let addr = db.execute(
-        "SELECT addr_street, addr_city, addr_zip FROM address WHERE addr_id = ?",
+        "SELECT addr_street AS street, addr_city AS city, addr_zip AS zip \
+         FROM address WHERE addr_id = ?",
         &[DbValue::Int(addr_id)],
     )?;
-    if let Some(a) = addr.first() {
-        ctx.insert(
-            "address",
-            map(vec![
-                ("street", value_of(&a[0])),
-                ("city", value_of(&a[1])),
-                ("zip", value_of(&a[2])),
-            ]),
-        );
-    }
+    ctx.insert("address", table(addr));
     let sc_id = req.param_u64("sc_id").unwrap_or(0) as i64;
     let (lines, total) = cart_lines(db, sc_id)?;
     ctx.insert("sc_id", sc_id);
@@ -520,48 +464,22 @@ pub(crate) fn order_display(
     let o_id = last.single_int().unwrap_or(0);
     if o_id > 0 {
         let order = db.execute(
-            "SELECT o_id, o_total, o_status FROM orders WHERE o_id = ?",
+            "SELECT o_id AS id, o_total AS total, o_status AS status FROM orders WHERE o_id = ?",
             &[DbValue::Int(o_id)],
         )?;
-        if let Some(row) = order.first() {
-            ctx.insert(
-                "order",
-                map(vec![
-                    ("id", value_of(&row[0])),
-                    ("total", value_of(&row[1])),
-                    ("status", value_of(&row[2])),
-                ]),
-            );
-        }
+        ctx.insert("order", table(order));
         let cust = db.execute(
-            "SELECT c_fname, c_lname FROM customer WHERE c_id = ?",
+            "SELECT c_fname AS fname, c_lname AS lname FROM customer WHERE c_id = ?",
             &[DbValue::Int(c_id)],
         )?;
-        if let Some(row) = cust.first() {
-            ctx.insert(
-                "customer",
-                map(vec![
-                    ("fname", value_of(&row[0])),
-                    ("lname", value_of(&row[1])),
-                ]),
-            );
-        }
+        ctx.insert("customer", table(cust));
         let lines = db.execute(
-            "SELECT i.i_title, ol.ol_qty \
+            "SELECT i.i_title AS title, ol.ol_qty AS qty \
              FROM order_line ol JOIN item i ON ol.ol_i_id = i.i_id \
              WHERE ol.ol_o_id = ?",
             &[DbValue::Int(o_id)],
         )?;
-        ctx.insert(
-            "lines",
-            Value::List(
-                lines
-                    .rows
-                    .iter()
-                    .map(|r| map(vec![("title", value_of(&r[0])), ("qty", value_of(&r[1]))]))
-                    .collect(),
-            ),
-        );
+        ctx.insert("lines", table(lines));
     }
     Ok(PageOutcome::template("order_display.html", ctx))
 }
@@ -574,22 +492,15 @@ pub(crate) fn admin_request(
 ) -> PageResult {
     let i_id = req.param_u64("i_id").unwrap_or(1) as i64;
     let r = db.execute(
-        "SELECT i_id, i_title, i_cost, i_thumbnail FROM item WHERE i_id = ?",
+        "SELECT i_id AS id, i_title AS title, i_cost AS cost, i_thumbnail AS thumbnail \
+         FROM item WHERE i_id = ?",
         &[DbValue::Int(i_id)],
     )?;
-    let row = r
-        .first()
-        .ok_or_else(|| AppError::handler(format!("no such item: {i_id}")))?;
+    if r.rows.is_empty() {
+        return Err(AppError::handler(format!("no such item: {i_id}")));
+    }
     let mut ctx = base_ctx("Admin: Edit Item", req);
-    ctx.insert(
-        "item",
-        map(vec![
-            ("id", value_of(&row[0])),
-            ("title", value_of(&row[1])),
-            ("cost", value_of(&row[2])),
-            ("thumbnail", value_of(&row[3])),
-        ]),
-    );
+    ctx.insert("item", table(r));
     Ok(PageOutcome::template("admin_request.html", ctx))
 }
 
@@ -645,20 +556,14 @@ pub(crate) fn admin_confirm(state: &TpcwState, req: &Request, db: &PooledConnect
         ],
     )?;
     let r = db.execute(
-        "SELECT i_title, i_cost FROM item WHERE i_id = ?",
+        "SELECT i_title AS title, i_cost AS cost FROM item WHERE i_id = ?",
         &[DbValue::Int(i_id)],
     )?;
-    let row = r
-        .first()
-        .ok_or_else(|| AppError::handler(format!("no such item: {i_id}")))?;
+    if r.rows.is_empty() {
+        return Err(AppError::handler(format!("no such item: {i_id}")));
+    }
     let mut ctx = base_ctx("Admin: Item Updated", req);
-    ctx.insert(
-        "item",
-        map(vec![
-            ("title", value_of(&row[0])),
-            ("cost", value_of(&row[1])),
-        ]),
-    );
+    ctx.insert("item", table(r));
     ctx.insert(
         "related",
         Value::List(rel.into_iter().map(Value::Int).collect()),

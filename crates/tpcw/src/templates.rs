@@ -33,14 +33,14 @@ const FOOTER: &str = r#"<hr>
 const ITEM_ROW: &str = r#"<tr>
   <td><img src="{{ item.thumbnail }}" alt="cover" width="50"></td>
   <td><a href="/product_detail?i_id={{ item.id }}&c_id={{ c_id|default:0 }}">{{ item.title }}</a></td>
-  <td>{{ item.author }}</td>
+  <td>{{ item.fname }} {{ item.lname }}</td>
   <td align="right">${{ item.cost|floatformat:2 }}</td>
 </tr>
 "#;
 
 const HOME: &str = r#"{% include "header.html" %}
 {% if customer %}
-  <h2 align="center">Welcome back, {{ customer.fname }} {{ customer.lname }}!</h2>
+  <h2 align="center">Welcome back, {{ customer.0.fname }} {{ customer.0.lname }}!</h2>
 {% else %}
   <h2 align="center">Welcome to the TPC-W Bookstore</h2>
 {% endif %}
@@ -78,20 +78,20 @@ const BEST_SELLERS: &str = r#"{% include "header.html" %}
 
 const PRODUCT_DETAIL: &str = r#"{% include "header.html" %}
 <table><tr>
-<td><img src="{{ item.thumbnail }}" alt="cover" width="200"></td>
+<td><img src="{{ item.0.thumbnail }}" alt="cover" width="200"></td>
 <td>
-  <h2>{{ item.title }}</h2>
-  <p>by {{ item.author }}</p>
-  <p>Subject: {{ item.subject|title }}</p>
-  <p>Suggested retail: <strike>${{ item.srp|floatformat:2 }}</strike>
-     Our price: <b>${{ item.cost|floatformat:2 }}</b>
-     {% if item.in_stock %}<em>In stock ({{ item.stock }})</em>{% else %}<em>Backordered</em>{% endif %}</p>
+  <h2>{{ item.0.title }}</h2>
+  <p>by {{ item.0.fname }} {{ item.0.lname }}</p>
+  <p>Subject: {{ item.0.subject|title }}</p>
+  <p>Suggested retail: <strike>${{ item.0.srp|floatformat:2 }}</strike>
+     Our price: <b>${{ item.0.cost|floatformat:2 }}</b>
+     {% if in_stock %}<em>In stock ({{ stock }})</em>{% else %}<em>Backordered</em>{% endif %}</p>
   <form action="/shopping_cart" method="get">
     <input type="hidden" name="c_id" value="{{ c_id|default:0 }}">
-    <input type="hidden" name="i_id" value="{{ item.id }}">
+    <input type="hidden" name="i_id" value="{{ item.0.id }}">
     <input type="submit" value="Add to cart">
   </form>
-  <p><a href="/admin_request?i_id={{ item.id }}&c_id={{ c_id|default:0 }}">Edit (admin)</a></p>
+  <p><a href="/admin_request?i_id={{ item.0.id }}&c_id={{ c_id|default:0 }}">Edit (admin)</a></p>
 </td>
 </tr></table>
 {% include "footer.html" %}"#;
@@ -151,7 +151,7 @@ const SHOPPING_CART: &str = r#"{% include "header.html" %}
 
 const CUSTOMER_REGISTRATION: &str = r#"{% include "header.html" %}
 {% if customer %}
-  <h2>Welcome back, {{ customer.fname }}!</h2>
+  <h2>Welcome back, {{ customer.0.fname }}!</h2>
   <p>Proceed to <a href="/buy_request?c_id={{ c_id }}&sc_id={{ sc_id }}">checkout</a>.</p>
 {% else %}
   <h2>Register</h2>
@@ -165,8 +165,8 @@ const CUSTOMER_REGISTRATION: &str = r#"{% include "header.html" %}
 
 const BUY_REQUEST: &str = r#"{% include "header.html" %}
 <h2>Confirm your order</h2>
-<p>Shipping to: {{ customer.fname }} {{ customer.lname }}, {{ address.street }},
-   {{ address.city }} {{ address.zip }}</p>
+<p>Shipping to: {{ customer.0.fname }} {{ customer.0.lname }}, {{ address.0.street }},
+   {{ address.0.city }} {{ address.0.zip }}</p>
 <table>
 {% for line in lines %}
 <tr><td>{{ line.title }}</td><td>{{ line.qty }}</td>
@@ -200,9 +200,9 @@ const ORDER_INQUIRY: &str = r#"{% include "header.html" %}
 
 const ORDER_DISPLAY: &str = r#"{% include "header.html" %}
 {% if order %}
-  <h2>Order #{{ order.id }} ({{ order.status }})</h2>
-  <p>Placed by {{ customer.fname }} {{ customer.lname }}; total
-     <b>${{ order.total|floatformat:2 }}</b>.</p>
+  <h2>Order #{{ order.0.id }} ({{ order.0.status }})</h2>
+  <p>Placed by {{ customer.0.fname }} {{ customer.0.lname }}; total
+     <b>${{ order.0.total|floatformat:2 }}</b>.</p>
   <table>
   <tr><th>Title</th><th>Qty</th></tr>
   {% for line in lines %}
@@ -215,19 +215,19 @@ const ORDER_DISPLAY: &str = r#"{% include "header.html" %}
 {% include "footer.html" %}"#;
 
 const ADMIN_REQUEST: &str = r#"{% include "header.html" %}
-<h2>Edit item: {{ item.title }}</h2>
+<h2>Edit item: {{ item.0.title }}</h2>
 <form action="/admin_confirm" method="get">
-  <input type="hidden" name="i_id" value="{{ item.id }}">
+  <input type="hidden" name="i_id" value="{{ item.0.id }}">
   <input type="hidden" name="c_id" value="{{ c_id|default:0 }}">
-  <p>New cost: <input name="cost" value="{{ item.cost|floatformat:2 }}"></p>
-  <p>New image: <input name="image" value="{{ item.thumbnail }}"></p>
+  <p>New cost: <input name="cost" value="{{ item.0.cost|floatformat:2 }}"></p>
+  <p>New image: <input name="image" value="{{ item.0.thumbnail }}"></p>
   <input type="submit" value="Update item">
 </form>
 {% include "footer.html" %}"#;
 
 const ADMIN_RESPONSE: &str = r#"{% include "header.html" %}
 <h2>Item updated</h2>
-<p>{{ item.title }} now costs <b>${{ item.cost|floatformat:2 }}</b>.</p>
+<p>{{ item.0.title }} now costs <b>${{ item.0.cost|floatformat:2 }}</b>.</p>
 <p>Related items recomputed from recent sales:</p>
 <ol>
 {% for r in related %}<li>item #{{ r }}</li>{% endfor %}
@@ -270,7 +270,7 @@ pub fn install_templates(store: &TemplateStore) -> Result<(), TemplateError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use staged_templates::{Context, Value};
+    use staged_templates::{Context, Table, Value};
 
     #[test]
     fn all_templates_compile() {
@@ -286,17 +286,20 @@ mod tests {
         let mut ctx = Context::new();
         ctx.insert("title", "Home");
         ctx.insert("c_id", 5);
-        let mut customer = std::collections::BTreeMap::new();
-        customer.insert("fname".to_string(), Value::from("Ada"));
-        customer.insert("lname".to_string(), Value::from("Lovelace"));
-        ctx.insert("customer", Value::Map(customer));
-        let mut item = std::collections::BTreeMap::new();
-        item.insert("id".to_string(), Value::from(1));
-        item.insert("title".to_string(), Value::from("Dune"));
-        item.insert("author".to_string(), Value::from("F. Herbert"));
-        item.insert("cost".to_string(), Value::Float(9.99));
-        item.insert("thumbnail".to_string(), Value::from("/img/thumb_1.gif"));
-        ctx.insert("promotions", Value::from(vec![Value::Map(item)]));
+        let mut customer = Table::new(vec!["fname".into(), "lname".into()]);
+        customer.push_row([Value::from("Ada"), Value::from("Lovelace")]);
+        ctx.insert("customer", customer);
+        let columns = ["id", "title", "fname", "lname", "cost", "thumbnail"];
+        let mut promotions = Table::new(columns.map(String::from).to_vec());
+        promotions.push_row([
+            Value::from(1),
+            Value::from("Dune"),
+            Value::from("F."),
+            Value::from("Herbert"),
+            Value::Float(9.99),
+            Value::from("/img/thumb_1.gif"),
+        ]);
+        ctx.insert("promotions", promotions);
         ctx.insert(
             "subjects",
             Value::from(vec![Value::from("SCIENCE-FICTION")]),
@@ -304,6 +307,7 @@ mod tests {
         let html = store.render("home.html", &ctx).unwrap();
         assert!(html.contains("Welcome back, Ada Lovelace!"));
         assert!(html.contains("Dune"));
+        assert!(html.contains("<td>F. Herbert</td>"));
         assert!(html.contains("$9.99"));
         assert!(html.contains("Science-fiction"));
         assert!(html.contains("</html>"));
