@@ -87,6 +87,12 @@ const MATRIX: &[(&str, &str, &str, &str)] = &[
         "plan_suite",
         "spared_writes_leave_results_unchanged",
     ),
+    (
+        "readset_window_exclusive_boundary",
+        "staged-db",
+        "plan_suite",
+        "spared_writes_leave_results_unchanged",
+    ),
 ];
 
 fn usage() -> ExitCode {

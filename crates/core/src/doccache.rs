@@ -10,6 +10,11 @@
 //! stale. TTL and capacity are backstops against unbounded growth, not
 //! the correctness mechanism.
 //!
+//! Capacity replacement keeps what is costly: each entry carries the
+//! service time its miss took to regenerate it, and a full cache evicts
+//! expired entries first, then the entry of lowest GreedyDual priority
+//! (`L + refs × cost`; see [`crate::aged`]).
+//!
 //! Freshness across the publish race: a request snapshots the cache
 //! epoch *before* its first query ([`DocCache::lookup`] returns it on a
 //! miss). [`DocCache::publish`] discards the render if any table it
@@ -26,7 +31,7 @@
 //! *age*, never correctness.
 //!
 //! The hit path is allocation-free: one rank-118 read lock, a `HashMap`
-//! probe, an `Arc` bump, and relaxed counter increments.
+//! probe, an `Arc` bump, and relaxed counter and priority updates.
 
 use crate::aged::AgedMap;
 use staged_db::{ReadSet, WriteEvent};
@@ -65,8 +70,8 @@ struct CacheEntry {
 }
 
 struct CacheState {
-    /// Stamped with the publish time (TTL backstop, oldest-first
-    /// capacity eviction).
+    /// Stamped with the publish time (TTL backstop) and ranked by
+    /// regeneration cost and hits (capacity eviction).
     entries: AgedMap<CacheEntry>,
     /// Per-table last-write epoch; compared against a request's miss
     /// snapshot to reject renders that raced a write.
@@ -102,6 +107,9 @@ pub struct DocCache {
     publishes: AtomicU64,
     /// Entries evicted because a write intersected their read-set.
     invalidations: AtomicU64,
+    /// Entries evicted to make room for a publish: expired ones, then
+    /// the lowest-priority ones.
+    capacity_evictions: AtomicU64,
     /// Renders discarded at publish time because a dependent table was
     /// written after the request's epoch snapshot.
     stale_discards: AtomicU64,
@@ -117,7 +125,7 @@ impl DocCache {
     /// Creates an empty cache. Entries older than `ttl` stop being
     /// served (backstop only — invalidation is the correctness
     /// mechanism); `capacity` bounds the entry count, evicting expired
-    /// entries and then the oldest first.
+    /// entries and then the ones cheapest to regenerate for their hits.
     pub fn new(ttl: Duration, capacity: usize) -> Self {
         DocCache {
             state: OrderedRwLock::new(
@@ -135,6 +143,7 @@ impl DocCache {
             misses: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
+            capacity_evictions: AtomicU64::new(0),
             stale_discards: AtomicU64::new(0),
             bytes_served: AtomicU64::new(0),
             row_level_deps: AtomicU64::new(0),
@@ -150,11 +159,13 @@ impl DocCache {
     /// allocator.
     pub fn lookup(&self, key: &str) -> Lookup {
         let state = self.state.read();
-        if let Some((entry, age)) = state.entries.get(key) {
-            if age <= self.ttl {
+        if let Some(found) = state.entries.get(key) {
+            if found.age <= self.ttl {
+                found.hit();
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.bytes_served.fetch_add(entry.bytes, Ordering::Relaxed);
-                return Lookup::Hit(Arc::clone(&entry.response));
+                self.bytes_served
+                    .fetch_add(found.value.bytes, Ordering::Relaxed);
+                return Lookup::Hit(Arc::clone(&found.value.response));
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -177,11 +188,11 @@ impl DocCache {
     pub fn lookup_stale(&self, key: &str) -> Option<Response> {
         let (body, age) = {
             let state = self.state.read();
-            let (entry, age) = state.entries.get(key)?;
-            if age > self.ttl {
+            let found = state.entries.get(key)?;
+            if found.age > self.ttl {
                 return None;
             }
-            (entry.response.body_shared(), age)
+            (found.value.response.body_shared(), found.age)
         };
         let mut resp = Response::html(body);
         resp.headers_mut().set("Warning", STALE_WARNING);
@@ -189,17 +200,32 @@ impl DocCache {
         Some(resp)
     }
 
-    /// Publishes a rendered page under `key`, tagged with the read set
-    /// collected during its render and the epoch `snapshot` its lookup
-    /// returned. Returns `false` (and caches nothing) when a dependent
-    /// table was written after the snapshot — the render may embed
-    /// pre-write data, and correctness beats reuse.
+    /// [`DocCache::publish_with_cost`] for a caller that did not time
+    /// the render: every such entry ranks at the least cost.
     pub fn publish(
         &self,
         key: &str,
         response: Arc<Response>,
         reads: Arc<ReadSet>,
         snapshot: u64,
+    ) -> bool {
+        self.publish_with_cost(key, response, reads, snapshot, Duration::ZERO)
+    }
+
+    /// Publishes a rendered page under `key`, tagged with the read set
+    /// collected during its render, the epoch `snapshot` its lookup
+    /// returned, and what it `cost` to regenerate (the service time of
+    /// its miss, which ranks it for capacity eviction). Returns `false`
+    /// (and caches nothing) when a dependent table was written after the
+    /// snapshot — the render may embed pre-write data, and correctness
+    /// beats reuse.
+    pub fn publish_with_cost(
+        &self,
+        key: &str,
+        response: Arc<Response>,
+        reads: Arc<ReadSet>,
+        snapshot: u64,
+        cost: Duration,
     ) -> bool {
         let mut state = self.state.write();
         let raced = staged_sync::mutant!("doccache_skip_epoch_check" => {
@@ -221,16 +247,18 @@ impl DocCache {
         if keyed > 0 {
             self.row_level_deps.fetch_add(keyed, Ordering::Relaxed);
         }
-        state.entries.insert(
-            key,
-            CacheEntry {
-                response,
-                reads,
-                bytes,
-            },
-            self.capacity,
-            self.ttl,
-        );
+        let entry = CacheEntry {
+            response,
+            reads,
+            bytes,
+        };
+        let evicted = state
+            .entries
+            .insert(key, entry, cost, self.capacity, self.ttl);
+        if evicted > 0 {
+            self.capacity_evictions
+                .fetch_add(evicted as u64, Ordering::Relaxed);
+        }
         self.publishes.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -289,6 +317,11 @@ impl DocCache {
     /// Entries evicted by write invalidation.
     pub fn invalidations(&self) -> u64 {
         self.invalidations.load(Ordering::Relaxed) // lint: allow(relaxed)
+    }
+
+    /// Entries evicted to make room for a publish.
+    pub fn capacity_evictions(&self) -> u64 {
+        self.capacity_evictions.load(Ordering::Relaxed) // lint: allow(relaxed)
     }
 
     /// Renders discarded at publish time for racing a write.
@@ -567,6 +600,52 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.lookup_stale("a").unwrap().body(), b"1-new");
         assert!(cache.lookup_stale("b").is_some());
+    }
+
+    /// Publishes a page under `key` at an injected regeneration cost.
+    fn put_at_cost(cache: &DocCache, key: &str, micros: u64) {
+        let cost = Duration::from_micros(micros);
+        let reads = Arc::new(ReadSet::new());
+        assert!(cache.publish_with_cost(key, page(key), reads, cache.epoch(), cost));
+    }
+
+    #[test]
+    fn expensive_entry_survives_a_stream_of_cheap_publishes() {
+        let cache = DocCache::new(Duration::from_secs(60), 4);
+        put_at_cost(&cache, "search", 1_000);
+        for i in 0..20 {
+            put_at_cost(&cache, &format!("detail{i}"), 15);
+        }
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.capacity_evictions(), 17);
+        assert!(
+            cache.lookup_stale("search").is_some(),
+            "oldest, but 1 ms to regenerate against 15 µs"
+        );
+    }
+
+    #[test]
+    fn a_hit_ranks_an_entry_above_an_unhit_one_of_equal_cost() {
+        let cache = DocCache::new(Duration::from_secs(60), 2);
+        put_at_cost(&cache, "a", 100);
+        put_at_cost(&cache, "b", 100);
+        assert!(matches!(cache.lookup("a"), Lookup::Hit(_)));
+        put_at_cost(&cache, "c", 100);
+        assert!(cache.lookup_stale("a").is_some(), "hit, though older");
+        assert!(cache.lookup_stale("b").is_none(), "unhit, so evicted");
+    }
+
+    #[test]
+    fn republish_refreshes_the_cost() {
+        let cache = DocCache::new(Duration::from_secs(60), 2);
+        put_at_cost(&cache, "a", 1_000);
+        put_at_cost(&cache, "b", 100);
+        // `a` now regenerates cheaply: it ranks by its new cost.
+        put_at_cost(&cache, "a", 10);
+        put_at_cost(&cache, "c", 100);
+        assert!(cache.lookup_stale("a").is_none());
+        assert!(cache.lookup_stale("b").is_some());
+        assert_eq!(cache.capacity_evictions(), 1);
     }
 
     #[test]

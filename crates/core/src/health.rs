@@ -185,12 +185,13 @@ impl HealthView<'_> {
         if let Some(entries) = self.registry.value("doc_cache_entries", &[]) {
             let _ = write!(
                 s,
-                ",\"doc_cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"publishes\":{},\"invalidations\":{},\"stale_discards\":{},\"bytes_served\":{}}}",
+                ",\"doc_cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"publishes\":{},\"invalidations\":{},\"capacity_evictions\":{},\"stale_discards\":{},\"bytes_served\":{}}}",
                 entries.max(0.0) as u64,
                 self.counter("doc_cache_hits_total"),
                 self.counter("doc_cache_misses_total"),
                 self.counter("doc_cache_publishes_total"),
                 self.counter("doc_cache_invalidations_total"),
+                self.counter("doc_cache_capacity_evictions_total"),
                 self.counter("doc_cache_stale_discards_total"),
                 self.counter("doc_cache_bytes_served_total")
             );
@@ -448,12 +449,14 @@ mod tests {
         registry.counter_fn("doc_cache_misses_total", &[], || 4);
         registry.counter_fn("doc_cache_publishes_total", &[], || 4);
         registry.counter_fn("doc_cache_invalidations_total", &[], || 1);
+        registry.counter_fn("doc_cache_capacity_evictions_total", &[], || 7);
         registry.counter_fn("doc_cache_stale_discards_total", &[], || 0);
         registry.counter_fn("doc_cache_bytes_served_total", &[], || 4096);
         let v = view(&registry, Phase::Ready);
         let body = payload(&v);
         assert!(body.contains("\"doc_cache\":{\"entries\":3"), "{body}");
         assert!(body.contains("\"hits\":12"), "{body}");
+        assert!(body.contains("\"capacity_evictions\":7"), "{body}");
         assert!(body.contains("\"bytes_served\":4096"), "{body}");
 
         // A registry without the cache families omits the section.

@@ -235,11 +235,15 @@ impl Work {
 
 /// The normalized cache key of a `GET` of a cache-marked route, with
 /// the cache epoch snapshot taken at the miss, *before* the first query
-/// — [`DocCache::publish`] uses it to reject renders that raced a
-/// write. A request without one must never be served from the cache.
+/// — [`DocCache::publish_with_cost`] uses it to reject renders that
+/// raced a write. A request without one must never be served from the
+/// cache.
 pub(crate) struct CacheSlot {
     pub key: String,
     pub snapshot: u64,
+    /// Service time the miss has spent regenerating the page so far
+    /// (handler, then render; queue waits excluded): the entry's cost.
+    pub cost: Duration,
 }
 
 pub(crate) struct DynWork {

@@ -564,16 +564,20 @@ fn setup_durability(
 }
 
 /// Registers the document-cache metric families:
-/// `doc_cache_{hits,misses,publishes,invalidations,stale_discards,
-/// bytes_served}_total` and the `doc_cache_entries` gauge. `/healthz`'s
+/// `doc_cache_{hits,misses,publishes,invalidations,capacity_evictions,
+/// stale_discards,bytes_served}_total` and the `doc_cache_entries` gauge. `/healthz`'s
 /// cache section reads the same families, so the surfaces agree.
 fn register_doc_cache(registry: &Registry, cache: &Arc<DocCache>) {
     type CounterRead = fn(&DocCache) -> u64;
-    let families: [(&'static str, CounterRead); 7] = [
+    let families: [(&'static str, CounterRead); 8] = [
         ("doc_cache_hits_total", DocCache::hits),
         ("doc_cache_misses_total", DocCache::misses),
         ("doc_cache_publishes_total", DocCache::publishes),
         ("doc_cache_invalidations_total", DocCache::invalidations),
+        (
+            "doc_cache_capacity_evictions_total",
+            DocCache::capacity_evictions,
+        ),
         ("doc_cache_stale_discards_total", DocCache::stale_discards),
         ("doc_cache_bytes_served_total", DocCache::bytes_served),
         ("doc_cache_row_level_deps_total", DocCache::row_level_deps),

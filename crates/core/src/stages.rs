@@ -20,7 +20,7 @@ use staged_metrics::{Trace, TraceEvent};
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 thread_local! {
     /// Per-thread scratch for normalized cache keys. Reused across
@@ -119,7 +119,11 @@ impl Core {
                             page.as_deref(),
                         );
                     }
-                    KeyOutcome::Miss(key) => Some(CacheSlot { key, snapshot }),
+                    KeyOutcome::Miss(key) => Some(CacheSlot {
+                        key,
+                        snapshot,
+                        cost: Duration::ZERO,
+                    }),
                 }
             }
             _ => None,
@@ -250,7 +254,7 @@ impl Core {
             request,
             page,
             kind,
-            cache,
+            mut cache,
             claim: _claim,
             ..
         } = work;
@@ -285,7 +289,11 @@ impl Core {
         } else {
             None
         };
-        self.tracker.record(&page, started.elapsed());
+        let generated = started.elapsed();
+        self.tracker.record(&page, generated);
+        if let Some(slot) = &mut cache {
+            slot.cost = generated;
+        }
         let response = match outcome {
             Ok(PageOutcome::Template { name, context }) => {
                 // The §3.3 extension: templates whose average render
@@ -320,7 +328,7 @@ impl Core {
                         && response.headers().get("content-type")
                             == Some("text/html; charset=utf-8")
                     {
-                        self.publish(slot, &response, &reads);
+                        self.publish(slot, &response, &reads, Duration::ZERO);
                     }
                 }
                 response
@@ -376,7 +384,7 @@ impl Core {
                 self.app.charge_render(buf.len());
                 let response = Response::html(buf.freeze());
                 if let Some(slot) = &work.cache {
-                    self.publish(slot, &response, &work.reads);
+                    self.publish(slot, &response, &work.reads, started.elapsed());
                 }
                 response
             }
@@ -400,16 +408,24 @@ impl Core {
     }
 
     /// Publishes a finished page to the cache, tagged with what it
-    /// read. The cache discards it if a write to a dependent table
-    /// landed after this request's snapshot; a render without a read
-    /// set is not cached at all.
-    fn publish(&self, slot: &CacheSlot, response: &Response, reads: &Option<Arc<ReadSet>>) {
+    /// read and what it cost: the slot's service time so far plus
+    /// `rendered`, this stage's share. The cache discards it if a write
+    /// to a dependent table landed after this request's snapshot; a
+    /// render without a read set is not cached at all.
+    fn publish(
+        &self,
+        slot: &CacheSlot,
+        response: &Response,
+        reads: &Option<Arc<ReadSet>>,
+        rendered: Duration,
+    ) {
         if let (Some(dc), Some(reads)) = (&self.cache, reads) {
-            dc.publish(
+            dc.publish_with_cost(
                 &slot.key,
                 Arc::new(response.clone()),
                 Arc::clone(reads),
                 slot.snapshot,
+                slot.cost + rendered,
             );
         }
     }

@@ -409,3 +409,152 @@ fn filtered_listing_deps_evict_only_admitting_pages() {
 
     server.shutdown().expect("clean shutdown");
 }
+
+/// Top-k dependencies: a listing page (`ORDER BY val LIMIT 3`, and the
+/// same window at `OFFSET 2`) depends on the rows that sort no later
+/// than its last row, not on every row. Concurrent writes must never
+/// leave a listing showing a value older than a write that already
+/// returned; once quiet, a write past a window keeps its page a hit
+/// with the same bytes, a write inside it evicts it, and a row moved
+/// into it evicts it.
+#[test]
+fn top_k_listing_deps_spare_writes_outside_the_window() {
+    const ROWS: i64 = 10;
+    let app = App::builder()
+        .route("/top", "top", |req, db| {
+            let sql = match req.param("offset") {
+                Some("2") => "SELECT id, val FROM ranked ORDER BY val LIMIT 3 OFFSET 2",
+                _ => "SELECT id, val FROM ranked ORDER BY val LIMIT 3",
+            };
+            let result = db.execute(sql, &[])?;
+            let body: Vec<String> = result
+                .rows
+                .iter()
+                .map(|r| format!("{}:{}", r[0], r[1]))
+                .collect();
+            Ok(PageOutcome::Body(Response::html(body.join(";"))))
+        })
+        .route("/set", "set", |req, db| {
+            let id: i64 = req.param("id").unwrap_or("0").parse().unwrap_or(0);
+            let val: i64 = req.param("val").unwrap_or("0").parse().unwrap_or(0);
+            db.execute(
+                "UPDATE ranked SET val = ? WHERE id = ?",
+                &[DbValue::Int(val), DbValue::Int(id)],
+            )?;
+            Ok(PageOutcome::Body(Response::html("ok")))
+        })
+        .stale_cacheable("/top")
+        .build();
+    let db = Arc::new(Database::new());
+    db.execute("CREATE TABLE ranked (id INT PRIMARY KEY, val INT)", &[])
+        .unwrap();
+    for id in 0..ROWS {
+        db.execute(
+            "INSERT INTO ranked (id, val) VALUES (?, ?)",
+            &[DbValue::Int(id), DbValue::Int(id * 10)],
+        )
+        .unwrap();
+    }
+    let config = ServerConfig {
+        doc_cache: true,
+        ..ServerConfig::small()
+    };
+    let server = StagedServer::start(config, app, db).unwrap();
+    let addr = server.addr();
+    let top = |offset: u8| {
+        let resp = fetch(addr, Method::Get, &format!("/top?offset={offset}"), &[]).unwrap();
+        assert_eq!(resp.status, StatusCode::OK, "listing rejected");
+        resp.text()
+    };
+    let set = |id: i64, val: i64| {
+        let path = format!("/set?id={id}&val={val}");
+        let resp = fetch(addr, Method::Get, &path, &[]).unwrap();
+        assert_eq!(resp.status, StatusCode::OK, "write rejected");
+    };
+
+    // Concurrent phase: every id a listing shows is at least as new as
+    // the last write to it that had returned before the read was sent.
+    let floors: Arc<Vec<AtomicI64>> =
+        Arc::new((0..ROWS).map(|id| AtomicI64::new(id * 10)).collect());
+    let write_locks: Arc<Vec<Mutex<()>>> = Arc::new((0..ROWS).map(|_| Mutex::new(())).collect());
+    let violations = Arc::new(Mutex::new(Vec::<String>::new()));
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let (floors, write_locks) = (Arc::clone(&floors), Arc::clone(&write_locks));
+            s.spawn(move || {
+                let mut rng = XorShift(SEED ^ (0x5000 + w as u64));
+                for _ in 0..WRITES_PER_THREAD {
+                    let id = (rng.next() % ROWS as u64) as i64;
+                    let _guard = write_locks[id as usize].lock().unwrap();
+                    let val = floors[id as usize].load(Ordering::SeqCst) + 1;
+                    set(id, val);
+                    floors[id as usize].store(val, Ordering::SeqCst);
+                }
+            });
+        }
+        for r in 0..READERS {
+            let (floors, violations) = (Arc::clone(&floors), Arc::clone(&violations));
+            s.spawn(move || {
+                let mut rng = XorShift(SEED ^ (0x6000 + r as u64));
+                for _ in 0..READS_PER_THREAD {
+                    let offset = if rng.next().is_multiple_of(2) { 0 } else { 2 };
+                    let before: Vec<i64> =
+                        floors.iter().map(|f| f.load(Ordering::SeqCst)).collect();
+                    for entry in top(offset).split(';').filter(|e| !e.is_empty()) {
+                        let (id, val) = entry.split_once(':').expect("id:val");
+                        let (id, val): (usize, i64) = (id.parse().unwrap(), val.parse().unwrap());
+                        if val < before[id] {
+                            violations.lock().unwrap().push(format!(
+                                "offset {offset}: id={id} read val={val} after a write of {}",
+                                before[id]
+                            ));
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let violations = violations.lock().unwrap();
+    assert!(
+        violations.is_empty(),
+        "stale serves detected:\n{}",
+        violations.join("\n")
+    );
+
+    // Quiet phase: val = 100 × id, so the first window ends at id 2 and
+    // the OFFSET window at id 4.
+    for id in 0..ROWS {
+        set(id, id * 100);
+    }
+    let metric = |name: &str| server.registry().value(name, &[]).unwrap_or(0.0);
+    let (first, second) = (top(0), top(2));
+    assert_eq!(first, "0:0;1:100;2:200");
+    assert_eq!(second, "2:200;3:300;4:400");
+
+    // Past both windows: both pages stay hits, byte for byte.
+    set(9, 950);
+    let hits = metric("doc_cache_hits_total");
+    assert_eq!(top(0), first, "a write past the window changes nothing");
+    assert_eq!(top(2), second);
+    assert_eq!(
+        metric("doc_cache_hits_total"),
+        hits + 2.0,
+        "a write past the window must not evict the page"
+    );
+
+    // Inside the OFFSET window only: the first page is still a hit.
+    set(3, 350);
+    let hits = metric("doc_cache_hits_total");
+    assert_eq!(top(0), first);
+    assert_eq!(metric("doc_cache_hits_total"), hits + 1.0);
+    assert_eq!(top(2), "2:200;3:350;4:400", "a write inside re-renders");
+    assert_eq!(metric("doc_cache_hits_total"), hits + 1.0, "it was evicted");
+
+    // A row moved into the first window from past it evicts the page.
+    set(8, 50);
+    let hits = metric("doc_cache_hits_total");
+    assert_eq!(top(0), "0:0;8:50;1:100");
+    assert_eq!(metric("doc_cache_hits_total"), hits, "it was evicted");
+
+    server.shutdown().expect("clean shutdown");
+}

@@ -5,7 +5,7 @@
 use crate::database::QueryResult;
 use crate::error::DbError;
 use crate::planner;
-use crate::readset::Changes;
+use crate::readset::{Changes, WindowKeys};
 use crate::sql::ast::*;
 use crate::table::TableData;
 use crate::value::DbValue;
@@ -607,6 +607,39 @@ impl Tail {
         }
     }
 
+    /// The ORDER BY keys as a top-k window's keys: `(slot, keys)` with
+    /// every key addressed to a lone row of table `slot`, when the
+    /// SELECT does not aggregate, has a LIMIT, and every key reads that
+    /// one table (and at least one reads a column). `None` otherwise.
+    pub(crate) fn window_keys(&self, tables: usize) -> Option<(usize, WindowKeys)> {
+        if self.group_by.is_some() || self.limit.is_none() {
+            return None;
+        }
+        let exprs: Vec<(&BoundExpr, bool)> = self
+            .order
+            .iter()
+            .map(|(by, desc)| match by {
+                OrderBy::Output(i) => (&self.items[*i], *desc),
+                OrderBy::Expr(e) => (e, *desc),
+            })
+            .collect();
+        let reads_a_column = |e: &BoundExpr| {
+            !all_leaves(&mut e.0.clone(), &mut |leaf| {
+                !matches!(leaf, Expr::Slot(..))
+            })
+        };
+        if !exprs.iter().any(|(e, _)| reads_a_column(e)) {
+            return None;
+        }
+        (0..tables).find_map(|slot| {
+            let keys = exprs
+                .iter()
+                .map(|(e, desc)| Some((e.local_to(slot)?, *desc)))
+                .collect::<Option<WindowKeys>>()?;
+            Some((slot, keys))
+        })
+    }
+
     /// EXPLAIN detail for the sort node when ORDER BY meets LIMIT — the
     /// bounded top-k shape: `top-k 50` (limit + offset), or `top-k ?`
     /// when a count is a parameter.
@@ -628,13 +661,21 @@ impl Tail {
 /// back. Only the rows inside the LIMIT/OFFSET window are projected
 /// (cloned out of the tables). `scanned` is the rows the scan and join
 /// nodes visited; the tail visits no stored row of its own.
+///
+/// With `want_boundary`, also returns the joined-row number of the last
+/// row of a non-aggregating ORDER BY window that ended before the input
+/// did — the top-k boundary a read set records. `None` when the window
+/// reached the end, when it is empty, and when a sort key is a float
+/// NaN (which compares equal to everything, so the order has no
+/// well-defined boundary).
 pub(crate) fn finish_select(
     tail: &Tail,
     rows: &[&[DbValue]],
     stride: usize,
     params: &[DbValue],
     scanned: u64,
-) -> Result<QueryResult, DbError> {
+    want_boundary: bool,
+) -> Result<(QueryResult, Option<usize>), DbError> {
     let count = |e: &Option<Expr>| -> Result<Option<usize>, DbError> {
         let Some(e) = e else { return Ok(None) };
         let n = eval(e, &[], params)?
@@ -644,10 +685,11 @@ pub(crate) fn finish_select(
         Ok(Some(n as usize))
     };
     let (offset, limit) = (count(&tail.offset)?, count(&tail.limit)?);
+    let mut boundary = None;
     let out_rows = if let Some(group_by) = &tail.group_by {
         let group_by = group_by.as_ref().map_err(Clone::clone)?;
         let (mut out, keys) = aggregate_project(tail, group_by, rows, stride, params)?;
-        let kept = window(out.len(), &keys, &tail.order, offset, limit);
+        let (kept, _) = window(out.len(), &keys, &tail.order, offset, limit);
         kept.into_iter()
             .map(|i| std::mem::take(&mut out[i]))
             .collect()
@@ -666,7 +708,11 @@ pub(crate) fn finish_select(
             }
         }
         // lint: end_hot_path
-        let kept = window(n, &keys, &tail.order, offset, limit);
+        let (kept, last) = window(n, &keys, &tail.order, offset, limit);
+        let nan = |k: &Cow<'_, DbValue>| matches!(**k, DbValue::Float(f) if f.is_nan());
+        if want_boundary && !keys.iter().any(nan) {
+            boundary = last;
+        }
         let mut out = Vec::with_capacity(kept.len());
         for i in kept {
             let row = &rows[i * stride..][..stride];
@@ -678,12 +724,13 @@ pub(crate) fn finish_select(
         }
         out
     };
-    Ok(QueryResult {
+    let result = QueryResult {
         columns: tail.columns.clone(),
         rows: out_rows,
         rows_affected: 0,
         rows_scanned: scanned,
-    })
+    };
+    Ok((result, boundary))
 }
 
 /// ORDER BY + OFFSET + LIMIT over `n` rows whose sort keys lie back to
@@ -691,17 +738,20 @@ pub(crate) fn finish_select(
 /// order. Rows compare by key, then by arrival — a total order, so the
 /// bounded selection (when the window ends before the input does) keeps
 /// exactly the rows a stable sort followed by truncation would, ties
-/// included, without sorting the rest.
+/// included, without sorting the rest. Also returns the boundary: under
+/// an ORDER BY, the last row up to the window's end when rows remain
+/// after it.
 fn window(
     n: usize,
     keys: &[Cow<'_, DbValue>],
     order: &[(OrderBy, bool)],
     offset: Option<usize>,
     limit: Option<usize>,
-) -> Vec<usize> {
+) -> (Vec<usize>, Option<usize>) {
     let start = offset.unwrap_or(0).min(n);
     let end = limit.map_or(n, |l| start.saturating_add(l).min(n));
     let mut idx: Vec<usize> = (0..n).collect();
+    let mut boundary = None;
     if !order.is_empty() {
         // lint: hot_path — the comparator runs O(n + k log k) times per execution
         let width = order.len();
@@ -717,13 +767,14 @@ fn window(
         };
         if 0 < end && end < n {
             idx.select_nth_unstable_by(end - 1, cmp);
+            boundary = Some(idx[end - 1]);
         }
         idx[..end].sort_unstable_by(cmp);
         // lint: end_hot_path
     }
     idx.truncate(end);
     idx.drain(..start);
-    idx
+    (idx, boundary)
 }
 
 /// Projected group rows plus their ORDER BY keys (`order.len()` per row).

@@ -20,10 +20,11 @@
 use crate::database::QueryResult;
 use crate::error::DbError;
 use crate::exec::{self, BoundExpr, BoundTable, ExecStats, Tail};
-use crate::readset::{ReadSet, RowFilter, RowKey};
+use crate::readset::{ReadSet, RowFilter, RowKey, Window, WindowKeys};
 use crate::sql::ast::*;
 use crate::value::{DbValue, IndexKey};
 use staged_sync::atomic::{AtomicU64, Ordering};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -290,6 +291,10 @@ pub(crate) struct SelectPlan {
     /// Projection/aggregation, ORDER BY and LIMIT, bound against every
     /// table of the statement.
     pub(crate) tail: Tail,
+    /// `(slot, keys)` when the ORDER BY keys all read the table at
+    /// `slot` and the statement can leave a top-k window on that table's
+    /// row filter ([`Tail::window_keys`]).
+    pub(crate) window: Option<(usize, WindowKeys)>,
     /// `Some` when the whole statement is answerable from index
     /// endpoints (single table, no WHERE/JOIN/GROUP/ORDER/LIMIT).
     pub(crate) shortcut: Option<Vec<ShortcutItem>>,
@@ -417,15 +422,20 @@ impl Deps<'_> {
         table: &str,
         conjuncts: &Arc<[BoundExpr]>,
         join: Option<(usize, Vec<RowKey>)>,
+        window: Option<Window>,
     ) {
-        if conjuncts.is_empty() && join.is_none() {
+        if conjuncts.is_empty() && join.is_none() && window.is_none() {
             return self.reads.record_table(table);
         }
         let params = self.shared.get_or_insert_with(|| self.params.into());
-        let filter = RowFilter::new(Arc::clone(conjuncts), Arc::clone(params), join);
+        let filter = RowFilter::new(Arc::clone(conjuncts), Arc::clone(params), join, window);
         self.reads.record_filter(table, filter);
     }
 }
+
+/// The row filter of the plan's window table, held back until the tail
+/// has found the top-k boundary: its conjuncts and join keys.
+type Deferred<'p> = (&'p Arc<[BoundExpr]>, Option<(usize, Vec<RowKey>)>);
 
 /// The distinct outer key values that reached one join, up to
 /// [`MAX_EXACT_JOIN_KEYS`]. NULL joins nothing, so it is not a key.
@@ -492,6 +502,10 @@ pub(crate) fn run_planned<'a>(
         params,
         shared: None,
     });
+    // The slot whose row filter waits for the top-k boundary, when
+    // this execution records a read set.
+    let window_slot = plan.window.as_ref().filter(|_| deps.is_some()).map(|w| w.0);
+    let mut deferred: Option<Deferred<'a>> = None;
 
     // --- Endpoint shortcut: no scan at all. ---
     if let Some(items) = &plan.shortcut {
@@ -619,7 +633,11 @@ pub(crate) fn run_planned<'a>(
         if !matches!(plan.base, BaseAccess::IndexEq { pk: true, .. }) {
             // The base filter holds the access path's own conjunct, so
             // it describes every row that could have been visited.
-            deps.filter(&base.table, &plan.base_filter, None);
+            if window_slot == Some(0) {
+                deferred = Some((&plan.base_filter, None));
+            } else {
+                deps.filter(&base.table, &plan.base_filter, None, None);
+            }
         }
     }
     let scan_nanos = t0.elapsed().as_nanos() as u64;
@@ -718,7 +736,11 @@ pub(crate) fn run_planned<'a>(
                 }
                 keys => {
                     let join = keys.map(|keys| (jp.inner_col, keys));
-                    deps.filter(&new_table.table, &jp.local, join);
+                    if window_slot == Some(stride) {
+                        deferred = Some((&jp.local, join));
+                    } else {
+                        deps.filter(&new_table.table, &jp.local, join, None);
+                    }
                 }
             }
         }
@@ -732,7 +754,32 @@ pub(crate) fn run_planned<'a>(
     // --- Projection / ORDER BY / LIMIT tail. ---
     let tt = Instant::now();
     let stride = plan.joins.len() + 1;
-    let result = exec::finish_select(&plan.tail, &rows, stride, params, stats.scanned)?;
+    let finished = exec::finish_select(
+        &plan.tail,
+        &rows,
+        stride,
+        params,
+        stats.scanned,
+        deferred.is_some(),
+    );
+    if let (Some(deps), Some((conjuncts, join)), Some((slot, keys))) =
+        (&mut deps, deferred, &plan.window)
+    {
+        // The boundary row's keys, evaluated as the window will evaluate
+        // a written row's: one allocation, plus one per text key. A tail
+        // that failed records the filter without a window, as it was
+        // recorded before the tail ran.
+        let boundary = finished.as_ref().ok().and_then(|(_, at)| *at);
+        let window = boundary.and_then(|at| {
+            let row = rows[at * stride + slot];
+            let values = keys.iter().map(|(key, _)| key.eval(&[row], params));
+            let values = values.map(|v| v.map(Cow::into_owned));
+            let boundary = values.collect::<Result<Vec<DbValue>, DbError>>().ok()?;
+            Some(Window::new(Arc::clone(keys), boundary))
+        });
+        deps.filter(&tables[*slot].table, conjuncts, join, window);
+    }
+    let (result, _) = finished?;
     if let Some(tail) = plan.tail_node {
         // The tail (aggregate/sort/limit) runs as one fused pass in
         // `finish_select`; its measured time lands on the bottom tail

@@ -80,6 +80,7 @@ pub(crate) fn build_select_plan(
             scan_test: ScanTest::Holds,
             joins: Vec::new(),
             tail,
+            window: None,
             shortcut: Some(items),
             nodes,
             scan_node: 0,
@@ -273,6 +274,7 @@ pub(crate) fn build_select_plan(
         base: access,
         base_filter,
         joins,
+        window: tail.window_keys(tables.len()),
         tail,
         shortcut: None,
         nodes,

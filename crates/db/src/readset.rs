@@ -21,9 +21,18 @@
 //! the result unchanged. Writes to the *other* tables of a join are
 //! caught by those tables' own dependencies — by induction along the
 //! join chain, the outer rows that reach each join are unchanged too.
+//!
+//! Why a top-k [`Window`] is sound: when an `ORDER BY … LIMIT` read
+//! stopped before its input ran out, every row sorting strictly after
+//! the last row of the LIMIT/OFFSET window was outside the result. A
+//! write whose every image sorts after that boundary adds or removes
+//! only rows that sort after it, so the rows up to the boundary — the
+//! window and everything an OFFSET skipped — keep their order, and the
+//! result is unchanged.
 
 use crate::exec::BoundExpr;
 use crate::value::{DbValue, IndexKey};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// An opaque row identity within one table: the primary-key value in
@@ -48,11 +57,60 @@ impl RowKey {
     }
 }
 
+/// The ORDER BY keys of a statement whose keys all read one table,
+/// addressed to a lone row of it (slot 0), each with its `DESC` flag.
+/// Planned once per statement and shared by every [`Window`] it records.
+pub(crate) type WindowKeys = Arc<[(BoundExpr, bool)]>;
+
+/// A top-k boundary: the sort keys of the last row inside an `ORDER BY
+/// … LIMIT` window that ended before its input did. A row whose keys
+/// sort strictly after it was in the result neither before nor after a
+/// write that only touched such rows.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Window {
+    keys: WindowKeys,
+    /// One value per key: the boundary row's.
+    boundary: Vec<DbValue>,
+}
+
+impl Window {
+    pub(crate) fn new(keys: WindowKeys, boundary: Vec<DbValue>) -> Self {
+        Window { keys, boundary }
+    }
+
+    /// Whether `row` sorts at or before the boundary, in the executor's
+    /// own order (`total_cmp`, reversed for `DESC`). A key equal to the
+    /// boundary may tie into the window by arrival, and a key that
+    /// fails to evaluate cannot be placed, so both are admitted.
+    fn admits(&self, row: &[DbValue], params: &[DbValue]) -> bool {
+        for ((key, desc), bound) in self.keys.iter().zip(&self.boundary) {
+            let Ok(value) = key.eval(&[row], params) else {
+                return true;
+            };
+            let ord = value.total_cmp(bound);
+            match if *desc { ord.reverse() } else { ord } {
+                Ordering::Less => return true,
+                Ordering::Greater => return false,
+                Ordering::Equal => {}
+            }
+        }
+        staged_sync::mutant!("readset_window_exclusive_boundary" => {
+            // broken: a row tied with the boundary counts as outside the
+            // window — but ties are ordered by arrival, so it may be in it
+            false
+        } else {
+            true
+        })
+    }
+}
+
 /// The rows of one table a statement could have read: those passing
 /// every conjunct and, for a joined table, whose join column holds one
-/// of the join keys that reached the join. Built by the plan executor;
+/// of the join keys that reached the join — and, under a top-k read,
+/// sorting no later than its boundary. Built by the plan executor;
 /// recording one costs two `Arc` bumps (the plan's conjuncts and the
-/// statement's parameters, copied once per execution).
+/// statement's parameters, copied once per execution), plus the
+/// boundary values when it carries a window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowFilter {
     /// Conjuncts addressing a lone row of the table (slot 0), in the
@@ -63,6 +121,9 @@ pub struct RowFilter {
     /// reached through a join key set (the base table, or a set that
     /// outgrew its cap).
     join: Option<(usize, Vec<RowKey>)>,
+    /// The top-k boundary, when the statement's ORDER BY read only this
+    /// table and its LIMIT/OFFSET window ended before its input did.
+    window: Option<Window>,
 }
 
 impl RowFilter {
@@ -70,11 +131,13 @@ impl RowFilter {
         conjuncts: Arc<[BoundExpr]>,
         params: Arc<[DbValue]>,
         join: Option<(usize, Vec<RowKey>)>,
+        window: Option<Window>,
     ) -> Self {
         RowFilter {
             conjuncts,
             params,
             join,
+            window,
         }
     }
 
@@ -97,7 +160,9 @@ impl RowFilter {
                 Err(_) => return true,
             }
         }
-        true
+        self.window
+            .as_ref()
+            .is_none_or(|w| w.admits(row, &self.params))
     }
 }
 
@@ -206,9 +271,14 @@ impl ReadSet {
         }
     }
 
-    /// Merges another read set in (set union per table).
+    /// Merges another read set in (set union per table). A table this
+    /// set has not read yet moves over whole, without copying.
     pub fn merge(&mut self, other: ReadSet) {
         for read in other.reads {
+            if !self.reads.iter().any(|r| r.table == read.table) {
+                self.reads.push(read);
+                continue;
+            }
             match read.keys {
                 None => self.record_table(&read.table),
                 Some(keys) => {
@@ -237,6 +307,18 @@ impl ReadSet {
     /// cache-invalidation predicate.
     pub fn depends_on(&self, event: &WriteEvent) -> bool {
         self.reads.iter().any(|r| r.overlaps(event))
+    }
+
+    /// This set with every top-k window dropped: what it would depend
+    /// on if no read had recorded a boundary. For tests that tell the
+    /// writes a window spared from those the rest of a filter spared.
+    #[doc(hidden)]
+    pub fn without_windows(&self) -> ReadSet {
+        let mut set = self.clone();
+        for filter in set.reads.iter_mut().flat_map(|r| &mut r.filters) {
+            filter.window = None;
+        }
+        set
     }
 }
 
@@ -431,7 +513,13 @@ mod tests {
             right: Box::new(Expr::Param(0)),
         });
         let join = join.map(|ids| (0, ids.into_iter().map(key).collect()));
-        RowFilter::new(Arc::new([conjunct]), Arc::new([subject.into()]), join)
+        RowFilter::new(Arc::new([conjunct]), Arc::new([subject.into()]), join, None)
+    }
+
+    impl RowFilter {
+        fn with_window(self, window: Option<Window>) -> Self {
+            RowFilter { window, ..self }
+        }
     }
 
     fn row(id: i64, subject: &str) -> Vec<DbValue> {
@@ -477,7 +565,7 @@ mod tests {
         let conjunct = BoundExpr::from_bound(Expr::Neg(Box::new(Expr::Slot(0, 1))));
         rs.record_filter(
             "item",
-            RowFilter::new(Arc::new([conjunct]), Arc::new([]), None),
+            RowFilter::new(Arc::new([conjunct]), Arc::new([]), None, None),
         );
         assert!(rs.depends_on(&image(None, Some(row(1, "ARTS")))));
     }
@@ -503,6 +591,52 @@ mod tests {
         rs.record_table("item");
         assert!(rs.reads()[0].filters.is_empty());
         assert!(rs.depends_on(&spared));
+    }
+
+    /// A window over `id` (`[id, subject]` rows) whose boundary is 5.
+    fn id_window(desc: bool) -> ReadSet {
+        use crate::sql::ast::Expr;
+        let keys = Arc::new([(BoundExpr::from_bound(Expr::Slot(0, 0)), desc)]);
+        let window = Window::new(keys, vec![DbValue::Int(5)]);
+        let mut rs = ReadSet::new();
+        rs.record_filter(
+            "item",
+            subject_filter("ARTS", None).with_window(Some(window)),
+        );
+        rs
+    }
+
+    #[test]
+    fn windows_spare_rows_that_sort_after_the_boundary() {
+        let asc = id_window(false);
+        assert!(!asc.depends_on(&image(None, Some(row(7, "ARTS")))));
+        assert!(asc.depends_on(&image(None, Some(row(5, "ARTS")))), "a tie");
+        assert!(asc.depends_on(&image(None, Some(row(3, "ARTS")))));
+        // Out of the window through either image.
+        assert!(asc.depends_on(&image(Some(row(3, "ARTS")), Some(row(9, "ARTS")))));
+        // The conjuncts still decide first.
+        assert!(!asc.depends_on(&image(None, Some(row(3, "COOKING")))));
+        let desc = id_window(true);
+        assert!(desc.depends_on(&image(None, Some(row(7, "ARTS")))));
+        assert!(!desc.depends_on(&image(None, Some(row(3, "ARTS")))));
+        // Without its window the filter admits every ARTS row.
+        assert!(asc
+            .without_windows()
+            .depends_on(&image(None, Some(row(7, "ARTS")))));
+    }
+
+    #[test]
+    fn a_window_key_that_errors_admits_the_row() {
+        use crate::sql::ast::Expr;
+        // `-subject` errors on text, so the row cannot be placed.
+        let key = BoundExpr::from_bound(Expr::Neg(Box::new(Expr::Slot(0, 1))));
+        let window = Window::new(Arc::new([(key, false)]), vec![DbValue::Int(0)]);
+        let mut rs = ReadSet::new();
+        rs.record_filter(
+            "item",
+            RowFilter::new(Arc::new([]), Arc::new([]), None, Some(window)),
+        );
+        assert!(rs.depends_on(&image(None, Some(row(1, "ARTS")))));
     }
 
     #[test]

@@ -601,12 +601,13 @@ fn randomized_statements_match_frozen_results() {
     );
 }
 
-/// Recorded when read sets gained row filters (same generator, same
-/// seed): scans, secondary-index probes, range probes and non-key joins
-/// now record their conjuncts and join keys instead of the whole table,
-/// which changes the read-set `Debug` form the digest folds.
-/// `rows_scanned` did not change.
-const PLANNED_SCAN_AND_READS_DIGEST: u64 = 4_692_343_181_348_955_935;
+/// Recorded when row filters gained top-k windows (same generator, same
+/// seed): a non-aggregating `ORDER BY … LIMIT` whose keys read one table
+/// and whose window ended before its input now records the boundary
+/// row's keys on that table's filter, which changes the read-set `Debug`
+/// form the digest folds. `rows_scanned` and every result did not
+/// change.
+const PLANNED_SCAN_AND_READS_DIGEST: u64 = 17_074_429_126_816_725_187;
 
 /// Each generated statement's outcome — columns and rows (`Debug` form,
 /// order included) or the error text — folded statement by statement.
@@ -682,13 +683,15 @@ impl Rng {
 /// columns and rows it returned before the write. Random tables × the
 /// statement generator above × random single- and multi-row writes on
 /// every table; the spared cases must be plentiful, or the property
-/// holds vacuously.
+/// holds vacuously — and so must the cases only a top-k window spared
+/// (some image passed the rest of a filter and sorted after the
+/// boundary), or it holds vacuously for windows.
 #[test]
 fn spared_writes_leave_results_unchanged() {
     use staged_db::{ReadSet, WriteEvent};
     use std::sync::{Arc, Mutex};
     let mut rng = Rng(0x005e_ed0f_f11e_2025);
-    let (mut spared, mut evicted) = (0usize, 0usize);
+    let (mut spared, mut evicted, mut by_window) = (0usize, 0usize, 0usize);
     for round in 0..10 {
         let db = Database::new();
         let n_a = if round % 4 == 1 {
@@ -726,6 +729,10 @@ fn spared_writes_leave_results_unchanged() {
                     continue;
                 }
                 spared += 1;
+                let unwindowed = reads.without_windows();
+                if events.iter().any(|e| unwindowed.depends_on(e)) {
+                    by_window += 1;
+                }
                 let after = db.execute(sql, params);
                 let context = format!(
                     "round {round}: {sql} with {params:?} after {} with {:?}",
@@ -738,9 +745,86 @@ fn spared_writes_leave_results_unchanged() {
         }
     }
     assert!(
-        spared > 1_500 && evicted > 1_000,
-        "too few cases: {spared} spared, {evicted} evicted"
+        spared > 1_500 && evicted > 1_000 && by_window > 100,
+        "too few cases: {spared} spared ({by_window} only by a window), {evicted} evicted"
     );
+}
+
+/// Where top-k windows attach: a non-aggregating `ORDER BY … LIMIT`
+/// over one table's keys whose window ended before its input did — and
+/// nowhere else. Over `sample(10)` (`v` = id / 2), `ORDER BY v LIMIT 3`
+/// ends at id 2: a write to a row past it is spared, a write inside it,
+/// or moving a row into it, is not.
+#[test]
+fn top_k_windows_attach_only_where_sound() {
+    use staged_db::{ReadSet, WriteEvent};
+    use std::sync::{Arc, Mutex};
+    let db = sample(10);
+    db.execute("CREATE TABLE u (uid INT PRIMARY KEY, w INT)", &[])
+        .unwrap();
+    for uid in [1, 2] {
+        db.execute(
+            "INSERT INTO u (uid, w) VALUES (?, ?)",
+            &[uid.into(), uid.into()],
+        )
+        .unwrap();
+    }
+    let reads = |sql: &str| {
+        let mut reads = ReadSet::new();
+        db.execute_tracked(sql, &[], Some(&mut reads)).unwrap();
+        reads
+    };
+    let windowed = |sql: &str| format!("{:?}", reads(sql)).contains("window: Some");
+    for sql in [
+        "SELECT id FROM t ORDER BY v LIMIT 3",
+        "SELECT id FROM t WHERE k > 0 ORDER BY v DESC, s LIMIT 2 OFFSET 1",
+        "SELECT t.id FROM u JOIN t ON u.uid = t.k ORDER BY t.s LIMIT 1",
+    ] {
+        assert!(windowed(sql), "{sql}");
+    }
+    for sql in [
+        "SELECT id FROM t ORDER BY v LIMIT 10",
+        "SELECT id FROM t ORDER BY v",
+        "SELECT id FROM t LIMIT 3",
+        "SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k LIMIT 1",
+        "SELECT t.id FROM t JOIN u ON t.k = u.uid ORDER BY u.w, t.v LIMIT 1",
+        "SELECT id FROM t ORDER BY 1 + 1 LIMIT 2",
+    ] {
+        assert!(!windowed(sql), "{sql}");
+    }
+
+    // A sort key that fails on a row fails the tail: the table is still
+    // depended on, as it would be without the window.
+    let mut failed = ReadSet::new();
+    let sql = "SELECT id FROM t ORDER BY -s LIMIT 3";
+    assert!(db.execute_tracked(sql, &[], Some(&mut failed)).is_err());
+    assert!(!failed.is_empty(), "{failed:?}");
+
+    let top3 = reads("SELECT id FROM t ORDER BY v LIMIT 3");
+    let events: Arc<Mutex<Vec<WriteEvent>>> = Arc::default();
+    let sink = Arc::clone(&events);
+    db.set_write_observer(move |e| sink.lock().unwrap().push(e.clone()));
+    let evicts = |sql: &str| {
+        db.execute(sql, &[]).unwrap();
+        let events = std::mem::take(&mut *events.lock().unwrap());
+        events.iter().any(|e| top3.depends_on(e))
+    };
+    assert!(
+        !evicts("UPDATE t SET s = 'x' WHERE id = 8"),
+        "past the boundary"
+    );
+    assert!(!evicts("DELETE FROM t WHERE id = 9"));
+    assert!(
+        evicts("UPDATE t SET s = 'x' WHERE id = 2"),
+        "the boundary row"
+    );
+    assert!(
+        evicts("UPDATE t SET v = 0.25 WHERE id = 7"),
+        "moved into it"
+    );
+    assert!(evicts(
+        "INSERT INTO t (id, k, v, s) VALUES (20, 0, 0.5, 'a')"
+    ));
 }
 
 /// Text cells for [`scan_kernels_agree_with_holds`]: mixed case, the

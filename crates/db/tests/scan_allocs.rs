@@ -162,3 +162,50 @@ fn select_allocations_scale_with_the_result_not_the_scan() {
         );
     }
 }
+
+/// A top-k window costs a statement that records a read set two
+/// allocations — the boundary's values and the clone of its one text
+/// key — and one that records none nothing. The same statement over a
+/// group of six rows (`LIMIT 5` ends before the input: a window) and of
+/// five (the window reaches the end: none) returns five rows either way.
+#[test]
+fn top_k_windows_cost_only_tracked_statements() {
+    use staged_db::ReadSet;
+    const SQL: &str = "SELECT id FROM t WHERE grp = ? ORDER BY title LIMIT 5";
+    let db = Database::new();
+    db.execute(
+        "CREATE TABLE t (id INT PRIMARY KEY, grp TEXT, title TEXT)",
+        &[],
+    )
+    .unwrap();
+    for id in 0..11 {
+        let grp = if id < 5 { "five" } else { "six" };
+        db.execute(
+            "INSERT INTO t (id, grp, title) VALUES (?, ?, ?)",
+            &[
+                DbValue::from(id),
+                DbValue::from(grp),
+                DbValue::from(format!("title {id}")),
+            ],
+        )
+        .unwrap();
+    }
+    let spend = |grp: &str, tracked: bool| {
+        let params = [DbValue::from(grp)];
+        for _ in 0..3 {
+            db.execute(SQL, &params).unwrap(); // parse, plan
+        }
+        let mut reads = ReadSet::new();
+        let before = ALLOCS.with(Cell::get);
+        let result = db
+            .execute_tracked(SQL, &params, tracked.then_some(&mut reads))
+            .unwrap();
+        let spent = ALLOCS.with(Cell::get) - before;
+        assert_eq!(result.rows.len(), 5);
+        let windowed = format!("{reads:?}").contains("window: Some");
+        assert_eq!(windowed, tracked && grp == "six", "{reads:?}");
+        spent
+    };
+    assert_eq!(spend("six", false), spend("five", false));
+    assert_eq!(spend("six", true), spend("five", true) + 2);
+}
