@@ -3,8 +3,9 @@
 //! Wraps the two `--cfg model` test binaries (the scheduler smoke suite
 //! in `crates/sync` and the protocol suite in this crate) behind one
 //! command, and drives the mutation matrix: every seeded bug in the
-//! workspace — the concurrency protocols', and the read-set soundness
-//! property's in `crates/db` — must make its paired test fail. A mutant
+//! workspace — the concurrency protocols', and the read-set soundness,
+//! signature-prefilter and top-k-join properties' in `crates/db` — must
+//! make its paired test fail. A mutant
 //! the test tolerates is a *survivor* — a hole in the checker's
 //! detection power — and fails the run.
 //!
@@ -92,6 +93,18 @@ const MATRIX: &[(&str, &str, &str, &str)] = &[
         "staged-db",
         "plan_suite",
         "spared_writes_leave_results_unchanged",
+    ),
+    (
+        "table_signature_stale_on_update",
+        "staged-db",
+        "plan_suite",
+        "signature_prefilter_never_drops_a_match",
+    ),
+    (
+        "plan_top_k_join_stops_short",
+        "staged-db",
+        "plan_suite",
+        "top_k_join_matches_the_unlimited_order",
     ),
 ];
 

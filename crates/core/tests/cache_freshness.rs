@@ -558,3 +558,126 @@ fn top_k_listing_deps_spare_writes_outside_the_window() {
 
     server.shutdown().expect("clean shutdown");
 }
+
+/// The join variant: a listing ordered by its base table's keys joins
+/// only the base rows up to its window, so its read set names only the
+/// joined rows those probed. Once quiet, a write past the window keeps
+/// the page a hit, a write to a window row's joined row evicts it, and
+/// a write to the joined row of a base row outside the window — which
+/// the join never probed — keeps it a hit, byte for byte.
+#[test]
+fn top_k_join_listing_deps_spare_writes_outside_the_window() {
+    const ROWS: i64 = 10;
+    let app = App::builder()
+        .route("/top", "top", |_req, db| {
+            let result = db.execute(
+                "SELECT r.id, r.val, l.name FROM ranked r JOIN labels l ON r.lab = l.lid \
+                 ORDER BY r.val LIMIT 3",
+                &[],
+            )?;
+            let body: Vec<String> = result
+                .rows
+                .iter()
+                .map(|r| format!("{}:{}:{}", r[0], r[1], r[2]))
+                .collect();
+            Ok(PageOutcome::Body(Response::html(body.join(";"))))
+        })
+        .route("/set", "set", |req, db| {
+            let id: i64 = req.param("id").unwrap_or("0").parse().unwrap_or(0);
+            let val: i64 = req.param("val").unwrap_or("0").parse().unwrap_or(0);
+            db.execute(
+                "UPDATE ranked SET val = ? WHERE id = ?",
+                &[DbValue::Int(val), DbValue::Int(id)],
+            )?;
+            Ok(PageOutcome::Body(Response::html("ok")))
+        })
+        .route("/label", "label", |req, db| {
+            let lid: i64 = req.param("lid").unwrap_or("0").parse().unwrap_or(0);
+            let name = req.param("name").unwrap_or("x").to_string();
+            db.execute(
+                "UPDATE labels SET name = ? WHERE lid = ?",
+                &[DbValue::from(name), DbValue::Int(lid)],
+            )?;
+            Ok(PageOutcome::Body(Response::html("ok")))
+        })
+        .stale_cacheable("/top")
+        .build();
+    let db = Arc::new(Database::new());
+    db.execute(
+        "CREATE TABLE ranked (id INT PRIMARY KEY, val INT, lab INT)",
+        &[],
+    )
+    .unwrap();
+    db.execute("CREATE TABLE labels (lid INT PRIMARY KEY, name TEXT)", &[])
+        .unwrap();
+    // val = 100 × id: the window is ids 0–2, each labelled by its id.
+    for id in 0..ROWS {
+        db.execute(
+            "INSERT INTO ranked (id, val, lab) VALUES (?, ?, ?)",
+            &[DbValue::Int(id), DbValue::Int(id * 100), DbValue::Int(id)],
+        )
+        .unwrap();
+        db.execute(
+            "INSERT INTO labels (lid, name) VALUES (?, ?)",
+            &[DbValue::Int(id), DbValue::from(format!("L{id}"))],
+        )
+        .unwrap();
+    }
+    let config = ServerConfig {
+        doc_cache: true,
+        ..ServerConfig::small()
+    };
+    let server = StagedServer::start(config, app, db).unwrap();
+    let addr = server.addr();
+    let get = |path: &str| {
+        let resp = fetch(addr, Method::Get, path, &[]).unwrap();
+        assert_eq!(resp.status, StatusCode::OK, "{path} rejected");
+        resp.text()
+    };
+    let hits = || {
+        server
+            .registry()
+            .value("doc_cache_hits_total", &[])
+            .unwrap_or(0.0)
+    };
+    let first = get("/top");
+    assert_eq!(first, "0:0:L0;1:100:L1;2:200:L2");
+
+    // Past the window: still a hit, byte for byte.
+    get("/set?id=9&val=950");
+    let before = hits();
+    assert_eq!(
+        get("/top"),
+        first,
+        "a write past the window changes nothing"
+    );
+    assert_eq!(
+        hits(),
+        before + 1.0,
+        "a write past the window must not evict"
+    );
+
+    // The joined row of a base row outside the window: never probed.
+    get("/label?lid=7&name=renamed");
+    let before = hits();
+    assert_eq!(get("/top"), first);
+    assert_eq!(
+        hits(),
+        before + 1.0,
+        "a write to a joined row no window row reached must not evict"
+    );
+
+    // The joined row of a window row: evicted, re-rendered.
+    get("/label?lid=1&name=renamed");
+    let before = hits();
+    assert_eq!(get("/top"), "0:0:L0;1:100:renamed;2:200:L2");
+    assert_eq!(hits(), before, "a write inside the window evicts");
+
+    // A base row moved into the window brings its joined row with it.
+    get("/set?id=7&val=50");
+    let before = hits();
+    assert_eq!(get("/top"), "0:0:L0;7:50:renamed;1:100:renamed");
+    assert_eq!(hits(), before, "a row moved into the window evicts");
+
+    server.shutdown().expect("clean shutdown");
+}

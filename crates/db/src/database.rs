@@ -5,7 +5,7 @@ use crate::checkpoint;
 use crate::cost::CostModel;
 use crate::error::DbError;
 use crate::exec::{self, BoundTable, ExecStats};
-use crate::plan::{self, json_str, SelectPlan};
+use crate::plan::{self, json_str, ScanPath, SelectPlan};
 use crate::planner;
 use crate::readset::{Changes, ReadSet, WriteEvent, WriteObserver};
 use crate::schema::Schema;
@@ -367,7 +367,14 @@ impl Database {
         reads: Option<&mut ReadSet>,
     ) -> Result<QueryResult, DbError> {
         let (stmt, plan) = self.prepare_cached(sql)?;
-        self.execute_statement(&stmt, plan.as_deref(), sql, params, reads, true)
+        self.execute_statement(
+            &stmt,
+            plan.as_deref(),
+            sql,
+            params,
+            reads,
+            ScanPath::Prefiltered,
+        )
     }
 
     /// Compiles `sql` into a reusable [`Plan`] handle: parse once, plan
@@ -518,6 +525,11 @@ impl Database {
         };
         let built =
             self.with_bound_tables(&stmt, sel, |bound| planner::build_select_plan(&stmt, bound))?;
+        // The scan kernel's signatures, built once the read locks are
+        // gone (idempotent; writes keep them current from then on).
+        if let Some((table, col)) = &built.signature_column {
+            self.entry(table)?.lock.write().ensure_signatures(*col);
+        }
         let built = Arc::new(built);
         if let Some(p) = self.stmt_cache.lock().get_mut(sql) {
             p.plan = Some(Arc::clone(&built));
@@ -576,13 +588,11 @@ impl Database {
         sql: &str,
         params: &[DbValue],
         reads: Option<&mut ReadSet>,
-        kernels: bool,
+        path: ScanPath,
     ) -> Result<QueryResult, DbError> {
         let mut stats = ExecStats::default();
         let result = match plan {
-            Some(plan) => {
-                self.run_select_planned(stmt, plan, params, &mut stats, reads, kernels)?
-            }
+            Some(plan) => self.run_select_planned(stmt, plan, params, &mut stats, reads, path)?,
             None => self.run_mutation(stmt, sql, params, &mut stats)?,
         };
         // Synthetic latency is charged after the guards are gone.
@@ -788,14 +798,14 @@ impl Database {
         params: &[DbValue],
         stats: &mut ExecStats,
         reads: Option<&mut ReadSet>,
-        kernels: bool,
+        path: ScanPath,
     ) -> Result<QueryResult, DbError> {
         // Observer slot read (guard dropped) before any table lock.
         let observer = self.plan_observer.read().clone();
         let mut node_times: Vec<(&'static str, u64)> = Vec::new();
         let sel = plan.select();
         let result = self.with_bound_tables(stmt, sel, |bound| {
-            plan::run_planned(plan, params, bound, stats, reads, kernels, &mut node_times)
+            plan::run_planned(plan, params, bound, stats, reads, path, &mut node_times)
         })?;
         if let Some(obs) = observer {
             for (kind, nanos) in node_times {
@@ -998,7 +1008,7 @@ impl Plan<'_> {
             &self.sql,
             params,
             reads,
-            true,
+            ScanPath::Prefiltered,
         )
     }
 
@@ -1021,7 +1031,30 @@ impl Plan<'_> {
             &self.sql,
             params,
             reads,
-            false,
+            ScanPath::Holds,
+        )
+    }
+
+    /// [`Plan::run_tracked`] with the scan kernel testing every row, its
+    /// signature prefilter unused: the reference the prefilter property
+    /// test compares against.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Database::execute`].
+    #[doc(hidden)]
+    pub fn run_without_signatures(
+        &self,
+        params: &[DbValue],
+        reads: Option<&mut ReadSet>,
+    ) -> Result<QueryResult, DbError> {
+        self.db.execute_statement(
+            &self.stmt,
+            self.plan.as_deref(),
+            &self.sql,
+            params,
+            reads,
+            ScanPath::Kernel,
         )
     }
 

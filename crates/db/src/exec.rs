@@ -155,6 +155,15 @@ impl BoundExpr {
         holds(&self.0, row, params)
     }
 
+    /// Whether evaluating this as a predicate can raise no error with
+    /// `params` parameters bound: comparisons, logic, `IS NULL`, `IN`
+    /// and `BETWEEN` over column, literal and present-parameter leaves.
+    /// Arithmetic and negation can fail on a row's types; `false` for
+    /// them.
+    pub(crate) fn cannot_fail(&self, params: usize) -> bool {
+        cannot_fail(&self.0, params)
+    }
+
     /// `(op, column, constant)` when this is `column op constant` over
     /// slot 0 with a literal or parameter on the right — or, for the
     /// symmetric `=`, on either side. The shapes a scan kernel tests.
@@ -168,6 +177,26 @@ impl BoundExpr {
             (c, Expr::Slot(0, col)) if *op == BinOp::Eq && constant(c) => Some((*op, *col, c)),
             _ => None,
         }
+    }
+}
+
+fn cannot_fail(expr: &Expr, params: usize) -> bool {
+    match expr {
+        Expr::Literal(_) | Expr::Slot(..) => true,
+        Expr::Param(i) => *i < params,
+        Expr::Not(e) | Expr::IsNull { expr: e, .. } => cannot_fail(e, params),
+        Expr::Binary { op, left, right } => {
+            !matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div)
+                && cannot_fail(left, params)
+                && cannot_fail(right, params)
+        }
+        Expr::InList { expr, list, .. } => {
+            cannot_fail(expr, params) && list.iter().all(|e| cannot_fail(e, params))
+        }
+        Expr::Between {
+            expr, low, high, ..
+        } => cannot_fail(expr, params) && cannot_fail(low, params) && cannot_fail(high, params),
+        Expr::Neg(_) | Expr::Column(_) | Expr::Unbound(_) | Expr::Aggregate { .. } => false,
     }
 }
 
@@ -654,6 +683,55 @@ impl Tail {
             .map(|(limit, offset)| limit.saturating_add(offset));
         Some(k.map_or_else(|| "top-k ?".to_string(), |k| format!("top-k {k}")))
     }
+
+    /// OFFSET and LIMIT, evaluated (they see no row): `(offset, limit)`.
+    pub(crate) fn counts(
+        &self,
+        params: &[DbValue],
+    ) -> Result<(Option<usize>, Option<usize>), DbError> {
+        let count = |e: &Option<Expr>| -> Result<Option<usize>, DbError> {
+            let Some(e) = e else { return Ok(None) };
+            let n = eval(e, &[], params)?
+                .as_int()
+                .filter(|n| *n >= 0)
+                .ok_or_else(|| DbError::invalid("LIMIT/OFFSET must be a non-negative integer"))?;
+            Ok(Some(n as usize))
+        };
+        Ok((count(&self.offset)?, count(&self.limit)?))
+    }
+
+    /// The result holding the projections of joined rows `kept` of
+    /// `rows` (`stride` slots each), in that order — the only rows
+    /// cloned out of the tables.
+    pub(crate) fn project(
+        &self,
+        rows: &[&[DbValue]],
+        stride: usize,
+        params: &[DbValue],
+        kept: impl IntoIterator<Item = usize>,
+        scanned: u64,
+    ) -> Result<QueryResult, DbError> {
+        let kept = kept.into_iter();
+        let mut out = Vec::with_capacity(kept.size_hint().0);
+        for i in kept {
+            let row = &rows[i * stride..][..stride];
+            let cells = self
+                .items
+                .iter()
+                .map(|e| Ok(e.eval(row, params)?.into_owned()));
+            out.push(cells.collect::<Result<Vec<DbValue>, DbError>>()?);
+        }
+        Ok(self.result(out, scanned))
+    }
+
+    fn result(&self, rows: Vec<Vec<DbValue>>, scanned: u64) -> QueryResult {
+        QueryResult {
+            columns: self.columns.clone(),
+            rows,
+            rows_affected: 0,
+            rows_scanned: scanned,
+        }
+    }
 }
 
 /// The tail of SELECT execution: projection/aggregation, ORDER BY,
@@ -676,71 +754,99 @@ pub(crate) fn finish_select(
     scanned: u64,
     want_boundary: bool,
 ) -> Result<(QueryResult, Option<usize>), DbError> {
-    let count = |e: &Option<Expr>| -> Result<Option<usize>, DbError> {
-        let Some(e) = e else { return Ok(None) };
-        let n = eval(e, &[], params)?
-            .as_int()
-            .filter(|n| *n >= 0)
-            .ok_or_else(|| DbError::invalid("LIMIT/OFFSET must be a non-negative integer"))?;
-        Ok(Some(n as usize))
-    };
-    let (offset, limit) = (count(&tail.offset)?, count(&tail.limit)?);
-    let mut boundary = None;
-    let out_rows = if let Some(group_by) = &tail.group_by {
+    let (offset, limit) = tail.counts(params)?;
+    if let Some(group_by) = &tail.group_by {
         let group_by = group_by.as_ref().map_err(Clone::clone)?;
         let (mut out, keys) = aggregate_project(tail, group_by, rows, stride, params)?;
         let (kept, _) = window(out.len(), &keys, &tail.order, offset, limit);
-        kept.into_iter()
-            .map(|i| std::mem::take(&mut out[i]))
-            .collect()
-    } else {
-        // ORDER BY keys by reference (from the *input* row, so sorting
-        // can use non-projected columns), then project the survivors.
-        let n = rows.len() / stride;
-        let mut keys = Vec::with_capacity(n * tail.order.len());
-        // lint: hot_path — once per joined row; keys borrow from the tables
-        for row in rows.chunks_exact(stride) {
-            for (by, _) in &tail.order {
-                keys.push(match by {
-                    OrderBy::Output(i) => tail.items[*i].eval(row, params)?,
-                    OrderBy::Expr(e) => e.eval(row, params)?,
-                });
+        let out = kept.into_iter().map(|i| std::mem::take(&mut out[i]));
+        return Ok((tail.result(out.collect(), scanned), None));
+    }
+    // ORDER BY keys by reference (from the *input* row, so sorting can
+    // use non-projected columns), then project the survivors.
+    let n = rows.len() / stride;
+    let mut keys = Vec::with_capacity(n * tail.order.len());
+    // lint: hot_path — once per joined row; keys borrow from the tables
+    for row in rows.chunks_exact(stride) {
+        for (by, _) in &tail.order {
+            keys.push(match by {
+                OrderBy::Output(i) => tail.items[*i].eval(row, params)?,
+                OrderBy::Expr(e) => e.eval(row, params)?,
+            });
+        }
+    }
+    // lint: end_hot_path
+    let (kept, last) = window(n, &keys, &tail.order, offset, limit);
+    let boundary = last.filter(|_| want_boundary && !keys.iter().any(|k| is_nan(k)));
+    Ok((tail.project(rows, stride, params, kept, scanned)?, boundary))
+}
+
+/// A float NaN: compares equal to everything under `total_cmp`, so an
+/// order holding one has no well-defined top-k boundary.
+pub(crate) fn is_nan(key: &DbValue) -> bool {
+    matches!(key, DbValue::Float(f) if f.is_nan())
+}
+
+/// Row numbers in ORDER BY order, sorted only as far as asked. Rows
+/// compare by key (`total_cmp`, reversed for `DESC`), then by arrival
+/// — a total order, so any prefix holds exactly the rows, in exactly
+/// the order, that a stable sort would put there, ties included.
+/// `keys` holds `order.len()` keys per row, back to back.
+pub(crate) struct Sorted<'s, 'v, T> {
+    keys: &'s [Cow<'v, DbValue>],
+    order: &'s [(T, bool)],
+    /// `idx[..sorted]` is in order and sorts before every row after it.
+    idx: Vec<usize>,
+    sorted: usize,
+}
+
+impl<'s, 'v, T> Sorted<'s, 'v, T> {
+    pub(crate) fn new(n: usize, keys: &'s [Cow<'v, DbValue>], order: &'s [(T, bool)]) -> Self {
+        Sorted {
+            keys,
+            order,
+            idx: (0..n).collect(),
+            sorted: 0,
+        }
+    }
+
+    /// The first `k` rows in order (all of them when there are fewer):
+    /// a `select_nth_unstable_by` and a sort of only the rows that were
+    /// not in place yet, O(n + k log k) over the rows left.
+    pub(crate) fn first(&mut self, k: usize) -> &[usize] {
+        let k = k.min(self.idx.len());
+        if k > self.sorted {
+            let (keys, order) = (self.keys, self.order);
+            // lint: hot_path — the comparator runs O(n + k log k) times per call
+            let width = order.len();
+            let cmp = |a: &usize, b: &usize| {
+                for (i, (_, desc)) in order.iter().enumerate() {
+                    let ord = keys[a * width + i].total_cmp(&keys[b * width + i]);
+                    let ord = if *desc { ord.reverse() } else { ord };
+                    if !ord.is_eq() {
+                        return ord;
+                    }
+                }
+                a.cmp(b)
+            };
+            let rest = &mut self.idx[self.sorted..];
+            let want = k - self.sorted;
+            if want < rest.len() {
+                rest.select_nth_unstable_by(want - 1, cmp);
             }
+            rest[..want].sort_unstable_by(cmp);
+            // lint: end_hot_path
+            self.sorted = k;
         }
-        // lint: end_hot_path
-        let (kept, last) = window(n, &keys, &tail.order, offset, limit);
-        let nan = |k: &Cow<'_, DbValue>| matches!(**k, DbValue::Float(f) if f.is_nan());
-        if want_boundary && !keys.iter().any(nan) {
-            boundary = last;
-        }
-        let mut out = Vec::with_capacity(kept.len());
-        for i in kept {
-            let row = &rows[i * stride..][..stride];
-            let cells = tail
-                .items
-                .iter()
-                .map(|e| Ok(e.eval(row, params)?.into_owned()));
-            out.push(cells.collect::<Result<Vec<DbValue>, DbError>>()?);
-        }
-        out
-    };
-    let result = QueryResult {
-        columns: tail.columns.clone(),
-        rows: out_rows,
-        rows_affected: 0,
-        rows_scanned: scanned,
-    };
-    Ok((result, boundary))
+        &self.idx[..k]
+    }
 }
 
 /// ORDER BY + OFFSET + LIMIT over `n` rows whose sort keys lie back to
 /// back in `keys`: the row numbers of the result window, in output
-/// order. Rows compare by key, then by arrival — a total order, so the
-/// bounded selection (when the window ends before the input does) keeps
-/// exactly the rows a stable sort followed by truncation would, ties
-/// included, without sorting the rest. Also returns the boundary: under
-/// an ORDER BY, the last row up to the window's end when rows remain
-/// after it.
+/// order ([`Sorted`]; unordered rows keep arrival order). Also returns
+/// the boundary: under an ORDER BY, the last row up to the window's end
+/// when rows remain after it.
 fn window(
     n: usize,
     keys: &[Cow<'_, DbValue>],
@@ -750,31 +856,15 @@ fn window(
 ) -> (Vec<usize>, Option<usize>) {
     let start = offset.unwrap_or(0).min(n);
     let end = limit.map_or(n, |l| start.saturating_add(l).min(n));
-    let mut idx: Vec<usize> = (0..n).collect();
-    let mut boundary = None;
-    if !order.is_empty() {
-        // lint: hot_path — the comparator runs O(n + k log k) times per execution
-        let width = order.len();
-        let cmp = |a: &usize, b: &usize| {
-            for (i, (_, desc)) in order.iter().enumerate() {
-                let ord = keys[a * width + i].total_cmp(&keys[b * width + i]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            a.cmp(b)
-        };
-        if 0 < end && end < n {
-            idx.select_nth_unstable_by(end - 1, cmp);
-            boundary = Some(idx[end - 1]);
-        }
-        idx[..end].sort_unstable_by(cmp);
-        // lint: end_hot_path
+    if order.is_empty() {
+        return ((start..end).collect(), None);
     }
+    let mut sorted = Sorted::new(n, keys, order);
+    let last = sorted.first(end).last().copied();
+    let mut idx = sorted.idx;
     idx.truncate(end);
     idx.drain(..start);
-    (idx, boundary)
+    (idx, last.filter(|_| end < n))
 }
 
 /// Projected group rows plus their ORDER BY keys (`order.len()` per row).
@@ -1165,6 +1255,13 @@ mod tests {
                 proptest::prop_assert_eq!(
                     kernel, wanted,
                     "kernel: pattern {:?} text {:?}", infix, text
+                );
+                // Its signature prefilter passes every text it accepts.
+                let bits = crate::table::bigrams(needle.as_bytes());
+                let sig = crate::table::signature(&DbValue::from(text.as_str()));
+                proptest::prop_assert!(
+                    !kernel || sig & bits == bits,
+                    "prefilter: pattern {:?} text {:?}", infix, text
                 );
             }
         }

@@ -11,7 +11,11 @@
 //! picks. Every expression
 //! is bound to column addresses at plan time and the scan → filter →
 //! join pipeline carries references to the stored rows, so only the
-//! rows of the result are ever cloned ([`exec::finish_select`]).
+//! rows of the result are ever cloned ([`exec::finish_select`]). A
+//! top-k read ordered by base-table keys orders the base rows first and
+//! joins only as many as its window needs ([`SelectPlan::top_k_join`]);
+//! a `col = const` or `col LIKE '%lit%'` scan tests each row's text
+//! signature before its kernel.
 //!
 //! Per-node counters ([`PlanNode`]) accumulate measured rows and
 //! cumulative execution time across runs; the EXPLAIN surface renders
@@ -22,6 +26,7 @@ use crate::error::DbError;
 use crate::exec::{self, BoundExpr, BoundTable, ExecStats, Tail};
 use crate::readset::{ReadSet, RowFilter, RowKey, Window, WindowKeys};
 use crate::sql::ast::*;
+use crate::table::{bigrams, signature};
 use crate::value::{DbValue, IndexKey};
 use staged_sync::atomic::{AtomicU64, Ordering};
 use std::borrow::Cow;
@@ -134,7 +139,43 @@ enum Kernel<'p> {
     },
 }
 
+/// What a row's [`signature`] must be for a kernel to accept the row:
+/// one `u64` test, no pointer chased. A necessary condition — every row
+/// the kernel accepts passes it — so the kernel still decides each row
+/// that does.
+#[derive(Clone, Copy)]
+enum Prefilter {
+    /// `sql_eq` values have equal signatures.
+    Equal(u64),
+    /// A text holding the literal, ASCII case folded, holds its every
+    /// bigram.
+    Superset(u64),
+}
+
+impl Prefilter {
+    #[inline]
+    fn admits(self, signature: u64) -> bool {
+        match self {
+            Prefilter::Equal(key) => signature == key,
+            Prefilter::Superset(bits) => signature & bits == bits,
+        }
+    }
+}
+
 impl Kernel<'_> {
+    fn col(&self) -> usize {
+        match *self {
+            Kernel::Eq { col, .. } | Kernel::Contains { col, .. } => col,
+        }
+    }
+
+    fn prefilter(&self) -> Prefilter {
+        match *self {
+            Kernel::Eq { key, .. } => Prefilter::Equal(signature(key)),
+            Kernel::Contains { needle, .. } => Prefilter::Superset(bigrams(needle)),
+        }
+    }
+
     /// The conjunct's verdict on one stored row: `holds`'s own.
     #[inline]
     fn holds(&self, row: &[DbValue]) -> bool {
@@ -182,6 +223,20 @@ impl ScanTest {
     }
 }
 
+/// How a sequential scan tests its base filter on one execution: what
+/// every statement runs, or one of the references the agreement tests
+/// hold it to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ScanPath {
+    /// Every conjunct through `holds`, whatever the planner chose.
+    Holds,
+    /// The planned kernel on every row; signatures unused.
+    Kernel,
+    /// The planned kernel behind its signature prefilter, once the
+    /// column has signatures.
+    Prefiltered,
+}
+
 /// How one JOIN binds its inner table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JoinStrategy {
@@ -214,6 +269,14 @@ pub(crate) struct JoinPlan {
     /// The leading conjuncts of `newly` that read only the inner table,
     /// addressed to a lone row of it: its row filter in read sets.
     pub local: Arc<[BoundExpr]>,
+}
+
+impl JoinPlan {
+    /// Whether each probe reads the inner table by primary key, so the
+    /// probed keys name exactly the rows read.
+    fn probes_pk(&self) -> bool {
+        self.inner_pk && self.strategy == JoinStrategy::IndexLoop
+    }
 }
 
 /// A single-row aggregate answered straight from index endpoints
@@ -295,6 +358,13 @@ pub(crate) struct SelectPlan {
     /// `slot` and the statement can leave a top-k window on that table's
     /// row filter ([`Tail::window_keys`]).
     pub(crate) window: Option<(usize, WindowKeys)>,
+    /// Whether the base rows are ordered before they are joined: a
+    /// window at slot 0, at least one join, and join conjuncts that
+    /// cannot fail on a row (given their parameters; checked per run).
+    pub(crate) top_k_join: bool,
+    /// `(table, column)` of the TEXT column the scan kernel tests, whose
+    /// signatures the statement cache builds along with the plan.
+    pub(crate) signature_column: Option<(String, usize)>,
     /// `Some` when the whole statement is answerable from index
     /// endpoints (single table, no WHERE/JOIN/GROUP/ORDER/LIMIT).
     pub(crate) shortcut: Option<Vec<ShortcutItem>>,
@@ -482,18 +552,287 @@ impl JoinKeys {
     }
 }
 
+/// The joined rows a statement's tail read, its outcome with the top-k
+/// boundary (a joined-row number), and the tail's time.
+type Finished<'a> = (
+    Vec<&'a [DbValue]>,
+    Result<(QueryResult, Option<usize>), DbError>,
+    u64,
+);
+
+/// The join stages of one execution. [`Joins::run`] takes a batch of
+/// base rows through every stage in turn; hash tables, join keys and
+/// timings carry over from batch to batch, so a top-k read can join its
+/// base rows a few at a time.
+struct Joins<'a> {
+    plan: &'a SelectPlan,
+    tables: &'a [BoundTable<'a>],
+    params: &'a [DbValue],
+    stages: Vec<Stage<'a>>,
+}
+
+/// One join stage's state across batches.
+struct Stage<'a> {
+    /// Hash join: the inner table's rows by join key, built on the
+    /// first batch.
+    hash: Option<HashMap<IndexKey, Vec<&'a [DbValue]>>>,
+    /// The outer keys that reached the stage, when tracking reads.
+    keys: Option<JoinKeys>,
+    rows: u64,
+    nanos: u64,
+}
+
+impl<'a> Joins<'a> {
+    fn new(
+        plan: &'a SelectPlan,
+        tables: &'a [BoundTable<'a>],
+        params: &'a [DbValue],
+        track: bool,
+    ) -> Self {
+        let stages = plan.joins.iter().map(|jp| {
+            let key = if jp.probes_pk() {
+                RowKey::of
+            } else {
+                RowKey::join
+            };
+            Stage {
+                hash: None,
+                keys: track.then(|| JoinKeys::new(key)),
+                rows: 0,
+                nanos: 0,
+            }
+        });
+        Joins {
+            plan,
+            tables,
+            params,
+            stages: stages.collect(),
+        }
+    }
+
+    /// Joins `base` rows (one slot each) through every stage, appending
+    /// the joined rows to `out`: one slot per bound table for each
+    /// surviving combination, back to back, in outer-major order.
+    fn run(
+        &mut self,
+        base: &[&'a [DbValue]],
+        out: &mut Vec<&'a [DbValue]>,
+        stats: &mut ExecStats,
+    ) -> Result<(), DbError> {
+        let (params, stages) = (self.params, self.stages.len());
+        let mut rows: Vec<&'a [DbValue]> = Vec::new();
+        for (join_idx, (jp, stage)) in self.plan.joins.iter().zip(&mut self.stages).enumerate() {
+            let tj = Instant::now();
+            let stride = join_idx + 1;
+            let new_table = &self.tables[stride];
+            // Hash join: build once over live rows in row-id order —
+            // bucket contents come out in the order a nested-loop rescan
+            // visits them, so output ordering does not depend on the
+            // strategy.
+            if jp.strategy == JoinStrategy::Hash && stage.hash.is_none() {
+                let mut hash: HashMap<IndexKey, Vec<&'a [DbValue]>> = HashMap::new();
+                for (_, row) in new_table.data.iter_live() {
+                    stats.scanned += 1;
+                    let v = &row[jp.inner_col];
+                    if !v.is_null() {
+                        hash.entry(v.index_key()).or_default().push(row);
+                    }
+                }
+                stage.hash = Some(hash);
+            }
+            let staged = std::mem::take(&mut rows);
+            let input = if join_idx == 0 { base } else { &staged[..] };
+            let last = join_idx + 1 == stages;
+            let mut next = if last {
+                std::mem::take(out)
+            } else {
+                Vec::new()
+            };
+            let before = next.len();
+            // lint: hot_path — once per outer row × candidate inner row
+            let mut emit =
+                |partial: &[&'a [DbValue]], inner: &'a [DbValue]| -> Result<(), DbError> {
+                    let at = next.len();
+                    next.extend_from_slice(partial);
+                    next.push(inner);
+                    for pred in &jp.newly {
+                        if !pred.holds(&next[at..], params)? {
+                            next.truncate(at);
+                            break;
+                        }
+                    }
+                    Ok(())
+                };
+            for partial in input.chunks_exact(stride) {
+                let key = &partial[jp.outer.0][jp.outer.1];
+                if let Some(keys) = &mut stage.keys {
+                    keys.push(key);
+                }
+                match jp.strategy {
+                    JoinStrategy::IndexLoop => {
+                        for &cid in new_table.data.lookup_eq(jp.inner_col, key) {
+                            let Some(inner) = new_table.data.row(cid) else {
+                                continue;
+                            };
+                            stats.scanned += 1;
+                            emit(partial, inner)?;
+                        }
+                    }
+                    JoinStrategy::NestedLoop => {
+                        for (_, inner) in new_table.data.iter_live() {
+                            stats.scanned += 1;
+                            if inner[jp.inner_col].sql_eq(key) {
+                                emit(partial, inner)?;
+                            }
+                        }
+                    }
+                    // NULL joins nothing (sql_eq semantics).
+                    JoinStrategy::Hash if key.is_null() => {}
+                    JoinStrategy::Hash => {
+                        let bucket = stage.hash.as_ref().and_then(|h| h.get(&key.index_key()));
+                        for &inner in bucket.into_iter().flatten() {
+                            stats.scanned += 1;
+                            // IndexKey groups by f64 value; re-check with
+                            // sql_eq so edge cases match a nested-loop
+                            // rescan.
+                            if inner[jp.inner_col].sql_eq(key) {
+                                emit(partial, inner)?;
+                            }
+                        }
+                    }
+                }
+            }
+            // lint: end_hot_path
+            stage.rows += ((next.len() - before) / (stride + 1)) as u64;
+            if last {
+                *out = next;
+            } else {
+                rows = next;
+            }
+            stage.nanos += tj.elapsed().as_nanos() as u64;
+        }
+        Ok(())
+    }
+
+    /// Records each join's read-set dependency — the join keys that
+    /// reached it — and its node's rows and time. The filter of the
+    /// plan's window table goes to `deferred`, for the tail to finish.
+    fn finish(
+        self,
+        mut deps: Option<&mut Deps<'_>>,
+        window_slot: Option<usize>,
+        deferred: &mut Option<Deferred<'a>>,
+        node_times: &mut Vec<(&'static str, u64)>,
+    ) {
+        for (join_idx, (jp, stage)) in self.plan.joins.iter().zip(self.stages).enumerate() {
+            let stride = join_idx + 1;
+            let new_table = &self.tables[stride];
+            if let (Some(deps), Some(keys)) = (deps.as_deref_mut(), stage.keys) {
+                match keys.finish() {
+                    // Primary-key probes name exactly the rows they read.
+                    Some(keys) if jp.probes_pk() => {
+                        for key in keys {
+                            deps.reads.record_key(&new_table.table, key);
+                        }
+                    }
+                    keys => {
+                        let join = keys.map(|keys| (jp.inner_col, keys));
+                        if window_slot == Some(stride) {
+                            *deferred = Some((&jp.local, join));
+                        } else {
+                            deps.filter(&new_table.table, &jp.local, join, None);
+                        }
+                    }
+                }
+            }
+            let node = &self.plan.nodes[self.plan.join_nodes[join_idx]];
+            node.record(stage.rows, stage.nanos);
+            node_times.push((node.kind, stage.nanos));
+        }
+    }
+}
+
+/// Top-k before the join: orders the filtered base rows by the ORDER BY
+/// keys, which read only the base table, and joins them in that order,
+/// batch by batch, until `offset + limit` joined rows are out — a batch
+/// of what is still missing, at least twice the last one, when a join
+/// dropped rows. Every join strategy emits in outer-major order, so the
+/// joined rows come out exactly as sorting the whole join orders them,
+/// ties included; the base rows left unprobed all sort after them.
+/// `None`, with nothing probed, when LIMIT/OFFSET or a key fails to
+/// evaluate: the whole join then raises the error where it would.
+fn top_k_join<'a>(
+    plan: &'a SelectPlan,
+    keys: &'a WindowKeys,
+    base: &[&'a [DbValue]],
+    joins: &mut Joins<'a>,
+    stats: &mut ExecStats,
+    want_boundary: bool,
+) -> Result<Option<Finished<'a>>, DbError> {
+    let t0 = Instant::now();
+    let params = joins.params;
+    let Ok((offset, Some(limit))) = plan.tail.counts(params) else {
+        return Ok(None);
+    };
+    let mut sort_keys = Vec::with_capacity(base.len() * keys.len());
+    // lint: hot_path — once per filtered base row; keys borrow from the table
+    for &row in base {
+        for (key, _) in keys.iter() {
+            let Ok(value) = key.eval(&[row], params) else {
+                return Ok(None);
+            };
+            sort_keys.push(value);
+        }
+    }
+    // lint: end_hot_path
+    let stride = plan.joins.len() + 1;
+    let start = offset.unwrap_or(0);
+    let end = start.saturating_add(limit);
+    let mut sorted = exec::Sorted::new(base.len(), &sort_keys, keys);
+    let mut out: Vec<&'a [DbValue]> = Vec::new();
+    let mut batch: Vec<&'a [DbValue]> = Vec::new();
+    let mut taken = 0;
+    let mut nanos = t0.elapsed().as_nanos() as u64;
+    while out.len() / stride < end && taken < base.len() {
+        let tb = Instant::now();
+        let want = (end - out.len() / stride).max(2 * batch.len());
+        batch.clear();
+        let next = &sorted.first(taken.saturating_add(want))[taken..];
+        batch.extend(next.iter().map(|&i| base[i]));
+        taken += batch.len();
+        nanos += tb.elapsed().as_nanos() as u64;
+        joins.run(&batch, &mut out, stats)?;
+        staged_sync::mutant!("plan_top_k_join_stops_short" => {
+            // broken: a batch whose rows a join dropped leaves the window
+            // short, though base rows remain to fill it
+            break;
+        } else {});
+    }
+    let tp = Instant::now();
+    let produced = out.len() / stride;
+    let end = end.min(produced);
+    // Rows remain past the window: joined ones, or base rows unprobed.
+    let more = produced > end || taken < base.len();
+    let boundary = end
+        .checked_sub(1)
+        .filter(|_| want_boundary && more && !sort_keys.iter().any(|k| exec::is_nan(k)));
+    let kept = start.min(end)..end;
+    let finished = plan.tail.project(&out, stride, params, kept, stats.scanned);
+    nanos += tp.elapsed().as_nanos() as u64;
+    Ok(Some((out, finished.map(|r| (r, boundary)), nanos)))
+}
+
 /// Executes a compiled plan against the bound tables (guards already
-/// held). `kernels: false` tests every base filter through `holds`,
-/// whatever [`ScanTest`] the planner chose. `node_times` receives
-/// `(node kind, nanos)` pairs for the metrics observer, which runs
-/// after the guards drop.
+/// held). `path` picks how a sequential scan tests the base filter.
+/// `node_times` receives `(node kind, nanos)` pairs for the metrics
+/// observer, which runs after the guards drop.
 pub(crate) fn run_planned<'a>(
     plan: &'a SelectPlan,
     params: &'a [DbValue],
     tables: &'a [BoundTable<'a>],
     stats: &mut ExecStats,
     reads: Option<&mut ReadSet>,
-    kernels: bool,
+    path: ScanPath,
     node_times: &mut Vec<(&'static str, u64)>,
 ) -> Result<QueryResult, DbError> {
     let sel = plan.select();
@@ -577,22 +916,41 @@ pub(crate) fn run_planned<'a>(
             .try_for_each(&mut visit)
     };
     match &plan.base {
-        BaseAccess::SeqScan => match plan.scan_test.kernel(params).filter(|_| kernels) {
-            None => {
+        BaseAccess::SeqScan => match plan.scan_test.kernel(params) {
+            Some(kernel) if path != ScanPath::Holds => {
+                // Every live row is visited, whichever rows are tested.
+                let live = base.data.len() as u64;
+                stats.scanned += live;
+                visited += live;
+                let signatures = base.data.signatures(kernel.col());
+                match signatures.filter(|_| path == ScanPath::Prefiltered) {
+                    Some(signatures) => {
+                        let prefilter = kernel.prefilter();
+                        // lint: hot_path — once per row id of the table, under its read lock
+                        for (id, &signature) in signatures.iter().enumerate() {
+                            if prefilter.admits(signature) {
+                                if let Some(r) = base.data.row(id).filter(|r| kernel.holds(r)) {
+                                    rows.push(r);
+                                }
+                            }
+                        }
+                        // lint: end_hot_path
+                    }
+                    None => {
+                        // lint: hot_path — once per row of the table, under its read lock
+                        for (_, r) in base.data.iter_live() {
+                            if kernel.holds(r) {
+                                rows.push(r);
+                            }
+                        }
+                        // lint: end_hot_path
+                    }
+                }
+            }
+            _ => {
                 for (_, r) in base.data.iter_live() {
                     visit(r)?;
                 }
-            }
-            Some(kernel) => {
-                // lint: hot_path — once per row of the table, under its read lock
-                for (_, r) in base.data.iter_live() {
-                    stats.scanned += 1;
-                    visited += 1;
-                    if kernel.holds(r) {
-                        rows.push(r);
-                    }
-                }
-                // lint: end_hot_path
             }
         },
         BaseAccess::IndexEq { col, key, pk } => {
@@ -649,119 +1007,49 @@ pub(crate) fn run_planned<'a>(
         node_times.push((plan.nodes[f].kind, 0));
     }
 
-    // --- Joins: `rows` holds one slot per bound table for every
-    // surviving combination, back to back; each stage widens the
-    // stride by one. ---
-    for (join_idx, jp) in plan.joins.iter().enumerate() {
-        let tj = Instant::now();
-        let stride = join_idx + 1;
-        let new_table = &tables[stride];
-        let pk_probes = jp.inner_pk && jp.strategy == JoinStrategy::IndexLoop;
-        let mut join_keys = deps
-            .is_some()
-            .then(|| JoinKeys::new(if pk_probes { RowKey::of } else { RowKey::join }));
-        // Hash join: build once over live rows in row-id order — bucket
-        // contents come out in the order a nested-loop rescan visits
-        // them, so output ordering does not depend on the strategy.
-        let mut hash: HashMap<IndexKey, Vec<&'a [DbValue]>> = HashMap::new();
-        if jp.strategy == JoinStrategy::Hash {
-            for (_, row) in new_table.data.iter_live() {
-                stats.scanned += 1;
-                let v = &row[jp.inner_col];
-                if !v.is_null() {
-                    hash.entry(v.index_key()).or_default().push(row);
-                }
-            }
-        }
-
-        let mut next: Vec<&'a [DbValue]> = Vec::new();
-        // lint: hot_path — once per outer row × candidate inner row
-        let mut emit = |partial: &[&'a [DbValue]], inner: &'a [DbValue]| -> Result<(), DbError> {
-            let at = next.len();
-            next.extend_from_slice(partial);
-            next.push(inner);
-            for pred in &jp.newly {
-                if !pred.holds(&next[at..], params)? {
-                    next.truncate(at);
-                    break;
-                }
-            }
-            Ok(())
-        };
-        for partial in rows.chunks_exact(stride) {
-            let key = &partial[jp.outer.0][jp.outer.1];
-            if let Some(keys) = &mut join_keys {
-                keys.push(key);
-            }
-            match jp.strategy {
-                JoinStrategy::IndexLoop => {
-                    for &cid in new_table.data.lookup_eq(jp.inner_col, key) {
-                        let Some(inner) = new_table.data.row(cid) else {
-                            continue;
-                        };
-                        stats.scanned += 1;
-                        emit(partial, inner)?;
-                    }
-                }
-                JoinStrategy::NestedLoop => {
-                    for (_, inner) in new_table.data.iter_live() {
-                        stats.scanned += 1;
-                        if inner[jp.inner_col].sql_eq(key) {
-                            emit(partial, inner)?;
-                        }
-                    }
-                }
-                // NULL joins nothing (sql_eq semantics).
-                JoinStrategy::Hash if key.is_null() => {}
-                JoinStrategy::Hash => {
-                    for &inner in hash.get(&key.index_key()).into_iter().flatten() {
-                        stats.scanned += 1;
-                        // IndexKey groups by f64 value; re-check with
-                        // sql_eq so edge cases match a nested-loop rescan.
-                        if inner[jp.inner_col].sql_eq(key) {
-                            emit(partial, inner)?;
-                        }
-                    }
-                }
-            }
-        }
-        // lint: end_hot_path
-        if let (Some(deps), Some(keys)) = (&mut deps, join_keys) {
-            match keys.finish() {
-                // Primary-key probes name exactly the rows they read.
-                Some(keys) if pk_probes => {
-                    for key in keys {
-                        deps.reads.record_key(&new_table.table, key);
-                    }
-                }
-                keys => {
-                    let join = keys.map(|keys| (jp.inner_col, keys));
-                    if window_slot == Some(stride) {
-                        deferred = Some((&jp.local, join));
-                    } else {
-                        deps.filter(&new_table.table, &jp.local, join, None);
-                    }
-                }
-            }
-        }
-        rows = next;
-        let nanos = tj.elapsed().as_nanos() as u64;
-        let node = &plan.nodes[plan.join_nodes[join_idx]];
-        node.record((rows.len() / (stride + 1)) as u64, nanos);
-        node_times.push((node.kind, nanos));
-    }
-
-    // --- Projection / ORDER BY / LIMIT tail. ---
-    let tt = Instant::now();
+    // --- Joins and the tail: the whole join, then ORDER BY over it;
+    // or, for a top-k read ordered by base keys, ordered base rows
+    // joined until the window is full. ---
     let stride = plan.joins.len() + 1;
-    let finished = exec::finish_select(
-        &plan.tail,
-        &rows,
-        stride,
-        params,
-        stats.scanned,
-        deferred.is_some(),
-    );
+    let mut joins = Joins::new(plan, tables, params, deps.is_some());
+    let top_k = match &plan.window {
+        Some((0, keys))
+            if plan.top_k_join
+                && plan
+                    .joins
+                    .iter()
+                    .all(|jp| jp.newly.iter().all(|p| p.cannot_fail(params.len()))) =>
+        {
+            top_k_join(plan, keys, &rows, &mut joins, stats, deferred.is_some())?
+        }
+        _ => None,
+    };
+    let (rows, finished, tail_nanos) = match top_k {
+        Some(finished) => {
+            joins.finish(deps.as_mut(), window_slot, &mut deferred, node_times);
+            finished
+        }
+        None => {
+            let rows = if plan.joins.is_empty() {
+                rows
+            } else {
+                let mut joined = Vec::new();
+                joins.run(&rows, &mut joined, stats)?;
+                joined
+            };
+            joins.finish(deps.as_mut(), window_slot, &mut deferred, node_times);
+            let tt = Instant::now();
+            let finished = exec::finish_select(
+                &plan.tail,
+                &rows,
+                stride,
+                params,
+                stats.scanned,
+                deferred.is_some(),
+            );
+            (rows, finished, tt.elapsed().as_nanos() as u64)
+        }
+    };
     if let (Some(deps), Some((conjuncts, join)), Some((slot, keys))) =
         (&mut deps, deferred, &plan.window)
     {
@@ -781,12 +1069,12 @@ pub(crate) fn run_planned<'a>(
     }
     let (result, _) = finished?;
     if let Some(tail) = plan.tail_node {
-        // The tail (aggregate/sort/limit) runs as one fused pass in
-        // `finish_select`; its measured time lands on the bottom tail
-        // node and the ones above it record the final row count only.
-        let nanos = tt.elapsed().as_nanos() as u64;
+        // The tail (aggregate/sort/limit) runs as one fused pass; its
+        // measured time — a top-k join's ordering included — lands on
+        // the bottom tail node and the ones above it record the final
+        // row count only.
         for (i, node) in plan.nodes.iter().enumerate().skip(tail) {
-            let t = if i == tail { nanos } else { 0 };
+            let t = if i == tail { tail_nanos } else { 0 };
             node.record(result.rows.len() as u64, t);
             node_times.push((node.kind, t));
         }

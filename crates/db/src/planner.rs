@@ -23,6 +23,7 @@
 use crate::error::DbError;
 use crate::exec::{self, Binder, BoundExpr, BoundTable, Tail};
 use crate::plan::*;
+use crate::schema::DataType;
 use crate::sql::ast::*;
 use std::sync::Arc;
 
@@ -81,6 +82,8 @@ pub(crate) fn build_select_plan(
             joins: Vec::new(),
             tail,
             window: None,
+            top_k_join: false,
+            signature_column: None,
             shortcut: Some(items),
             nodes,
             scan_node: 0,
@@ -109,9 +112,25 @@ pub(crate) fn build_select_plan(
         BaseAccess::IndexRange { .. } => (base_n / RANGE_SELECTIVITY).max(1),
     };
 
+    let scan_test = scan_test(&access, &base_filter);
+    let signature_column = match scan_test {
+        ScanTest::Eq { col, .. } | ScanTest::Like { col, .. }
+            if base.data.schema().columns()[col].dtype == DataType::Text =>
+        {
+            Some((base.table.clone(), col))
+        }
+        _ => None,
+    };
     let mut nodes: Vec<PlanNode> = Vec::new();
     let (kind, index, detail) = match &access {
-        BaseAccess::SeqScan => ("seq_scan", None, None),
+        BaseAccess::SeqScan => (
+            "seq_scan",
+            None,
+            signature_column.as_ref().map(|(_, col)| {
+                let name = &base.data.schema().columns()[*col].name;
+                format!("signature prefilter on {name}")
+            }),
+        ),
         BaseAccess::IndexEq { col, key, pk } => (
             "index_scan",
             Some(base.data.schema().columns()[*col].name.clone()),
@@ -237,6 +256,14 @@ pub(crate) fn build_select_plan(
         });
     }
 
+    // --- Top-k before the join: a window over the base table's keys. ---
+    let window = tail.window_keys(tables.len());
+    let top_k_join = matches!(window, Some((0, _)))
+        && !joins.is_empty()
+        && joins
+            .iter()
+            .all(|jp| jp.newly.iter().all(|p| p.cannot_fail(usize::MAX)));
+
     // --- Tail nodes: aggregate, sort, limit. ---
     let mut tail_node = None;
     if exec::select_has_aggregate(sel) {
@@ -252,7 +279,9 @@ pub(crate) fn build_select_plan(
     }
     if !sel.order_by.is_empty() {
         let mut sort = PlanNode::new("sort", est, Some(prev));
-        sort.detail = tail.top_k_detail();
+        sort.detail = tail
+            .top_k_detail()
+            .map(|k| if top_k_join { k + " before join" } else { k });
         nodes.push(sort);
         prev = nodes.len() - 1;
         tail_node.get_or_insert(prev);
@@ -270,11 +299,13 @@ pub(crate) fn build_select_plan(
 
     Ok(SelectPlan {
         stmt: Arc::clone(stmt),
-        scan_test: scan_test(&access, &base_filter),
+        scan_test,
         base: access,
         base_filter,
         joins,
-        window: tail.window_keys(tables.len()),
+        window,
+        top_k_join,
+        signature_column,
         tail,
         shortcut: None,
         nodes,

@@ -1,4 +1,4 @@
-//! Row storage with B-tree indexes.
+//! Row storage with B-tree indexes and per-row text signatures.
 
 use crate::error::DbError;
 use crate::schema::Schema;
@@ -16,6 +16,31 @@ pub(crate) struct TableData {
     indexes: HashMap<usize, BTreeMap<IndexKey, Vec<usize>>>,
     /// Unique primary-key index.
     pk_index: Option<BTreeMap<IndexKey, usize>>,
+    /// `(column, one signature per row id)` for each TEXT column a
+    /// planned scan kernel tests ([`TableData::ensure_signatures`]).
+    signatures: Vec<(usize, Vec<u64>)>,
+}
+
+/// A cell's bigram signature: one bit per pair of adjacent bytes, ASCII
+/// case folded (`| 0x20`), hashed into 64. Non-ASCII text gets all ones,
+/// since Unicode case folding can match it in ways byte pairs do not
+/// see (the Kelvin sign lowercases to `k`), and so does every non-text
+/// value; all ones passes every prefilter.
+pub(crate) fn signature(value: &DbValue) -> u64 {
+    match value {
+        DbValue::Text(s) if s.is_ascii() => bigrams(s.as_bytes()),
+        _ => u64::MAX,
+    }
+}
+
+/// The bigram bits of ASCII `bytes`: equal bytes under `| 0x20` give
+/// equal bits, so a case-folded substring's bits are a subset of its
+/// text's.
+pub(crate) fn bigrams(bytes: &[u8]) -> u64 {
+    bytes.windows(2).fold(0, |sig, pair| {
+        let pair = u64::from(pair[0] | 0x20) << 8 | u64::from(pair[1] | 0x20);
+        sig | 1 << (pair.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58)
+    })
 }
 
 impl TableData {
@@ -27,6 +52,7 @@ impl TableData {
             live: 0,
             indexes: HashMap::new(),
             pk_index,
+            signatures: Vec::new(),
         }
     }
 
@@ -69,6 +95,9 @@ impl TableData {
                 .entry(values[col].index_key())
                 .or_default()
                 .push(row_id);
+        }
+        for (col, signatures) in &mut self.signatures {
+            signatures.push(signature(&values[*col]));
         }
         self.rows.push(Some(values));
         self.live += 1;
@@ -119,6 +148,14 @@ impl TableData {
                 }
                 index.entry(new_key).or_default().push(row_id);
             }
+        }
+        for (col, signatures) in &mut self.signatures {
+            staged_sync::mutant!("table_signature_stale_on_update" => {
+                // broken: the row keeps the signature of its old text, so
+                // a prefilter can skip it after it came to match
+            } else {
+                signatures[row_id] = signature(&new_values[*col]);
+            });
         }
         Ok(std::mem::replace(old, new_values))
     }
@@ -171,6 +208,27 @@ impl TableData {
             index.entry(row[col].index_key()).or_default().push(id);
         }
         self.indexes.insert(col, index);
+    }
+
+    /// Builds the [`signature`] of `col` for every row id (no-op if
+    /// present); insert and update keep it current from then on. A
+    /// deleted row keeps its last signature: scans skip dead rows.
+    pub(crate) fn ensure_signatures(&mut self, col: usize) {
+        if self.signatures.iter().any(|(c, _)| *c == col) {
+            return;
+        }
+        let signatures = self
+            .rows
+            .iter()
+            .map(|r| r.as_ref().map_or(0, |v| signature(&v[col])))
+            .collect();
+        self.signatures.push((col, signatures));
+    }
+
+    /// The signatures of `col`, indexed by row id, if they were built.
+    pub(crate) fn signatures(&self, col: usize) -> Option<&[u64]> {
+        let (_, signatures) = self.signatures.iter().find(|(c, _)| *c == col)?;
+        Some(signatures)
     }
 
     /// Whether equality lookups on `col` can use an index.
@@ -365,6 +423,26 @@ mod tests {
         }
         t.create_index(1);
         assert_eq!(t.lookup_eq(1, &DbValue::from("even")).len(), 5);
+    }
+
+    #[test]
+    fn signatures_follow_inserts_and_updates() {
+        let mut t = TableData::new(schema());
+        t.insert(row(1, "River", 1)).unwrap();
+        assert!(t.signatures(1).is_none(), "built on demand only");
+        t.ensure_signatures(1);
+        t.ensure_signatures(1);
+        t.insert(row(2, "Stra\u{df}e", 2)).unwrap();
+        t.insert(vec![DbValue::Int(3), DbValue::Null, DbValue::Int(3)])
+            .unwrap();
+        let river = bigrams(b"river");
+        assert_eq!(t.signatures(1).unwrap(), [river, u64::MAX, u64::MAX]);
+        t.update_row(0, row(1, "x", 1)).unwrap();
+        assert_eq!(t.signatures(1).unwrap()[0], 0, "one byte: no bigram");
+        // `| 0x20` folds case: a literal's bits are a subset of any text
+        // holding it, whatever the case of either.
+        let lost = bigrams(b"Lost RIVER Crown");
+        assert_eq!(lost & river, river);
     }
 
     #[test]

@@ -244,6 +244,60 @@ fn explain_accumulates_measured_rows_across_runs() {
     assert!(explain.contains("\"time_seconds_total\":"), "{explain}");
 }
 
+/// The value of `key` on the first `node` of an EXPLAIN tree, as
+/// rendered.
+fn node_field<'e>(explain: &'e str, node: &str, key: &str) -> &'e str {
+    let at = explain.find(&format!("\"node\":\"{node}\"")).unwrap();
+    let rest = &explain[at..];
+    let rest = &rest[rest.find(&format!("\"{key}\":")).unwrap() + key.len() + 3..];
+    &rest[..rest.find([',', '}']).unwrap()]
+}
+
+/// EXPLAIN names what a listing's scan and sort do: the scan tests a
+/// signature prefilter, and the sort orders the base rows before the
+/// join probes them — so the join's measured rows are the window's, and
+/// the sort's time is its own.
+#[test]
+fn explain_names_the_prefilter_and_the_top_k_join() {
+    let db = sample(200);
+    db.execute("CREATE TABLE u (uid INT PRIMARY KEY, w INT)", &[])
+        .unwrap();
+    for uid in 0..7 {
+        db.execute(
+            "INSERT INTO u (uid, w) VALUES (?, ?)",
+            &[DbValue::Int(uid), DbValue::Int(uid * 10)],
+        )
+        .unwrap();
+    }
+    let sql = "SELECT t.id, u.w FROM t JOIN u ON t.k = u.uid WHERE t.s LIKE ? \
+               ORDER BY t.v DESC LIMIT 5";
+    // 111 rows match (row1, row10–19, row100–199); five are probed.
+    let r = db.execute(sql, &[DbValue::from("%ROW1%")]).unwrap();
+    let ids: Vec<DbValue> = r.rows.iter().map(|row| row[0].clone()).collect();
+    assert_eq!(ids, [199, 198, 197, 196, 195].map(DbValue::Int));
+    assert_eq!(r.rows_scanned, 200 + 5);
+    let explain = db.explain(sql).unwrap();
+    assert_eq!(
+        node_field(&explain, "seq_scan", "detail"),
+        "\"signature prefilter on s\""
+    );
+    assert_eq!(
+        node_field(&explain, "sort", "detail"),
+        "\"top-k 5 before join\""
+    );
+    assert_eq!(node_field(&explain, "filter", "rows_total"), "111");
+    assert_eq!(node_field(&explain, "index_loop_join", "rows_total"), "5");
+    let sort_time: f64 = node_field(&explain, "sort", "time_seconds_total")
+        .parse()
+        .unwrap();
+    assert!(sort_time > 0.0, "{explain}");
+    // A join conjunct that can fail on a row keeps the whole join.
+    let fallible = "SELECT t.id FROM t JOIN u ON t.k = u.uid WHERE -u.w < 0 \
+                    ORDER BY t.v LIMIT 5";
+    let explain = db.explain(fallible).unwrap();
+    assert_eq!(node_field(&explain, "sort", "detail"), "\"top-k 5\"");
+}
+
 /// xorshift64* — deterministic, no external crates.
 struct Rng(u64);
 
@@ -601,13 +655,14 @@ fn randomized_statements_match_frozen_results() {
     );
 }
 
-/// Recorded when row filters gained top-k windows (same generator, same
-/// seed): a non-aggregating `ORDER BY … LIMIT` whose keys read one table
-/// and whose window ended before its input now records the boundary
-/// row's keys on that table's filter, which changes the read-set `Debug`
-/// form the digest folds. `rows_scanned` and every result did not
-/// change.
-const PLANNED_SCAN_AND_READS_DIGEST: u64 = 17_074_429_126_816_725_187;
+/// Recorded when a joined `ORDER BY … LIMIT` over base-table keys began
+/// ordering its base rows before the join (same generator, same seed):
+/// the join probes only the base rows up to the window, which lowers
+/// `rows_scanned`, records fewer join keys, and leaves a boundary where
+/// unprobed base rows remain. Every result did not change; with the
+/// late join switched off the digest read 17_074_429_126_816_725_187,
+/// the value recorded when row filters gained top-k windows.
+const PLANNED_SCAN_AND_READS_DIGEST: u64 = 1_036_525_888_117_976_740;
 
 /// Each generated statement's outcome — columns and rows (`Debug` form,
 /// order included) or the error text — folded statement by statement.
@@ -979,5 +1034,204 @@ fn scan_kernels_agree_with_holds() {
     assert!(
         statements == 400 && kernel_hits > 150,
         "too few matching statements: {kernel_hits} of {statements}"
+    );
+}
+
+/// Text cells for [`signature_prefilter_never_drops_a_match`]: case
+/// variants, 0-, 1- and 2-byte texts, bytes that fold together under
+/// `| 0x20` without being case pairs (`@` and `` ` ``), and non-ASCII
+/// text that Unicode folding matches (the Kelvin sign lowercases to `k`,
+/// `İ` to `i` + U+0307).
+const SIGNED_TEXTS: [&str; 20] = [
+    "",
+    "a",
+    "A",
+    "ab",
+    "AB",
+    "aB",
+    "river",
+    "RIVER",
+    "Lost River Crown",
+    "riv",
+    "kelvin",
+    "KELVIN",
+    "\u{212a}elvin",
+    "Stra\u{df}e",
+    "\u{130}stanbul",
+    "i\u{307}stanbul",
+    "50% off_now",
+    "@`",
+    "`@",
+    "xy",
+];
+
+/// `%literal%` patterns with 0-, 1- and 2-byte literals, case variants
+/// and literals only Unicode folding finds in non-ASCII text.
+const SIGNED_PATTERNS: [&str; 14] = [
+    "%%",
+    "%a%",
+    "%A%",
+    "%ab%",
+    "%AB%",
+    "%b%",
+    "%river%",
+    "%RIVER%",
+    "%k%",
+    "%KELVIN%",
+    "%elvin%",
+    "%stanbul%",
+    "%`@%",
+    "%xy%",
+];
+
+/// The signature prefilter never drops a row its kernel accepts: over
+/// seeded tables whose TEXT column also holds NULLs, integers and
+/// floats, `col = ?` and `col LIKE '%lit%'` statements planned (which
+/// builds the column's signatures) *before* rows are inserted, updated
+/// and deleted return the same rows, `rows_scanned` and read set with
+/// the prefilter as with the kernel alone on every row.
+#[test]
+fn signature_prefilter_never_drops_a_match() {
+    use staged_db::ReadSet;
+    let mut rng = Rng(0x5167_0000_5eed_0039);
+    let (mut matched, mut statements) = (0usize, 0usize);
+    for round in 0..8 {
+        let db = Database::new();
+        db.execute("CREATE TABLE s (id INT PRIMARY KEY, t TEXT, n INT)", &[])
+            .unwrap();
+        let cell = |rng: &mut Rng| match rng.below(10) {
+            0 => DbValue::Null,
+            1 => DbValue::Int(rng.below(3) as i64),
+            2 => DbValue::Float(rng.below(3) as f64),
+            _ => DbValue::from(rng.pick(&SIGNED_TEXTS)),
+        };
+        let rows = if round == 2 {
+            0
+        } else {
+            20 + rng.below(60) as i64
+        };
+        for id in 0..rows {
+            let t = cell(&mut rng);
+            db.execute(
+                "INSERT INTO s (id, t, n) VALUES (?, ?, ?)",
+                &[DbValue::Int(id), t, DbValue::Int(id % 3)],
+            )
+            .unwrap();
+        }
+        let sqls = [
+            "SELECT id, t FROM s WHERE t LIKE ?",
+            "SELECT id FROM s WHERE t = ?",
+            "SELECT id, t FROM s WHERE ? = t ORDER BY id DESC LIMIT 5",
+        ];
+        let plans: Vec<_> = sqls.iter().map(|sql| db.plan(sql).unwrap()).collect();
+        for plan in &plans {
+            let explain = plan.explain_json();
+            assert!(explain.contains("signature prefilter on t"), "{explain}");
+        }
+        // Writes after the signatures were built: each must keep them.
+        let mut fresh = 1_000;
+        for _ in 0..30 {
+            let id = DbValue::Int(rng.below(rows.max(1) as u64) as i64);
+            let t = cell(&mut rng);
+            let (sql, params) = match rng.below(4) {
+                0 => {
+                    fresh += 1;
+                    let row = vec![DbValue::Int(fresh), t, DbValue::Int(0)];
+                    ("INSERT INTO s (id, t, n) VALUES (?, ?, ?)", row)
+                }
+                1 => ("DELETE FROM s WHERE id = ?", vec![id]),
+                _ => ("UPDATE s SET t = ? WHERE id = ?", vec![t, id]),
+            };
+            db.execute(sql, &params).unwrap();
+        }
+        for (sql, plan) in sqls.iter().zip(&plans) {
+            let keys: Vec<DbValue> = if sql.contains("LIKE") {
+                SIGNED_PATTERNS.iter().map(|p| DbValue::from(*p)).collect()
+            } else {
+                let texts = SIGNED_TEXTS.iter().map(|t| DbValue::from(*t));
+                let other = [DbValue::Null, DbValue::Int(1), DbValue::Float(2.0)];
+                texts.chain(other).collect()
+            };
+            for key in keys {
+                let params = [key];
+                let mut signed_reads = ReadSet::new();
+                let mut kernel_reads = ReadSet::new();
+                let signed = plan.run_tracked(&params, Some(&mut signed_reads)).unwrap();
+                let kernel = plan
+                    .run_without_signatures(&params, Some(&mut kernel_reads))
+                    .unwrap();
+                let context = format!("round {round}: {sql} with {params:?}");
+                assert_eq!(signed.rows, kernel.rows, "{context}");
+                assert_eq!(signed.rows_scanned, kernel.rows_scanned, "{context}");
+                assert_eq!(
+                    format!("{signed_reads:?}"),
+                    format!("{kernel_reads:?}"),
+                    "{context}"
+                );
+                statements += 1;
+                matched += signed.rows.len();
+            }
+        }
+    }
+    assert!(
+        statements == 480 && matched > 1_000,
+        "too few matches: {matched} rows over {statements} statements"
+    );
+}
+
+/// Top-k before the join, differentially: each generated joined
+/// statement ordered by keys of its base table returns, under a LIMIT
+/// and OFFSET, exactly the matching slice of what it returns without
+/// them — the whole join, then a stable sort. Over the generator's
+/// tables: ties (few distinct keys, Int/Float mixes), `DESC`, OFFSETs at
+/// and past the end, `LIMIT 0`, NULL join keys, joins that drop rows
+/// (`a.g` reaches past `c`'s five keys) and joins that fan out (`b`).
+#[test]
+fn top_k_join_matches_the_unlimited_order() {
+    let mut rng = Rng(0x70b0_0000_5eed_0039);
+    let (mut late, mut short, mut kept) = (0usize, 0usize, 0usize);
+    for round in 0..10 {
+        let db = Database::new();
+        let n_a = if round == 3 { 0 } else { 10 + rng.below(50) };
+        generated_tables(&db, rng.next(), n_a, 3 + rng.below(12));
+        for _ in 0..40 {
+            let from = rng.pick(&[
+                "a JOIN c ON a.g = c.cid",
+                "a JOIN b ON a.g = b.g",
+                "a JOIN c ON a.g = c.cid JOIN b ON c.cid = b.g",
+            ]);
+            let mut sql = format!("SELECT a.id, a.name, a.x, a.n FROM {from}");
+            let mut params = Vec::new();
+            if rng.below(2) == 0 {
+                let has_c = from.contains(" c ");
+                sql += " WHERE ";
+                sql += &rng.predicate(from.contains(" b "), has_c, &mut params);
+            }
+            for i in 0..1 + rng.below(2) {
+                sql += if i == 0 { " ORDER BY " } else { ", " };
+                sql += rng.pick(&["a.n", "a.x", "a.name", "a.g", "a.id", "a.n + 1"]);
+                sql += rng.pick(&["", " DESC"]);
+            }
+            let all = db.execute(&sql, &params).unwrap();
+            let (limit, offset) = (
+                rng.pick(&[0usize, 1, 2, 3, 7, 1000]),
+                rng.pick(&[0usize, 1, 3, 1000]),
+            );
+            let limited = format!("{sql} LIMIT {limit} OFFSET {offset}");
+            let explain = db.explain(&limited).unwrap();
+            let r = db.execute(&limited, &params).unwrap();
+            let lo = offset.min(all.rows.len());
+            let hi = offset.saturating_add(limit).min(all.rows.len());
+            let context = format!("round {round}: {limited} with {params:?}");
+            assert_eq!(r.rows, all.rows[lo..hi], "{context}");
+            assert!(r.rows_scanned <= all.rows_scanned, "{context}");
+            late += usize::from(explain.contains("before join"));
+            short += usize::from(r.rows_scanned < all.rows_scanned);
+            kept += r.rows.len();
+        }
+    }
+    assert!(
+        late == 400 && short > 150 && kept > 1_000,
+        "too few cases: {late} late joins, {short} probed less, {kept} rows kept"
     );
 }

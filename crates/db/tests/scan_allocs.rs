@@ -137,8 +137,9 @@ fn allocations(db: &Database, sql: &str, param: &str, scanned: u64) -> u64 {
     let result = db.execute(sql, &params).unwrap();
     let spent = ALLOCS.with(Cell::get) - before;
     assert_eq!(result.rows.len(), 50);
-    // Every item visited, one author probed per match.
-    assert_eq!(result.rows_scanned, scanned + MATCHES as u64);
+    // Every item visited, one author probed per row of the window: the
+    // matches are ordered before the join, which sees only the top 50.
+    assert_eq!(result.rows_scanned, scanned + 50);
     spent
 }
 
