@@ -248,19 +248,6 @@ pub struct RunOutcome {
 /// ramp-up, completions from the start of measurement, both every
 /// [`Experiment::sample_interval`].
 pub fn run_model(exp: &Experiment, model: Model, trace_queues: &[&str]) -> RunOutcome {
-    run_model_with(exp, model, trace_queues, || {})
-}
-
-/// [`run_model`] with an extra hook invoked at the exact start of the
-/// measurement interval (after ramp-up), just after completion sampling
-/// starts. The throughput benchmark uses it to snapshot the global
-/// allocation counter so ramp-up allocations are excluded.
-pub fn run_model_with(
-    exp: &Experiment,
-    model: Model,
-    trace_queues: &[&str],
-    on_measure_start: impl FnOnce(),
-) -> RunOutcome {
     let db = exp.build_database();
     let server = exp.start_server(model, db);
     let interval = exp.sample_interval();
@@ -278,7 +265,6 @@ pub fn run_model_with(
     let mut completions = None;
     let report = run_workload(server.addr(), &exp.workload(), || {
         completions = Some(sample_completions(server.registry(), interval));
-        on_measure_start();
     });
     let (completion_handle, completions) = completions.expect("measurement started");
     completion_handle.stop();
@@ -452,10 +438,22 @@ mod tests {
             ramp: Duration::from_millis(50),
             measure: Duration::from_millis(300),
         };
-        let outcome = run_model(&exp, Model::Modified, &["general", "lengthy"]);
-        assert!(outcome.queue_traces.contains_key("general"));
-        assert!(outcome.queue_traces.contains_key("lengthy"));
-        assert!(!outcome.queue_traces["general"].is_empty());
-        outcome.server.shutdown().expect("clean shutdown");
+        // The queues `tpcw_compare` samples: the unmodified server's one
+        // `worker` queue (Figure 7), the modified server's `general` and
+        // `lengthy` pools (Figures 8(a)/8(b)).
+        for (model, queues) in [
+            (Model::Unmodified, &["worker"][..]),
+            (Model::Modified, &["general", "lengthy"][..]),
+        ] {
+            let outcome = run_model(&exp, model, queues);
+            for queue in queues {
+                assert!(
+                    !outcome.queue_traces[*queue].is_empty(),
+                    "{}: no {queue} trace",
+                    model.label()
+                );
+            }
+            outcome.server.shutdown().expect("clean shutdown");
+        }
     }
 }

@@ -154,8 +154,8 @@ impl DocCache {
     // probe, one Arc bump; no allocation.
     /// Looks `key` up. A fresh entry is a [`Lookup::Hit`]; anything else
     /// is a [`Lookup::Miss`] carrying the epoch snapshot the render must
-    /// hand back to [`DocCache::publish`]. Public so the `cache_series`
-    /// bench can drive the hit path in-process under a counting
+    /// hand back to [`DocCache::publish`]. Public so the `hit_allocs`
+    /// test can drive the hit path in-process under a counting
     /// allocator.
     pub fn lookup(&self, key: &str) -> Lookup {
         let state = self.state.read();

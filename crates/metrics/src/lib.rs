@@ -34,7 +34,6 @@ mod counter;
 mod histogram;
 mod registry;
 mod snapshot;
-mod stopwatch;
 mod summary;
 mod timeseries;
 mod trace;
@@ -45,7 +44,6 @@ pub use registry::{
     valid_metric_name, validate_exposition, Collect, CounterRead, GaugeRead, Registry,
 };
 pub use snapshot::Snapshot;
-pub use stopwatch::Stopwatch;
 pub use summary::{Summary, SummarySnapshot};
 pub use timeseries::{SeriesPoint, TimeSeries};
 pub use trace::{Stage, Trace, TraceEvent, TraceHub, TraceOutcome};

@@ -1,7 +1,7 @@
 //! Cross-type metrics scenarios: the measurement pipeline the
 //! evaluation harness runs on.
 
-use staged_metrics::{Counter, Gauge, Histogram, Stopwatch, Summary, TimeSeries};
+use staged_metrics::{Counter, Gauge, Histogram, Summary, TimeSeries};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -52,8 +52,8 @@ fn concurrent_measurement_pipeline_is_exact() {
     assert!(p50 >= Duration::from_micros(512) && p50 <= Duration::from_micros(2048));
 }
 
-/// Stopwatch + TimeSeries as used by the throughput figures: events
-/// recorded across a warm-up restart land in the right window.
+/// TimeSeries as used by the throughput figures: events recorded
+/// across a warm-up restart land in the right window.
 #[test]
 fn warmup_restart_discards_rampup_events() {
     let series = TimeSeries::new(Duration::from_millis(10));
@@ -62,11 +62,9 @@ fn warmup_restart_discards_rampup_events() {
     }
     assert_eq!(series.total(), 50.0);
     series.restart(); // measurement begins
-    let sw = Stopwatch::start();
     for _ in 0..30 {
         series.increment();
     }
-    assert!(sw.elapsed() < Duration::from_secs(1));
     assert_eq!(series.total(), 30.0, "ramp-up events must be discarded");
 }
 
