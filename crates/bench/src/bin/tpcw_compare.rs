@@ -14,7 +14,7 @@
 //!     --ebs 200 --measure-secs 30 --scale small
 //! ```
 //!
-//! Response times are in milliseconds at the workspace's ×1000 time
+//! Response times are in milliseconds at the experiments' ×10 time
 //! scaling (the paper reports seconds); the comparison *shape* — which
 //! pages collapse by orders of magnitude, which stay flat, and the
 //! overall throughput gain — is the reproduction target. In the queue

@@ -10,8 +10,7 @@
 //! - the floor of the adaptive `Retry-After` (1 s) and the re-checkout
 //!   attempts after a worker's database connection dies (2):
 //!   `overload.rs`;
-//! - the render split's lengthy-template cutoff (5 ms) and the
-//!   graceful-shutdown drain budget (5 s): `server.rs`.
+//! - the graceful-shutdown drain budget (5 s): `server.rs`.
 //!
 //! Every stage's queue holds `workers × queue_factor` jobs; there are
 //! no per-stage caps, so a test pins a bound through the pool size and
@@ -88,13 +87,6 @@ pub struct ServerConfig {
     /// before dropping the connection (defends the header pool against
     /// slow-loris clients). `None` waits forever.
     pub read_timeout: Option<Duration>,
-    /// The paper's suggested extension (§3.3): also split **template
-    /// rendering** into quick/lengthy pools, tracked per template name.
-    /// Off by default, as in the paper ("applying this technique to …
-    /// template rendering might be worthwhile on a different
-    /// benchmark"). When on, a quarter of `render_workers` (at least
-    /// one) forms the lengthy-render pool.
-    pub split_render: bool,
     /// Multiplier sizing each stage's bounded queue from its pool width
     /// (`bound = workers × queue_factor`). Generous by default so the
     /// paper-reproduction runs never shed; shrink it (with the pool
@@ -178,7 +170,6 @@ impl Default for ServerConfig {
             max_reserve: general_workers / 2,
             limits: ParseLimits::default(),
             read_timeout: Some(Duration::from_secs(10)),
-            split_render: false,
             queue_factor: 64,
             request_deadline: None,
             write_timeout: Some(Duration::from_secs(10)),

@@ -166,8 +166,7 @@ impl ServerHandle {
 
     /// Point-in-time health of every worker pool: completions, panics
     /// survived, and capacity rejections (sheds). The baseline server
-    /// reports one pool; the staged server reports all five (six with
-    /// the render split).
+    /// reports one pool; the staged server reports all five.
     ///
     /// Derived from the registry's `pool_*{pool=…}` families.
     pub fn pool_snapshots(&self) -> Vec<PoolSnapshot> {

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 pub(crate) type Conn = Connection<GovernedStream>;
 
 /// Where a model's map runs a stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Place {
     /// On the thread that produced the job: no queue, no hand-off.
     Inline,
@@ -63,18 +63,9 @@ pub(crate) struct StageMap {
     pub lengthy: Place,
     /// Template rendering.
     pub render: Place,
-    /// Rendering of templates classified lengthy (the §3.3 extension);
-    /// the same place as `render` unless the render split is on.
-    pub render_lengthy: Place,
 }
 
 impl StageMap {
-    /// Whether lengthy templates render somewhere of their own, which
-    /// is the only case worth tracking per-template render times for.
-    pub(crate) fn splits_render(&self) -> bool {
-        self.render_lengthy != self.render
-    }
-
     fn of(&self, stage: Stage) -> Place {
         match stage {
             Stage::Parse => self.keep_alive,
@@ -82,7 +73,6 @@ impl StageMap {
             Stage::General => self.general,
             Stage::Lengthy => self.lengthy,
             Stage::Render => self.render,
-            Stage::RenderLengthy => self.render_lengthy,
         }
     }
 }
@@ -216,7 +206,6 @@ impl Work {
             Work::Static(_) => Stage::Static,
             Work::Dynamic(d) if d.lengthy => Stage::Lengthy,
             Work::Dynamic(_) => Stage::General,
-            Work::Render(r) if r.lengthy => Stage::RenderLengthy,
             Work::Render(_) => Stage::Render,
         }
     }
@@ -269,8 +258,6 @@ pub(crate) struct RenderWork {
     pub page: String,
     pub context: Context,
     pub kind: RequestKind,
-    /// Whether the template is classified lengthy to render.
-    pub lengthy: bool,
     /// Carried through so the render stage can both publish a fresh
     /// render and fall back to a stale one when the deadline expired in
     /// its queue.
@@ -286,8 +273,6 @@ pub(crate) struct Core {
     /// The server's counters, cells of `registry`.
     pub counters: Counters,
     pub tracker: Arc<ServiceTimeTracker>,
-    /// Per-template render-time tracker for the render split.
-    pub render_tracker: ServiceTimeTracker,
     pub map: StageMap,
     /// The model's pool table, upstream first; the listener feeds
     /// `pools[0]`.
@@ -592,6 +577,6 @@ fn shed_point(stage: Stage) -> ShedPoint {
         Stage::Static => ShedPoint::StaticStage,
         Stage::General => ShedPoint::General,
         Stage::Lengthy => ShedPoint::Lengthy,
-        Stage::Render | Stage::RenderLengthy => ShedPoint::Render,
+        Stage::Render => ShedPoint::Render,
     }
 }

@@ -26,10 +26,6 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Average render time above which a template is *lengthy* when the
-/// render split is on (the same 5 ms as the default `lengthy_cutoff`).
-const RENDER_CUTOFF: Duration = Duration::from_millis(5);
-
 /// Graceful-shutdown budget: how long
 /// [`ServerHandle::shutdown`](crate::ServerHandle::shutdown) waits for
 /// queued and in-flight requests to finish before force-joining the
@@ -62,44 +58,27 @@ struct Model {
 impl Model {
     /// The paper's modified server (Figure 5): header parsing, static,
     /// general dynamic, lengthy dynamic and render pools, database
-    /// connections pinned to the two dynamic ones. With `split_render`
-    /// (the §3.3 extension) a quarter of the render workers (at least
-    /// one) form a sixth pool for lengthy templates.
+    /// connections pinned to the two dynamic ones.
     fn five_pool(c: &ServerConfig) -> Model {
-        let lengthy_render = if c.split_render {
-            (c.render_workers / 4).max(1)
-        } else {
-            0
-        };
-        let render = (c.render_workers - lengthy_render).max(1);
         let spec = |pool, stage, workers, owns_db| PoolSpec {
             pool,
             stage,
             workers,
             owns_db,
         };
-        let mut pools = vec![
+        let pools = vec![
             spec("header-parsing", "header", c.header_workers, false),
             spec("static", "static", c.static_workers, false),
             spec("general-dynamic", "general", c.general_workers, true),
             spec("lengthy-dynamic", "lengthy", c.lengthy_workers, true),
-            spec("render", "render", render, false),
+            spec("render", "render", c.render_workers, false),
         ];
-        if c.split_render {
-            pools.push(spec(
-                "render-lengthy",
-                "render-lengthy",
-                lengthy_render,
-                false,
-            ));
-        }
         let map = StageMap {
             keep_alive: Place::Pool(0),
             statics: Place::Pool(1),
             general: Place::Pool(2),
             lengthy: Place::Pool(3),
             render: Place::Pool(4),
-            render_lengthy: Place::Pool(pools.len() - 1),
         };
         Model {
             pools,
@@ -126,7 +105,6 @@ impl Model {
                 general: Place::Inline,
                 lengthy: Place::Inline,
                 render: Place::Inline,
-                render_lengthy: Place::Inline,
             },
             cached: false,
         }
@@ -331,7 +309,6 @@ fn start(
         app,
         counters,
         tracker: Arc::clone(&tracker),
-        render_tracker: ServiceTimeTracker::new(RENDER_CUTOFF),
         map: model.map,
         pools,
         scheduler,

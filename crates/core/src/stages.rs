@@ -296,11 +296,6 @@ impl Core {
         }
         let response = match outcome {
             Ok(PageOutcome::Template { name, context }) => {
-                // The §3.3 extension: templates whose average render
-                // time is lengthy go to the dedicated lengthy-render
-                // pool.
-                let lengthy = self.map.splits_render()
-                    && self.render_tracker.classify(&name) == RequestClass::Lengthy;
                 let work = Work::Render(RenderWork {
                     keep_alive,
                     method,
@@ -308,7 +303,6 @@ impl Core {
                     page,
                     context,
                     kind,
-                    lengthy,
                     cache,
                     reads,
                 });
@@ -393,9 +387,6 @@ impl Core {
                 Response::error(StatusCode::INTERNAL_SERVER_ERROR)
             }
         };
-        if self.map.splits_render() {
-            self.render_tracker.record(&work.name, started.elapsed());
-        }
         self.respond(
             conn,
             trace,

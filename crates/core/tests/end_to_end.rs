@@ -136,8 +136,8 @@ fn server_counters(server: &ServerHandle) -> Vec<(String, f64)> {
     out
 }
 
-/// Runs `test` against each stage→pool map: thread-per-request, the
-/// paper's five pools, and five pools plus the lengthy-render split.
+/// Runs `test` against each stage→pool map: thread-per-request and the
+/// paper's five pools.
 fn each_server(test: impl Fn(&ServerHandle, &str)) {
     let baseline = BaselineServer::start(ServerConfig::small(), demo_app(), demo_db()).unwrap();
     test(&baseline, "baseline");
@@ -146,14 +146,6 @@ fn each_server(test: impl Fn(&ServerHandle, &str)) {
     let staged = StagedServer::start(ServerConfig::small(), demo_app(), demo_db()).unwrap();
     test(&staged, "staged");
     staged.shutdown().expect("clean shutdown");
-
-    let config = ServerConfig {
-        split_render: true,
-        ..ServerConfig::small()
-    };
-    let split = StagedServer::start(config, demo_app(), demo_db()).unwrap();
-    test(&split, "staged+split_render");
-    split.shutdown().expect("clean shutdown");
 }
 
 /// Sends raw request bytes on a fresh connection and reads until the

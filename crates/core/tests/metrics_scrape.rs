@@ -91,8 +91,15 @@ fn staged_metrics_exposition_is_valid_and_complete() {
     let samples = validate_exposition(&text).expect("exposition must parse");
     assert!(samples > 50, "suspiciously few samples: {samples}\n{text}");
 
+    // Exactly the paper's five stage queues (Figure 5), no sixth.
+    let stages = ["header", "static", "general", "lengthy", "render"];
+    let depths: Vec<&str> = text
+        .lines()
+        .filter(|line| line.starts_with("stage_queue_depth{"))
+        .collect();
+    assert_eq!(depths.len(), stages.len(), "stage queues: {depths:?}");
     // Per-stage queue-wait and service-time histograms for every stage.
-    for stage in ["header", "static", "general", "lengthy", "render"] {
+    for stage in stages {
         assert!(
             text.contains(&format!("stage_queue_depth{{stage=\"{stage}\"}}")),
             "missing queue depth for {stage}:\n{text}"

@@ -17,13 +17,14 @@ use std::time::Duration;
 /// lock — held only to copy the plan out.
 const FAULT_RANK: Rank = Rank::new(200);
 
+/// The connection's route tag (see [`PooledConnection::set_route`]);
+/// held at the top of `execute` only while the statement is noted under
+/// the route (`db.routes`, rank 214), before the breaker and every
+/// table lock.
+const ROUTE_RANK: Rank = Rank::new(202);
 /// Rank of a connection's read-set accumulator: between the fault plan
 /// and the breaker handle. Never held across query execution — the
 /// statement collects into a local set, which is merged in afterwards.
-/// The connection's route tag (see [`PooledConnection::set_route`]);
-/// read at the top of `execute`, before the breaker and every database
-/// lock.
-const ROUTE_RANK: Rank = Rank::new(202);
 const READS_RANK: Rank = Rank::new(204);
 
 /// Rank of the breaker handle: above the fault plan, below the breaker
@@ -252,8 +253,8 @@ impl PooledConnection {
     pub fn execute(&self, sql: &str, params: &[DbValue]) -> Result<QueryResult, DbError> {
         // Route attribution happens up front so even statements that the
         // breaker or a fault plan rejects show up under their page.
-        if let Some(route) = self.route.lock().clone() {
-            self.inner.db.note_route_statement(&route, sql);
+        if let Some(route) = self.route.lock().as_deref() {
+            self.inner.db.note_route_statement(route, sql);
         }
         let breaker = self.inner.breaker.read().clone();
         if let Some(b) = &breaker {

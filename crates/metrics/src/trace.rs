@@ -73,8 +73,6 @@ pub enum Stage {
     Lengthy,
     /// Render pool.
     Render,
-    /// Render pool reserved for lengthy pages (split-render mode).
-    RenderLengthy,
 }
 
 impl Stage {
@@ -86,7 +84,6 @@ impl Stage {
             Stage::General => "general",
             Stage::Lengthy => "lengthy",
             Stage::Render => "render",
-            Stage::RenderLengthy => "render-lengthy",
         }
     }
 }
