@@ -172,7 +172,6 @@ fn start(cfg: ServerConfig) -> ServerHandle {
         scale: ScaleConfig::tiny(),
         server: cfg,
         cost: CostModel::free(),
-        db_capacity: 0,
         ebs: 1,
         ramp: Duration::ZERO,
         measure: Duration::ZERO,

@@ -62,10 +62,6 @@ pub struct Experiment {
     pub server: ServerConfig,
     /// Synthetic per-row query latency (see `DESIGN.md` §3).
     pub cost: CostModel,
-    /// Concurrent costed-query slots on the emulated database host;
-    /// 0 (the default) = unbounded, leaving the bounded connection
-    /// pool as the concurrency limit, as in the paper's testbed.
-    pub db_capacity: usize,
     /// Number of emulated browsers.
     pub ebs: usize,
     /// Warm-up excluded from measurement.
@@ -105,7 +101,6 @@ impl Default for Experiment {
             // so it stays under 1 ms (the paper's is ~3 s, ~300 ms at
             // ×10).
             cost: CostModel::new(30_000, 10_000),
-            db_capacity: 0,
             ebs: 250,
             ramp: Duration::from_secs(5),
             measure: Duration::from_secs(20),
@@ -149,13 +144,10 @@ impl Experiment {
                 "--scan-ns" => {
                     exp.cost.scan_ns_per_row = value(i).parse().expect("--scan-ns");
                 }
-                "--db-cap" => {
-                    exp.db_capacity = value(i).parse().expect("--db-cap");
-                }
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --ebs N --measure-secs S --ramp-secs S \
-                         --scale tiny|small|default --scan-ns N --db-cap N"
+                         --scale tiny|small|default --scan-ns N"
                     );
                     std::process::exit(0);
                 }
@@ -193,7 +185,6 @@ impl Experiment {
             }
         };
         db.set_cost_model(self.cost);
-        db.set_capacity(self.db_capacity);
         db
     }
 
@@ -358,7 +349,6 @@ mod tests {
             scale: ScaleConfig::tiny(),
             server: ServerConfig::small(),
             cost: CostModel::free(),
-            db_capacity: 0,
             ebs: 4,
             ramp: Duration::from_millis(50),
             measure: Duration::from_millis(400),
@@ -407,7 +397,6 @@ mod tests {
             scale: ScaleConfig::tiny(),
             server: ServerConfig::small(),
             cost: CostModel::free(),
-            db_capacity: 0,
             ebs: 4,
             ramp: Duration::from_millis(200),
             measure: Duration::from_millis(400),
@@ -435,7 +424,6 @@ mod tests {
             scale: ScaleConfig::tiny(),
             server: ServerConfig::small(),
             cost: CostModel::free(),
-            db_capacity: 0,
             ebs: 4,
             ramp: Duration::from_millis(50),
             measure: Duration::from_millis(300),

@@ -155,17 +155,11 @@ impl App {
         &self.inner.statics
     }
 
-    /// Registered dynamic route paths, sorted (exact routes only;
-    /// pattern routes are counted by [`App::pattern_count`]).
+    /// Registered dynamic route paths, sorted (exact routes only).
     pub fn route_paths(&self) -> Vec<String> {
         let mut paths: Vec<String> = self.inner.routes.keys().cloned().collect();
         paths.sort();
         paths
-    }
-
-    /// Number of registered pattern routes.
-    pub fn pattern_count(&self) -> usize {
-        self.inner.patterns.len()
     }
 }
 

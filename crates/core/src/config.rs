@@ -19,7 +19,6 @@
 //! `requests_completed_total` counters (`staged-bench`).
 
 use crate::governor::GovernorConfig;
-use crate::overload::ListenerChaos;
 use staged_db::{BreakerConfig, DurabilityConfig, FaultPlan};
 use staged_http::ParseLimits;
 use std::net::SocketAddr;
@@ -105,9 +104,6 @@ pub struct ServerConfig {
     /// How long a dynamic worker waits to check a replacement database
     /// connection out after its own dies mid-request.
     pub db_acquire_timeout: Duration,
-    /// Deterministic listener-level chaos (randomly kill or stall
-    /// accepted sockets). `None` (the default) disables it.
-    pub chaos: Option<ListenerChaos>,
     /// Deterministic database fault plan, installed into the connection
     /// pool at startup. `None` (the default) injects nothing.
     pub fault_plan: Option<FaultPlan>,
@@ -174,7 +170,6 @@ impl Default for ServerConfig {
             request_deadline: None,
             write_timeout: Some(Duration::from_secs(10)),
             db_acquire_timeout: Duration::from_millis(500),
-            chaos: None,
             fault_plan: None,
             breaker: None,
             doc_cache: false,
@@ -243,9 +238,6 @@ impl ServerConfig {
             self.baseline_workers
         );
         assert!(self.queue_factor >= 1, "queue_factor must be at least 1");
-        if let Some(chaos) = &self.chaos {
-            chaos.validate();
-        }
         if let Some(breaker) = &self.breaker {
             breaker.validate();
         }
@@ -255,7 +247,6 @@ impl ServerConfig {
                 "durability directory must not be empty"
             );
         }
-        self.governor.validate();
     }
 }
 

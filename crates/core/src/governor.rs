@@ -43,6 +43,11 @@ const PER_IP_RANK: Rank = Rank::new(115);
 /// point dead entries are swept.
 const PER_IP_SWEEP_LEN: usize = 4096;
 
+/// Fraction of [`GovernorConfig::max_connections`] at or above which
+/// finished keep-alive connections are harvested (closed instead of
+/// requeued) to free slots for new peers.
+const HARVEST_WATERMARK: f64 = 0.9;
+
 /// Connection-admission caps. Every cap defaults to `0` = disabled, so
 /// an unconfigured governor changes nothing.
 ///
@@ -53,9 +58,8 @@ const PER_IP_SWEEP_LEN: usize = 4096;
 ///
 /// let g = GovernorConfig::default();
 /// assert_eq!(g.max_connections, 0); // off by default
-/// g.validate();
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GovernorConfig {
     /// Maximum concurrently open connections across all peers; the
     /// listener turns excess connections away with `503`. `0` disables.
@@ -66,35 +70,6 @@ pub struct GovernorConfig {
     /// server closes it (the client may reconnect and re-enter admission
     /// control). `0` disables.
     pub keepalive_max_requests: u32,
-    /// Fraction of `max_connections` above which finished keep-alive
-    /// connections are harvested (closed instead of requeued) to free
-    /// slots for new peers. Only meaningful with a global cap.
-    pub harvest_watermark: f64,
-}
-
-impl Default for GovernorConfig {
-    fn default() -> Self {
-        GovernorConfig {
-            max_connections: 0,
-            per_ip_max_connections: 0,
-            keepalive_max_requests: 0,
-            harvest_watermark: 0.9,
-        }
-    }
-}
-
-impl GovernorConfig {
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `harvest_watermark` is outside `(0, 1]`.
-    pub fn validate(&self) {
-        assert!(
-            self.harvest_watermark > 0.0 && self.harvest_watermark <= 1.0,
-            "harvest_watermark must be in (0, 1]"
-        );
-    }
 }
 
 /// Why an accepted connection was turned away.
@@ -126,11 +101,10 @@ pub(crate) struct ConnectionGovernor {
 
 impl ConnectionGovernor {
     pub(crate) fn new(cfg: GovernorConfig) -> Self {
-        cfg.validate();
         let harvest_threshold = if cfg.max_connections == 0 {
             usize::MAX
         } else {
-            (((cfg.max_connections as f64) * cfg.harvest_watermark).ceil() as usize).max(1)
+            (((cfg.max_connections as f64) * HARVEST_WATERMARK).ceil() as usize).max(1)
         };
         ConnectionGovernor {
             inner: Arc::new(Inner {
@@ -419,9 +393,8 @@ mod tests {
     #[test]
     fn keepalive_cap_and_harvest_watermark() {
         let g = ConnectionGovernor::new(GovernorConfig {
-            max_connections: 10,
+            max_connections: 5,
             keepalive_max_requests: 3,
-            harvest_watermark: 0.5,
             ..GovernorConfig::default()
         });
         assert!(!g.keepalive_exhausted(2));
@@ -429,7 +402,10 @@ mod tests {
         let below: Vec<_> = (0..4).map(|_| g.admit(None).unwrap()).collect();
         assert!(!g.harvest_idle(), "below the watermark");
         let _at = g.admit(None).unwrap();
-        assert!(g.harvest_idle(), "at the watermark (5 of 10 at 0.5)");
+        assert!(
+            g.harvest_idle(),
+            "at the watermark (5 of 5 at 0.9, rounded up)"
+        );
         drop(below);
         assert!(!g.harvest_idle());
     }
@@ -439,7 +415,6 @@ mod tests {
         let g = ConnectionGovernor::new(GovernorConfig {
             max_connections: 1,
             per_ip_max_connections: 1,
-            harvest_watermark: 0.5,
             ..GovernorConfig::default()
         });
         let registry = Registry::new();
@@ -457,15 +432,5 @@ mod tests {
             .sum();
         assert_eq!(rejected, 2.0);
         assert_eq!(registry.value("keepalive_harvested_total", &[]), Some(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "harvest_watermark")]
-    fn zero_watermark_rejected() {
-        GovernorConfig {
-            harvest_watermark: 0.0,
-            ..GovernorConfig::default()
-        }
-        .validate();
     }
 }

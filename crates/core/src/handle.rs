@@ -1,7 +1,6 @@
 //! The handle returned by `start`, whatever the model.
 
 use crate::health::Readiness;
-use crate::scheduler::ServiceTimeTracker;
 use staged_db::{CircuitBreaker, FaultPlan};
 use staged_metrics::{Registry, Snapshot};
 use std::fmt;
@@ -86,7 +85,6 @@ impl Snapshot for PoolSnapshot {
 /// stop).
 pub struct ServerHandle {
     addr: SocketAddr,
-    tracker: Arc<ServiceTimeTracker>,
     registry: Arc<Registry>,
     readiness: Arc<Readiness>,
     set_fault: FaultFn,
@@ -105,7 +103,6 @@ impl fmt::Debug for ServerHandle {
 impl ServerHandle {
     pub(crate) fn new(
         addr: SocketAddr,
-        tracker: Arc<ServiceTimeTracker>,
         registry: Arc<Registry>,
         readiness: Arc<Readiness>,
         set_fault: FaultFn,
@@ -114,7 +111,6 @@ impl ServerHandle {
     ) -> Self {
         ServerHandle {
             addr,
-            tracker,
             registry,
             readiness,
             set_fault,
@@ -155,13 +151,6 @@ impl ServerHandle {
     /// The bound listen address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The live per-page data-generation tracker (the scheduler's
-    /// classification input; under the thread-per-request model it
-    /// only labels completions quick/lengthy).
-    pub fn service_times(&self) -> &Arc<ServiceTimeTracker> {
-        &self.tracker
     }
 
     /// Point-in-time health of every worker pool: completions, panics

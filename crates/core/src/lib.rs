@@ -79,7 +79,6 @@ pub use error::AppError;
 pub use governor::GovernorConfig;
 pub use handle::{PoolSnapshot, ServerHandle, ShutdownError};
 pub use health::{Phase, Readiness};
-pub use overload::{ChaosAction, ListenerChaos};
 pub use scheduler::{DynamicPoolChoice, RequestClass, ReserveController, ServiceTimeTracker};
 pub use server::{BaselineServer, StagedServer};
 pub use stats::{RequestKind, ShedPoint};

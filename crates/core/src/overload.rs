@@ -1,8 +1,8 @@
 //! Overload-control and fault-injection machinery shared by both
-//! servers: the shed (`503`) response, deterministic listener chaos,
-//! and the worker-owned database slot that survives connection death.
+//! servers: the shed (`503`) response and the worker-owned database
+//! slot that survives connection death.
 
-use staged_db::{splitmix64, ConnectionPool, PooledConnection, ReadSet};
+use staged_db::{ConnectionPool, PooledConnection, ReadSet};
 use staged_http::{Response, StatusCode};
 use staged_sync::{OrderedMutex, Rank};
 use std::collections::VecDeque;
@@ -10,105 +10,6 @@ use std::time::{Duration, Instant};
 
 /// Rank of the retry estimator's sample window (DESIGN.md §10).
 const SAMPLES_RANK: Rank = Rank::new(110);
-
-/// What the listener does with one accepted socket under chaos testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosAction {
-    /// Hand the socket to the header stage as usual.
-    Pass,
-    /// Drop the socket immediately (simulates a client vanishing or a
-    /// network partition right after accept).
-    Kill,
-    /// Sleep in the accept loop before enqueuing (simulates an accept
-    /// hiccup: interrupt storms, a stalled accept thread).
-    Stall,
-}
-
-/// Deterministic listener-level chaos: a seeded fraction of accepted
-/// sockets is killed or stalled. The decision is a pure function of
-/// `(seed, connection sequence number)`, so a run is exactly
-/// reproducible from its seed — the same property
-/// [`staged_db::FaultPlan`] gives query faults.
-///
-/// # Examples
-///
-/// ```
-/// use staged_core::{ChaosAction, ListenerChaos};
-///
-/// let chaos = ListenerChaos::seeded(7).kill_rate(0.5);
-/// let first = chaos.decide(0);
-/// assert_eq!(first, chaos.decide(0)); // deterministic
-/// assert!(matches!(first, ChaosAction::Pass | ChaosAction::Kill));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ListenerChaos {
-    /// Seed for the per-connection decision hash.
-    pub seed: u64,
-    /// Probability an accepted socket is dropped on the floor.
-    pub kill_rate: f64,
-    /// Probability the listener stalls before enqueuing a socket.
-    pub stall_rate: f64,
-    /// How long a stall lasts.
-    pub stall: Duration,
-}
-
-impl ListenerChaos {
-    /// Creates a plan that does nothing yet (both rates zero).
-    pub fn seeded(seed: u64) -> Self {
-        ListenerChaos {
-            seed,
-            kill_rate: 0.0,
-            stall_rate: 0.0,
-            stall: Duration::from_millis(1),
-        }
-    }
-
-    /// Sets the kill probability (`[0, 1]`).
-    pub fn kill_rate(mut self, rate: f64) -> Self {
-        self.kill_rate = rate;
-        self
-    }
-
-    /// Sets the stall probability (`[0, 1]`).
-    pub fn stall_rate(mut self, rate: f64) -> Self {
-        self.stall_rate = rate;
-        self
-    }
-
-    /// Sets the stall duration.
-    pub fn stall(mut self, stall: Duration) -> Self {
-        self.stall = stall;
-        self
-    }
-
-    pub(crate) fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.kill_rate),
-            "chaos kill_rate must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.stall_rate),
-            "chaos stall_rate must be in [0, 1]"
-        );
-        assert!(
-            self.kill_rate + self.stall_rate <= 1.0,
-            "chaos kill_rate + stall_rate must not exceed 1"
-        );
-    }
-
-    /// The fate of the `conn_seq`-th accepted socket.
-    pub fn decide(&self, conn_seq: u64) -> ChaosAction {
-        let draw = splitmix64(self.seed ^ conn_seq.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
-        if unit < self.kill_rate {
-            ChaosAction::Kill
-        } else if unit < self.kill_rate + self.stall_rate {
-            ChaosAction::Stall
-        } else {
-            ChaosAction::Pass
-        }
-    }
-}
 
 /// The well-formed shed response: `503 Service Unavailable` with a
 /// `Retry-After` hint and `Connection: close` (a shed connection is
@@ -310,44 +211,6 @@ mod tests {
     use super::*;
     use staged_db::Database;
     use std::sync::Arc;
-
-    #[test]
-    fn chaos_is_deterministic_and_rate_accurate() {
-        let chaos = ListenerChaos::seeded(42).kill_rate(0.3).stall_rate(0.2);
-        chaos.validate();
-        let n = 20_000u64;
-        let (mut kills, mut stalls) = (0u64, 0u64);
-        for seq in 0..n {
-            let action = chaos.decide(seq);
-            assert_eq!(action, chaos.decide(seq));
-            match action {
-                ChaosAction::Kill => kills += 1,
-                ChaosAction::Stall => stalls += 1,
-                ChaosAction::Pass => {}
-            }
-        }
-        let kill_frac = kills as f64 / n as f64;
-        let stall_frac = stalls as f64 / n as f64;
-        assert!((kill_frac - 0.3).abs() < 0.02, "kill fraction {kill_frac}");
-        assert!(
-            (stall_frac - 0.2).abs() < 0.02,
-            "stall fraction {stall_frac}"
-        );
-    }
-
-    #[test]
-    fn zero_rates_always_pass() {
-        let chaos = ListenerChaos::seeded(1);
-        for seq in 0..1_000 {
-            assert_eq!(chaos.decide(seq), ChaosAction::Pass);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "kill_rate")]
-    fn out_of_range_rate_rejected() {
-        ListenerChaos::seeded(0).kill_rate(1.5).validate();
-    }
 
     #[test]
     fn shed_response_is_wellformed() {

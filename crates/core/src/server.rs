@@ -12,14 +12,14 @@ use crate::doccache::{self, DocCache};
 use crate::governor::{ConnectionGovernor, GovernedStream};
 use crate::handle::{FaultFn, ServerHandle, ShutdownError, ShutdownFn};
 use crate::health::Readiness;
-use crate::overload::{ChaosAction, DbSlot, RetryEstimator};
+use crate::overload::{DbSlot, RetryEstimator};
 use crate::pipeline::{Core, Job, Place, PoolPort, Scheduler, SpareThreads, StageMap};
 use crate::scheduler::{ReserveController, ServiceTimeTracker};
 use crate::stats::{Counters, ShedPoint};
 use staged_db::{ConnectionPool, Database};
 use staged_http::{Connection, Method};
 use staged_metrics::{Registry, TraceHub};
-use staged_pool::{PoolConfig, PoolStats, SyncQueue, WorkerPool};
+use staged_pool::{PoolStats, SyncQueue, WorkerPool};
 use staged_sync::atomic::{AtomicBool, Ordering};
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -308,7 +308,7 @@ fn start(
     let core = Arc::new(Core {
         app,
         counters,
-        tracker: Arc::clone(&tracker),
+        tracker,
         map: model.map,
         pools,
         scheduler,
@@ -335,7 +335,8 @@ fn start(
             WorkerPool::with_parts(
                 Arc::clone(&port.queue),
                 Arc::clone(&port.stats),
-                PoolConfig::new(spec.pool, spec.workers),
+                spec.pool,
+                spec.workers,
                 |_| {
                     spec.owns_db
                         .then(|| DbSlot::new(&connections, config.db_acquire_timeout))
@@ -422,7 +423,7 @@ fn start(
     });
 
     Ok(ServerHandle::new(
-        addr, tracker, registry, readiness, set_fault, breaker, shutdown,
+        addr, registry, readiness, set_fault, breaker, shutdown,
     ))
 }
 
@@ -431,7 +432,6 @@ fn start(
 /// with a `503` instead of stalling the accept loop (which would just
 /// move the backlog into the kernel).
 fn accept_loop(core: &Core, listener: &TcpListener, stop: &AtomicBool, config: &ServerConfig) {
-    let mut conn_seq: u64 = 0;
     for incoming in listener.incoming() {
         if stop.load(Ordering::Acquire) {
             break;
@@ -440,19 +440,6 @@ fn accept_loop(core: &Core, listener: &TcpListener, stop: &AtomicBool, config: &
             core.counters.dropped_connections.increment();
             continue;
         };
-        let seq = conn_seq;
-        conn_seq += 1;
-        match config.chaos.map_or(ChaosAction::Pass, |c| c.decide(seq)) {
-            ChaosAction::Pass => {}
-            ChaosAction::Kill => {
-                core.counters.chaos_killed.increment();
-                continue;
-            }
-            ChaosAction::Stall => {
-                core.counters.chaos_stalled.increment();
-                std::thread::sleep(config.chaos.expect("stall implies chaos").stall);
-            }
-        }
         let _ = stream.set_read_timeout(config.read_timeout);
         let _ = stream.set_write_timeout(config.write_timeout);
         // Admission control: over-cap connections are turned away with

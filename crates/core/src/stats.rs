@@ -111,10 +111,6 @@ pub(crate) struct Counters {
     /// Requests answered `503` because no database connection could be
     /// re-acquired after the worker's own died.
     pub pool_starved: Arc<Counter>,
-    /// Accepted sockets dropped by the chaos knob.
-    pub chaos_killed: Arc<Counter>,
-    /// Accepted sockets whose enqueue the chaos knob stalled.
-    pub chaos_stalled: Arc<Counter>,
     /// Requests answered from the response cache's stale copy (`2xx`
     /// with `Warning: 110`) because fresh generation was unavailable —
     /// the middle rung of the degradation ladder.
@@ -147,8 +143,6 @@ impl Counters {
             handler_panics: flat("handler_panics_total"),
             deadline_expired: flat("deadline_expired_total"),
             pool_starved: flat("pool_starved_total"),
-            chaos_killed: flat("chaos_killed_total"),
-            chaos_stalled: flat("chaos_stalled_total"),
             degraded: flat("degraded_total"),
             stale_misses: flat("stale_misses_total"),
             slowloris_kills: flat("slowloris_kills_total"),

@@ -3,12 +3,13 @@
 //! `408`) while well-behaved clients keep getting served, the
 //! connection governor's per-IP cap must turn away the (N+1)th socket
 //! with a `503` and free the slot on close, the keep-alive request
-//! quota must close the connection after its budget, and oversized
-//! headers/bodies must be answered `431`/`413`, not silently dropped.
+//! quota must close the connection after its budget, oversized
+//! headers/bodies must be answered `431`/`413`, not silently dropped,
+//! and clients that vanish mid-exchange must leave nothing behind.
 
 use staged_core::{App, BaselineServer, PageOutcome, ServerConfig, ServerHandle, StagedServer};
 use staged_db::Database;
-use staged_http::{fetch_with_timeout, read_response, Method, Response};
+use staged_http::{fetch_with_timeout, read_response, Method, Response, StaticFiles};
 use staged_templates::TemplateStore;
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -16,8 +17,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn ping_app() -> App {
+    let mut statics = StaticFiles::in_memory();
+    statics.insert("/img/pixel.gif", b"GIF89a-pixel".to_vec());
     App::builder()
         .templates(Arc::new(TemplateStore::new()))
+        .static_files(statics)
         .route("/ping", "ping", |_req, _db| {
             Ok(PageOutcome::Body(Response::text("pong")))
         })
@@ -216,6 +220,61 @@ fn oversized_header_and_body_get_431_and_413() {
         let resp = read_response(&mut sock).expect("413 is a real response");
         assert_eq!(resp.status.as_u16(), 413, "oversized declared body");
         assert_eq!(resp.headers.get("connection"), Some("close"));
+        server.shutdown().expect("clean shutdown");
+    }
+}
+
+/// About a hundred clients that vanish abruptly — right after connect,
+/// halfway through the request line, or after a full request without
+/// reading the answer — leave no connection counted open, no worker
+/// lost to a panic, and a server that still serves.
+#[test]
+fn abrupt_disconnects_leave_no_open_connection_or_panic() {
+    for start in [
+        start_staged as fn(ServerConfig) -> ServerHandle,
+        start_baseline,
+    ] {
+        let server = start(base_cfg());
+        let addr = server.addr();
+        let clients: Vec<_> = (0..4)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    for n in 0..25 {
+                        let Ok(mut sock) = TcpStream::connect(addr) else {
+                            continue;
+                        };
+                        let sent: &[u8] = match (t + n) % 3 {
+                            0 => b"",
+                            1 => b"GET /pi",
+                            _ => b"GET /ping HTTP/1.1\r\nHost: t\r\n\r\n",
+                        };
+                        let _ = sock.write_all(sent);
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().expect("client thread");
+        }
+
+        // The listener accepts in order, so once this fetch is served
+        // every abandoned socket has been admitted and counted open.
+        let resp = fetch_with_timeout(
+            addr,
+            Method::Get,
+            "/img/pixel.gif",
+            &[],
+            Duration::from_secs(2),
+        )
+        .expect("static fetch after the disconnects");
+        assert!(resp.status.is_success());
+        assert_eq!(resp.body, b"GIF89a-pixel");
+        wait_for("every abandoned connection closed", || {
+            counter(&server, "connections_open", &[]) == 0.0
+        });
+        for pool in server.pool_snapshots() {
+            assert_eq!(pool.panicked, 0, "pool {} counted a panic", pool.name);
+        }
         server.shutdown().expect("clean shutdown");
     }
 }

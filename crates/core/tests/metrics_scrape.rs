@@ -182,8 +182,6 @@ fn server_counter_schema_is_frozen() {
             "handler_panics",
             "deadline_expired",
             "pool_starved",
-            "chaos_killed",
-            "chaos_stalled",
             "degraded",
             "stale_misses",
             "slowloris_kills",
@@ -191,7 +189,7 @@ fn server_counter_schema_is_frozen() {
         .iter()
         .map(|name| format!("{name}_total 0")),
     );
-    assert_eq!(expected.len(), 19);
+    assert_eq!(expected.len(), 17);
     for which in ["staged", "baseline"] {
         let server = if which == "staged" {
             StagedServer::start(ServerConfig::small(), demo_app(), demo_db()).unwrap()

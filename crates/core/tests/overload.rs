@@ -4,8 +4,7 @@
 //! positive goodput.
 
 use staged_core::{
-    App, BaselineServer, ListenerChaos, PageOutcome, ServerConfig, ServerHandle, ShedPoint,
-    StagedServer,
+    App, BaselineServer, PageOutcome, ServerConfig, ServerHandle, ShedPoint, StagedServer,
 };
 use staged_db::{Database, DbValue, FaultPlan};
 use staged_http::{fetch, fetch_with_timeout, Method, Response, StaticFiles, StatusCode};
@@ -301,8 +300,8 @@ fn expired_deadlines_answer_503_on_both_servers() {
     }
 }
 
-/// A full fault-mode run: query errors, added latency, periodic
-/// connection death, and listener chaos all at once. The run must
+/// A full fault-mode run: query errors, added latency and periodic
+/// connection death all at once. The run must
 /// terminate (no hangs), no worker may die, and goodput must stay
 /// positive on both servers.
 #[test]
@@ -315,7 +314,6 @@ fn fault_mode_run_keeps_both_servers_alive() {
                 .extra_latency(Duration::from_millis(1))
                 .death_period(17),
         );
-        config.chaos = Some(ListenerChaos::seeded(0x0d5e).kill_rate(0.1));
         let started = Arc::new(AtomicUsize::new(0));
         let release = Arc::new(AtomicBool::new(true));
         let app = gated_app(started, release);
@@ -351,10 +349,6 @@ fn fault_mode_run_keeps_both_servers_alive() {
         let ok: u64 = clients.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(ok > 0, "{which}: goodput must stay positive under faults");
 
-        assert!(
-            server.registry().value("chaos_killed_total", &[]) > Some(0.0),
-            "{which}: chaos must have fired"
-        );
         for pool in server.pool_snapshots() {
             assert_eq!(
                 pool.panicked, 0,
@@ -363,7 +357,7 @@ fn fault_mode_run_keeps_both_servers_alive() {
             );
         }
         // The server is still answering after the storm (statics bypass
-        // the fault plan; retry until chaos lets one connection through).
+        // the fault plan).
         let alive = (0..20).any(|_| {
             fetch(addr, Method::Get, "/img/pixel.gif", &[]).is_ok_and(|r| r.status.is_success())
         });

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 /// Indexed point lookups scan a handful of rows and stay fast; the
 /// best-seller/new-product/search scans touch 10⁴–10⁵ rows and become
 /// the paper's "lengthy" queries. The delay is injected **after the
-/// statement's table locks are released** (`Database::charge`;
+/// statement's table locks are released** (`Database::execute_statement`;
 /// DESIGN.md's substitution table says why): it occupies the
 /// connection — the paper's precious resource — for as long as the
 /// paper's queries ran, but never a table lock.

@@ -14,7 +14,6 @@ use crate::sql::parser;
 use crate::table::TableData;
 use crate::value::DbValue;
 use crate::wal::{CheckpointPhase, DurabilityConfig, DurabilityStatus, Wal, WalStats};
-use staged_pool::SyncQueue;
 use staged_sync::atomic::{AtomicU64, Ordering};
 use staged_sync::{OrderedMutex, OrderedRwLock, Rank};
 use std::collections::{BTreeMap, HashMap};
@@ -44,7 +43,6 @@ const DURABLE_RANK: Rank = Rank::new(222);
 /// against a fuzzy base state. SELECTs never touch the gate.
 const COMMIT_GATE_RANK: Rank = Rank::new(225);
 const TABLES_RANK: Rank = Rank::new(230);
-const CAPACITY_RANK: Rank = Rank::new(240);
 const COST_RANK: Rank = Rank::new(250);
 const STMT_CACHE_RANK: Rank = Rank::new(260);
 /// Multi-table SELECTs take several table locks at this rank; the
@@ -121,9 +119,6 @@ struct Durable {
     checkpoints: AtomicU64,
     /// Records replayed from the WAL when this database was opened.
     replayed: u64,
-    /// Records committed since the last checkpoint, for
-    /// [`DurabilityConfig::checkpoint_every`].
-    since_checkpoint: AtomicU64,
 }
 
 impl Durable {
@@ -147,14 +142,6 @@ impl Durable {
         self.last_checkpoint_ms
             .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed); // lint: allow(relaxed)
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.since_checkpoint.store(0, Ordering::Relaxed); // lint: allow(relaxed)
-    }
-
-    /// Counts one committed record; true when the auto-checkpoint
-    /// threshold is crossed (exactly once per crossing).
-    fn on_committed(&self) -> bool {
-        let every = self.config.checkpoint_every;
-        every > 0 && self.since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1 == every
     }
 }
 
@@ -213,10 +200,6 @@ impl TableEntry {
 pub struct Database {
     tables: OrderedRwLock<BTreeMap<String, Arc<TableEntry>>>,
     cost: OrderedRwLock<CostModel>,
-    /// Optional bound on concurrently *executing* costed queries — the
-    /// stand-in for the paper's dedicated database host, whose CPU/disk
-    /// capacity both servers share equally. `None` means unbounded.
-    capacity: OrderedRwLock<Option<Arc<SyncQueue<()>>>>,
     stmt_cache: OrderedMutex<HashMap<String, Prepared>>,
     /// `Some` once durability is attached ([`Database::open`] /
     /// [`Database::enable_durability`]).
@@ -256,7 +239,6 @@ impl Database {
         Database {
             tables: OrderedRwLock::new(TABLES_RANK, "db.tables", BTreeMap::new()),
             cost: OrderedRwLock::new(COST_RANK, "db.cost", CostModel::free()),
-            capacity: OrderedRwLock::new(CAPACITY_RANK, "db.capacity", None),
             stmt_cache: OrderedMutex::new(STMT_CACHE_RANK, "db.stmt_cache", HashMap::new()),
             durable: OrderedRwLock::new(DURABLE_RANK, "db.durable", None),
             commit_gate: OrderedRwLock::new(COMMIT_GATE_RANK, "db.commit_gate", ()),
@@ -276,43 +258,6 @@ impl Database {
     /// cached page.
     pub fn set_write_observer(&self, f: impl Fn(&WriteEvent) + Send + Sync + 'static) {
         *self.write_observer.write() = Some(Arc::new(f));
-    }
-
-    /// Bounds the number of costed queries executing concurrently,
-    /// emulating a database host with `slots` cores/disks. Queries whose
-    /// synthetic delay is under 1 ms bypass the bound — a real DB host
-    /// time-slices, so point lookups never wait behind long scans the
-    /// way a FIFO slot queue would force them to. `0` removes the
-    /// bound.
-    pub fn set_capacity(&self, slots: usize) {
-        *self.capacity.write() = if slots == 0 {
-            None
-        } else {
-            let q = SyncQueue::bounded(slots);
-            for _ in 0..slots {
-                q.push(()).expect("fresh queue accepts tokens");
-            }
-            Some(Arc::new(q))
-        };
-    }
-
-    /// Charges the cost model for a finished statement, *after* its
-    /// table locks are released (MySQL's MVCC readers similarly do not
-    /// hold table locks across long scans). Long delays contend for the
-    /// capacity slots installed by [`Database::set_capacity`].
-    fn charge(&self, scanned: u64, written: u64) {
-        let cost = self.cost_model();
-        let delay = cost.delay_for(scanned, written);
-        if delay >= std::time::Duration::from_millis(1) {
-            let capacity = self.capacity.read().clone();
-            if let Some(tokens) = capacity {
-                tokens.pop();
-                cost.charge(scanned, written);
-                let _ = tokens.push(());
-                return;
-            }
-        }
-        cost.charge(scanned, written);
     }
 
     /// Installs a cost model (applies to subsequent statements).
@@ -595,8 +540,10 @@ impl Database {
             Some(plan) => self.run_select_planned(stmt, plan, params, &mut stats, reads, path)?,
             None => self.run_mutation(stmt, sql, params, &mut stats)?,
         };
-        // Synthetic latency is charged after the guards are gone.
-        self.charge(stats.scanned, stats.written);
+        // Synthetic latency is charged after the guards are gone
+        // (MySQL's MVCC readers similarly do not hold table locks
+        // across long scans).
+        self.cost_model().charge(stats.scanned, stats.written);
         Ok(result)
     }
 
@@ -694,9 +641,6 @@ impl Database {
         if let (Some(d), Some(seq)) = (&durable, seq) {
             // Group-commit wait happens with zero locks held.
             d.wal.commit(seq)?;
-            if d.on_committed() {
-                self.checkpoint()?;
-            }
         }
         // Notify after the commit (a subscriber must never evict for a
         // write that could still fail durability) and before returning
@@ -896,7 +840,6 @@ impl Database {
             last_checkpoint_ms: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             replayed,
-            since_checkpoint: AtomicU64::new(0),
         });
         *self.durable.write() = Some(durable);
         Ok(())

@@ -114,7 +114,7 @@ impl FaultPlan {
 }
 
 /// SplitMix64: a tiny, high-quality mixing function. Exposed so other
-/// crates (e.g. the servers' listener chaos knob) can derive
+/// crates (e.g. the hostile-traffic fleets in `staged-bench`) can derive
 /// deterministic per-event randomness from a seed without pulling in an
 /// RNG dependency.
 pub fn splitmix64(mut x: u64) -> u64 {

@@ -93,10 +93,11 @@ impl FsyncPolicy {
 ///
 /// ```no_run
 /// use staged_db::{Database, DurabilityConfig, FsyncPolicy};
+/// use std::time::Duration;
 ///
 /// let config = DurabilityConfig::new("target/tmp/mydb")
-///     .fsync(FsyncPolicy::Always)
-///     .checkpoint_every(10_000);
+///     .fsync(FsyncPolicy::Interval(Duration::from_millis(10)))
+///     .checkpoint_on_shutdown(true);
 /// let db = Database::open(config).unwrap();
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -106,9 +107,6 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// Fsync policy for the WAL.
     pub fsync: FsyncPolicy,
-    /// Auto-checkpoint after this many records since the last
-    /// checkpoint (`0` = only explicit/shutdown checkpoints).
-    pub checkpoint_every: u64,
     /// Whether a clean [`ServerHandle::shutdown`] checkpoints the
     /// database so the next open replays nothing. Read by the server
     /// crates; the database itself never checkpoints on drop.
@@ -121,13 +119,13 @@ pub struct DurabilityConfig {
 
 impl DurabilityConfig {
     /// Durability in `dir` with the safe defaults: fsync `always`,
-    /// manual checkpoints only, checkpoint on clean shutdown, no crash
-    /// injection.
+    /// checkpoint on clean shutdown (and whenever
+    /// [`Database::checkpoint`](crate::Database::checkpoint) is called),
+    /// no crash injection.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Always,
-            checkpoint_every: 0,
             checkpoint_on_shutdown: true,
             crash: None,
         }
@@ -136,12 +134,6 @@ impl DurabilityConfig {
     /// Sets the fsync policy.
     pub fn fsync(mut self, policy: FsyncPolicy) -> Self {
         self.fsync = policy;
-        self
-    }
-
-    /// Auto-checkpoint after `records` appended records (`0` disables).
-    pub fn checkpoint_every(mut self, records: u64) -> Self {
-        self.checkpoint_every = records;
         self
     }
 

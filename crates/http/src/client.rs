@@ -80,135 +80,6 @@ pub fn fetch_with_timeout(
     read_response(&mut stream)
 }
 
-/// Jittered exponential backoff policy for [`fetch_with_retry`].
-///
-/// Retrying clients that sleep deterministic powers-of-two all wake at
-/// the same instant and re-form the very flash crowd the server just
-/// shed. *Full jitter* (AWS architecture blog terminology) sleeps a
-/// uniformly random duration in `[0, min(cap, base·2^attempt))` so a
-/// herd of recovering clients spreads itself out.
-///
-/// # Examples
-///
-/// ```
-/// use staged_http::RetryPolicy;
-/// use std::time::Duration;
-///
-/// let policy = RetryPolicy::seeded(7);
-/// let d = policy.backoff_delay(3);
-/// assert!(d < Duration::from_millis(200)); // 25ms * 2^3
-/// ```
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (1 = no retries).
-    pub attempts: u32,
-    /// Base delay; attempt `n` draws from `[0, base·2^n)`.
-    pub base: Duration,
-    /// Upper bound on any single delay.
-    pub cap: Duration,
-    rng: u64,
-}
-
-impl RetryPolicy {
-    /// A policy with 4 attempts, 25 ms base, 1 s cap, and a
-    /// deterministic jitter stream derived from `seed`.
-    pub fn seeded(seed: u64) -> Self {
-        RetryPolicy {
-            attempts: 4,
-            base: Duration::from_millis(25),
-            cap: Duration::from_secs(1),
-            rng: seed ^ 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    /// The full-jitter delay before retry number `attempt` (0-based:
-    /// the delay after the first failure is `backoff_delay(0)`).
-    ///
-    /// Deterministic for a given `(seed, attempt)` pair so benches
-    /// replay exactly; different seeds decorrelate different clients.
-    pub fn backoff_delay(&self, attempt: u32) -> Duration {
-        let ceiling = self
-            .base
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(self.cap);
-        let nanos = ceiling.as_nanos() as u64;
-        if nanos == 0 {
-            return Duration::ZERO;
-        }
-        // splitmix64 of (seed, attempt): deterministic per policy, but
-        // different seeds decorrelate different clients.
-        let mut z = self
-            .rng
-            .wrapping_add((u64::from(attempt) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        Duration::from_nanos(z % nanos)
-    }
-}
-
-/// The retry floor a shed response advertised: its `Retry-After`
-/// header parsed as integer seconds (the only form this repo's servers
-/// emit). Absent or unparseable advice yields `None`.
-fn retry_after_floor(resp: &ClientResponse) -> Option<Duration> {
-    resp.headers
-        .get("retry-after")
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_secs)
-}
-
-/// [`fetch_with_timeout`] wrapped in jittered-exponential-backoff
-/// retries for *transport* failures (connect refused, reset, timeout)
-/// **and** `503 Service Unavailable` responses.
-///
-/// A `503` is the server shedding load on purpose, and its
-/// `Retry-After` header is the server's own estimate of when capacity
-/// returns — so the retry sleeps `max(jittered backoff, Retry-After)`,
-/// with the server's advice clamped to `policy.cap` (a client should
-/// honour the floor, not let a pathological header park it forever).
-/// The final attempt's `503` is returned as-is, advice and all, so
-/// callers can surface it. Other parsed responses are returned
-/// immediately: the server answered.
-///
-/// # Errors
-///
-/// The last transport or parse error once `policy.attempts` is
-/// exhausted.
-pub fn fetch_with_retry(
-    addr: SocketAddr,
-    method: Method,
-    target: &str,
-    body: &[u8],
-    timeout: Duration,
-    policy: &RetryPolicy,
-) -> Result<ClientResponse, HttpError> {
-    let attempts = policy.attempts.max(1);
-    let mut last = None;
-    for attempt in 0..attempts {
-        let floor = match fetch_with_timeout(addr, method, target, body, timeout) {
-            Ok(resp)
-                if resp.status == StatusCode::SERVICE_UNAVAILABLE && attempt + 1 < attempts =>
-            {
-                retry_after_floor(&resp)
-                    .unwrap_or(Duration::ZERO)
-                    .min(policy.cap)
-            }
-            Ok(resp) => return Ok(resp),
-            Err(e) => {
-                last = Some(e);
-                Duration::ZERO
-            }
-        };
-        if attempt + 1 < attempts {
-            let delay = policy.backoff_delay(attempt).max(floor);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-        }
-    }
-    Err(last.expect("at least one attempt was made"))
-}
-
 /// Reads and parses one HTTP response from a stream.
 ///
 /// # Errors
@@ -351,142 +222,6 @@ mod tests {
             read_response(&mut Cursor::new(Vec::new())),
             Err(HttpError::ConnectionClosed { clean: true })
         ));
-    }
-
-    #[test]
-    fn backoff_delays_bounded_and_deterministic() {
-        let policy = RetryPolicy::seeded(42);
-        for attempt in 0..8 {
-            let ceiling = policy
-                .base
-                .saturating_mul(1u32 << attempt.min(16))
-                .min(policy.cap);
-            let d = policy.backoff_delay(attempt);
-            assert!(
-                d < ceiling.max(Duration::from_nanos(1)),
-                "attempt {attempt}"
-            );
-            // Same seed + attempt → same delay (reproducible benches).
-            assert_eq!(d, RetryPolicy::seeded(42).backoff_delay(attempt));
-        }
-        // Different seeds decorrelate.
-        let a: Vec<_> = (0..8)
-            .map(|i| RetryPolicy::seeded(1).backoff_delay(i))
-            .collect();
-        let b: Vec<_> = (0..8)
-            .map(|i| RetryPolicy::seeded(2).backoff_delay(i))
-            .collect();
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn backoff_ceiling_capped() {
-        let policy = RetryPolicy::seeded(9);
-        // Far past the cap's crossover point, delays stay under the cap.
-        assert!(policy.backoff_delay(30) < policy.cap);
-    }
-
-    #[test]
-    fn retry_surfaces_last_error_for_dead_address() {
-        // Port 1 on localhost: connect fails fast; all attempts burn.
-        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let mut policy = RetryPolicy::seeded(3);
-        policy.attempts = 2;
-        policy.base = Duration::from_millis(1);
-        let err = fetch_with_retry(
-            addr,
-            Method::Get,
-            "/",
-            &[],
-            Duration::from_millis(100),
-            &policy,
-        );
-        assert!(err.is_err());
-    }
-
-    /// Serves one scripted raw response per accepted connection, then
-    /// exits. Each response closes its connection (as the real servers'
-    /// shed path does).
-    fn serve_script(responses: Vec<&'static [u8]>) -> SocketAddr {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || {
-            for raw in responses {
-                let Ok((mut stream, _)) = listener.accept() else {
-                    return;
-                };
-                let mut buf = [0u8; 2048];
-                let _ = stream.read(&mut buf);
-                let _ = stream.write_all(raw);
-            }
-        });
-        addr
-    }
-
-    #[test]
-    fn retry_after_floor_applies_to_503_retries() {
-        let addr = serve_script(vec![
-            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok",
-        ]);
-        let mut policy = RetryPolicy::seeded(5);
-        policy.base = Duration::from_millis(1); // jitter ceiling ≪ the floor
-        policy.cap = Duration::from_millis(80); // clamps the 1 s advice
-        let started = std::time::Instant::now();
-        let resp =
-            fetch_with_retry(addr, Method::Get, "/", &[], Duration::from_secs(5), &policy).unwrap();
-        assert_eq!(resp.status, StatusCode::OK, "retried through the 503");
-        assert!(
-            started.elapsed() >= Duration::from_millis(80),
-            "Retry-After floor (clamped to cap) not honoured: {:?}",
-            started.elapsed()
-        );
-    }
-
-    #[test]
-    fn final_attempt_503_returned_with_its_advice() {
-        let addr = serve_script(vec![
-            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 2\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-        ]);
-        let mut policy = RetryPolicy::seeded(6);
-        policy.attempts = 2;
-        policy.base = Duration::from_millis(1);
-        policy.cap = Duration::from_millis(20);
-        let resp =
-            fetch_with_retry(addr, Method::Get, "/", &[], Duration::from_secs(5), &policy).unwrap();
-        assert_eq!(resp.status, StatusCode::SERVICE_UNAVAILABLE);
-        assert_eq!(
-            resp.headers.get("retry-after"),
-            Some("2"),
-            "the last shed response must surface as-is"
-        );
-    }
-
-    #[test]
-    fn missing_or_garbled_retry_after_means_no_floor() {
-        let ok = ClientResponse {
-            status: StatusCode::SERVICE_UNAVAILABLE,
-            headers: HeaderMap::new(),
-            body: Vec::new(),
-        };
-        assert_eq!(retry_after_floor(&ok), None);
-        let mut headers = HeaderMap::new();
-        headers.insert("Retry-After", "soon");
-        let garbled = ClientResponse {
-            status: StatusCode::SERVICE_UNAVAILABLE,
-            headers,
-            body: Vec::new(),
-        };
-        assert_eq!(retry_after_floor(&garbled), None);
-        let mut headers = HeaderMap::new();
-        headers.insert("Retry-After", " 3 ");
-        let padded = ClientResponse {
-            status: StatusCode::SERVICE_UNAVAILABLE,
-            headers,
-            body: Vec::new(),
-        };
-        assert_eq!(retry_after_floor(&padded), Some(Duration::from_secs(3)));
     }
 
     #[test]

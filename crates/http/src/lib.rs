@@ -52,9 +52,7 @@ mod status;
 mod uri;
 
 pub use body::{Body, BufferPool, PooledBuf};
-pub use client::{
-    fetch, fetch_with_retry, fetch_with_timeout, read_response, ClientResponse, RetryPolicy,
-};
+pub use client::{fetch, fetch_with_timeout, read_response, ClientResponse};
 pub use connection::{Connection, ParseLimits};
 pub use error::HttpError;
 pub use headers::HeaderMap;

@@ -128,11 +128,6 @@ impl Response {
         self.body.clone()
     }
 
-    /// Replaces the body.
-    pub fn set_body(&mut self, body: impl Into<Body>) {
-        self.body = body.into();
-    }
-
     /// Marks the connection to close after this response.
     pub fn set_close(&mut self) {
         self.headers.set("Connection", "close");
@@ -203,20 +198,6 @@ impl Response {
     /// Body length in bytes — the value `Content-Length` will carry.
     pub fn content_length(&self) -> usize {
         self.body.len()
-    }
-
-    /// Streams the response with the body omitted but `Content-Length`
-    /// still describing it — the correct answer to a `HEAD` request
-    /// (RFC 7231 §4.3.2).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error from `writer`.
-    pub fn write_head_to<W: Write>(&self, mut writer: W) -> io::Result<()> {
-        let mut head = Vec::new();
-        self.write_head_into(&mut head);
-        writer.write_all(&head)?;
-        writer.flush()
     }
 }
 

@@ -76,7 +76,6 @@ struct State<T> {
     /// Pushes that took the direct-handoff fast path (observability).
     handoffs: u64,
     closed: bool,
-    peak_len: usize,
     /// Optional per-stage queue-wait histogram, attached at server
     /// start via [`SyncQueue::set_wait_histogram`]. Recording happens
     /// *after* the state lock is released (histogram rank 420 sits
@@ -118,7 +117,7 @@ impl<T> State<T> {
 /// ```
 /// use staged_pool::SyncQueue;
 ///
-/// let q = SyncQueue::unbounded();
+/// let q = SyncQueue::bounded(2);
 /// q.push(1).unwrap();
 /// q.push(2).unwrap();
 /// q.close();
@@ -152,7 +151,6 @@ impl<T> SyncQueue<T> {
                     idle: 0,
                     handoffs: 0,
                     closed: false,
-                    peak_len: 0,
                     wait_hist: None,
                 },
             ),
@@ -193,15 +191,8 @@ impl<T> SyncQueue<T> {
                 });
             }
         }
-        state.peak_len = state.peak_len.max(state.queued());
     }
     // lint: end_hot_path
-
-    /// Creates a queue with no practical capacity limit, matching
-    /// CherryPy's unbounded `Queue` the paper builds on.
-    pub fn unbounded() -> Self {
-        Self::bounded(usize::MAX)
-    }
 
     /// Enqueues an item, blocking while the queue is full.
     ///
@@ -344,11 +335,6 @@ impl<T> SyncQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Whether [`SyncQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
-
     /// Current number of queued items (including one parked in the
     /// direct-handoff slot awaiting its woken popper).
     pub fn len(&self) -> usize {
@@ -369,16 +355,6 @@ impl<T> SyncQueue<T> {
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The largest length the queue has ever reached.
-    pub fn peak_len(&self) -> usize {
-        self.state.lock().peak_len
-    }
-
-    /// The configured capacity (`usize::MAX` for unbounded queues).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -405,7 +381,7 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let q = SyncQueue::unbounded();
+        let q = SyncQueue::bounded(16);
         for i in 0..10 {
             q.push(i).unwrap();
         }
@@ -427,7 +403,7 @@ mod tests {
 
     #[test]
     fn push_after_close_fails_with_item() {
-        let q = SyncQueue::unbounded();
+        let q = SyncQueue::bounded(16);
         q.close();
         match q.push(42) {
             Err(PushError::Closed(v)) => assert_eq!(v, 42),
@@ -437,7 +413,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_none() {
-        let q = SyncQueue::unbounded();
+        let q = SyncQueue::bounded(16);
         q.push("a").unwrap();
         q.close();
         assert_eq!(q.pop(), Some("a"));
@@ -446,7 +422,7 @@ mod tests {
 
     #[test]
     fn pop_blocks_until_push() {
-        let q = Arc::new(SyncQueue::unbounded());
+        let q = Arc::new(SyncQueue::bounded(16));
         let q2 = Arc::clone(&q);
         let h = thread::spawn(move || q2.pop());
         thread::sleep(Duration::from_millis(20));
@@ -469,14 +445,14 @@ mod tests {
 
     #[test]
     fn pop_timeout_times_out() {
-        let q = SyncQueue::<u8>::unbounded();
+        let q = SyncQueue::<u8>::bounded(16);
         let got = q.pop_timeout(Duration::from_millis(10)).unwrap();
         assert_eq!(got, None);
     }
 
     #[test]
     fn pop_timeout_closed() {
-        let q = SyncQueue::<u8>::unbounded();
+        let q = SyncQueue::<u8>::bounded(16);
         q.close();
         assert_eq!(
             q.pop_timeout(Duration::from_millis(10)),
@@ -486,7 +462,7 @@ mod tests {
 
     #[test]
     fn try_pop_variants() {
-        let q = SyncQueue::unbounded();
+        let q = SyncQueue::bounded(16);
         assert_eq!(q.try_pop(), Err(TryPopError::Empty));
         q.push(9).unwrap();
         assert_eq!(q.try_pop(), Ok(9));
@@ -495,20 +471,8 @@ mod tests {
     }
 
     #[test]
-    fn peak_len_tracks_high_water_mark() {
-        let q = SyncQueue::unbounded();
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        q.push(3).unwrap();
-        q.pop();
-        q.pop();
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peak_len(), 3);
-    }
-
-    #[test]
     fn close_wakes_blocked_poppers() {
-        let q = Arc::new(SyncQueue::<u8>::unbounded());
+        let q = Arc::new(SyncQueue::<u8>::bounded(16));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let q = Arc::clone(&q);
@@ -524,7 +488,7 @@ mod tests {
 
     #[test]
     fn direct_handoff_to_idle_popper() {
-        let q = Arc::new(SyncQueue::unbounded());
+        let q = Arc::new(SyncQueue::bounded(16));
         let q2 = Arc::clone(&q);
         let h = thread::spawn(move || q2.pop());
         // Wait for the popper to actually park before pushing.
@@ -543,7 +507,7 @@ mod tests {
 
     #[test]
     fn no_handoff_when_no_popper_waits() {
-        let q = SyncQueue::unbounded();
+        let q = SyncQueue::bounded(16);
         q.push(1).unwrap();
         q.push(2).unwrap();
         assert_eq!(q.direct_handoffs(), 0);
@@ -577,7 +541,7 @@ mod tests {
 
     #[test]
     fn fifo_preserved_across_handoff_and_backlog() {
-        let q = Arc::new(SyncQueue::unbounded());
+        let q = Arc::new(SyncQueue::bounded(100));
         let q2 = Arc::clone(&q);
         let h = thread::spawn(move || {
             let mut got = Vec::new();
@@ -601,7 +565,7 @@ mod tests {
 
     #[test]
     fn wait_histogram_records_one_sample_per_pop() {
-        let q = SyncQueue::unbounded();
+        let q = SyncQueue::bounded(16);
         let hist = Arc::new(Histogram::new());
         q.set_wait_histogram(Arc::clone(&hist));
         q.push(1).unwrap();
@@ -623,7 +587,7 @@ mod tests {
 
     #[test]
     fn wait_histogram_covers_direct_handoff() {
-        let q = Arc::new(SyncQueue::unbounded());
+        let q = Arc::new(SyncQueue::bounded(16));
         let hist = Arc::new(Histogram::new());
         q.set_wait_histogram(Arc::clone(&hist));
         let q2 = Arc::clone(&q);

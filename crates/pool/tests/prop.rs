@@ -1,7 +1,7 @@
 //! Property-based tests for queues and pools.
 
 use proptest::prelude::*;
-use staged_pool::{PoolConfig, PushError, SyncQueue, WorkerPool};
+use staged_pool::{PoolStats, PushError, SyncQueue, WorkerPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -15,7 +15,7 @@ proptest! {
         (0i64..1000).prop_map(Some),
         Just(None),
     ], 0..80)) {
-        let q = SyncQueue::unbounded();
+        let q = SyncQueue::bounded(80);
         let mut model = std::collections::VecDeque::new();
         for op in ops {
             match op {
@@ -31,7 +31,6 @@ proptest! {
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.is_empty(), model.is_empty());
         }
-        prop_assert!(q.peak_len() <= 80);
     }
 
     /// A bounded queue never holds more than its capacity, whatever the
@@ -46,7 +45,6 @@ proptest! {
                 let _ = q.try_pop();
             }
             prop_assert!(q.len() <= capacity);
-            prop_assert!(q.peak_len() <= capacity);
         }
     }
 
@@ -57,8 +55,12 @@ proptest! {
         let sum = Arc::new(AtomicU64::new(0));
         let count = Arc::new(AtomicU64::new(0));
         let (s2, c2) = (Arc::clone(&sum), Arc::clone(&count));
-        let pool = WorkerPool::new(
-            PoolConfig::new("prop", workers),
+        let queue = Arc::new(SyncQueue::bounded(jobs.max(1)));
+        let pool = WorkerPool::with_parts(
+            Arc::clone(&queue),
+            Arc::new(PoolStats::default()),
+            "prop",
+            workers,
             |_| (),
             move |_, n: u64| {
                 s2.fetch_add(n, Ordering::Relaxed);
@@ -67,7 +69,7 @@ proptest! {
         );
         let mut expected = 0u64;
         for n in 0..jobs as u64 {
-            pool.submit(n).unwrap();
+            queue.push(n).unwrap();
             expected += n;
         }
         pool.shutdown();

@@ -39,7 +39,7 @@ CHECKS = [
 def run(workload):
     """The final JSON line of one traced benchmark run."""
     out = subprocess.run(
-        ["cargo", "run", "--release", "--offline", "--quiet",
+        ["cargo", "run", "--locked", "--release", "--offline", "--quiet",
          "--manifest-path", os.path.join(ROOT, "benchmark", "Cargo.toml"), "--",
          "--workload", workload, "--trace", "1", "--seconds", "3"],
         cwd=ROOT, stdout=subprocess.PIPE, text=True,
