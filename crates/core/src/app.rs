@@ -63,12 +63,11 @@ pub struct Route {
     pub name: String,
     /// The page handler ([`PageOutcome`]-producing function).
     pub handler: Handler,
-    /// Whether successful renders of this page may be retained in the
-    /// staged server's response cache — served stale when fresh
-    /// generation is unavailable, and fresh when
+    /// Whether successful `GET` renders of this page may be kept in the
+    /// staged server's response cache and served from it when
     /// [`ServerConfig::doc_cache`](crate::ServerConfig::doc_cache) is
-    /// on. Off by default: only read-only pages should opt in (serving
-    /// a stale order-confirmation would lie).
+    /// on. Off by default: only read-only pages should opt in (a cached
+    /// order confirmation would lie).
     pub cacheable: bool,
 }
 
@@ -214,25 +213,22 @@ impl AppBuilder {
         self
     }
 
-    /// Marks an already-registered exact route as **stale-cacheable**:
-    /// the staged server retains its successful `GET` renders in its
-    /// one response cache, tagged with what they read and evicted by
-    /// any write that touches it. While the database is unavailable (or
-    /// the request's deadline expired in a queue) a still-valid copy is
-    /// served with `Warning: 110` / `Age` headers; with
+    /// Marks an already-registered exact route as **cacheable**: with
     /// [`ServerConfig::doc_cache`](crate::ServerConfig::doc_cache) on,
-    /// it is also served fresh. Only mark read-only pages — a stale copy
-    /// of a page that confirms a mutation would misreport what
-    /// happened.
+    /// the staged server keeps its successful `GET` renders in its
+    /// response cache, tagged with what they read, evicted by any write
+    /// that touches it, and served from the parse stage until then.
+    /// Only mark read-only pages — a cached copy of a page that confirms
+    /// a mutation would misreport what happened.
     ///
     /// # Panics
     ///
     /// Panics if no exact route is registered at `path` (a programming
     /// error caught at startup).
-    pub fn stale_cacheable(mut self, path: &str) -> Self {
+    pub fn cacheable(mut self, path: &str) -> Self {
         self.routes
             .get_mut(path)
-            .unwrap_or_else(|| panic!("stale_cacheable: no exact route at {path:?}"))
+            .unwrap_or_else(|| panic!("cacheable: no exact route at {path:?}"))
             .cacheable = true;
         self
     }
@@ -356,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_cacheable_flags_exact_routes() {
+    fn cacheable_flags_exact_routes() {
         let app = App::builder()
             .route("/ro", "ro", |_r, _c| {
                 Ok(PageOutcome::template("t.html", Context::new()))
@@ -364,7 +360,7 @@ mod tests {
             .route("/rw", "rw", |_r, _c| {
                 Ok(PageOutcome::template("t.html", Context::new()))
             })
-            .stale_cacheable("/ro")
+            .cacheable("/ro")
             .build();
         assert!(app.route("/ro").unwrap().0.cacheable);
         assert!(!app.route("/rw").unwrap().0.cacheable);
@@ -372,8 +368,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "no exact route")]
-    fn stale_cacheable_requires_registered_route() {
-        let _ = App::builder().stale_cacheable("/missing");
+    fn cacheable_requires_registered_route() {
+        let _ = App::builder().cacheable("/missing");
     }
 
     #[test]

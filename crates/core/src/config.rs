@@ -3,9 +3,8 @@
 //! Values no caller needs to change are not configuration; each is a
 //! constant beside its one reader:
 //!
-//! - the response cache's TTL (60 s) and entry counts (1024 when it
-//!   serves fresh hits, 256 when it only backs the degradation ladder):
-//!   `doccache.rs`. Only whether it serves fresh hits is a knob
+//! - the response cache's TTL (60 s) and entry count (1024):
+//!   `doccache.rs`. Only whether the cache exists is a knob
 //!   ([`ServerConfig::doc_cache`]);
 //! - the floor of the adaptive `Retry-After` (1 s) and the re-checkout
 //!   attempts after a worker's database connection dies (2):
@@ -109,24 +108,21 @@ pub struct ServerConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Circuit breaker wrapped around database checkout and query
     /// execution (see [`staged_db::CircuitBreaker`]). When the breaker
-    /// opens, dynamic handlers fail fast instead of burning their
-    /// deadline in acquisition backoff, and cache-marked pages degrade
-    /// to a stale copy from the response cache. `None` (the default)
-    /// disables it.
+    /// opens, dynamic handlers fail fast with a `503` + `Retry-After`
+    /// instead of burning their deadline in acquisition backoff. `None`
+    /// (the default) disables it.
     pub breaker: Option<BreakerConfig>,
-    /// Whether the staged server's response cache
-    /// ([`DocCache`](crate::DocCache)) also serves fresh hits. The cache
-    /// itself always exists on [`StagedServer`](crate::StagedServer):
+    /// Whether the [`StagedServer`](crate::StagedServer) keeps a
+    /// response cache ([`DocCache`](crate::DocCache)). With it on,
     /// renders of routes marked
-    /// [`AppBuilder::stale_cacheable`](crate::AppBuilder::stale_cacheable)
-    /// are retained tagged with the tables/keys they read, evicted when
-    /// a committed write intersects that read-set, and served stale
-    /// while fresh generation is unavailable. With this on, they are
-    /// also served fresh straight from the parse stage — zero DB
-    /// checkouts, zero render work, zero allocations. **Off by
-    /// default** so the paper-comparison benches measure the paper's
-    /// model, not the cache; [`BaselineServer`](crate::BaselineServer)
-    /// has no cache and ignores it.
+    /// [`AppBuilder::cacheable`](crate::AppBuilder::cacheable) are kept
+    /// tagged with the tables/keys they read, evicted when a committed
+    /// write intersects that read-set, and served straight from the
+    /// parse stage until then — zero DB checkouts, zero render work,
+    /// zero allocations. **Off by default** so the paper-comparison
+    /// benches measure the paper's model, not the cache;
+    /// [`BaselineServer`](crate::BaselineServer) has no cache and
+    /// ignores it.
     pub doc_cache: bool,
     /// Capacity of the slowest-trace ring served by `GET /debug/traces`
     /// (the N slowest served requests keep their full stage timeline).

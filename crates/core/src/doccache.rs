@@ -1,5 +1,5 @@
 //! The one response cache: dependency-tracked rendered pages (DESIGN.md
-//! §14), read by two lookups.
+//! §14).
 //!
 //! PAPERS.md "Vcache" insight: a dynamic page is cacheable *if you know
 //! what it read*. Each miss renders normally while the connection
@@ -21,15 +21,6 @@
 //! depends on was written after that snapshot — the worst case is a
 //! lost caching opportunity, never a stale entry.
 //!
-//! The same entries serve two policies, decided at lookup time:
-//! [`DocCache::lookup`] answers fresh hits from the parse stage (only
-//! when [`ServerConfig::doc_cache`](crate::ServerConfig) is on), and
-//! [`DocCache::lookup_stale`] is the degradation ladder's middle rung —
-//! the same entry as a `200` with `Warning: 110` / `Age` while fresh
-//! generation is unavailable. Both see only entries that passed the
-//! publish guard and survived every later write, so the ladder degrades
-//! *age*, never correctness.
-//!
 //! The hit path is allocation-free: one rank-118 read lock, a `HashMap`
 //! probe, an `Arc` bump, and relaxed counter and priority updates.
 
@@ -45,18 +36,12 @@ use std::time::Duration;
 /// Rank of the cache state (DESIGN.md §10).
 const STATE_RANK: Rank = Rank::new(118);
 
-/// How long an entry stays servable, fresh or stale: a backstop for
-/// pages whose tables never change.
+/// How long an entry stays servable: a backstop for pages whose tables
+/// never change.
 pub(crate) const TTL: Duration = Duration::from_secs(60);
 
-/// Entry bound when the cache serves fresh hits.
-pub(crate) const HIT_CAPACITY: usize = 1024;
-
-/// Entry bound when the cache only backs the degradation ladder.
-pub(crate) const LADDER_CAPACITY: usize = 256;
-
-/// The RFC 7234 warning attached to every stale response.
-pub(crate) const STALE_WARNING: &str = "110 - \"Response is Stale\"";
+/// The entry bound.
+pub(crate) const CAPACITY: usize = 1024;
 
 /// One cached rendered page.
 struct CacheEntry {
@@ -93,9 +78,8 @@ pub enum Lookup {
 
 /// The dependency-tracked response cache.
 ///
-/// See the module docs for the model. The staged server always builds
-/// one — it backs the degradation ladder — and serves fresh hits from
-/// it only when [`ServerConfig::doc_cache`](crate::ServerConfig) is on;
+/// See the module docs for the model. The staged server builds one
+/// only when [`ServerConfig::doc_cache`](crate::ServerConfig) is on;
 /// the thread-per-request baseline has none, keeping the paper's model
 /// comparison valid.
 pub struct DocCache {
@@ -172,33 +156,6 @@ impl DocCache {
         Lookup::Miss(state.epoch)
     }
     // lint: end_hot_path
-
-    /// The epoch snapshot a [`Lookup::Miss`] would carry, taken without
-    /// serving or counting anything — for requests the cache only
-    /// retains for the ladder, which still need the publish guard.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.state.read().epoch
-    }
-
-    /// The degradation ladder's lookup: the entry under `key`, if still
-    /// valid (no write evicted it and it is within the TTL), as a `200`
-    /// carrying `Warning: 110` and its `Age`. The cached body is shared
-    /// into the response, not copied. Counts nothing — the hit, miss
-    /// and bytes-served counters describe the fresh path.
-    pub fn lookup_stale(&self, key: &str) -> Option<Response> {
-        let (body, age) = {
-            let state = self.state.read();
-            let found = state.entries.get(key)?;
-            if found.age > self.ttl {
-                return None;
-            }
-            (found.value.response.body_shared(), found.age)
-        };
-        let mut resp = Response::html(body);
-        resp.headers_mut().set("Warning", STALE_WARNING);
-        resp.headers_mut().set("Age", age.as_secs().to_string());
-        Some(resp)
-    }
 
     /// [`DocCache::publish_with_cost`] for a caller that did not time
     /// the render: every such entry ranks at the least cost.
@@ -398,10 +355,24 @@ mod tests {
         Arc::new(Response::html(body.to_string()))
     }
 
+    /// The epoch snapshot a miss carries now, from a lookup of a key no
+    /// test publishes.
+    fn snapshot(cache: &DocCache) -> u64 {
+        let Lookup::Miss(s) = cache.lookup("unpublished") else {
+            panic!("nothing is published under this key")
+        };
+        s
+    }
+
+    /// Whether `key` is a hit.
+    fn cached(cache: &DocCache, key: &str) -> bool {
+        matches!(cache.lookup(key), Lookup::Hit(_))
+    }
+
     /// Publishes `body` under `key`, tagged with what `sql` reads, with
     /// a current epoch snapshot.
     fn put(cache: &DocCache, key: &str, body: Arc<Response>, sql: &str) {
-        assert!(cache.publish(key, body, reads_for(sql), cache.epoch()));
+        assert!(cache.publish(key, body, reads_for(sql), snapshot(cache)));
     }
 
     /// A database holding `item` row 1.
@@ -494,33 +465,11 @@ mod tests {
     }
 
     #[test]
-    fn ladder_never_serves_a_render_that_raced_a_write() {
-        let cache = DocCache::new(Duration::from_secs(60), 8);
-        let Lookup::Miss(s0) = cache.lookup("k") else {
-            panic!("cold cache should miss")
-        };
-        cache.invalidate(&event_for(WRITE_ROW1));
-        assert!(!cache.publish("k", page("pre-write"), reads_for(ROW1), s0));
-        assert!(
-            cache.lookup_stale("k").is_none(),
-            "a brownout must not serve a render the write superseded"
-        );
-    }
-
-    #[test]
     fn ttl_expiry_is_a_miss() {
         let cache = DocCache::new(Duration::ZERO, 16);
         put(&cache, "k", page("x"), SCAN);
         std::thread::sleep(Duration::from_millis(2));
         assert!(matches!(cache.lookup("k"), Lookup::Miss(_)));
-    }
-
-    #[test]
-    fn ladder_drops_expired_entries() {
-        let cache = DocCache::new(Duration::from_millis(10), 8);
-        put(&cache, "home", page("x"), SCAN);
-        std::thread::sleep(Duration::from_millis(15));
-        assert!(cache.lookup_stale("home").is_none());
     }
 
     #[test]
@@ -536,19 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn ladder_capacity_evicts_oldest() {
-        let cache = DocCache::new(Duration::from_secs(60), 2);
-        for key in ["a", "b", "c"] {
-            put(&cache, key, page(key), SCAN);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(cache.len(), 2);
-        assert!(cache.lookup_stale("a").is_none(), "oldest entry evicted");
-        assert!(cache.lookup_stale("b").is_some());
-        assert!(cache.lookup_stale("c").is_some());
-    }
-
-    #[test]
     fn hits_share_one_response_allocation() {
         let cache = DocCache::new(Duration::from_secs(60), 16);
         let published = page("shared");
@@ -561,52 +497,24 @@ mod tests {
     }
 
     #[test]
-    fn ladder_hits_share_the_stored_allocation() {
-        let cache = DocCache::new(Duration::from_secs(60), 8);
-        let published = page("<h1>page</h1>");
-        put(&cache, "home", Arc::clone(&published), SCAN);
-        for _ in 0..2 {
-            let resp = cache.lookup_stale("home").unwrap();
-            assert_eq!(
-                resp.body().as_ptr(),
-                published.body().as_ptr(),
-                "the stale response must not copy the page"
-            );
-        }
-    }
-
-    #[test]
-    fn hit_within_ttl_reports_age() {
-        let cache = DocCache::new(Duration::from_secs(60), 8);
-        assert!(cache.lookup_stale("home").is_none(), "cold cache");
-        put(&cache, "home", page("<h1>hi</h1>"), SCAN);
-        let resp = cache.lookup_stale("home").expect("valid entry");
-        assert_eq!(resp.body(), b"<h1>hi</h1>");
-        assert_eq!(resp.headers().get("warning"), Some(STALE_WARNING));
-        assert_eq!(resp.headers().get("age"), Some("0"));
-        assert_eq!(
-            (cache.hits(), cache.misses(), cache.bytes_served()),
-            (0, 0, 0),
-            "the ladder does not count as fresh traffic"
-        );
-    }
-
-    #[test]
     fn refresh_updates_in_place_without_eviction() {
         let cache = DocCache::new(Duration::from_secs(60), 2);
         put(&cache, "a", page("1"), SCAN);
         put(&cache, "b", page("2"), SCAN);
         put(&cache, "a", page("1-new"), SCAN);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.lookup_stale("a").unwrap().body(), b"1-new");
-        assert!(cache.lookup_stale("b").is_some());
+        let Lookup::Hit(a) = cache.lookup("a") else {
+            panic!("refreshed entry should hit")
+        };
+        assert_eq!(a.body(), b"1-new");
+        assert!(cached(&cache, "b"));
     }
 
     /// Publishes a page under `key` at an injected regeneration cost.
     fn put_at_cost(cache: &DocCache, key: &str, micros: u64) {
         let cost = Duration::from_micros(micros);
         let reads = Arc::new(ReadSet::new());
-        assert!(cache.publish_with_cost(key, page(key), reads, cache.epoch(), cost));
+        assert!(cache.publish_with_cost(key, page(key), reads, snapshot(cache), cost));
     }
 
     #[test]
@@ -619,7 +527,7 @@ mod tests {
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.capacity_evictions(), 17);
         assert!(
-            cache.lookup_stale("search").is_some(),
+            cached(&cache, "search"),
             "oldest, but 1 ms to regenerate against 15 µs"
         );
     }
@@ -631,8 +539,8 @@ mod tests {
         put_at_cost(&cache, "b", 100);
         assert!(matches!(cache.lookup("a"), Lookup::Hit(_)));
         put_at_cost(&cache, "c", 100);
-        assert!(cache.lookup_stale("a").is_some(), "hit, though older");
-        assert!(cache.lookup_stale("b").is_none(), "unhit, so evicted");
+        assert!(cached(&cache, "a"), "hit, though older");
+        assert!(!cached(&cache, "b"), "unhit, so evicted");
     }
 
     #[test]
@@ -643,8 +551,8 @@ mod tests {
         // `a` now regenerates cheaply: it ranks by its new cost.
         put_at_cost(&cache, "a", 10);
         put_at_cost(&cache, "c", 100);
-        assert!(cache.lookup_stale("a").is_none());
-        assert!(cache.lookup_stale("b").is_some());
+        assert!(!cached(&cache, "a"));
+        assert!(cached(&cache, "b"));
         assert_eq!(cache.capacity_evictions(), 1);
     }
 
@@ -659,8 +567,8 @@ mod tests {
             "SELECT v FROM item WHERE id = 2",
         );
         cache.invalidate(&event_for(WRITE_ROW1));
-        assert!(cache.lookup_stale("item?id=1").is_none(), "dependent");
-        assert!(cache.lookup_stale("item?id=2").is_some(), "independent");
+        assert!(!cached(&cache, "item?id=1"), "dependent");
+        assert!(cached(&cache, "item?id=2"), "independent");
     }
 
     /// `write_key` of `page` with `params`, over a buffer holding junk

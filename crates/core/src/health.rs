@@ -148,11 +148,9 @@ impl HealthView<'_> {
         }
         let _ = write!(
             s,
-            ",\"counters\":{{\"completed\":{},\"errors\":{},\"degraded\":{},\"stale_misses\":{},\"deadline_expired\":{},\"pool_starved\":{},\"handler_panics\":{},\"dropped_connections\":{}}}",
+            ",\"counters\":{{\"completed\":{},\"errors\":{},\"deadline_expired\":{},\"pool_starved\":{},\"handler_panics\":{},\"dropped_connections\":{}}}",
             self.registry.family_sum("requests_completed_total") as u64,
             self.counter("errors_total"),
-            self.counter("degraded_total"),
-            self.counter("stale_misses_total"),
             self.counter("deadline_expired_total"),
             self.counter("pool_starved_total"),
             self.counter("handler_panics_total"),
@@ -336,7 +334,7 @@ mod tests {
         let c = Counters::register_into(&r);
         c.completed(RequestKind::Static).add(4);
         c.completed(RequestKind::QuickDynamic).add(6);
-        c.degraded.increment();
+        c.deadline_expired.increment();
         c.shed(ShedPoint::Listener).add(5);
         let pool = [("pool", "general-dynamic")];
         r.counter("pool_completed_total", &pool).add(9);
@@ -374,7 +372,7 @@ mod tests {
         assert!(body.contains("\"header\":2"), "{body}");
         assert!(body.contains("\"t_spare\":3"), "{body}");
         assert!(body.contains("\"completed\":10"), "{body}");
-        assert!(body.contains("\"degraded\":1"), "{body}");
+        assert!(body.contains("\"deadline_expired\":1"), "{body}");
         assert!(body.contains("\"listener\":5"), "{body}");
         assert!(body.contains("\"name\":\"general-dynamic\""), "{body}");
         assert!(body.contains("\"completed\":9"), "{body}");

@@ -16,10 +16,10 @@
 //!
 //! Every request carries a pooled [`Trace`] from accept to terminal
 //! outcome, recording enqueue/dequeue/stage-done timestamps, the
-//! classifier decision, and shed/stale events (an inline stage simply
-//! shows no queue wait). Aggregates land in the server's [`Registry`]
-//! (exported on `GET /metrics`); the slowest served traces are kept in
-//! a bounded ring (`GET /debug/traces`).
+//! classifier decision, and shed/unavailable events (an inline stage
+//! simply shows no queue wait). Aggregates land in the server's
+//! [`Registry`] (exported on `GET /metrics`); the slowest served traces
+//! are kept in a bounded ring (`GET /debug/traces`).
 
 use crate::app::App;
 use crate::doccache::DocCache;
@@ -258,9 +258,7 @@ pub(crate) struct RenderWork {
     pub page: String,
     pub context: Context,
     pub kind: RequestKind,
-    /// Carried through so the render stage can both publish a fresh
-    /// render and fall back to a stale one when the deadline expired in
-    /// its queue.
+    /// Carried through so the render stage can publish its render.
     pub cache: Option<CacheSlot>,
     /// The tables/keys the handler's queries read, collected by the
     /// dynamic stage; tags the published render for invalidation.
@@ -283,15 +281,12 @@ pub(crate) struct Core {
     /// Adaptive `Retry-After` advice for shed responses.
     pub retry: RetryEstimator,
     /// The one response cache: successful renders of cache-marked
-    /// pages, tagged with what they read. It backs the degradation
-    /// ladder (fresh → stale → shed) and, with `serve_hits`, fresh hits.
-    /// `Arc`-shared with the database write observer, which evicts
-    /// entries a write touched. `None` when the model has no cache.
+    /// pages, tagged with what they read, answered from the parse stage
+    /// without touching the dynamic or render stages. `Arc`-shared with
+    /// the database write observer, which evicts entries a write
+    /// touched. `Some` only on a staged model with
+    /// [`crate::ServerConfig::doc_cache`] on.
     pub cache: Option<Arc<DocCache>>,
-    /// Whether the parse stage answers fresh hits from `cache`
-    /// ([`crate::ServerConfig::doc_cache`]) without touching the
-    /// dynamic or render stages.
-    pub serve_hits: bool,
     /// Lifecycle phase, served by `/readyz`.
     pub readiness: Arc<Readiness>,
     /// The database circuit breaker (shared with the connection pool),
@@ -443,45 +438,8 @@ impl Core {
     /// would waste a saturated stage's time).
     fn expire(&self, mut job: Job) {
         self.counters.deadline_expired.increment();
-        // A stale copy (sent with `Connection: close` — the client has
-        // been waiting the whole budget already) still beats generating
-        // or rendering a page nobody may be listening for, and beats a
-        // 503 for one that was cacheable — whichever queue it expired in.
-        let ladder = match &job.work {
-            Work::Dynamic(d) => d
-                .cache
-                .as_ref()
-                .zip(d.page.as_deref())
-                .map(|(slot, page)| (slot, d.kind, page)),
-            Work::Render(r) => r.cache.as_ref().map(|slot| (slot, r.kind, r.page.as_str())),
-            Work::Parse | Work::Static(_) => None,
-        };
-        if let Some((slot, kind, page)) = ladder {
-            if let Some(mut response) = self.stale_copy(slot) {
-                self.counters.degraded.increment();
-                job.trace.note(TraceEvent::StaleServed);
-                response.set_close();
-                let method = job.work.method();
-                self.respond(
-                    job.conn,
-                    job.trace,
-                    method,
-                    &response,
-                    false,
-                    Some(kind),
-                    Some(page),
-                );
-                return;
-            }
-        }
         self.refuse(&mut job.conn, job.work.method());
         job.trace.finish(TraceOutcome::Expired, None);
-    }
-
-    /// The ladder's middle rung: a still-valid cached copy of the
-    /// request's page, marked stale.
-    pub(crate) fn stale_copy(&self, slot: &CacheSlot) -> Option<Response> {
-        self.cache.as_ref()?.lookup_stale(&slot.key)
     }
 
     /// Sends a response (honouring `HEAD`) and returns the connection's

@@ -48,7 +48,7 @@ struct PoolSpec {
 
 /// A request-processing model: the pools that exist (upstream first;
 /// the listener feeds the first), which of them runs each stage, and
-/// whether the model keeps a response cache at all.
+/// whether the model may keep a response cache.
 struct Model {
     pools: Vec<PoolSpec>,
     map: StageMap,
@@ -177,8 +177,7 @@ impl StagedServer {
 /// `Retry-After` instead of blocking the accept loop, and connections
 /// whose queue wait exceeds `request_deadline` are answered `503` at
 /// dequeue. To keep the comparison the paper's, it runs no reserve
-/// controller and no response cache — no stale ladder, and
-/// `doc_cache` is ignored.
+/// controller and no response cache: `doc_cache` is ignored.
 #[derive(Debug)]
 pub struct BaselineServer;
 
@@ -227,17 +226,8 @@ fn start(
     let set_fault: FaultFn = Arc::new(move |plan| fault_pool.set_fault_plan(plan));
     let readiness = Arc::new(Readiness::new());
 
-    // One cache for the ladder and, with `doc_cache`, fresh hits; the
-    // hit-serving bound is the larger one.
-    let serve_hits = model.cached && config.doc_cache;
-    let cache = model.cached.then(|| {
-        let capacity = if serve_hits {
-            doccache::HIT_CAPACITY
-        } else {
-            doccache::LADDER_CAPACITY
-        };
-        Arc::new(DocCache::new(doccache::TTL, capacity))
-    });
+    let cache = (model.cached && config.doc_cache)
+        .then(|| Arc::new(DocCache::new(doccache::TTL, doccache::CAPACITY)));
     // The invalidation engine: every committed mutation evicts
     // dependent entries. The observer deliberately captures only the
     // cache — capturing the shared server context would create an Arc
@@ -268,9 +258,7 @@ fn start(
     let counters = Counters::register_into(&registry);
     register_page_tracker(&registry, &tracker);
     register_plan_observer(&registry, &db);
-    // The `doc_cache_*` families describe the hit path; a ladder-only
-    // cache exports none.
-    if let Some(cache) = cache.as_ref().filter(|_| serve_hits) {
+    if let Some(cache) = &cache {
         register_doc_cache(&registry, cache);
     }
 
@@ -315,7 +303,6 @@ fn start(
         budget: config.request_deadline,
         retry,
         cache,
-        serve_hits,
         readiness: Arc::clone(&readiness),
         breaker: breaker.clone(),
         registry: Arc::clone(&registry),

@@ -73,12 +73,10 @@ impl Core {
             None => (None, false),
         };
         // Only GETs of cache-marked routes may ever be served from the
-        // cache, and only when the model has one. The key is built in
-        // the thread's reusable buffer; a fresh hit (when the cache
-        // serves hits) is answered right here — no DB checkout, no
-        // render, no allocation — and only a miss pays for the owned
-        // key the job carries downstream. Ladder-only requests take the
-        // epoch snapshot too, so their publish has the same race guard.
+        // cache, and only when the server keeps one. The key is built in
+        // the thread's reusable buffer; a fresh hit is answered right
+        // here — no DB checkout, no render, no allocation — and only a
+        // miss pays for the owned key the job carries downstream.
         let cache = match &self.cache {
             Some(dc) if cacheable && request.method() == Method::Get => {
                 enum KeyOutcome {
@@ -96,13 +94,9 @@ impl Core {
                         page.as_deref().unwrap_or_default(),
                         &request.params,
                     );
-                    if self.serve_hits {
-                        match dc.lookup(&buf) {
-                            Lookup::Hit(response) => return KeyOutcome::Hit(response),
-                            Lookup::Miss(taken) => snapshot = taken,
-                        }
-                    } else {
-                        snapshot = dc.epoch();
+                    match dc.lookup(&buf) {
+                        Lookup::Hit(response) => return KeyOutcome::Hit(response),
+                        Lookup::Miss(taken) => snapshot = taken,
                     }
                     // lint: end_hot_path
                     KeyOutcome::Miss(buf.clone())
@@ -315,13 +309,9 @@ impl Core {
             }
             Ok(PageOutcome::Body(response)) => {
                 // Cache-marked pre-rendered pages are cached too — but
-                // only plain HTML 200s, because a stale copy is
-                // rehydrated as `Response::html`.
+                // only 200s.
                 if let Some(slot) = &cache {
-                    if response.status() == StatusCode::OK
-                        && response.headers().get("content-type")
-                            == Some("text/html; charset=utf-8")
-                    {
+                    if response.status() == StatusCode::OK {
                         self.publish(slot, &response, &reads, Duration::ZERO);
                     }
                 }
@@ -330,23 +320,10 @@ impl Core {
             Err(e) if e.is_unavailable() => {
                 // Transient resource failure (open breaker, dead
                 // connection, starved pool) — retryable, not the 500 a
-                // handler bug gets. The degradation ladder: serve a
-                // stale copy if one exists, 503 only without one.
+                // handler bug gets.
                 trace.note(TraceEvent::Unavailable);
-                match cache.as_ref().and_then(|c| self.stale_copy(c)) {
-                    Some(response) => {
-                        self.counters.degraded.increment();
-                        trace.note(TraceEvent::StaleServed);
-                        response
-                    }
-                    None => {
-                        if cache.is_some() {
-                            self.counters.stale_misses.increment();
-                        }
-                        self.counters.errors.increment();
-                        overload_response(self.retry.advise())
-                    }
-                }
+                self.counters.errors.increment();
+                overload_response(self.retry.advise())
             }
             Err(_) => {
                 self.counters.errors.increment();

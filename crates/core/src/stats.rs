@@ -111,13 +111,6 @@ pub(crate) struct Counters {
     /// Requests answered `503` because no database connection could be
     /// re-acquired after the worker's own died.
     pub pool_starved: Arc<Counter>,
-    /// Requests answered from the response cache's stale copy (`2xx`
-    /// with `Warning: 110`) because fresh generation was unavailable —
-    /// the middle rung of the degradation ladder.
-    pub degraded: Arc<Counter>,
-    /// Degradation attempts that found no usable stale copy and fell
-    /// through to a `503`.
-    pub stale_misses: Arc<Counter>,
     /// Connections killed by a lifecycle budget — the peer failed to
     /// deliver a complete header block before the wall-clock deadline,
     /// or trickled a body below the minimum throughput (answered `408`
@@ -143,8 +136,6 @@ impl Counters {
             handler_panics: flat("handler_panics_total"),
             deadline_expired: flat("deadline_expired_total"),
             pool_starved: flat("pool_starved_total"),
-            degraded: flat("degraded_total"),
-            stale_misses: flat("stale_misses_total"),
             slowloris_kills: flat("slowloris_kills_total"),
         }
     }
@@ -195,9 +186,9 @@ mod tests {
     fn register_into_exposes_every_counter() {
         let r = Registry::new();
         let c = Counters::register_into(&r);
-        c.degraded.increment();
+        c.deadline_expired.increment();
         c.slowloris_kills.increment();
-        assert_eq!(r.value("degraded_total", &[]), Some(1.0));
+        assert_eq!(r.value("deadline_expired_total", &[]), Some(1.0));
         assert_eq!(r.value("slowloris_kills_total", &[]), Some(1.0));
         assert_eq!(r.value("errors_total", &[]), Some(0.0));
         // Every class and shed point is its own labelled cell.

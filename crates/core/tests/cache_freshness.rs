@@ -62,7 +62,7 @@ fn app() -> App {
             )?;
             Ok(PageOutcome::Body(Response::html("ok")))
         })
-        .stale_cacheable("/item")
+        .cacheable("/item")
         .build()
 }
 
@@ -195,7 +195,7 @@ fn row_level_join_deps_spare_unrelated_pages() {
             )?;
             Ok(PageOutcome::Body(Response::html("ok")))
         })
-        .stale_cacheable("/pair")
+        .cacheable("/pair")
         .build();
 
     let db = Arc::new(Database::new());
@@ -299,7 +299,7 @@ fn filtered_listing_deps_evict_only_admitting_pages() {
             )?;
             Ok(PageOutcome::Body(Response::html("ok")))
         })
-        .stale_cacheable("/list")
+        .cacheable("/list")
         .build();
     let db = Arc::new(Database::new());
     db.execute(
@@ -443,7 +443,7 @@ fn top_k_listing_deps_spare_writes_outside_the_window() {
             )?;
             Ok(PageOutcome::Body(Response::html("ok")))
         })
-        .stale_cacheable("/top")
+        .cacheable("/top")
         .build();
     let db = Arc::new(Database::new());
     db.execute("CREATE TABLE ranked (id INT PRIMARY KEY, val INT)", &[])
@@ -600,7 +600,7 @@ fn top_k_join_listing_deps_spare_writes_outside_the_window() {
             )?;
             Ok(PageOutcome::Body(Response::html("ok")))
         })
-        .stale_cacheable("/top")
+        .cacheable("/top")
         .build();
     let db = Arc::new(Database::new());
     db.execute(

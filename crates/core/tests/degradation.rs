@@ -1,8 +1,8 @@
 //! The degradation ladder under a real database outage, over real TCP:
-//! fresh renders while healthy, stale copies (`Warning: 110`) while the
-//! circuit breaker is open, `503` + `Retry-After` only when no stale
-//! copy exists — and full recovery through the breaker's half-open
-//! probes once the database heals.
+//! with the response cache on, a warmed page is answered from it before
+//! any database work; everything else is generated, or fails fast with
+//! `503` + `Retry-After` while the circuit breaker is open — and recovers
+//! through the breaker's half-open probes once the database heals.
 
 use staged_core::{
     App, BaselineServer, BreakerConfig, BreakerState, PageOutcome, ServerConfig, ServerHandle,
@@ -14,8 +14,6 @@ use staged_templates::{Context, TemplateStore};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const STALE_WARNING: &str = "110 - \"Response is Stale\"";
 
 fn demo_db() -> Arc<Database> {
     let db = Arc::new(Database::new());
@@ -43,7 +41,7 @@ fn test_breaker() -> BreakerConfig {
     }
 }
 
-/// Two template-rendered query pages — `/books` marked stale-cacheable,
+/// Two template-rendered query pages — `/books` marked cacheable,
 /// `/uncached` not — plus a cache-marked page that is never fetched
 /// while healthy (`/never_warm`), to prove the 503 rung, and an
 /// uncached page that always holds its dynamic worker for 400 ms
@@ -75,8 +73,8 @@ fn ladder_app(slow: Arc<AtomicBool>) -> App {
             std::thread::sleep(Duration::from_millis(400));
             Ok(PageOutcome::Body(staged_http::Response::html("slow")))
         })
-        .stale_cacheable("/books")
-        .stale_cacheable("/never_warm")
+        .cacheable("/books")
+        .cacheable("/never_warm")
         .build()
 }
 
@@ -121,6 +119,7 @@ fn counter(server: &ServerHandle, name: &str) -> f64 {
 fn staged_ladder_outage_brownout_recovery() {
     let mut config = ServerConfig::small();
     config.breaker = Some(test_breaker());
+    config.doc_cache = true;
     let server = StagedServer::start(
         config,
         ladder_app(Arc::new(AtomicBool::new(false))),
@@ -128,24 +127,28 @@ fn staged_ladder_outage_brownout_recovery() {
     )
     .unwrap();
 
-    // Rung 1 — healthy: a fresh render, no staleness markers, and the
-    // response warms the response cache.
+    // Healthy: a fresh render, which warms the response cache.
     let fresh = fetch(server.addr(), Method::Get, "/books", &[]).unwrap();
     assert_eq!(fresh.status, StatusCode::OK);
-    assert!(fresh.headers.get("warning").is_none());
     assert_eq!(fresh.body, b"<ul>2 books</ul>");
 
-    // Rung 2 — outage: every query fails, the breaker trips, and the
-    // cached page is served stale with the RFC 7234 markers.
+    // Outage: every query fails. The warmed page is a parse-stage hit,
+    // which never touches the database: the same bytes, no markers.
     server.set_fault_plan(Some(outage()));
-    let stale = fetch_until(&server, "/books", "a stale 200 during the outage", |r| {
-        r.status == StatusCode::OK && r.headers.get("warning").is_some()
-    });
-    assert_eq!(stale.headers.get("warning"), Some(STALE_WARNING));
-    assert!(stale.headers.get("age").is_some(), "stale 200 carries Age");
-    assert_eq!(stale.body, b"<ul>2 books</ul>");
-    assert!(counter(&server, "degraded_total") >= 1.0);
+    let hits = counter(&server, "doc_cache_hits_total");
+    let cached = fetch(server.addr(), Method::Get, "/books", &[]).unwrap();
+    assert_eq!(cached.status, StatusCode::OK);
+    assert_eq!(cached.body, fresh.body);
+    assert!(cached.headers.get("warning").is_none());
+    assert!(counter(&server, "doc_cache_hits_total") > hits);
 
+    // Cache-marked but never warmed: generation fails, the breaker
+    // trips, and the page gets the bottom rung — a well-formed 503 with
+    // Retry-After.
+    let miss = fetch_until(&server, "/never_warm", "a 503 for the unwarmed page", |r| {
+        r.status == StatusCode::SERVICE_UNAVAILABLE
+    });
+    assert!(miss.headers.get("retry-after").is_some());
     let breaker = server.breaker().expect("breaker configured");
     assert!(breaker.opened_total() >= 1, "breaker must have opened");
     let health = healthz_body(&server);
@@ -153,27 +156,21 @@ fn staged_ladder_outage_brownout_recovery() {
         health.contains("\"state\":\"open\"") || health.contains("\"state\":\"half-open\""),
         "breaker state visible in /healthz: {health}"
     );
-    assert!(health.contains("\"degraded\":"), "{health}");
+    let cached = fetch(server.addr(), Method::Get, "/books", &[]).unwrap();
+    assert_eq!(
+        cached.status,
+        StatusCode::OK,
+        "hits outlast the open breaker"
+    );
+    assert_eq!(cached.body, fresh.body);
 
-    // Cache-marked but never warmed: falls to the bottom rung — a
-    // well-formed 503 with Retry-After, counted as a stale miss.
-    let miss = fetch_until(&server, "/never_warm", "a 503 for the unwarmed page", |r| {
-        r.status == StatusCode::SERVICE_UNAVAILABLE
-    });
-    assert!(miss.headers.get("retry-after").is_some());
-    assert!(counter(&server, "stale_misses_total") >= 1.0);
-
-    // Rung 3 — recovery: the database heals, a half-open probe
-    // succeeds, the breaker closes, and responses are fresh again.
+    // Recovery: the database heals, a half-open probe succeeds, the
+    // breaker closes, and the unwarmed page is generated fresh.
     server.set_fault_plan(None);
-    let recovered = fetch_until(&server, "/books", "a fresh 200 after healing", |r| {
-        r.status == StatusCode::OK && r.headers.get("warning").is_none()
-    });
-    assert_eq!(recovered.body, b"<ul>2 books</ul>");
     let wait = Instant::now() + Duration::from_secs(5);
     while breaker.state() != BreakerState::Closed {
         assert!(Instant::now() < wait, "breaker never closed after healing");
-        let _ = fetch(server.addr(), Method::Get, "/books", &[]);
+        let _ = fetch(server.addr(), Method::Get, "/uncached", &[]);
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(
@@ -181,9 +178,43 @@ fn staged_ladder_outage_brownout_recovery() {
         "recovery went via half-open"
     );
     assert!(healthz_body(&server).contains("\"state\":\"closed\""));
+    let recovered = fetch(server.addr(), Method::Get, "/never_warm", &[]).unwrap();
+    assert_eq!(recovered.status, StatusCode::OK);
+    assert_eq!(recovered.body, b"<ul>2 books</ul>");
 
     for pool in server.pool_snapshots() {
         assert_eq!(pool.panicked, 0, "pool {} lost a worker", pool.name);
+    }
+    server.shutdown().expect("clean shutdown");
+}
+
+/// With `doc_cache` off the staged server keeps no rendered pages: a
+/// warmed cache-marked page is answered `503` + `Retry-After` while the
+/// breaker is open, never with a cached copy.
+#[test]
+fn cache_off_outage_answers_503_never_a_cached_copy() {
+    let mut config = ServerConfig::small();
+    config.breaker = Some(test_breaker());
+    let server = StagedServer::start(
+        config,
+        ladder_app(Arc::new(AtomicBool::new(false))),
+        demo_db(),
+    )
+    .unwrap();
+    assert_eq!(server.registry().value("doc_cache_entries", &[]), None);
+
+    let fresh = fetch(server.addr(), Method::Get, "/books", &[]).unwrap();
+    assert_eq!(fresh.status, StatusCode::OK);
+
+    server.set_fault_plan(Some(outage()));
+    let shed = fetch_until(&server, "/books", "a breaker-open 503", |r| {
+        r.status == StatusCode::SERVICE_UNAVAILABLE
+    });
+    assert!(shed.headers.get("retry-after").is_some());
+    assert!(shed.headers.get("warning").is_none());
+    for _ in 0..4 {
+        let resp = fetch(server.addr(), Method::Get, "/books", &[]).unwrap();
+        assert_ne!(resp.status, StatusCode::OK, "no cached copy to serve");
     }
     server.shutdown().expect("clean shutdown");
 }
@@ -236,51 +267,31 @@ fn baseline_breaker_fails_fast_and_recovers_without_stale() {
 }
 
 /// Deadline propagation into the render stage: a request whose budget
-/// was spent generating data must not be rendered. With a stale copy on
-/// hand the server downgrades to it (and closes the connection); the
-/// expiry is counted either way.
+/// was spent generating data is answered `503` and never rendered.
 #[test]
-fn expired_render_jobs_downgrade_to_stale_not_fresh_render() {
+fn expired_render_jobs_are_refused_not_rendered() {
     let slow = Arc::new(AtomicBool::new(false));
     let mut config = ServerConfig::small();
     config.request_deadline = Some(Duration::from_millis(60));
     let server = StagedServer::start(config, ladder_app(Arc::clone(&slow)), demo_db()).unwrap();
 
-    // Warm the cache while fast.
-    let fresh = fetch(server.addr(), Method::Get, "/books", &[]).unwrap();
-    assert_eq!(fresh.status, StatusCode::OK);
-
-    // Now every `/books` data generation overshoots the whole budget,
-    // so the job reaches the render queue already expired.
+    // Every `/uncached` data generation now overshoots the whole
+    // budget, so the job reaches the render queue already expired.
     slow.store(true, Ordering::SeqCst);
-    let resp = fetch_until(&server, "/books", "a stale downgrade on expiry", |r| {
-        r.status == StatusCode::OK && r.headers.get("warning").is_some()
-    });
-    assert_eq!(resp.headers.get("warning"), Some(STALE_WARNING));
-    assert_eq!(
-        resp.headers.get("connection"),
-        Some("close"),
-        "an expired request's client may be gone; do not keep it alive"
-    );
-    assert!(counter(&server, "deadline_expired_total") >= 1.0);
-    assert!(counter(&server, "degraded_total") >= 1.0);
-
-    // The same expiry without a stale copy is a plain 503 — never a
-    // fresh render of a request nobody is waiting for.
-    let resp = fetch_until(&server, "/uncached", "a 503 on uncached expiry", |r| {
+    let resp = fetch_until(&server, "/uncached", "a 503 on expiry", |r| {
         r.status != StatusCode::OK
     });
     assert_eq!(resp.status, StatusCode::SERVICE_UNAVAILABLE);
+    assert!(counter(&server, "deadline_expired_total") >= 1.0);
     server.shutdown().expect("clean shutdown");
 }
 
 /// Deadline propagation into the dynamic queues: with every general
-/// dynamic worker parked on a slow uncached page, a warmed cache-marked
-/// page spends its whole budget waiting in the general queue. It is
-/// downgraded to its stale copy (and the connection closed), not
-/// answered `503` while a valid copy exists.
+/// dynamic worker parked on a slow page, a request spends its whole
+/// budget waiting in the general queue and is answered `503` with the
+/// connection closed.
 #[test]
-fn expired_dynamic_jobs_downgrade_to_stale() {
+fn expired_dynamic_jobs_are_refused() {
     let mut config = ServerConfig::small();
     config.request_deadline = Some(Duration::from_millis(100));
     let general_workers = config.general_workers;
@@ -291,8 +302,6 @@ fn expired_dynamic_jobs_downgrade_to_stale() {
     )
     .unwrap();
     let addr = server.addr();
-    let fresh = fetch(addr, Method::Get, "/books", &[]).unwrap();
-    assert_eq!(fresh.status, StatusCode::OK);
 
     // An unmeasured page classifies quick, so every `/slow` goes to
     // the general pool: one per worker, plus one queued.
@@ -312,12 +321,14 @@ fn expired_dynamic_jobs_downgrade_to_stale() {
     }
 
     let resp = fetch(addr, Method::Get, "/books", &[]).unwrap();
-    assert_eq!(resp.status, StatusCode::OK, "expired in the general queue");
-    assert_eq!(resp.headers.get("warning"), Some(STALE_WARNING));
+    assert_eq!(
+        resp.status,
+        StatusCode::SERVICE_UNAVAILABLE,
+        "expired in the general queue"
+    );
+    assert!(resp.headers.get("retry-after").is_some());
     assert_eq!(resp.headers.get("connection"), Some("close"));
-    assert_eq!(resp.body, b"<ul>2 books</ul>");
     assert!(counter(&server, "deadline_expired_total") >= 1.0);
-    assert!(counter(&server, "degraded_total") >= 1.0);
     for p in parked {
         let _ = p.join().expect("a /slow client thread panicked");
     }
@@ -325,11 +336,13 @@ fn expired_dynamic_jobs_downgrade_to_stale() {
 }
 
 /// Pre-rendered (`PageOutcome::Body`) pages bypass the render stage,
-/// but cache-marked HTML 200s must still join the stale ladder.
+/// but cache-marked 200s are still cached: a warmed one is a hit during
+/// an outage.
 #[test]
-fn prerendered_body_pages_participate_in_stale_ladder() {
+fn prerendered_body_pages_are_cache_hits() {
     let mut config = ServerConfig::small();
     config.breaker = Some(test_breaker());
+    config.doc_cache = true;
     let app = App::builder()
         .route("/pre", "pre", |_req, db| {
             let r = db.execute("SELECT COUNT(*) FROM book", &[])?;
@@ -338,20 +351,18 @@ fn prerendered_body_pages_participate_in_stale_ladder() {
                 r.single_int().unwrap_or(0)
             ))))
         })
-        .stale_cacheable("/pre")
+        .cacheable("/pre")
         .build();
     let server = StagedServer::start(config, app, demo_db()).unwrap();
 
     let fresh = fetch(server.addr(), Method::Get, "/pre", &[]).unwrap();
     assert_eq!(fresh.status, StatusCode::OK);
-    assert!(fresh.headers.get("warning").is_none());
 
     server.set_fault_plan(Some(outage()));
-    let stale = fetch_until(&server, "/pre", "a stale pre-rendered 200", |r| {
-        r.status == StatusCode::OK && r.headers.get("warning").is_some()
-    });
-    assert_eq!(stale.headers.get("warning"), Some(STALE_WARNING));
-    assert_eq!(stale.body, b"<p>2 books</p>");
+    let cached = fetch(server.addr(), Method::Get, "/pre", &[]).unwrap();
+    assert_eq!(cached.status, StatusCode::OK);
+    assert_eq!(cached.body, b"<p>2 books</p>");
+    assert_eq!(counter(&server, "doc_cache_hits_total"), 1.0);
     server.shutdown().expect("clean shutdown");
 }
 

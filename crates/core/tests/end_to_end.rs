@@ -125,8 +125,6 @@ fn server_counters(server: &ServerHandle) -> Vec<(String, f64)> {
         "handler_panics_total",
         "deadline_expired_total",
         "pool_starved_total",
-        "degraded_total",
-        "stale_misses_total",
         "slowloris_kills_total",
     ] {
         out.push((family.to_string(), registry.value(family, &[]).unwrap()));

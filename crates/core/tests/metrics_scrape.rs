@@ -182,14 +182,12 @@ fn server_counter_schema_is_frozen() {
             "handler_panics",
             "deadline_expired",
             "pool_starved",
-            "degraded",
-            "stale_misses",
             "slowloris_kills",
         ]
         .iter()
         .map(|name| format!("{name}_total 0")),
     );
-    assert_eq!(expected.len(), 17);
+    assert_eq!(expected.len(), 15);
     for which in ["staged", "baseline"] {
         let server = if which == "staged" {
             StagedServer::start(ServerConfig::small(), demo_app(), demo_db()).unwrap()

@@ -6,11 +6,10 @@
 //! outcomes through a rolling window and, past a failure-rate
 //! threshold, **opens**: queries fail immediately with
 //! [`DbError::CircuitOpen`](crate::DbError::CircuitOpen) and checkouts
-//! stop blocking, so callers can fall back (serve a stale copy, shed
-//! with `503`) without paying the timeout. After a cooldown the breaker
-//! goes **half-open** and admits a bounded budget of probe queries; if
-//! they all succeed it closes again, and a single probe failure reopens
-//! it for another cooldown.
+//! stop blocking, so callers can shed with `503` without paying the
+//! timeout. After a cooldown the breaker goes **half-open** and admits
+//! a bounded budget of probe queries; if they all succeed it closes
+//! again, and a single probe failure reopens it for another cooldown.
 
 use staged_sync::atomic::{AtomicU64, Ordering};
 use staged_sync::{OrderedMutex, Rank};

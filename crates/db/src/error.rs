@@ -55,8 +55,8 @@ impl DbError {
     }
 
     /// Whether the query was rejected by an open circuit breaker — a
-    /// transient condition: the caller should degrade (stale copy,
-    /// `503`) rather than treat it as a query bug.
+    /// transient condition: the caller should degrade (a `503`) rather
+    /// than treat it as a query bug.
     pub fn is_circuit_open(&self) -> bool {
         matches!(self, DbError::CircuitOpen)
     }

@@ -193,7 +193,7 @@ impl Drop for PooledBuf {
 /// An immutable response body shared by reference count.
 ///
 /// Cloning a `Body` is a pointer copy: the render stage, the
-/// stale-render cache, and the connection writer can all hold the same
+/// response cache, and the connection writer can all hold the same
 /// page without duplicating it. Construct one from any byte source
 /// (`Vec<u8>`, `String`, `&str`, `&[u8]`) or zero-copy from a pooled
 /// render buffer via [`PooledBuf::freeze`].

@@ -122,12 +122,6 @@ impl Response {
         &self.body
     }
 
-    /// A shared handle to the body — a reference-count bump, not a
-    /// copy. Lets a cache keep the page while the writer sends it.
-    pub fn body_shared(&self) -> Body {
-        self.body.clone()
-    }
-
     /// Marks the connection to close after this response.
     pub fn set_close(&mut self) {
         self.headers.set("Connection", "close");
@@ -300,16 +294,6 @@ mod tests {
         let mut head = Vec::new();
         r.write_head_into(&mut head);
         assert_eq!(head.len(), r.head_len());
-    }
-
-    #[test]
-    fn body_sharing_is_refcounted() {
-        let body: Body = "shared page".into();
-        let r = Response::html(body.clone());
-        let handle = r.body_shared();
-        assert_eq!(&handle[..], b"shared page");
-        // Original + response's copy + handle = 3 live handles.
-        assert_eq!(body.handle_count(), 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every request admitted by the staged server carries a [`Trace`]: a
 //! fixed-capacity event log (enqueue/dequeue/stage-done timestamps,
-//! the classifier's decision, shed/stale/breaker events) backed by a
+//! the classifier's decision, shed and unavailable events) backed by a
 //! `Box` recycled through a freelist, so steady-state tracing does not
 //! allocate on the hot path. When the request reaches a terminal state
 //! the trace is *finished* — explicitly on send/shed/expiry, or by
@@ -105,9 +105,8 @@ pub enum TraceEvent {
     ClassifiedLengthy,
     /// Rejected at a full queue or by overload control.
     Shed,
-    /// Served a stale cached render (degradation ladder).
-    StaleServed,
-    /// Fell through the ladder to a 503 (breaker open, no stale copy).
+    /// Generation was unavailable (breaker open, dead connection,
+    /// starved pool): answered `503`.
     Unavailable,
     /// The per-request clock (re)started — emitted by
     /// [`Trace::mark_start`] once the request line arrives, so
@@ -125,7 +124,6 @@ impl TraceEvent {
             TraceEvent::ClassifiedQuick => "classified_quick",
             TraceEvent::ClassifiedLengthy => "classified_lengthy",
             TraceEvent::Shed => "shed",
-            TraceEvent::StaleServed => "stale_served",
             TraceEvent::Unavailable => "unavailable",
             TraceEvent::Started => "started",
         }
@@ -135,7 +133,7 @@ impl TraceEvent {
 /// The terminal state of a trace. Every trace reaches exactly one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceOutcome {
-    /// A response was written (including stale and error pages).
+    /// A response was written (including cache hits and error pages).
     Served,
     /// Rejected by overload control (503 + Retry-After).
     Shed,
@@ -494,7 +492,7 @@ impl Trace {
     }
 
     /// Records a free-form annotation ([`TraceEvent::Shed`],
-    /// [`TraceEvent::StaleServed`], …) against the current stage.
+    /// [`TraceEvent::Unavailable`], …) against the current stage.
     pub fn note(&mut self, event: TraceEvent) {
         self.push(event);
     }

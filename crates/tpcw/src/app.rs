@@ -121,19 +121,19 @@ pub fn build_app(db: &Database, scale: &ScaleConfig) -> App {
         pages::admin_confirm
     );
     // Read-only browsing pages may be served from the staged server's
-    // stale-render cache during a database outage. Mutating pages
-    // (cart, checkout, registration, admin confirm) must never be — a
-    // stale "order confirmed" would be a lie.
+    // response cache. Mutating pages (cart, checkout, registration,
+    // admin confirm) must never be — a cached "order confirmed" would
+    // be a lie.
     builder
-        .stale_cacheable("/home")
-        .stale_cacheable("/new_products")
-        .stale_cacheable("/best_sellers")
-        .stale_cacheable("/product_detail")
-        .stale_cacheable("/search_request")
-        .stale_cacheable("/execute_search")
-        .stale_cacheable("/order_inquiry")
-        .stale_cacheable("/order_display")
-        .stale_cacheable("/admin_request")
+        .cacheable("/home")
+        .cacheable("/new_products")
+        .cacheable("/best_sellers")
+        .cacheable("/product_detail")
+        .cacheable("/search_request")
+        .cacheable("/execute_search")
+        .cacheable("/order_inquiry")
+        .cacheable("/order_display")
+        .cacheable("/admin_request")
         .build()
 }
 

@@ -21,10 +21,11 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # 2 vCPUs, default seed, `--trace 1 --seconds 3`: five runs read
-# 227.97-228.10 allocations per request (median 228.04). The bound is
-# 1.03x that median, so one extra allocation per row of a listing
-# page (~+13 per request) fails it.
-ALLOCS_PER_REQ_MAX = 235.0
+# 199.38-199.68 allocations per request (median 199.57), with the
+# staged server keeping no response cache while `doc_cache` is off.
+# The bound is 1.03x that median, so one extra allocation per row of a
+# listing page (~+13 per request) fails it.
+ALLOCS_PER_REQ_MAX = 205.6
 # Same setup, three runs: 0.856-0.860.
 HIT_RATIO_MIN = 0.8
 
