@@ -24,9 +24,9 @@
 //! # Query planning
 //!
 //! SELECTs execute through an explicit **plan tree** (seq/index/range
-//! scans, filter, index-loop/hash/nested-loop joins, aggregate, sort,
-//! limit) chosen by a cost-based planner from the WHERE predicates and
-//! live table cardinalities. It is the only SELECT executor. Plans are
+//! scans, filter, index-loop/nested-loop joins, aggregate, sort,
+//! limit) that the planner derives from the WHERE predicates and the
+//! tables' indexes. It is the only SELECT executor. Plans are
 //! cached per statement text and invalidated by DDL. A statement that
 //! cannot be planned (unknown table, unresolvable join column) fails
 //! with that error; the failure is not cached, so a later `CREATE

@@ -5,10 +5,8 @@
 //! read locks, so schemas and cardinalities are consistent) and cached;
 //! every execution then walks the same tree. Row order is
 //! deterministic: index buckets come out in insertion order, range and
-//! sequential scans in row-id order, and hash buckets are built in
-//! row-id order — the order a nested-loop rescan visits — so a join's
-//! output order does not depend on the join strategy the cost model
-//! picks. Every expression
+//! sequential scans (a nested-loop join's inner rescan included) in
+//! row-id order. Every expression
 //! is bound to column addresses at plan time and the scan → filter →
 //! join pipeline carries references to the stored rows, so only the
 //! rows of the result are ever cloned ([`exec::finish_select`]). A
@@ -27,10 +25,9 @@ use crate::exec::{self, BoundExpr, BoundTable, ExecStats, Tail};
 use crate::readset::{ReadSet, RowFilter, RowKey, Window, WindowKeys};
 use crate::sql::ast::*;
 use crate::table::{bigrams, signature};
-use crate::value::{DbValue, IndexKey};
+use crate::value::DbValue;
 use staged_sync::atomic::{AtomicU64, Ordering};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,14 +42,13 @@ pub(crate) const MAX_EXACT_JOIN_KEYS: usize = 256;
 /// of the `db_plan_node_seconds` histogram family. Servers pre-create
 /// one histogram per kind so the family is visible before any planned
 /// query runs.
-pub const PLAN_NODE_KINDS: [&str; 11] = [
+pub const PLAN_NODE_KINDS: [&str; 10] = [
     "seq_scan",
     "index_scan",
     "index_range",
     "index_endpoint",
     "filter",
     "index_loop_join",
-    "hash_join",
     "nested_loop_join",
     "aggregate",
     "sort",
@@ -243,12 +239,8 @@ pub(crate) enum JoinStrategy {
     /// Probe the inner table's index per outer row; each bucket comes
     /// out in insertion order.
     IndexLoop,
-    /// Build a hash table over the inner table once, probe per outer
-    /// row. Chosen when the inner side is unindexed and the build cost
-    /// beats rescanning.
-    Hash,
-    /// Rescan the inner table per outer row, in row-id order; only
-    /// worth it when the outer side is estimated tiny.
+    /// Rescan the inner table per outer row, in row-id order: the one
+    /// fallback for a join column without an index.
     NestedLoop,
 }
 
@@ -509,28 +501,18 @@ type Deferred<'p> = (&'p Arc<[BoundExpr]>, Option<(usize, Vec<RowKey>)>);
 
 /// The distinct outer key values that reached one join, up to
 /// [`MAX_EXACT_JOIN_KEYS`]. NULL joins nothing, so it is not a key.
+#[derive(Default)]
 struct JoinKeys {
     keys: Vec<RowKey>,
-    /// `RowKey::of` for primary-key probes (exact row identities),
-    /// `RowKey::join` for key sets matched against row images.
-    key: fn(&DbValue) -> RowKey,
     overflowed: bool,
 }
 
 impl JoinKeys {
-    fn new(key: fn(&DbValue) -> RowKey) -> Self {
-        JoinKeys {
-            keys: Vec::new(),
-            key,
-            overflowed: false,
-        }
-    }
-
     fn push(&mut self, value: &DbValue) {
         if self.overflowed || value.is_null() {
             return;
         }
-        self.keys.push((self.key)(value));
+        self.keys.push(RowKey::of(value));
         if self.keys.len() > 2 * MAX_EXACT_JOIN_KEYS {
             self.dedup();
         }
@@ -561,21 +543,18 @@ type Finished<'a> = (
 );
 
 /// The join stages of one execution. [`Joins::run`] takes a batch of
-/// base rows through every stage in turn; hash tables, join keys and
-/// timings carry over from batch to batch, so a top-k read can join its
-/// base rows a few at a time.
+/// base rows through every stage in turn; join keys and timings carry
+/// over from batch to batch, so a top-k read can join its base rows a
+/// few at a time.
 struct Joins<'a> {
     plan: &'a SelectPlan,
     tables: &'a [BoundTable<'a>],
     params: &'a [DbValue],
-    stages: Vec<Stage<'a>>,
+    stages: Vec<Stage>,
 }
 
 /// One join stage's state across batches.
-struct Stage<'a> {
-    /// Hash join: the inner table's rows by join key, built on the
-    /// first batch.
-    hash: Option<HashMap<IndexKey, Vec<&'a [DbValue]>>>,
+struct Stage {
     /// The outer keys that reached the stage, when tracking reads.
     keys: Option<JoinKeys>,
     rows: u64,
@@ -589,18 +568,10 @@ impl<'a> Joins<'a> {
         params: &'a [DbValue],
         track: bool,
     ) -> Self {
-        let stages = plan.joins.iter().map(|jp| {
-            let key = if jp.probes_pk() {
-                RowKey::of
-            } else {
-                RowKey::join
-            };
-            Stage {
-                hash: None,
-                keys: track.then(|| JoinKeys::new(key)),
-                rows: 0,
-                nanos: 0,
-            }
+        let stages = plan.joins.iter().map(|_| Stage {
+            keys: track.then(JoinKeys::default),
+            rows: 0,
+            nanos: 0,
         });
         Joins {
             plan,
@@ -625,21 +596,6 @@ impl<'a> Joins<'a> {
             let tj = Instant::now();
             let stride = join_idx + 1;
             let new_table = &self.tables[stride];
-            // Hash join: build once over live rows in row-id order —
-            // bucket contents come out in the order a nested-loop rescan
-            // visits them, so output ordering does not depend on the
-            // strategy.
-            if jp.strategy == JoinStrategy::Hash && stage.hash.is_none() {
-                let mut hash: HashMap<IndexKey, Vec<&'a [DbValue]>> = HashMap::new();
-                for (_, row) in new_table.data.iter_live() {
-                    stats.scanned += 1;
-                    let v = &row[jp.inner_col];
-                    if !v.is_null() {
-                        hash.entry(v.index_key()).or_default().push(row);
-                    }
-                }
-                stage.hash = Some(hash);
-            }
             let staged = std::mem::take(&mut rows);
             let input = if join_idx == 0 { base } else { &staged[..] };
             let last = join_idx + 1 == stages;
@@ -681,20 +637,6 @@ impl<'a> Joins<'a> {
                     JoinStrategy::NestedLoop => {
                         for (_, inner) in new_table.data.iter_live() {
                             stats.scanned += 1;
-                            if inner[jp.inner_col].sql_eq(key) {
-                                emit(partial, inner)?;
-                            }
-                        }
-                    }
-                    // NULL joins nothing (sql_eq semantics).
-                    JoinStrategy::Hash if key.is_null() => {}
-                    JoinStrategy::Hash => {
-                        let bucket = stage.hash.as_ref().and_then(|h| h.get(&key.index_key()));
-                        for &inner in bucket.into_iter().flatten() {
-                            stats.scanned += 1;
-                            // IndexKey groups by f64 value; re-check with
-                            // sql_eq so edge cases match a nested-loop
-                            // rescan.
                             if inner[jp.inner_col].sql_eq(key) {
                                 emit(partial, inner)?;
                             }
@@ -756,7 +698,7 @@ impl<'a> Joins<'a> {
 /// keys, which read only the base table, and joins them in that order,
 /// batch by batch, until `offset + limit` joined rows are out — a batch
 /// of what is still missing, at least twice the last one, when a join
-/// dropped rows. Every join strategy emits in outer-major order, so the
+/// dropped rows. Both join strategies emit in outer-major order, so the
 /// joined rows come out exactly as sorting the whole join orders them,
 /// ties included; the base rows left unprobed all sort after them.
 /// `None`, with nothing probed, when LIMIT/OFFSET or a key fails to

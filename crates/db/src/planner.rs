@@ -2,20 +2,20 @@
 //!
 //! Planning runs once per statement text, under the same sorted
 //! table read locks execution uses, so schemas and cardinalities are
-//! consistent with the first run. The planner's cost model is
-//! deliberately small — table cardinality and index distinct-key
-//! counts, the inputs the synthetic [`CostModel`](crate::CostModel)
-//! charges for — because the quantity being minimised *is* rows
-//! visited:
+//! consistent with the first run. Each choice is a rule on the
+//! statement's shape and the tables' indexes that keeps the rows
+//! visited — what the synthetic [`CostModel`](crate::CostModel) charges
+//! for — low; table cardinalities and index distinct-key counts feed
+//! only the estimates EXPLAIN shows:
 //!
 //! * base access: a PK equality probe beats any other access; then the
 //!   first equality conjunct on an indexed column; then a range probe
 //!   over an indexed column (`< <= > >= BETWEEN`); else a sequential
 //!   scan;
 //! * joins: an indexed inner side is probed per outer row (index loop);
-//!   an unindexed inner side compares `build + probes` (hash join)
-//!   against `outer × inner` (nested loop rescan) on estimated
-//!   cardinalities;
+//!   an unindexed inner side is rescanned per outer row (nested loop) —
+//!   every join the TPC-W pages issue probes an index, so the rescan is
+//!   the fallback for ad-hoc statements only;
 //! * single-row aggregates (`COUNT(*)`, `MIN`/`MAX` of an indexed
 //!   column, no WHERE/JOIN/GROUP/ORDER/LIMIT) short-cut to index
 //!   endpoints without scanning at all.
@@ -28,7 +28,7 @@ use crate::sql::ast::*;
 use std::sync::Arc;
 
 /// Assumed matches per join key when the inner side has no index to
-/// report distinct keys (i.e. for the hash-vs-nested-loop choice).
+/// report distinct keys, and rows per group of a GROUP BY.
 const UNINDEXED_MATCHES_PER_KEY: u64 = 10;
 
 /// Assumed selectivity denominator for range probes: a range scan is
@@ -168,8 +168,8 @@ pub(crate) fn build_select_plan(
         Some(prev)
     };
 
-    // --- Joins: resolve which ON side is the new (inner) table, then
-    // pick a strategy for each unindexed inner side. ---
+    // --- Joins: resolve which ON side is the new (inner) table; probe
+    // its index, or rescan it without one. ---
     let mut joins: Vec<JoinPlan> = Vec::new();
     let mut join_nodes: Vec<usize> = Vec::new();
     for (join_idx, join) in sel.joins.iter().enumerate() {
@@ -190,15 +190,7 @@ pub(crate) fn build_select_plan(
         let strategy = if new_table.data.has_index(inner_col) {
             JoinStrategy::IndexLoop
         } else {
-            // Hash: one build pass plus a probe per outer row.
-            // Nested loop: a full inner rescan per outer row.
-            let cost_hash = inner_n.saturating_add(est);
-            let cost_nl = est.saturating_mul(inner_n);
-            if cost_hash < cost_nl {
-                JoinStrategy::Hash
-            } else {
-                JoinStrategy::NestedLoop
-            }
+            JoinStrategy::NestedLoop
         };
         let per_key = if inner_pk {
             1
@@ -225,7 +217,6 @@ pub(crate) fn build_select_plan(
 
         let kind = match strategy {
             JoinStrategy::IndexLoop => "index_loop_join",
-            JoinStrategy::Hash => "hash_join",
             JoinStrategy::NestedLoop => "nested_loop_join",
         };
         let mut node = PlanNode::new(kind, est, Some(prev));

@@ -296,8 +296,10 @@ impl TableData {
     /// borrowed, in insertion order. Caller must have checked
     /// [`TableData::has_index`].
     pub(crate) fn lookup_eq(&self, col: usize, value: &DbValue) -> &[usize] {
-        if value.is_null() {
-            return &[]; // NULL = anything is never true
+        // `NULL = x` and `NaN = x` are never true (`sql_eq`), though
+        // NaNs share an index key.
+        if value.is_null() || value.as_f64().is_some_and(f64::is_nan) {
+            return &[];
         }
         let key = value.index_key();
         let bucket = if self.schema.primary_key() == Some(col) {

@@ -113,11 +113,18 @@ impl DbValue {
     }
 
     /// An index key that groups equal numerics together and is `Ord`.
+    /// Keys are equal exactly when [`DbValue::sql_eq`] holds, or both
+    /// sides are `NULL` or NaN (which index probes therefore never look
+    /// up), so `-0.0` folds onto `0.0`: an index probe, a scan, a join
+    /// and GROUP BY agree on which values are equal.
     pub(crate) fn index_key(&self) -> IndexKey {
         match self {
             DbValue::Null => IndexKey::Null,
             DbValue::Int(i) => IndexKey::Num((*i as f64).to_bits() ^ sign_flip(*i as f64)),
-            DbValue::Float(f) => IndexKey::Num(f.to_bits() ^ sign_flip(*f)),
+            DbValue::Float(f) => {
+                let f = f + 0.0;
+                IndexKey::Num(f.to_bits() ^ sign_flip(f))
+            }
             DbValue::Text(s) => IndexKey::Text(s.clone()),
         }
     }
@@ -268,6 +275,10 @@ mod tests {
         assert_eq!(DbValue::Int(2).index_key(), DbValue::Float(2.0).index_key());
         assert!(DbValue::Null.index_key() < a);
         assert!(d < DbValue::from("").index_key());
+        // SQL equality equates the zeros, so their keys are one key.
+        assert!(DbValue::Float(-0.0).sql_eq(&DbValue::Int(0)));
+        assert_eq!(DbValue::Float(-0.0).index_key(), b);
+        assert!(DbValue::Float(-0.5).index_key() < b);
     }
 
     #[test]

@@ -121,9 +121,9 @@ fn join_with_indexed_inner_uses_index_loop() {
 }
 
 #[test]
-fn unindexed_join_picks_hash_or_nested_loop_by_size() {
+fn unindexed_join_is_a_nested_loop() {
     let db = sample(40);
-    // `w.x` is unindexed, so the join strategy is a pure cost call.
+    // `w.x` is unindexed: the inner side is rescanned per outer row.
     db.execute("CREATE TABLE w (wid INT PRIMARY KEY, x INT)", &[])
         .unwrap();
     for i in 0..30 {
@@ -133,17 +133,13 @@ fn unindexed_join_picks_hash_or_nested_loop_by_size() {
         )
         .unwrap();
     }
-    // Many outer rows: hash build (inner_n + est) beats est * inner_n.
     let many = "SELECT s FROM t JOIN w ON k = x";
     let k = kinds(&db.explain(many).unwrap());
-    assert!(k.contains(&"hash_join".to_string()), "{k:?}");
-    // A single outer row (PK point probe): one nested-loop pass over the
-    // inner table is cheaper than building a hash of it.
+    assert_eq!(k, ["nested_loop_join", "seq_scan"]);
     let one = "SELECT s FROM t JOIN w ON k = x WHERE id = 3";
     let k = kinds(&db.explain(one).unwrap());
-    assert!(k.contains(&"nested_loop_join".to_string()), "{k:?}");
-    // Either strategy emits, per outer row in row-id order, its inner
-    // matches in row-id order — the order of a nested-loop rescan.
+    assert_eq!(k, ["nested_loop_join", "filter", "index_scan"]);
+    // Per outer row in row-id order, its inner matches in row-id order.
     let joined = |outer: &[i64]| -> Vec<Vec<DbValue>> {
         outer
             .iter()
@@ -154,6 +150,111 @@ fn unindexed_join_picks_hash_or_nested_loop_by_size() {
     let all: Vec<i64> = (0..40).collect();
     assert_eq!(db.execute(many, &[]).unwrap().rows, joined(&all));
     assert_eq!(db.execute(one, &[]).unwrap().rows, joined(&[3]));
+}
+
+/// Differential: an index on the inner join column changes how a join
+/// finds its matches (a probe instead of a rescan under `sql_eq`), never
+/// which rows it returns. Random joins over columns mixing `-0.0`, `0`,
+/// `0.0`, NaN, NULL and other Int/Float values, each run on two
+/// databases that differ only in that index, must return the same
+/// columns and rows (`Debug` form, so a `-0.0` cell is not a `0.0` one),
+/// or the same error.
+#[test]
+fn inner_join_index_never_changes_results() {
+    let values = [
+        DbValue::Float(-0.0),
+        DbValue::Int(0),
+        DbValue::Float(0.0),
+        DbValue::Null,
+        DbValue::Int(1),
+        DbValue::Float(1.0),
+        DbValue::Float(-1.5),
+        DbValue::Float(f64::NAN),
+    ];
+    let mut rng = Rng(0x00ff_5eed_0000_0046);
+    let (mut returned, mut across_zeros) = (0usize, 0usize);
+    for _ in 0..6 {
+        let [plain, indexed] = [Database::new(), Database::new()];
+        let seed = rng.next();
+        for (db, index) in [(&plain, false), (&indexed, true)] {
+            db.execute("CREATE TABLE o (id INT PRIMARY KEY, k FLOAT, g INT)", &[])
+                .unwrap();
+            db.execute("CREATE TABLE i (iid INT PRIMARY KEY, k FLOAT, w INT)", &[])
+                .unwrap();
+            if index {
+                db.execute("CREATE INDEX ON i (k)", &[]).unwrap();
+            }
+            let mut r = Rng(seed);
+            for (table, n) in [("o (id, k, g)", 25), ("i (iid, k, w)", 30)] {
+                for id in 0..n {
+                    let k = r.below(8) as usize;
+                    let sql = format!("INSERT INTO {table} VALUES (?, ?, ?)");
+                    let row = [
+                        DbValue::Int(id),
+                        values[k].clone(),
+                        DbValue::Int(r.below(3) as i64),
+                    ];
+                    db.execute(&sql, &row).unwrap();
+                }
+            }
+        }
+        assert_eq!(
+            kinds(
+                &indexed
+                    .explain("SELECT o.id FROM o JOIN i ON o.k = i.k")
+                    .unwrap()
+            )[0],
+            "index_loop_join"
+        );
+        for _ in 0..40 {
+            let on = rng.pick(&["o.k = i.k", "i.k = o.k"]);
+            let items = rng.pick(&["o.id, o.k, i.iid, i.k", "*", "i.k, COUNT(*)"]);
+            let mut sql = format!("SELECT {items} FROM o JOIN i ON {on}");
+            let mut params = Vec::new();
+            match rng.below(5) {
+                0 => {}
+                // One outer row: a rescan cheaper than any build.
+                4 => {
+                    sql += " WHERE o.id = ?";
+                    params.push(DbValue::Int(rng.below(25) as i64));
+                }
+                1 => {
+                    sql += " WHERE i.k = ?";
+                    params.push(values[rng.below(8) as usize].clone());
+                }
+                2 => {
+                    sql += " WHERE o.k = ?";
+                    params.push(values[rng.below(8) as usize].clone());
+                }
+                _ => sql += " WHERE i.w < o.g",
+            }
+            if items.contains("COUNT") {
+                sql += " GROUP BY i.k ORDER BY i.k";
+            } else if rng.below(2) == 0 {
+                sql += rng.pick(&[" ORDER BY o.id, i.iid", " ORDER BY i.k DESC, i.iid LIMIT 7"]);
+            }
+            let outcome = |db: &Database| {
+                let r = db.execute(&sql, &params).map_err(|e| e.to_string());
+                format!("{:?}", r.as_ref().map(|r| (&r.columns, &r.rows)))
+            };
+            let (want, got) = (outcome(&plain), outcome(&indexed));
+            assert_eq!(want, got, "{sql} {params:?}");
+            if let Ok(r) = plain.execute(&sql, &params) {
+                returned += r.rows.len();
+            }
+        }
+        // The two zeros meet in the join, or the property is vacuous.
+        let pairs = plain
+            .execute("SELECT o.k, i.k FROM o JOIN i ON o.k = i.k", &[])
+            .unwrap();
+        across_zeros += pairs
+            .rows
+            .iter()
+            .filter(|row| format!("{:?}", row[0]) != format!("{:?}", row[1]))
+            .count();
+    }
+    assert!(returned > 1_000, "generator went quiet: {returned} rows");
+    assert!(across_zeros > 0, "no join matched -0.0 against 0 or 0.0");
 }
 
 #[test]
@@ -466,7 +567,7 @@ impl Rng {
     fn statement(&mut self) -> Generated {
         let mut params = Vec::new();
         // 0: a alone; 1: a ⋈ c (PK index loop); 2: a ⋈ b (unindexed:
-        // hash or nested loop); 3: a ⋈ b ⋈ c.
+        // nested loop); 3: a ⋈ b ⋈ c.
         let joins = self.below(4);
         let from = [
             "a",
@@ -601,7 +702,7 @@ impl Rng {
 
 /// Seeded property over random tables (NULLs, duplicate sort keys,
 /// Int/Float mixes in one column, empty tables) × random statements
-/// (AND/OR predicates over every operator, 0–2 joins of all three
+/// (AND/OR predicates over every operator, 0–2 joins of both
 /// strategies, GROUP BY, ORDER BY on aliases and non-projected keys,
 /// LIMIT/OFFSET at and past the edges, LIMIT as a parameter). Each
 /// statement's outcome — columns and rows, order included, or the error
@@ -655,14 +756,14 @@ fn randomized_statements_match_frozen_results() {
     );
 }
 
-/// Recorded when a joined `ORDER BY … LIMIT` over base-table keys began
-/// ordering its base rows before the join (same generator, same seed):
-/// the join probes only the base rows up to the window, which lowers
-/// `rows_scanned`, records fewer join keys, and leaves a boundary where
-/// unprobed base rows remain. Every result did not change; with the
-/// late join switched off the digest read 17_074_429_126_816_725_187,
-/// the value recorded when row filters gained top-k windows.
-const PLANNED_SCAN_AND_READS_DIGEST: u64 = 1_036_525_888_117_976_740;
+/// Recorded when the hash join was deleted and every unindexed join
+/// became a nested-loop rescan (same generator, same seed): a rescan
+/// counts the inner table once per outer row, where a hash build counted
+/// it once, so `rows_scanned` rose on the statements that had hashed.
+/// It is the value the code before that change read with its join cost
+/// rule pinned to the nested loop; unpinned, it read
+/// 1_036_525_888_117_976_740. Every result did not change.
+const PLANNED_SCAN_AND_READS_DIGEST: u64 = 6_631_324_041_842_223_448;
 
 /// Each generated statement's outcome — columns and rows (`Debug` form,
 /// order included) or the error text — folded statement by statement.

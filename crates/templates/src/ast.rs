@@ -1,6 +1,7 @@
 //! The compiled template AST and expression parsing.
 
 use crate::error::TemplateError;
+use crate::filters::Filter as Kind;
 use crate::value::Value;
 
 /// A node of a compiled template.
@@ -10,9 +11,11 @@ pub(crate) enum Node {
     Text(String),
     /// `{{ expr }}`
     Var(FilterExpr),
-    /// `{% if %}…{% elif %}…{% else %}…{% endif %}`
+    /// `{% if expr %}…{% else %}…{% endif %}`: the body when `expr` is
+    /// truthy.
     If {
-        arms: Vec<(Cond, Vec<Node>)>,
+        cond: FilterExpr,
+        body: Vec<Node>,
         else_body: Vec<Node>,
     },
     /// `{% for x in xs %}…{% empty %}…{% endfor %}`
@@ -24,12 +27,6 @@ pub(crate) enum Node {
     },
     /// `{% include "name" %}`
     Include { name: String },
-    /// `{% with name = expr %}…{% endwith %}`
-    With {
-        var: String,
-        value: FilterExpr,
-        body: Vec<Node>,
-    },
 }
 
 /// An operand: a literal or a dotted variable path.
@@ -42,37 +39,15 @@ pub(crate) enum Operand {
 /// One filter application: `|name` or `|name:arg`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Filter {
-    pub name: String,
+    pub kind: Kind,
     pub arg: Option<Operand>,
 }
 
-/// An operand plus its filter chain: `user.name|lower|truncatechars:20`.
+/// An operand plus its filter chain: `item.cost|floatformat:2`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FilterExpr {
     pub base: Operand,
     pub filters: Vec<Filter>,
-}
-
-/// Comparison operators usable in `{% if %}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Gt,
-    Le,
-    Ge,
-    In,
-}
-
-/// A boolean condition tree for `{% if %}`.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Cond {
-    Or(Box<Cond>, Box<Cond>),
-    And(Box<Cond>, Box<Cond>),
-    Not(Box<Cond>),
-    Compare(FilterExpr, CmpOp, FilterExpr),
-    Truthy(FilterExpr),
 }
 
 /// Splits a tag body on whitespace, keeping quoted strings (and the
@@ -226,93 +201,37 @@ impl FilterExpr {
                     format!("invalid filter name: {part}"),
                 ));
             }
+            let kind = Kind::parse(&name)
+                .ok_or_else(|| TemplateError::parse(line, format!("invalid filter: {name}")))?;
             let arg = match arg {
                 Some(a) => Some(parse_operand(a.trim(), line)?),
                 None => None,
             };
-            filters.push(Filter { name, arg });
+            filters.push(Filter { kind, arg });
         }
         Ok(FilterExpr { base, filters })
     }
 }
 
-impl Cond {
-    /// Parses an `{% if %}` condition from smart-split tokens, with
-    /// Django precedence: `or` < `and` < `not` < comparison.
-    pub(crate) fn parse(words: &[String], line: usize) -> Result<Self, TemplateError> {
-        let mut pos = 0;
-        let cond = parse_or(words, &mut pos, line)?;
-        if pos != words.len() {
-            return Err(TemplateError::parse(
-                line,
-                format!("unexpected token in condition: {}", words[pos]),
-            ));
-        }
-        Ok(cond)
-    }
-}
-
-fn parse_or(words: &[String], pos: &mut usize, line: usize) -> Result<Cond, TemplateError> {
-    let mut left = parse_and(words, pos, line)?;
-    while *pos < words.len() && words[*pos] == "or" {
-        *pos += 1;
-        let right = parse_and(words, pos, line)?;
-        left = Cond::Or(Box::new(left), Box::new(right));
-    }
-    Ok(left)
-}
-
-fn parse_and(words: &[String], pos: &mut usize, line: usize) -> Result<Cond, TemplateError> {
-    let mut left = parse_not(words, pos, line)?;
-    while *pos < words.len() && words[*pos] == "and" {
-        *pos += 1;
-        let right = parse_not(words, pos, line)?;
-        left = Cond::And(Box::new(left), Box::new(right));
-    }
-    Ok(left)
-}
-
-fn parse_not(words: &[String], pos: &mut usize, line: usize) -> Result<Cond, TemplateError> {
-    if *pos < words.len() && words[*pos] == "not" {
-        *pos += 1;
-        let inner = parse_not(words, pos, line)?;
-        return Ok(Cond::Not(Box::new(inner)));
-    }
-    parse_comparison(words, pos, line)
-}
-
-fn parse_comparison(words: &[String], pos: &mut usize, line: usize) -> Result<Cond, TemplateError> {
-    if *pos >= words.len() {
-        return Err(TemplateError::parse(
+/// Parses an `{% if %}` condition from its smart-split words: one
+/// filter expression, tested for truthiness. The language has no `and`,
+/// `or`, `not`, comparisons or `in`, so a condition of any other length
+/// is an error.
+pub(crate) fn parse_condition(words: &[String], line: usize) -> Result<FilterExpr, TemplateError> {
+    match words {
+        [expr] => FilterExpr::parse(expr, line),
+        [] => Err(TemplateError::parse(
             line,
             "expected expression in condition",
-        ));
+        )),
+        _ => Err(TemplateError::parse(
+            line,
+            format!(
+                "a condition is one expression, tested for truth: {}",
+                words.join(" ")
+            ),
+        )),
     }
-    let left = FilterExpr::parse(&words[*pos], line)?;
-    *pos += 1;
-    let op = match words.get(*pos).map(String::as_str) {
-        Some("==") => Some(CmpOp::Eq),
-        Some("!=") => Some(CmpOp::Ne),
-        Some("<") => Some(CmpOp::Lt),
-        Some(">") => Some(CmpOp::Gt),
-        Some("<=") => Some(CmpOp::Le),
-        Some(">=") => Some(CmpOp::Ge),
-        Some("in") => Some(CmpOp::In),
-        _ => None,
-    };
-    if let Some(op) = op {
-        *pos += 1;
-        if *pos >= words.len() {
-            return Err(TemplateError::parse(
-                line,
-                "comparison missing right-hand side",
-            ));
-        }
-        let right = FilterExpr::parse(&words[*pos], line)?;
-        *pos += 1;
-        return Ok(Cond::Compare(left, op, right));
-    }
-    Ok(Cond::Truthy(left))
 }
 
 #[cfg(test)]
@@ -322,8 +241,8 @@ mod tests {
     #[test]
     fn smart_split_respects_quotes() {
         assert_eq!(
-            smart_split(r#"for x in items|join:", " rest"#),
-            vec!["for", "x", "in", r#"items|join:", ""#, "rest"]
+            smart_split(r#"for x in items|default:", " rest"#),
+            vec!["for", "x", "in", r#"items|default:", ""#, "rest"]
         );
         assert_eq!(smart_split("  a   b "), vec!["a", "b"]);
         assert_eq!(smart_split(""), Vec::<String>::new());
@@ -355,20 +274,20 @@ mod tests {
 
     #[test]
     fn parses_filter_chain_with_args() {
-        let e = FilterExpr::parse(r#"items|join:", "|upper"#, 1).unwrap();
+        let e = FilterExpr::parse(r#"items|slice:":2"|length"#, 1).unwrap();
         assert_eq!(e.filters.len(), 2);
-        assert_eq!(e.filters[0].name, "join");
+        assert_eq!(e.filters[0].kind, Kind::Slice);
         assert_eq!(
             e.filters[0].arg,
-            Some(Operand::Literal(Value::Str(", ".into())))
+            Some(Operand::Literal(Value::Str(":2".into())))
         );
-        assert_eq!(e.filters[1].name, "upper");
+        assert_eq!(e.filters[1].kind, Kind::Length);
         assert_eq!(e.filters[1].arg, None);
     }
 
     #[test]
     fn filter_arg_may_be_variable() {
-        let e = FilterExpr::parse("count|add:offset", 1).unwrap();
+        let e = FilterExpr::parse("count|default:offset", 1).unwrap();
         assert_eq!(
             e.filters[0].arg,
             Some(Operand::Path(vec!["offset".to_string()]))
@@ -382,49 +301,17 @@ mod tests {
         assert!(FilterExpr::parse("'unterminated", 1).is_err());
         assert!(FilterExpr::parse("a|bad name", 1).is_err());
         assert!(FilterExpr::parse("a-b", 1).is_err());
-    }
-
-    #[test]
-    fn condition_precedence() {
-        // "a or b and not c" parses as Or(a, And(b, Not(c)))
-        let words: Vec<String> = ["a", "or", "b", "and", "not", "c"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        match Cond::parse(&words, 1).unwrap() {
-            Cond::Or(_, right) => match *right {
-                Cond::And(_, r2) => assert!(matches!(*r2, Cond::Not(_))),
-                c => panic!("expected And, got {c:?}"),
-            },
-            c => panic!("expected Or, got {c:?}"),
-        }
-    }
-
-    #[test]
-    fn comparison_operators() {
-        for (tok, op) in [
-            ("==", CmpOp::Eq),
-            ("!=", CmpOp::Ne),
-            ("<", CmpOp::Lt),
-            (">", CmpOp::Gt),
-            ("<=", CmpOp::Le),
-            (">=", CmpOp::Ge),
-            ("in", CmpOp::In),
-        ] {
-            let words: Vec<String> = ["x", tok, "y"].iter().map(|s| s.to_string()).collect();
-            match Cond::parse(&words, 1).unwrap() {
-                Cond::Compare(_, got, _) => assert_eq!(got, op),
-                c => panic!("expected Compare, got {c:?}"),
-            }
-        }
+        assert!(FilterExpr::parse("a|upper", 1).is_err());
     }
 
     #[test]
     fn condition_errors() {
-        let words: Vec<String> = ["x", "=="].iter().map(|s| s.to_string()).collect();
-        assert!(Cond::parse(&words, 1).is_err());
-        let words: Vec<String> = ["x", "y"].iter().map(|s| s.to_string()).collect();
-        assert!(Cond::parse(&words, 1).is_err());
-        assert!(Cond::parse(&[], 1).is_err());
+        let words = |ws: &[&str]| ws.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert!(parse_condition(&words(&["x", "=="]), 1).is_err());
+        assert!(parse_condition(&words(&["x", "y"]), 1).is_err());
+        assert!(parse_condition(&words(&["not", "x"]), 1).is_err());
+        assert!(parse_condition(&words(&["a", "or", "b"]), 1).is_err());
+        assert!(parse_condition(&[], 1).is_err());
+        assert!(parse_condition(&words(&["x|length"]), 1).is_ok());
     }
 }

@@ -13,8 +13,8 @@ pub(crate) enum Token {
     Tag { content: String, line: usize },
 }
 
-/// Splits template source into tokens. `{# … #}` comments produce no
-/// token. Unterminated constructs are parse errors.
+/// Splits template source into tokens. Unterminated constructs are
+/// parse errors.
 pub(crate) fn lex(source: &str) -> Result<Vec<Token>, TemplateError> {
     let mut tokens = Vec::new();
     let bytes = source.as_bytes();
@@ -22,67 +22,49 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Token>, TemplateError> {
     let mut line = 1;
     let mut text_start = 0;
 
-    let flush_text = |tokens: &mut Vec<Token>, from: usize, to: usize| {
-        if to > from {
-            tokens.push(Token::Text(source[from..to].to_string()));
-        }
-    };
-
     while i < bytes.len() {
-        if bytes[i] == b'{' && i + 1 < bytes.len() {
-            let (close, kind) = match bytes[i + 1] {
-                b'{' => ("}}", 0u8),
-                b'%' => ("%}", 1),
-                b'#' => ("#}", 2),
-                _ => {
-                    if bytes[i] == b'\n' {
-                        line += 1;
-                    }
-                    i += 1;
-                    continue;
+        let var = match bytes[i..] {
+            [b'{', b'{', ..] => true,
+            [b'{', b'%', ..] => false,
+            _ => {
+                if bytes[i] == b'\n' {
+                    line += 1;
                 }
-            };
-            flush_text(&mut tokens, text_start, i);
-            let open_line = line;
-            let body_start = i + 2;
-            match source[body_start..].find(close) {
-                Some(rel) => {
-                    let body = &source[body_start..body_start + rel];
-                    line += body.matches('\n').count();
-                    match kind {
-                        0 => tokens.push(Token::Var {
-                            expr: body.trim().to_string(),
-                            line: open_line,
-                        }),
-                        1 => tokens.push(Token::Tag {
-                            content: body.trim().to_string(),
-                            line: open_line,
-                        }),
-                        _ => {}
-                    }
-                    i = body_start + rel + 2;
-                    text_start = i;
-                }
-                None => {
-                    let what = match kind {
-                        0 => "{{",
-                        1 => "{%",
-                        _ => "{#",
-                    };
-                    return Err(TemplateError::parse(
-                        open_line,
-                        format!("unterminated {what} tag"),
-                    ));
-                }
+                i += 1;
+                continue;
+            }
+        };
+        if i > text_start {
+            tokens.push(Token::Text(source[text_start..i].to_string()));
+        }
+        let (open, close) = if var { ("{{", "}}") } else { ("{%", "%}") };
+        let body_start = i + 2;
+        let Some(rel) = source[body_start..].find(close) else {
+            return Err(TemplateError::parse(
+                line,
+                format!("unterminated {open} tag"),
+            ));
+        };
+        let body = &source[body_start..body_start + rel];
+        let token = if var {
+            Token::Var {
+                expr: body.trim().to_string(),
+                line,
             }
         } else {
-            if bytes[i] == b'\n' {
-                line += 1;
+            Token::Tag {
+                content: body.trim().to_string(),
+                line,
             }
-            i += 1;
-        }
+        };
+        tokens.push(token);
+        line += body.matches('\n').count();
+        i = body_start + rel + 2;
+        text_start = i;
     }
-    flush_text(&mut tokens, text_start, bytes.len());
+    if bytes.len() > text_start {
+        tokens.push(Token::Text(source[text_start..].to_string()));
+    }
     Ok(tokens)
 }
 
@@ -124,14 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_dropped() {
-        assert_eq!(
-            lex("a{# note #}b").unwrap(),
-            vec![Token::Text("a".into()), Token::Text("b".into())]
-        );
-    }
-
-    #[test]
     fn line_numbers_advance() {
         let tokens = lex("line1\nline2\n{{ x }}").unwrap();
         match &tokens[1] {
@@ -147,13 +121,17 @@ mod tests {
             Err(TemplateError::Parse { line: 1, .. })
         ));
         assert!(lex("{% if").is_err());
-        assert!(lex("{# note").is_err());
     }
 
     #[test]
     fn lone_brace_is_text() {
         assert_eq!(lex("a { b }").unwrap(), vec![Token::Text("a { b }".into())]);
         assert_eq!(lex("100%}").unwrap(), vec![Token::Text("100%}".into())]);
+        // No comment syntax: `{#` is text like any other brace.
+        assert_eq!(
+            lex("a{# b #}").unwrap(),
+            vec![Token::Text("a{# b #}".into())]
+        );
     }
 
     #[test]

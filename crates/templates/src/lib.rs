@@ -2,22 +2,23 @@
 //!
 //! The paper's whole premise is the separation of *content code* from
 //! *presentation code* via templates (its Figures 2/3 show a Django data
-//! function and template). This crate rebuilds the template-language
-//! subset those examples rely on, plus the surrounding machinery a web
-//! server needs:
+//! function and template). This crate rebuilds the template language
+//! those figures and the TPC-W pages use, and nothing more — each tag
+//! and filter below is one some page compiles to:
 //!
 //! * `{{ variable.path }}` substitution with dotted lookup into maps,
-//!   lists and query-result [`Table`]s, HTML **auto-escaping** by
-//!   default;
-//! * `{% if %} / {% elif %} / {% else %} / {% endif %}`;
-//! * `{% for x in xs %} … {% empty %} … {% endfor %}` with the
-//!   `forloop.counter` family;
+//!   lists and query-result [`Table`]s, every value HTML-escaped;
+//! * `{% if expr %} / {% else %} / {% endif %}`, testing one expression
+//!   for truthiness (no operators);
+//! * `{% for x in xs %} … {% empty %} … {% endfor %}`;
 //! * `{% include "name" %}`;
-//! * `{# comments #}` and `{% comment %}…{% endcomment %}`;
-//! * a pipe-filter chain (`{{ title|truncatewords:8|upper }}`) with the
-//!   common Django filters;
+//! * a pipe-filter chain (`{{ item.cost|floatformat:2 }}`) over the
+//!   seven filters of [`FILTERS`];
 //! * a concurrent [`TemplateStore`] that compiles once and renders many
 //!   times — the paper's render pool holds exactly such a store.
+//!
+//! Any other tag or filter fails to compile, with its line; [`TAGS`]
+//! and [`FILTERS`] are the whole language.
 //!
 //! # Examples
 //!
@@ -49,7 +50,8 @@ mod store;
 mod value;
 
 pub use error::TemplateError;
-pub use filters::escape_html;
+pub use filters::{escape_html, FILTERS};
+pub use parser::TAGS;
 pub use render::Template;
 pub use store::TemplateStore;
 pub use value::{Context, Table, Value};

@@ -1,8 +1,12 @@
 //! Parses token streams into the template AST.
 
-use crate::ast::{smart_split, Cond, FilterExpr, Node};
+use crate::ast::{parse_condition, smart_split, FilterExpr, Node};
 use crate::error::TemplateError;
 use crate::lexer::{lex, Token};
+
+/// Every block tag the language has, closers (`endif`, `endfor`) aside:
+/// the tags the TPC-W pages compile to. Any other tag is a parse error.
+pub const TAGS: [&str; 5] = ["if", "else", "for", "empty", "include"];
 
 /// Compiles template source into an AST.
 pub(crate) fn parse(source: &str) -> Result<Vec<Node>, TemplateError> {
@@ -46,11 +50,6 @@ fn parse_nodes(
                         nodes.push(parse_include(content, line)?);
                         *pos += 1;
                     }
-                    "with" => nodes.push(parse_with(tokens, pos, line)?),
-                    "comment" => {
-                        *pos += 1;
-                        skip_until_endcomment(tokens, pos, line)?;
-                    }
                     "" => {
                         return Err(TemplateError::parse(line, "empty block tag"));
                     }
@@ -85,39 +84,23 @@ fn last_line(tokens: &[Token]) -> usize {
         .unwrap_or(1)
 }
 
-/// `{% if cond %} … ({% elif cond %} …)* ({% else %} …)? {% endif %}`
+/// `{% if expr %} … ({% else %} …)? {% endif %}`
 fn parse_if(tokens: &[Token], pos: &mut usize, line: usize) -> Result<Node, TemplateError> {
     let Token::Tag { content, .. } = &tokens[*pos] else {
         unreachable!("parse_if called on non-tag");
     };
-    let words = smart_split(content);
-    let cond = Cond::parse(&words[1..], line)?;
+    let cond = parse_condition(&smart_split(content)[1..], line)?;
     *pos += 1;
-
-    let mut arms = Vec::new();
+    let (body, term) = parse_nodes(tokens, pos, &["else", "endif"])?;
     let mut else_body = Vec::new();
-    let mut current_cond = cond;
-    loop {
-        let (body, term) = parse_nodes(tokens, pos, &["elif", "else", "endif"])?;
-        let term = term.expect("parse_nodes with until returns a terminator");
-        let keyword = term.split_whitespace().next().unwrap_or("");
-        arms.push((current_cond, body));
-        match keyword {
-            "endif" => break,
-            "elif" => {
-                let words = smart_split(&term);
-                current_cond = Cond::parse(&words[1..], line)?;
-            }
-            "else" => {
-                let (body, term) = parse_nodes(tokens, pos, &["endif"])?;
-                debug_assert!(term.is_some());
-                else_body = body;
-                break;
-            }
-            _ => unreachable!("terminator restricted by until list"),
-        }
+    if term.is_some_and(|t| t.starts_with("else")) {
+        (else_body, _) = parse_nodes(tokens, pos, &["endif"])?;
     }
-    Ok(Node::If { arms, else_body })
+    Ok(Node::If {
+        cond,
+        body,
+        else_body,
+    })
 }
 
 /// `{% for var in iterable %} … ({% empty %} …)? {% endfor %}`
@@ -158,42 +141,6 @@ fn parse_for(tokens: &[Token], pos: &mut usize, line: usize) -> Result<Node, Tem
     })
 }
 
-/// `{% with var = expr %} … {% endwith %}` — binds a computed value
-/// for the block (Django's `with` tag).
-fn parse_with(tokens: &[Token], pos: &mut usize, line: usize) -> Result<Node, TemplateError> {
-    let Token::Tag { content, .. } = &tokens[*pos] else {
-        unreachable!("parse_with called on non-tag");
-    };
-    let words = smart_split(content);
-    // Accept both `with x = expr` and Django's compact `with x=expr`.
-    let (var, value_str) = match words.len() {
-        2 => {
-            let (v, e) = words[1].split_once('=').ok_or_else(|| {
-                TemplateError::parse(line, format!("malformed with tag: {content}"))
-            })?;
-            (v.to_string(), e.to_string())
-        }
-        4 if words[2] == "=" => (words[1].clone(), words[3].clone()),
-        _ => {
-            return Err(TemplateError::parse(
-                line,
-                format!("malformed with tag: {content}"),
-            ))
-        }
-    };
-    if var.is_empty() || !var.chars().all(|c| c.is_alphanumeric() || c == '_') {
-        return Err(TemplateError::parse(
-            line,
-            format!("invalid with variable: {var}"),
-        ));
-    }
-    let value = FilterExpr::parse(value_str.trim(), line)?;
-    *pos += 1;
-    let (body, term) = parse_nodes(tokens, pos, &["endwith"])?;
-    debug_assert!(term.is_some());
-    Ok(Node::With { var, value, body })
-}
-
 /// `{% include "name" %}`
 fn parse_include(content: &str, line: usize) -> Result<Node, TemplateError> {
     let words = smart_split(content);
@@ -217,23 +164,6 @@ fn parse_include(content: &str, line: usize) -> Result<Node, TemplateError> {
     }
 }
 
-fn skip_until_endcomment(
-    tokens: &[Token],
-    pos: &mut usize,
-    line: usize,
-) -> Result<(), TemplateError> {
-    while *pos < tokens.len() {
-        if let Token::Tag { content, .. } = &tokens[*pos] {
-            if content.trim() == "endcomment" {
-                *pos += 1;
-                return Ok(());
-            }
-        }
-        *pos += 1;
-    }
-    Err(TemplateError::parse(line, "unclosed comment block"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,11 +178,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_if_elif_else() {
-        let nodes = parse("{% if a %}1{% elif b %}2{% else %}3{% endif %}").unwrap();
+    fn parses_if_else() {
+        let nodes = parse("{% if a %}1{% else %}3{% endif %}").unwrap();
         match &nodes[0] {
-            Node::If { arms, else_body } => {
-                assert_eq!(arms.len(), 2);
+            Node::If {
+                body, else_body, ..
+            } => {
+                assert_eq!(body.len(), 1);
                 assert_eq!(else_body.len(), 1);
             }
             n => panic!("expected If, got {n:?}"),
@@ -298,16 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn comment_blocks_are_skipped() {
-        let nodes = parse("a{% comment %}{{ junk }}{% bad %}{% endcomment %}b").unwrap();
-        assert_eq!(nodes.len(), 2);
-    }
-
-    #[test]
     fn unclosed_blocks_error() {
         assert!(parse("{% if a %}x").is_err());
         assert!(parse("{% for x in xs %}x").is_err());
-        assert!(parse("{% comment %}x").is_err());
+        assert!(parse("{% if a %}x{% else %}y").is_err());
     }
 
     #[test]
@@ -315,6 +241,7 @@ mod tests {
         assert!(parse("{% endif %}").is_err());
         assert!(parse("{% endfor %}").is_err());
         assert!(parse("{% else %}").is_err());
+        assert!(parse("{% empty %}").is_err());
     }
 
     #[test]
@@ -332,6 +259,28 @@ mod tests {
                 assert!(message.contains("frobnicate"));
             }
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    /// The tag table is the language: each of its tags parses where it
+    /// belongs, and Django's other tags do not parse at all.
+    #[test]
+    fn only_the_tag_table_parses() {
+        let source = r#"{% if a %}{% for x in xs %}{% include "i" %}{% empty %}{% endfor %}{% else %}{% endif %}"#;
+        for tag in TAGS {
+            assert!(source.contains(&format!("{{% {tag}")), "{tag}");
+        }
+        assert!(parse(source).is_ok());
+        for other in [
+            "{% if a %}{% elif b %}{% endif %}",
+            "{% with x=1 %}{% endwith %}",
+            "{% comment %}{% endcomment %}",
+            "{% if a == b %}{% endif %}",
+            "{% if not a %}{% endif %}",
+            "{% if a and b %}{% endif %}",
+            "{% if a in b %}{% endif %}",
+        ] {
+            assert!(parse(other).is_err(), "{other}");
         }
     }
 }

@@ -3,7 +3,8 @@
 //! [`Program::compile`] flattens the parsed AST into a `Vec<Op>` with
 //! pre-resolved jump targets, pre-parsed variable paths (map keys vs.
 //! list indices are classified once, at compile time) and interned
-//! loop-variable names, and filter names resolved to [`Filter`]s.
+//! loop-variable names; the parser has already resolved filter names to
+//! [`Filter`]s.
 //! [`execute`] renders a program into a caller-supplied `Vec<u8>`
 //! without cloning context values: resolution returns borrows into the
 //! [`Context`] wherever possible — a query-result [`Table`]'s rows and
@@ -14,15 +15,15 @@
 //! evaluator; the TPC-W page goldens (`crates/tpcw/tests/page_goldens.rs`)
 //! pin its output on real pages.
 
-use crate::ast::{CmpOp, Cond, FilterExpr, Node, Operand};
+use crate::ast::{FilterExpr, Node, Operand};
 use crate::error::TemplateError;
-use crate::filters::{self, write_str, Filter};
+use crate::filters::{self, write_str, Filter, FILTERS};
+use crate::parser::TAGS;
 use crate::render::Template;
 use crate::store::TemplateStore;
 use crate::value::{Context, Table, Value};
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::Arc;
 
@@ -38,20 +39,11 @@ pub(crate) enum Seg {
     Index(usize),
 }
 
-/// A path root, classified at compile time.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Root {
-    /// `forloop[.…]` — resolved against the runtime loop stack with
-    /// counters computed on demand (no per-iteration metadata map).
-    Forloop,
-    /// A name, looked up in loop/with bindings then the context.
-    Name(Arc<str>),
-}
-
-/// A compiled dotted path.
+/// A compiled dotted path: a name, looked up among the loop variables
+/// and then in the context, and the segments below it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CPath {
-    root: Root,
+    root: Arc<str>,
     segs: Box<[Seg]>,
 }
 
@@ -73,25 +65,16 @@ pub(crate) struct CExpr {
     filters: Box<[CFilter]>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum CCond {
-    Or(Box<CCond>, Box<CCond>),
-    And(Box<CCond>, Box<CCond>),
-    Not(Box<CCond>),
-    Compare(CExpr, CmpOp, CExpr),
-    Truthy(CExpr),
-}
-
 /// One instruction of the flat stream. Jump targets are absolute
 /// indices into the owning program's op vector.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Op {
     /// Emit literal text.
     Text(Box<str>),
-    /// Evaluate and emit an expression (auto-escaped unless safe).
+    /// Evaluate and emit an expression, auto-escaped.
     Var(CExpr),
-    /// Jump to `target` when the condition is false.
-    BranchIfNot { cond: CCond, target: usize },
+    /// Jump to `target` when the expression is not truthy.
+    BranchIfNot { cond: CExpr, target: usize },
     /// Unconditional jump.
     Jump(usize),
     /// Evaluate the iterable; jump to `empty_target` when it has no
@@ -101,15 +84,10 @@ pub(crate) enum Op {
         var: Arc<str>,
         iterable: CExpr,
         empty_target: usize,
-        end_target: usize,
     },
     /// Advance the innermost loop: jump to `back` while items remain,
     /// otherwise pop the frame and jump to `end`.
     ForIter { back: usize, end: usize },
-    /// Push a `{% with %}` binding and fall through.
-    WithStart { var: Arc<str>, value: CExpr },
-    /// Pop the innermost `{% with %}` binding.
-    WithEnd,
     /// Execute another template's program in the current state.
     Include { name: Box<str> },
 }
@@ -130,13 +108,58 @@ impl Program {
     pub(crate) fn ops(&self) -> &[Op] {
         &self.ops
     }
+
+    /// The block tags ([`TAGS`]) this program was compiled from, each
+    /// once, in table order. An `else` or `empty` branch shows as a jump
+    /// that skips a non-empty stretch of ops.
+    pub(crate) fn tags(&self) -> Vec<&'static str> {
+        // Indexed as TAGS: if, else, for, empty, include.
+        let mut used = [false; TAGS.len()];
+        for (at, op) in self.ops.iter().enumerate() {
+            match op {
+                Op::BranchIfNot { target, .. } => {
+                    used[0] = true;
+                    // The body ends in a jump to the end of the `if`.
+                    used[1] |= matches!(self.ops[target - 1], Op::Jump(end) if end > *target);
+                }
+                Op::ForStart { .. } => used[2] = true,
+                Op::ForIter { end, .. } => used[3] |= *end > at + 1,
+                Op::Include { .. } => used[4] = true,
+                Op::Text(_) | Op::Var(_) | Op::Jump(_) => {}
+            }
+        }
+        TAGS.into_iter()
+            .zip(used)
+            .filter_map(|(t, u)| u.then_some(t))
+            .collect()
+    }
+
+    /// The filters ([`FILTERS`]) this program applies, each once, in
+    /// table order.
+    pub(crate) fn filters(&self) -> Vec<&'static str> {
+        let mut used = [false; FILTERS.len()];
+        for op in &self.ops {
+            let expr = match op {
+                Op::Var(e) | Op::BranchIfNot { cond: e, .. } => e,
+                Op::ForStart { iterable, .. } => iterable,
+                _ => continue,
+            };
+            for f in expr.filters.iter() {
+                used[f.kind as usize] = true;
+            }
+        }
+        FILTERS
+            .into_iter()
+            .zip(used)
+            .filter_map(|(f, u)| u.then_some(f))
+            .collect()
+    }
 }
 
 fn compile_path(path: &[String]) -> CPath {
     let (root, rest) = match path.split_first() {
-        Some((first, rest)) if first == "forloop" => (Root::Forloop, rest),
-        Some((first, rest)) => (Root::Name(Arc::from(first.as_str())), rest),
-        None => (Root::Name(Arc::from("")), &[][..]),
+        Some((first, rest)) => (Arc::from(first.as_str()), rest),
+        None => (Arc::from(""), &[][..]),
     };
     let segs = rest
         .iter()
@@ -162,20 +185,10 @@ fn compile_expr(expr: &FilterExpr) -> CExpr {
             .filters
             .iter()
             .map(|f| CFilter {
-                kind: Filter::parse(&f.name),
+                kind: f.kind,
                 arg: f.arg.as_ref().map(compile_operand),
             })
             .collect(),
-    }
-}
-
-fn compile_cond(cond: &Cond) -> CCond {
-    match cond {
-        Cond::Or(a, b) => CCond::Or(Box::new(compile_cond(a)), Box::new(compile_cond(b))),
-        Cond::And(a, b) => CCond::And(Box::new(compile_cond(a)), Box::new(compile_cond(b))),
-        Cond::Not(c) => CCond::Not(Box::new(compile_cond(c))),
-        Cond::Compare(l, op, r) => CCond::Compare(compile_expr(l), *op, compile_expr(r)),
-        Cond::Truthy(e) => CCond::Truthy(compile_expr(e)),
     }
 }
 
@@ -184,29 +197,26 @@ fn compile_nodes(nodes: &[Node], ops: &mut Vec<Op>) {
         match node {
             Node::Text(t) => ops.push(Op::Text(t.as_str().into())),
             Node::Var(expr) => ops.push(Op::Var(compile_expr(expr))),
-            Node::If { arms, else_body } => {
-                let mut end_jumps = Vec::new();
-                for (cond, body) in arms {
-                    let branch_at = ops.len();
-                    ops.push(Op::BranchIfNot {
-                        cond: compile_cond(cond),
-                        target: 0,
-                    });
-                    compile_nodes(body, ops);
-                    end_jumps.push(ops.len());
-                    ops.push(Op::Jump(0));
-                    let next_arm = ops.len();
-                    if let Op::BranchIfNot { target, .. } = &mut ops[branch_at] {
-                        *target = next_arm;
-                    }
-                }
+            Node::If {
+                cond,
+                body,
+                else_body,
+            } => {
+                let branch_at = ops.len();
+                ops.push(Op::BranchIfNot {
+                    cond: compile_expr(cond),
+                    target: 0,
+                });
+                compile_nodes(body, ops);
+                let jump_at = ops.len();
+                ops.push(Op::Jump(0));
+                let else_start = ops.len();
                 compile_nodes(else_body, ops);
                 let end = ops.len();
-                for at in end_jumps {
-                    if let Op::Jump(target) = &mut ops[at] {
-                        *target = end;
-                    }
+                if let Op::BranchIfNot { target, .. } = &mut ops[branch_at] {
+                    *target = else_start;
                 }
+                ops[jump_at] = Op::Jump(end);
             }
             Node::For {
                 var,
@@ -219,7 +229,6 @@ fn compile_nodes(nodes: &[Node], ops: &mut Vec<Op>) {
                     var: Arc::from(var.as_str()),
                     iterable: compile_expr(iterable),
                     empty_target: 0,
-                    end_target: 0,
                 });
                 let body_start = ops.len();
                 compile_nodes(body, ops);
@@ -231,26 +240,12 @@ fn compile_nodes(nodes: &[Node], ops: &mut Vec<Op>) {
                 let empty_start = ops.len();
                 compile_nodes(empty, ops);
                 let end = ops.len();
-                if let Op::ForStart {
-                    empty_target,
-                    end_target,
-                    ..
-                } = &mut ops[start_at]
-                {
+                if let Op::ForStart { empty_target, .. } = &mut ops[start_at] {
                     *empty_target = empty_start;
-                    *end_target = end;
                 }
                 if let Op::ForIter { end: e, .. } = &mut ops[iter_at] {
                     *e = end;
                 }
-            }
-            Node::With { var, value, body } => {
-                ops.push(Op::WithStart {
-                    var: Arc::from(var.as_str()),
-                    value: compile_expr(value),
-                });
-                compile_nodes(body, ops);
-                ops.push(Op::WithEnd);
             }
             Node::Include { name } => ops.push(Op::Include {
                 name: name.as_str().into(),
@@ -283,6 +278,8 @@ enum FrameSrc<'a> {
 
 #[derive(Debug)]
 struct Frame<'a> {
+    /// The loop variable, which names the current item.
+    var: Arc<str>,
     src: FrameSrc<'a>,
     /// Table loops: the column index each `{{ row.key }}` resolved to,
     /// keyed by the address of the compiled key (programs are immutable
@@ -300,7 +297,7 @@ struct Frame<'a> {
 }
 
 impl<'a> Frame<'a> {
-    fn new(src: FrameSrc<'a>) -> Option<Self> {
+    fn new(var: Arc<str>, src: FrameSrc<'a>) -> Option<Self> {
         let (len, char_len) = match &src {
             FrameSrc::BorrowedList(l) => (l.len(), 0),
             FrameSrc::OwnedList(l) => (l.len(), 0),
@@ -327,6 +324,7 @@ impl<'a> Frame<'a> {
             _ => Vec::new(),
         };
         Some(Frame {
+            var,
             src,
             columns: RefCell::new(columns),
             index: 0,
@@ -394,22 +392,12 @@ impl<'a> Frame<'a> {
     }
 }
 
-/// A name binding: loop variables point at their frame (the current
-/// item is read through it), `{% with %}` values are stored directly.
-#[derive(Debug)]
-enum Binding<'a> {
-    Loop(usize),
-    Ctx(&'a Value),
-    CtxStr(&'a str),
-    Owned(Value),
-}
-
 /// Render-time state, shared across includes.
 struct Rt<'a> {
     ctx: &'a Context,
     store: Option<&'a TemplateStore>,
+    /// Open loops, innermost last; each binds its variable.
     frames: Vec<Frame<'a>>,
-    bindings: Vec<(Arc<str>, Binding<'a>)>,
     include_depth: usize,
     /// Templates included so far, keyed by the address of the include
     /// op's name: one store lookup per include per render, not per row.
@@ -418,8 +406,8 @@ struct Rt<'a> {
 
 /// A resolved value. `Ctx*` variants borrow from the context and stay
 /// valid across frame pushes; `Rt*` variants borrow from render-time
-/// state (frames, bindings, program literals) and must be consumed (or
-/// cloned) before the state is mutated.
+/// state (frames, program literals) and must be consumed (or cloned)
+/// before the state is mutated.
 #[derive(Debug)]
 enum Res<'a, 'r> {
     Ctx(&'a Value),
@@ -465,9 +453,9 @@ impl Res<'_, '_> {
         }
     }
 
-    /// Borrow as a full [`Value`] for the comparison/filter paths,
-    /// materializing only string slices and whole table rows (rare:
-    /// one-character loop items, map keys or rows used as values).
+    /// Borrow as a full [`Value`] for the filter path, materializing
+    /// only string slices and whole table rows (rare: one-character loop
+    /// items, map keys or rows used as values).
     fn as_value(&self) -> Cow<'_, Value> {
         match self {
             Res::Ctx(v) | Res::Rt(v) => Cow::Borrowed(*v),
@@ -535,87 +523,17 @@ fn column<'t>(table: &'t Table, row: usize, key: &str) -> Option<&'t Value> {
     Some(&table.row(row)?[table.column_index(key)?])
 }
 
-/// Materializes the `forloop` metadata map (cold path: only a bare
-/// `{{ forloop }}` or `{{ forloop.parentloop }}` needs it), with
-/// `parentloop` nested for inner loops.
-fn forloop_value(frames: &[Frame<'_>], idx: usize) -> Value {
-    let f = &frames[idx];
-    let mut m = BTreeMap::new();
-    m.insert("counter".to_string(), Value::Int(f.index as i64 + 1));
-    m.insert("counter0".to_string(), Value::Int(f.index as i64));
-    m.insert(
-        "revcounter".to_string(),
-        Value::Int((f.len - f.index) as i64),
-    );
-    m.insert(
-        "revcounter0".to_string(),
-        Value::Int((f.len - f.index - 1) as i64),
-    );
-    m.insert("first".to_string(), Value::Bool(f.index == 0));
-    m.insert("last".to_string(), Value::Bool(f.index + 1 == f.len));
-    m.insert("length".to_string(), Value::Int(f.len as i64));
-    if idx > 0 {
-        m.insert("parentloop".to_string(), forloop_value(frames, idx - 1));
-    }
-    Value::Map(m)
-}
-
-fn resolve_forloop<'a, 'r>(rt: &'r Rt<'a>, segs: &[Seg]) -> Res<'a, 'r> {
-    if rt.frames.is_empty() {
-        return Res::Null;
-    }
-    let mut idx = rt.frames.len() - 1;
-    let mut i = 0;
-    while i < segs.len() {
-        match &segs[i] {
-            Seg::Key(k) if &**k == "parentloop" => {
-                if idx == 0 {
-                    return Res::Null;
-                }
-                idx -= 1;
-                i += 1;
-            }
-            Seg::Key(k) => {
-                let f = &rt.frames[idx];
-                let val = match &**k {
-                    "counter" => Value::Int(f.index as i64 + 1),
-                    "counter0" => Value::Int(f.index as i64),
-                    "revcounter" => Value::Int((f.len - f.index) as i64),
-                    "revcounter0" => Value::Int((f.len - f.index - 1) as i64),
-                    "first" => Value::Bool(f.index == 0),
-                    "last" => Value::Bool(f.index + 1 == f.len),
-                    "length" => Value::Int(f.len as i64),
-                    _ => return Res::Null,
-                };
-                return walk_segs(Res::Owned(val), &segs[i + 1..]);
-            }
-            Seg::Index(_) => return Res::Null,
-        }
-    }
-    Res::Owned(forloop_value(&rt.frames, idx))
-}
-
 fn resolve<'a, 'r>(rt: &'r Rt<'a>, path: &'r CPath) -> Res<'a, 'r> {
-    let cur = match &path.root {
-        Root::Forloop => return resolve_forloop(rt, &path.segs),
-        Root::Name(name) => {
-            let bound = rt.bindings.iter().rev().find(|(n, _)| n == name);
-            match bound {
-                Some((_, Binding::Loop(i))) => {
-                    let frame = &rt.frames[*i];
-                    if let Some((Seg::Key(k), rest)) = path.segs.split_first() {
-                        if let Some(cell) = frame.cell(k) {
-                            return walk_segs(cell, rest);
-                        }
-                    }
-                    frame.current()
+    let cur = match rt.frames.iter().rev().find(|f| f.var == path.root) {
+        Some(frame) => {
+            if let Some((Seg::Key(k), rest)) = path.segs.split_first() {
+                if let Some(cell) = frame.cell(k) {
+                    return walk_segs(cell, rest);
                 }
-                Some((_, Binding::Ctx(v))) => Res::Ctx(v),
-                Some((_, Binding::CtxStr(s))) => Res::CtxStr(s),
-                Some((_, Binding::Owned(v))) => Res::Rt(v),
-                None => rt.ctx.get(name).map(Res::Ctx).unwrap_or(Res::Null),
             }
+            frame.current()
         }
+        None => rt.ctx.get(&path.root).map(Res::Ctx).unwrap_or(Res::Null),
     };
     walk_segs(cur, &path.segs)
 }
@@ -627,7 +545,7 @@ fn operand<'a, 'r>(rt: &'r Rt<'a>, op: &'r COperand) -> Res<'a, 'r> {
     }
 }
 
-fn eval<'a, 'r>(rt: &'r Rt<'a>, expr: &'r CExpr) -> Result<(Res<'a, 'r>, bool), TemplateError> {
+fn eval<'a, 'r>(rt: &'r Rt<'a>, expr: &'r CExpr) -> Result<Res<'a, 'r>, TemplateError> {
     apply_filters(rt, operand(rt, &expr.base), &expr.filters)
 }
 
@@ -637,12 +555,11 @@ fn apply_filters<'a, 'r>(
     rt: &'r Rt<'a>,
     base: Res<'a, 'r>,
     chain: &'r [CFilter],
-) -> Result<(Res<'a, 'r>, bool), TemplateError> {
+) -> Result<Res<'a, 'r>, TemplateError> {
     if chain.is_empty() {
-        return Ok((base, false));
+        return Ok(base);
     }
     let mut value: Option<Value> = None;
-    let mut safe = false;
     for filter in chain {
         let arg = filter.arg.as_ref().map(|a| operand(rt, a));
         let arg = arg.as_ref().map(Res::as_value);
@@ -650,13 +567,9 @@ fn apply_filters<'a, 'r>(
             Some(v) => Cow::Owned(v),
             None => base.as_value(),
         };
-        let filtered = filters::apply(&filter.kind, input, arg.as_deref())?;
-        value = Some(filtered.value);
-        if let Some(s) = filtered.safe_override {
-            safe = s;
-        }
+        value = Some(filters::apply(filter.kind, input, arg.as_deref())?);
     }
-    Ok((Res::Owned(value.unwrap_or_default()), safe))
+    Ok(Res::Owned(value.unwrap_or_default()))
 }
 
 /// Evaluates `{{ expr }}` into `out`. A chain ending in `default`,
@@ -672,17 +585,16 @@ fn write_var(rt: &Rt<'_>, expr: &CExpr, out: &mut Vec<u8>) -> Result<(), Templat
         )
     });
     let Some((last, chain)) = direct else {
-        let (res, safe) = eval(rt, expr)?;
-        write_res(&res, safe, out);
+        write_res(&eval(rt, expr)?, out);
         return Ok(());
     };
-    let (input, safe) = apply_filters(rt, operand(rt, &expr.base), chain)?;
+    let input = apply_filters(rt, operand(rt, &expr.base), chain)?;
     let arg = last.arg.as_ref().map(|a| operand(rt, a));
     match (&last.kind, input.as_text()) {
         (Filter::Default, _) => {
             let arg =
                 arg.ok_or_else(|| TemplateError::render("filter 'default' requires an argument"))?;
-            write_res(if input.is_truthy() { &input } else { &arg }, safe, out);
+            write_res(if input.is_truthy() { &input } else { &arg }, out);
         }
         (Filter::Floatformat, _) => {
             let digits = filters::floatformat_digits(arg.as_ref().map(Res::as_value).as_deref())?;
@@ -692,74 +604,18 @@ fn write_var(rt: &Rt<'_>, expr: &CExpr, out: &mut Vec<u8>) -> Result<(), Templat
             // Digits, a sign and a point: nothing to escape.
             filters::write_floatformat(x, digits, out);
         }
-        (Filter::Title, Some(text)) => filters::write_title(text, !safe, out),
+        (Filter::Title, Some(text)) => filters::write_title(text, true, out),
         (Filter::Urlencode, Some(text)) => filters::write_urlencoded(text, out),
         // Not text: through the filter's `Value` form.
         _ => {
             let arg = arg.as_ref().map(Res::as_value);
-            let filtered = filters::apply(&last.kind, input.as_value(), arg.as_deref())?;
             write_display(
-                &filtered.value,
-                !filtered.safe_override.unwrap_or(safe),
+                &filters::apply(last.kind, input.as_value(), arg.as_deref())?,
                 out,
             );
         }
     }
     Ok(())
-}
-
-/// Equality as templates see it: numbers (and numeric strings) compare
-/// by value unless both sides are strings.
-fn values_equal(a: &Value, b: &Value) -> bool {
-    match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) if !matches!((a, b), (Value::Str(_), Value::Str(_))) => x == y,
-        _ => a == b,
-    }
-}
-
-/// `{% if %}` comparisons: numeric where both sides read as numbers
-/// (and are not both strings), else by display string; `in` tests list
-/// membership, substring or map key.
-fn compare(a: &Value, op: CmpOp, b: &Value) -> bool {
-    match op {
-        CmpOp::Eq => values_equal(a, b),
-        CmpOp::Ne => !values_equal(a, b),
-        CmpOp::Lt | CmpOp::Gt | CmpOp::Le | CmpOp::Ge => {
-            let ord = match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) if !matches!((a, b), (Value::Str(_), Value::Str(_))) => {
-                    x.partial_cmp(&y)
-                }
-                _ => Some(a.to_display_string().cmp(&b.to_display_string())),
-            };
-            match (ord, op) {
-                (Some(o), CmpOp::Lt) => o.is_lt(),
-                (Some(o), CmpOp::Gt) => o.is_gt(),
-                (Some(o), CmpOp::Le) => o.is_le(),
-                (Some(o), CmpOp::Ge) => o.is_ge(),
-                _ => false,
-            }
-        }
-        CmpOp::In => match b {
-            Value::List(items) => items.iter().any(|i| values_equal(a, i)),
-            Value::Str(s) => s.contains(&a.to_display_string()),
-            Value::Map(m) => m.contains_key(&a.to_display_string()),
-            _ => false,
-        },
-    }
-}
-
-fn eval_cond<'a, 'r>(rt: &'r Rt<'a>, cond: &'r CCond) -> Result<bool, TemplateError> {
-    match cond {
-        CCond::Or(a, b) => Ok(eval_cond(rt, a)? || eval_cond(rt, b)?),
-        CCond::And(a, b) => Ok(eval_cond(rt, a)? && eval_cond(rt, b)?),
-        CCond::Not(c) => Ok(!eval_cond(rt, c)?),
-        CCond::Truthy(e) => Ok(eval(rt, e)?.0.is_truthy()),
-        CCond::Compare(l, op, r) => {
-            let (lv, _) = eval(rt, l)?;
-            let (rv, _) = eval(rt, r)?;
-            Ok(compare(lv.as_value().as_ref(), *op, rv.as_value().as_ref()))
-        }
-    }
 }
 
 /// Builds a loop frame source from an evaluated iterable, preserving
@@ -801,11 +657,11 @@ fn frame_src<'a>(res: Res<'a, '_>) -> Option<FrameSrc<'a>> {
     }
 }
 
-/// Streams a value's display form (byte-identical to
-/// `escape_html(value.to_display_string())` when `escape` is set)
-/// straight into the output buffer. Numbers go through `io::Write`
-/// formatting — no intermediate `String`.
-fn write_display(v: &Value, escape: bool, out: &mut Vec<u8>) {
+/// Streams a value's display form, byte-identical to
+/// `escape_html(value.to_display_string())`, straight into the output
+/// buffer. Numbers go through `io::Write` formatting — no intermediate
+/// `String`.
+fn write_display(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => {}
         Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
@@ -817,14 +673,14 @@ fn write_display(v: &Value, escape: bool, out: &mut Vec<u8>) {
                 let _ = write!(out, "{f}");
             }
         }
-        Value::Str(s) => write_str(s, escape, out),
+        Value::Str(s) => write_str(s, true, out),
         Value::List(l) => {
             out.push(b'[');
             for (i, item) in l.iter().enumerate() {
                 if i > 0 {
                     out.extend_from_slice(b", ");
                 }
-                write_display(item, escape, out);
+                write_display(item, out);
             }
             out.push(b']');
         }
@@ -834,9 +690,9 @@ fn write_display(v: &Value, escape: bool, out: &mut Vec<u8>) {
                 if i > 0 {
                     out.extend_from_slice(b", ");
                 }
-                write_str(k, escape, out);
+                write_str(k, true, out);
                 out.extend_from_slice(b": ");
-                write_display(val, escape, out);
+                write_display(val, out);
             }
             out.push(b'}');
         }
@@ -846,19 +702,19 @@ fn write_display(v: &Value, escape: bool, out: &mut Vec<u8>) {
                 if i > 0 {
                     out.extend_from_slice(b", ");
                 }
-                write_display(&t.row_value(i), escape, out);
+                write_display(&t.row_value(i), out);
             }
             out.push(b']');
         }
     }
 }
 
-fn write_res(res: &Res<'_, '_>, safe: bool, out: &mut Vec<u8>) {
+fn write_res(res: &Res<'_, '_>, out: &mut Vec<u8>) {
     match res {
-        Res::Ctx(v) | Res::Rt(v) => write_display(v, !safe, out),
-        Res::Owned(v) => write_display(v, !safe, out),
-        Res::CtxStr(s) | Res::RtStr(s) => write_str(s, !safe, out),
-        Res::CtxRow(t, i) | Res::RtRow(t, i) => write_display(&t.row_value(*i), !safe, out),
+        Res::Ctx(v) | Res::Rt(v) => write_display(v, out),
+        Res::Owned(v) => write_display(v, out),
+        Res::CtxStr(s) | Res::RtStr(s) => write_str(s, true, out),
+        Res::CtxRow(t, i) | Res::RtRow(t, i) => write_display(&t.row_value(*i), out),
         Res::Null => {}
     }
 }
@@ -874,7 +730,6 @@ pub(crate) fn render_program(
         ctx,
         store,
         frames: Vec::new(),
-        bindings: Vec::new(),
         include_depth: 0,
         includes: Vec::new(),
     };
@@ -894,7 +749,7 @@ fn execute(ops: &[Op], rt: &mut Rt<'_>, out: &mut Vec<u8>) -> Result<(), Templat
                 pc += 1;
             }
             Op::BranchIfNot { cond, target } => {
-                if eval_cond(rt, cond)? {
+                if eval(rt, cond)?.is_truthy() {
                     pc += 1;
                 } else {
                     pc = *target;
@@ -907,15 +762,11 @@ fn execute(ops: &[Op], rt: &mut Rt<'_>, out: &mut Vec<u8>) -> Result<(), Templat
                 empty_target,
                 ..
             } => {
-                let frame = {
-                    let (res, _) = eval(rt, iterable)?;
-                    frame_src(res).and_then(Frame::new)
-                };
+                let frame =
+                    frame_src(eval(rt, iterable)?).and_then(|src| Frame::new(Arc::clone(var), src));
                 match frame {
                     Some(frame) => {
                         rt.frames.push(frame);
-                        let idx = rt.frames.len() - 1;
-                        rt.bindings.push((Arc::clone(var), Binding::Loop(idx)));
                         pc += 1;
                     }
                     None => pc = *empty_target,
@@ -928,31 +779,8 @@ fn execute(ops: &[Op], rt: &mut Rt<'_>, out: &mut Vec<u8>) -> Result<(), Templat
                     pc = *back;
                 } else {
                     rt.frames.pop();
-                    rt.bindings.pop();
                     pc = *end;
                 }
-            }
-            Op::WithStart { var, value } => {
-                let binding = {
-                    let (res, _) = eval(rt, value)?;
-                    match res {
-                        Res::Ctx(v) => Binding::Ctx(v),
-                        Res::CtxStr(s) => Binding::CtxStr(s),
-                        Res::Rt(v) => Binding::Owned(v.clone()),
-                        Res::RtStr(s) => Binding::Owned(Value::Str(s.to_string())),
-                        Res::Owned(v) => Binding::Owned(v),
-                        row @ (Res::CtxRow(..) | Res::RtRow(..)) => {
-                            Binding::Owned(row.into_value())
-                        }
-                        Res::Null => Binding::Owned(Value::Null),
-                    }
-                };
-                rt.bindings.push((Arc::clone(var), binding));
-                pc += 1;
-            }
-            Op::WithEnd => {
-                rt.bindings.pop();
-                pc += 1;
             }
             Op::Include { name } => {
                 let store = rt.store.ok_or_else(|| {
@@ -1022,8 +850,7 @@ mod tests {
     #[test]
     fn compiled_matches_tree_on_core_constructs() {
         let store = TemplateStore::new();
-        // (name, source, rendered bytes) — each expected string is what
-        // both this program and the AST tree-walker it replaced rendered.
+        // (name, source, rendered bytes).
         let sources = [
             (
                 "plain",
@@ -1033,9 +860,9 @@ mod tests {
             ("missing", "[{{ nothing }}|{{ nothing.deep.er }}]", "[|]"),
             (
                 "escape",
-                "{{ title }}|{{ title|safe }}|{{ title|escape }}",
-                "A &quot;quoted&quot; &lt;title&gt;|A \"quoted\" <title>\
-                 |A &quot;quoted&quot; &lt;title&gt;",
+                "{{ title }}|{{ title|default:'x' }}|{{ nothing|default:'<b>' }}",
+                "A &quot;quoted&quot; &lt;title&gt;|A &quot;quoted&quot; &lt;title&gt;\
+                 |&lt;b&gt;",
             ),
             (
                 "dotted",
@@ -1044,55 +871,29 @@ mod tests {
             ),
             (
                 "branches",
-                "{% if n > 10 %}big{% elif n > 5 %}mid{% else %}small{% endif %}\
-                 {% if flag and not zero %}Y{% endif %}\
-                 {% if 'a&b' in xs %}IN{% endif %}",
-                "midYIN",
+                "{% if n %}N{% else %}no{% endif %}{% if zero %}Z{% else %}z{% endif %}\
+                 {% if empty_list %}E{% endif %}{% if xs|length %}L{% endif %}",
+                "NzL",
             ),
             (
                 "loops",
-                "{% for x in xs %}{{ forloop.counter }}={{ x }};{% endfor %}\
+                "{% for x in xs %}{{ x }};{% endfor %}\
                  {% for x in empty_list %}no{% empty %}EMPTY{% endfor %}\
                  {% for c in s %}({{ c }}){% endfor %}\
                  {% for k in book %}{{ k }},{% endfor %}\
                  {% for one in n %}[{{ one }}]{% endfor %}",
-                "1=a&amp;b;2=c;3=d;EMPTY(h)(é)(l)(l)(o)price,title,[7]",
+                "a&amp;b;c;d;EMPTY(h)(é)(l)(l)(o)price,title,[7]",
             ),
             (
                 "nested",
-                "{% for row in rows %}{% for c in row %}\
-                 {{ forloop.parentloop.counter }}.{{ forloop.counter }}/{{ forloop.revcounter0 }} \
-                 {% endfor %}{% endfor %}",
-                "1.1/1 1.2/0 2.1/0 ",
-            ),
-            (
-                "counters",
-                "{% for x in xs %}{% if forloop.first %}[{% endif %}{{ x }}\
-                 {% if forloop.last %}]{% endif %}{% endfor %}\
-                 {% for x in xs %}{{ forloop.length }}{% endfor %}",
-                "[a&amp;bcd]333",
-            ),
-            (
-                "bare_forloop",
-                "{% for x in xs %}{{ forloop }}|{% endfor %}",
-                "{counter: 1, counter0: 0, first: true, last: false, length: 3, \
-                 revcounter: 3, revcounter0: 2}|\
-                 {counter: 2, counter0: 1, first: false, last: false, length: 3, \
-                 revcounter: 2, revcounter0: 1}|\
-                 {counter: 3, counter0: 2, first: false, last: true, length: 3, \
-                 revcounter: 1, revcounter0: 0}|",
-            ),
-            (
-                "with",
-                "{% with t = n|add:5 %}{{ t }}+{{ t }}{% endwith %}|{{ t }}\
-                 {% with x='shadow' %}{{ x }}{% endwith %}",
-                "12+12|shadow",
+                "{% for row in rows %}{% for c in row %}{{ c }}{% endfor %}/{% endfor %}",
+                "xy/z/",
             ),
             (
                 "filters",
-                "{{ xs|join:\", \" }}|{{ title|upper|lower }}|{{ pi|floatformat:2 }}\
-                 |{{ nothing|default:'dft' }}|{{ s|length }}",
-                "a&amp;b, c, d|a &quot;quoted&quot; &lt;title&gt;|3.00|dft|5",
+                "{{ xs|slice:\":2\"|length }}|{{ s|title }}|{{ pi|floatformat:2 }}\
+                 |{{ nothing|default:'dft' }}|{{ s|length }}|{{ n|pluralize }}",
+                "2|Héllo|3.00|dft|5|s",
             ),
             (
                 "shadow",
@@ -1121,16 +922,14 @@ mod tests {
         assert_eq!(
             store.render("includer", &ctx).unwrap(),
             "Ahello A &quot;quoted&quot; &lt;title&gt; world\
-             B1=a&amp;b;2=c;3=d;EMPTY(h)(é)(l)(l)(o)price,title,[7]C"
+             Ba&amp;b;c;d;EMPTY(h)(é)(l)(l)(o)price,title,[7]C"
         );
     }
 
     #[test]
     fn loop_vars_visible_inside_includes() {
         let store = TemplateStore::new();
-        store
-            .insert("inner", "{{ x }}:{{ forloop.counter }};")
-            .unwrap();
+        store.insert("inner", "{{ x }}:{{ y }};").unwrap();
         store
             .insert(
                 "outer",
@@ -1139,8 +938,9 @@ mod tests {
             .unwrap();
         let mut ctx = Context::new();
         ctx.insert("xs", Value::from(vec!["p".into(), "q".into()]));
+        ctx.insert("y", "ctx");
         let html = store.render("outer", &ctx).unwrap();
-        assert_eq!(html, "p:1;q:2;");
+        assert_eq!(html, "p:ctx;q:ctx;");
     }
 
     #[test]

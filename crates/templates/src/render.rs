@@ -10,19 +10,18 @@ use crate::value::Context;
 /// concurrently.
 ///
 /// Compilation happens once ([`Template::compile`]); rendering runs the
-/// compiled instruction stream against a [`Context`]. Output
-/// auto-escapes HTML unless a value passes through the `safe` filter,
-/// mirroring Django.
+/// compiled instruction stream against a [`Context`]. Every value is
+/// HTML-escaped on output; the language has no way to mark one safe.
 ///
 /// # Examples
 ///
 /// ```
 /// use staged_templates::{Context, Template};
 ///
-/// let t = Template::compile("Hello {{ name|capfirst }}!").unwrap();
+/// let t = Template::compile("Hello {{ name|title }}!").unwrap();
 /// let mut ctx = Context::new();
-/// ctx.insert("name", "ada");
-/// assert_eq!(t.render(&ctx).unwrap(), "Hello Ada!");
+/// ctx.insert("name", "ada <lovelace>");
+/// assert_eq!(t.render(&ctx).unwrap(), "Hello Ada &lt;lovelace&gt;!");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Template {
@@ -35,7 +34,8 @@ impl Template {
     ///
     /// # Errors
     ///
-    /// [`TemplateError::Parse`] with a line number on syntax errors.
+    /// [`TemplateError::Parse`] with a line number on syntax errors,
+    /// unknown tags and unknown filters.
     pub fn compile(source: &str) -> Result<Self, TemplateError> {
         Ok(Template {
             program: Program::compile(&parse(source)?),
@@ -91,6 +91,19 @@ impl Template {
     pub(crate) fn program(&self) -> &Program {
         &self.program
     }
+
+    /// The block tags of [`TAGS`](crate::TAGS) this template compiled
+    /// to, each once, in table order (`include` counts; the included
+    /// template's own tags do not).
+    pub fn tags(&self) -> Vec<&'static str> {
+        self.program.tags()
+    }
+
+    /// The filters of [`FILTERS`](crate::FILTERS) this template applies,
+    /// each once, in table order.
+    pub fn filters(&self) -> Vec<&'static str> {
+        self.program.filters()
+    }
 }
 
 #[cfg(test)]
@@ -137,24 +150,18 @@ mod tests {
             render("{{ evil }}", &ctx),
             "&lt;script&gt;alert(1)&lt;/script&gt;"
         );
-        assert_eq!(render("{{ evil|safe }}", &ctx), "<script>alert(1)</script>");
-        // Filters that write straight into the buffer escape too.
+        // Filters that write straight into the buffer escape too, as do
+        // a default's literal and a filter's computed value.
         ctx.insert("name", "o'NEIL & <sons> 'x co");
         assert_eq!(
-            render(
-                "{{ name|title }}|{{ name|title|safe }}|{{ name|urlencode }}",
-                &ctx
-            ),
-            "O&#x27;neil &amp; &lt;sons&gt; &#x27;x Co|O'neil & <sons> 'x Co\
+            render("{{ name|title }}|{{ name|urlencode }}", &ctx),
+            "O&#x27;neil &amp; &lt;sons&gt; &#x27;x Co\
              |o%27NEIL%20%26%20%3Csons%3E%20%27x%20co"
         );
-    }
-
-    #[test]
-    fn escape_applies_once_even_with_safe_text() {
-        let mut ctx = Context::new();
-        ctx.insert("v", "a&b");
-        assert_eq!(render("{{ v|escape }}", &ctx), "a&amp;b");
+        assert_eq!(
+            render("{{ nothing|default:'<i>' }}|{{ evil|slice:':3' }}", &ctx),
+            "&lt;i&gt;|&lt;sc"
+        );
     }
 
     #[test]
@@ -168,94 +175,33 @@ mod tests {
     }
 
     #[test]
-    fn if_elif_else_branches() {
-        let src = "{% if n > 10 %}big{% elif n > 5 %}mid{% else %}small{% endif %}";
+    fn if_else_branches() {
+        let src = "{% if n %}some{% else %}none{% endif %}|{% if n %}only{% endif %}";
         let mut ctx = Context::new();
         ctx.insert("n", 20);
-        assert_eq!(render(src, &ctx), "big");
-        ctx.insert("n", 7);
-        assert_eq!(render(src, &ctx), "mid");
-        ctx.insert("n", 1);
-        assert_eq!(render(src, &ctx), "small");
+        assert_eq!(render(src, &ctx), "some|only");
+        for falsy in [Value::Int(0), Value::from(""), Value::List(vec![])] {
+            ctx.insert("n", falsy);
+            assert_eq!(render(src, &ctx), "none|");
+        }
+        assert_eq!(render(src, &Context::new()), "none|");
     }
 
     #[test]
-    fn boolean_operators_and_comparisons() {
+    fn nested_loops() {
         let mut ctx = Context::new();
-        ctx.insert("a", true);
-        ctx.insert("b", false);
-        ctx.insert("name", "ada");
-        assert_eq!(render("{% if a and not b %}y{% endif %}", &ctx), "y");
-        assert_eq!(render("{% if b or a %}y{% endif %}", &ctx), "y");
-        assert_eq!(render("{% if name == 'ada' %}y{% endif %}", &ctx), "y");
-        assert_eq!(render("{% if name != 'bob' %}y{% endif %}", &ctx), "y");
-        assert_eq!(render("{% if 'd' in name %}y{% endif %}", &ctx), "y");
-    }
-
-    #[test]
-    fn in_operator_on_lists() {
-        let mut ctx = Context::new();
-        ctx.insert("xs", Value::from(vec![Value::Int(1), Value::Int(2)]));
-        assert_eq!(render("{% if 2 in xs %}y{% else %}n{% endif %}", &ctx), "y");
-        assert_eq!(render("{% if 9 in xs %}y{% else %}n{% endif %}", &ctx), "n");
-    }
-
-    #[test]
-    fn numeric_comparison_coerces_strings() {
-        let mut ctx = Context::new();
-        ctx.insert("n", "15");
-        assert_eq!(render("{% if n > 9 %}y{% endif %}", &ctx), "y");
-    }
-
-    #[test]
-    fn string_comparison_is_lexicographic() {
-        let mut ctx = Context::new();
-        ctx.insert("a", "apple");
-        ctx.insert("b", "banana");
-        assert_eq!(render("{% if a < b %}y{% endif %}", &ctx), "y");
-    }
-
-    #[test]
-    fn forloop_counters() {
-        let mut ctx = Context::new();
-        ctx.insert("xs", Value::from(vec!["a".into(), "b".into(), "c".into()]));
-        assert_eq!(
-            render(
-                "{% for x in xs %}{{ forloop.counter }}{{ x }} {% endfor %}",
-                &ctx
-            ),
-            "1a 2b 3c "
-        );
-        assert_eq!(
-            render(
-                "{% for x in xs %}{% if forloop.first %}[{% endif %}{{ x }}\
-                 {% if forloop.last %}]{% endif %}{% endfor %}",
-                &ctx
-            ),
-            "[abc]"
-        );
-        assert_eq!(
-            render(
-                "{% for x in xs %}{{ forloop.revcounter0 }}{% endfor %}",
-                &ctx
-            ),
-            "210"
-        );
-    }
-
-    #[test]
-    fn nested_loops_and_parentloop() {
-        let mut ctx = Context::new();
-        let inner = Value::from(vec!["x".into(), "y".into()]);
-        ctx.insert("rows", Value::from(vec![inner.clone(), inner]));
+        let rows = vec![
+            Value::from(vec!["x".into(), "y".into()]),
+            Value::from(vec!["z".into()]),
+        ];
+        ctx.insert("rows", Value::from(rows));
         assert_eq!(
             render(
                 "{% for row in rows %}{% for c in row %}\
-                 {{ forloop.parentloop.counter }}.{{ forloop.counter }} \
-                 {% endfor %}{% endfor %}",
+                 {{ row|length }}{{ c }} {% endfor %}{% endfor %}",
                 &ctx
             ),
-            "1.1 1.2 2.1 2.2 "
+            "2x 2y 1z "
         );
     }
 
@@ -290,32 +236,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn with_binds_a_scoped_value() {
-        let mut ctx = Context::new();
-        ctx.insert("price", 10);
-        assert_eq!(
-            render(
-                "{% with t = price|add:5 %}{{ t }}+{{ t }}{% endwith %}|{{ t }}",
-                &ctx
-            ),
-            "15+15|"
-        );
-        // Compact Django syntax.
-        assert_eq!(render("{% with x=3 %}{{ x }}{% endwith %}", &ctx), "3");
-        // Shadowing ends at endwith.
-        ctx.insert("x", "outer");
-        assert_eq!(
-            render("{% with x='inner' %}{{ x }}{% endwith %}{{ x }}", &ctx),
-            "innerouter"
-        );
-    }
-
+    /// `with` is not a tag of the language.
     #[test]
     fn with_errors() {
-        assert!(Template::compile("{% with %}{% endwith %}").is_err());
-        assert!(Template::compile("{% with x = 1 %}").is_err());
-        assert!(Template::compile("{% with a.b = 1 %}{% endwith %}").is_err());
+        for src in [
+            "{% with %}{% endwith %}",
+            "{% with x = 1 %}{{ x }}{% endwith %}",
+            "{% with x=1 %}{{ x }}{% endwith %}",
+        ] {
+            assert!(
+                matches!(Template::compile(src), Err(TemplateError::Parse { .. })),
+                "{src}"
+            );
+        }
     }
 
     #[test]
@@ -331,15 +264,26 @@ mod tests {
     fn filters_chain_in_output() {
         let mut ctx = Context::new();
         ctx.insert("items", Value::from(vec!["b".into(), "a".into()]));
-        assert_eq!(render(r#"{{ items|join:"-"|upper }}"#, &ctx), "B-A");
+        ctx.insert("name", "ARTSY");
+        assert_eq!(
+            render(
+                r#"{{ name|slice:":3"|title }}-{{ items|slice:"1:"|length }}"#,
+                &ctx
+            ),
+            "Art-1"
+        );
     }
 
     #[test]
     fn filter_arg_resolves_variables() {
         let mut ctx = Context::new();
         ctx.insert("n", 4);
-        ctx.insert("inc", 3);
-        assert_eq!(render("{{ n|add:inc }}", &ctx), "7");
+        ctx.insert("digits", 2);
+        ctx.insert("fallback", 3);
+        assert_eq!(
+            render("{{ n|floatformat:digits }}|{{ m|default:fallback }}", &ctx),
+            "4.00|3"
+        );
     }
 
     /// A query-result table: `rows` books with a NULL author on row 2.
@@ -377,15 +321,10 @@ mod tests {
 
     #[test]
     fn table_loops_count_and_measure() {
-        let src = "{% for b in books %}{{ forloop.counter }}/{{ forloop.length }}\
-                   {% if forloop.last %}.{% else %},{% endif %}{% endfor %} \
+        let src = "{% for b in books %}{{ b.title|length }},{% endfor %} \
                    {{ books|length }} book{{ books|length|pluralize }}";
         let mut ctx = Context::new();
-        for (rows, want) in [
-            (3, "1/3,2/3,3/3. 3 books"),
-            (1, "1/1. 1 book"),
-            (0, " 0 books"),
-        ] {
+        for (rows, want) in [(3, "8,8,8, 3 books"), (1, "8, 1 book"), (0, " 0 books")] {
             ctx.insert("books", books(rows));
             assert_eq!(render(src, &ctx), want, "{rows} rows");
         }
@@ -394,7 +333,7 @@ mod tests {
     #[test]
     fn table_truthiness() {
         let src = "{% if books %}some{% else %}none{% endif %}\
-                   {% if books.0 %}+row{% endif %}{% if not books.7 %}-row{% endif %}";
+                   {% if books.0 %}+row{% endif %}{% if books.7 %}+row{% else %}-row{% endif %}";
         let mut ctx = Context::new();
         ctx.insert("books", books(2));
         assert_eq!(render(src, &ctx), "some+row-row");
@@ -425,15 +364,30 @@ mod tests {
             render("{{ books.1.title }}|{{ books.0 }}|{% for k in books.0 %}{{ k }};{% endfor %}", &ctx),
             "Book &lt;1&gt;|{author: Le Guin &amp; Co, cost: 0.5, title: Book &lt;0&gt;}|author;cost;title;"
         );
-        assert_eq!(
-            render("{% with b=books.1 %}{{ b.cost }}{% endwith %}", &ctx),
-            "1.5"
-        );
+        assert_eq!(render("{{ books.1.cost }}", &ctx), "1.5");
     }
 
     #[test]
-    fn unknown_filter_is_render_error() {
-        let t = Template::compile("{{ x|zap }}").unwrap();
-        assert!(t.render(&Context::new()).is_err());
+    fn unknown_filter_is_compile_error() {
+        assert!(matches!(
+            Template::compile("{{ x|zap }}"),
+            Err(TemplateError::Parse { line: 1, .. })
+        ));
+    }
+
+    /// A template reports the tags and filters it compiled to, from
+    /// the engine's tables, each once.
+    #[test]
+    fn reports_its_tags_and_filters() {
+        let t = Template::compile(
+            "{% if a %}{{ a|title }}{% endif %}{% for x in xs|slice:':2' %}\
+             {{ x|default:'-'|title }}{% empty %}{% include \"e\" %}{% endfor %}",
+        )
+        .unwrap();
+        assert_eq!(t.tags(), ["if", "for", "empty", "include"]);
+        assert_eq!(t.filters(), ["default", "slice", "title"]);
+        let t = Template::compile("{% if a %}1{% else %}2{% endif %}{{ n }}").unwrap();
+        assert_eq!(t.tags(), ["if", "else"]);
+        assert!(t.filters().is_empty());
     }
 }

@@ -324,8 +324,8 @@ impl Table {
     }
 
     /// Row `i` as a map of its columns: how a row behaves wherever it
-    /// is used as a whole value (printed, compared, filtered, bound by
-    /// `{% with %}`). Empty past the end.
+    /// is used as a whole value (printed, filtered, iterated). Empty
+    /// past the end.
     pub(crate) fn row_value(&self, i: usize) -> Value {
         let cells = self.row(i).unwrap_or_default();
         self.columns

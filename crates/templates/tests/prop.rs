@@ -73,35 +73,17 @@ proptest! {
         prop_assert!(!inner.contains('<'), "injection: {html:?}");
     }
 
-    /// `truncatechars:n` output never exceeds n characters.
-    #[test]
-    fn truncatechars_bounds(s in ".{0,80}", n in 1i64..60) {
-        let t = Template::compile("{{ s|truncatechars:n|safe }}").unwrap();
-        let mut ctx = Context::new();
-        ctx.insert("s", s);
-        ctx.insert("n", n);
-        let out = t.render(&ctx).unwrap();
-        prop_assert!(out.chars().count() <= n as usize);
-    }
-
     /// A for-loop over a list visits every element exactly once, in
-    /// order, with correct counters.
+    /// order.
     #[test]
     fn for_loop_visits_in_order(items in proptest::collection::vec(0i64..100, 0..10)) {
-        let t = Template::compile(
-            "{% for x in xs %}{{ forloop.counter0 }}:{{ x }};{% endfor %}",
-        )
-        .unwrap();
+        let t = Template::compile("{% for x in xs %}{{ x }};{% endfor %}").unwrap();
         let mut ctx = Context::new();
         ctx.insert(
             "xs",
             Value::List(items.iter().map(|&i| Value::Int(i)).collect()),
         );
-        let expected: String = items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| format!("{i}:{x};"))
-            .collect();
+        let expected: String = items.iter().map(|x| format!("{x};")).collect();
         prop_assert_eq!(t.render(&ctx).unwrap(), expected);
     }
 

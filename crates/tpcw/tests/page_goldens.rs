@@ -15,15 +15,18 @@
 //! them.
 //!
 //! The same file holds the planner's deterministic scan-count gates on
-//! the two heaviest read pages (best-sellers and the subject search).
+//! the two heaviest read pages (best-sellers and the subject search),
+//! and the workload census: the plan-node kinds, block tags and filters
+//! the bookstore builds, against what the engines carry.
 
 use staged_core::{App, PageOutcome};
-use staged_db::{ConnectionPool, Database, DbValue, PooledConnection};
+use staged_db::{ConnectionPool, Database, DbValue, PooledConnection, PLAN_NODE_KINDS};
 use staged_http::{HeaderMap, RequestLine};
+use staged_templates::{FILTERS, TAGS};
 use staged_tpcw::{build_app, populate, ScaleConfig};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const TARGETS: &[&str] = &[
     "/home?c_id=3",
@@ -232,4 +235,112 @@ fn planner_scan_counts_on_the_heavy_pages() {
     assert_eq!(scanned, 12);
     assert!(scanned * 2 <= LEGACY_SEARCH_SUBJECT_SCANNED);
     assert_eq!(index_rows, no_index_rows);
+}
+
+/// The plan-node kinds the bookstore builds: its start-up statements
+/// (`populate`, `build_app`), populate's row-count checks, and the golden
+/// targets, at tiny and default scale.
+const CENSUS_PLAN_NODES: [&str; 9] = [
+    "seq_scan",
+    "index_scan",
+    "index_range",
+    "index_endpoint",
+    "filter",
+    "index_loop_join",
+    "aggregate",
+    "sort",
+    "limit",
+];
+
+/// Kinds the engine keeps though no route builds them: the nested loop
+/// is the one way to run a join whose inner column has no index, which
+/// only ad-hoc statements issue.
+const AD_HOC_PLAN_NODES: [&str; 1] = ["nested_loop_join"];
+
+/// The block tags and filters the 17 bookstore templates compile to.
+const CENSUS_TAGS: [&str; 5] = ["if", "else", "for", "empty", "include"];
+const CENSUS_FILTERS: [&str; 7] = [
+    "default",
+    "floatformat",
+    "length",
+    "pluralize",
+    "slice",
+    "title",
+    "urlencode",
+];
+
+/// The workload census. Fails when a route builds a plan-node kind
+/// outside the recorded set, or when the database or the template
+/// engine carries a kind, tag or filter that nothing here uses and that
+/// the ad-hoc list does not name.
+#[test]
+fn workload_census_matches_what_the_engines_carry() {
+    let (mut built, mut tags, mut filters) = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+    for scale in [ScaleConfig::tiny(), ScaleConfig::default()] {
+        let db = Arc::new(Database::new());
+        let seen = Arc::new(Mutex::new(BTreeSet::new()));
+        let sink = Arc::clone(&seen);
+        db.set_plan_observer(move |kind, _| {
+            sink.lock().unwrap().insert(kind);
+        });
+        let summary = populate(&db, &scale);
+        // populate's self-check: each table holds the rows it reports.
+        for (table, rows) in [
+            ("item", scale.items),
+            ("stock", scale.items),
+            ("customer", scale.customers),
+            ("address", scale.customers),
+            ("orders", scale.orders),
+            ("cc_xacts", scale.orders),
+            ("order_line", summary.order_lines),
+        ] {
+            let sql = format!("SELECT COUNT(*) FROM {table}");
+            let count = db.execute(&sql, &[]).unwrap().single_int();
+            assert_eq!(count, Some(rows as i64), "{table}");
+        }
+        let app = build_app(&db, &scale);
+        let pool = ConnectionPool::new(Arc::clone(&db), 2);
+        let conn = pool.get();
+        for target in TARGETS {
+            serve(&app, &conn, target);
+        }
+        built.extend(seen.lock().unwrap().iter().copied());
+        let names = app.templates().names();
+        assert_eq!(names.len(), 17);
+        for name in names {
+            let template = app.templates().get(&name).unwrap();
+            tags.extend(template.tags());
+            filters.extend(template.filters());
+        }
+    }
+    assert_eq!(
+        built,
+        BTreeSet::from(CENSUS_PLAN_NODES),
+        "the plan-node kinds the bookstore builds changed"
+    );
+    let carried: BTreeSet<&str> = PLAN_NODE_KINDS.into_iter().collect();
+    let kept: BTreeSet<&str> = CENSUS_PLAN_NODES
+        .into_iter()
+        .chain(AD_HOC_PLAN_NODES)
+        .collect();
+    assert_eq!(
+        carried, kept,
+        "a plan-node kind nothing builds, or one not carried"
+    );
+    assert!(AD_HOC_PLAN_NODES.iter().all(|k| !built.contains(k)));
+
+    assert_eq!(tags, BTreeSet::from(CENSUS_TAGS), "the pages' tags changed");
+    assert_eq!(
+        filters,
+        BTreeSet::from(CENSUS_FILTERS),
+        "the pages' filters changed"
+    );
+    assert_eq!(
+        TAGS, CENSUS_TAGS,
+        "the engine's tag table is not the census"
+    );
+    assert_eq!(
+        FILTERS, CENSUS_FILTERS,
+        "the engine's filter table is not the census"
+    );
 }
