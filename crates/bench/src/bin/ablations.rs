@@ -20,11 +20,12 @@
 //! ```
 
 use staged_bench::{run_model, Experiment, Model};
+use staged_core::ServerConfig;
 
 struct Variant {
     name: &'static str,
     note: &'static str,
-    tweak: fn(&mut Experiment),
+    tweak: fn(&mut ServerConfig),
 }
 
 const VARIANTS: &[Variant] = &[
@@ -36,27 +37,27 @@ const VARIANTS: &[Variant] = &[
     Variant {
         name: "no-cap",
         note: "uncapped t_reserve: the unstated ratchet failure mode",
-        tweak: |exp| {
-            exp.server.max_reserve = exp.server.general_workers - 1;
+        tweak: |server| {
+            server.max_reserve = server.general_workers - 1;
         },
     },
     Variant {
         name: "no-lengthy-pool",
         note: "quick/lengthy split disabled (lengthy pool starved to 1, all dispatch general)",
-        tweak: |exp| {
+        tweak: |server| {
             // With the reserve pinned to 0-ish, every lengthy request
             // passes the Table 1 overflow rule into the general pool.
-            exp.server.min_reserve = 1;
-            exp.server.max_reserve = 1;
-            exp.server.general_workers += exp.server.lengthy_workers - 1;
-            exp.server.lengthy_workers = 1;
+            server.min_reserve = 1;
+            server.max_reserve = 1;
+            server.general_workers += server.lengthy_workers - 1;
+            server.lengthy_workers = 1;
         },
     },
     Variant {
         name: "static-reserve",
         note: "controller disabled: fixed reserve at the configured minimum",
-        tweak: |exp| {
-            exp.server.max_reserve = exp.server.min_reserve;
+        tweak: |server| {
+            server.max_reserve = server.min_reserve;
         },
     },
 ];
@@ -86,7 +87,7 @@ fn main() {
 
     for variant in VARIANTS {
         let mut exp = base.clone();
-        (variant.tweak)(&mut exp);
+        (variant.tweak)(&mut exp.deployment.server);
         eprintln!("variant {}: {} …", variant.name, variant.note);
         let outcome = run_model(&exp, Model::Modified, &[]);
         let report = &outcome.report;
@@ -101,4 +102,18 @@ fn main() {
         outcome.server.shutdown().expect("clean shutdown");
     }
     println!("\n(home = representative quick page; best sellers = representative lengthy page)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_variant_tweaks_the_paper_run_into_a_valid_config() {
+        for variant in VARIANTS {
+            let mut server = Experiment::default().deployment.server;
+            (variant.tweak)(&mut server);
+            server.validate();
+        }
+    }
 }

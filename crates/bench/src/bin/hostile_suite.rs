@@ -35,7 +35,7 @@ use staged_core::{ServerConfig, ServerHandle};
 use staged_db::CostModel;
 use staged_http::{fetch_with_timeout, Method};
 use staged_metrics::Snapshot;
-use staged_tpcw::ScaleConfig;
+use staged_tpcw::{Deployment, ScaleConfig};
 use std::time::Duration;
 
 /// Probe fleet shape shared by every scenario.
@@ -169,10 +169,12 @@ fn harden(cfg: &mut ServerConfig) {
 
 fn start(cfg: ServerConfig) -> ServerHandle {
     let exp = Experiment {
-        scale: ScaleConfig::tiny(),
-        server: cfg,
-        cost: CostModel::free(),
-        ebs: 1,
+        deployment: Deployment {
+            scale: ScaleConfig::tiny(),
+            server: cfg,
+            cost: CostModel::free(),
+            ..Deployment::paper()
+        },
         ramp: Duration::ZERO,
         measure: Duration::ZERO,
     };

@@ -63,9 +63,10 @@ fn run(exp: &Experiment, model: Model, trace_queues: &[&str]) -> RunOutcome {
 
 fn main() {
     let exp = Experiment::from_args();
+    let d = &exp.deployment;
     eprintln!(
         "populating {} items / {} customers / {} orders; {} EBs, {:.0?} ramp + {:.0?} measure per run",
-        exp.scale.items, exp.scale.customers, exp.scale.orders, exp.ebs, exp.ramp, exp.measure
+        d.scale.items, d.scale.customers, d.scale.orders, d.ebs, exp.ramp, exp.measure
     );
     let unmodified = run(&exp, Model::Unmodified, &["worker"]);
     unmodified.server.shutdown().expect("clean shutdown");

@@ -9,11 +9,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use staged_core::{BaselineServer, RequestKind, ServerConfig, ServerHandle, StagedServer};
-use staged_db::{CostModel, Database};
+use staged_core::{BaselineServer, RequestKind, ServerHandle, StagedServer};
+use staged_db::Database;
 use staged_metrics::{Registry, SeriesPoint, Snapshot, TimeSeries};
 use staged_pool::{QueueSampler, SamplerHandle};
-use staged_tpcw::{build_app, populate, run_workload, ScaleConfig, WorkloadConfig, WorkloadReport};
+use staged_tpcw::{build_app, populate, run_workload, Deployment, ScaleConfig, WorkloadReport};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -53,55 +53,23 @@ impl Model {
     }
 }
 
-/// Everything an experiment run needs.
+/// Everything an experiment run needs: a deployment and how long to
+/// run it.
 #[derive(Debug, Clone)]
 pub struct Experiment {
-    /// Database/population scale.
-    pub scale: ScaleConfig,
-    /// Server pool sizes and scheduler parameters.
-    pub server: ServerConfig,
-    /// Synthetic per-row query latency (see `DESIGN.md` §3).
-    pub cost: CostModel,
-    /// Number of emulated browsers.
-    pub ebs: usize,
-    /// Warm-up excluded from measurement.
+    /// What runs: population, server, cost model and emulated browsers.
+    pub deployment: Deployment,
+    /// Warm-up excluded from measurement (the paper: 5 min).
     pub ramp: Duration,
-    /// Measurement interval.
+    /// Measurement interval (the paper: 50 min).
     pub measure: Duration,
 }
 
 impl Default for Experiment {
+    /// The paper run ([`Deployment::paper`]) for 5 s + 20 s.
     fn default() -> Self {
-        // The testbed here is a single-core container, so the paper's
-        // deployment is shrunk coherently: a ×10 time scale (think
-        // 70–700 ms), a 10-connection web tier, and sleep-based query
-        // costs (a blocked thread models the paper's web threads
-        // waiting on the remote database host without burning the one
-        // local CPU).
-        let server = ServerConfig {
-            header_workers: 4,
-            static_workers: 8,
-            general_workers: 8,
-            lengthy_workers: 2,
-            render_workers: 4,
-            baseline_workers: 10,
-            db_connections: 10,
-            lengthy_cutoff: Duration::from_millis(10),
-            controller_tick: Duration::from_millis(100),
-            min_reserve: 1,
-            max_reserve: 2,
-            ..ServerConfig::default()
-        };
         Experiment {
-            scale: ScaleConfig::small(),
-            server,
-            // 30 µs per scanned row: a full item scan (New Products,
-            // searches) costs ~30 ms at `small` scale, point lookups
-            // µs. Best Sellers' planned aggregate reads only 12–20 rows,
-            // so it stays under 1 ms (the paper's is ~3 s, ~300 ms at
-            // ×10).
-            cost: CostModel::new(30_000, 10_000),
-            ebs: 250,
+            deployment: Deployment::paper(),
             ramp: Duration::from_secs(5),
             measure: Duration::from_secs(20),
         }
@@ -111,7 +79,7 @@ impl Default for Experiment {
 impl Experiment {
     /// Parses command-line flags over the defaults:
     /// `--ebs N`, `--measure-secs S`, `--ramp-secs S`,
-    /// `--scale tiny|small|default`, `--scan-ns N`.
+    /// `--scale tiny|small|default` (the population only), `--scan-ns N`.
     ///
     /// # Panics
     ///
@@ -126,7 +94,7 @@ impl Experiment {
                     .unwrap_or_else(|| panic!("flag {} needs a value", args[i]))
             };
             match args[i].as_str() {
-                "--ebs" => exp.ebs = value(i).parse().expect("--ebs takes a number"),
+                "--ebs" => exp.deployment.ebs = value(i).parse().expect("--ebs takes a number"),
                 "--measure-secs" => {
                     exp.measure = Duration::from_secs_f64(value(i).parse().expect("--measure-secs"))
                 }
@@ -134,15 +102,16 @@ impl Experiment {
                     exp.ramp = Duration::from_secs_f64(value(i).parse().expect("--ramp-secs"))
                 }
                 "--scale" => {
-                    exp.scale = match value(i) {
+                    let population = match value(i) {
                         "tiny" => ScaleConfig::tiny(),
                         "small" => ScaleConfig::small(),
                         "default" | "full" => ScaleConfig::default(),
                         other => panic!("unknown scale: {other}"),
-                    }
+                    };
+                    exp.deployment = exp.deployment.with_population(population);
                 }
                 "--scan-ns" => {
-                    exp.cost.scan_ns_per_row = value(i).parse().expect("--scan-ns");
+                    exp.deployment.cost.scan_ns_per_row = value(i).parse().expect("--scan-ns");
                 }
                 "--help" | "-h" => {
                     eprintln!(
@@ -162,7 +131,8 @@ impl Experiment {
     /// model installed. Population runs once per scale; later builds
     /// restore from an in-memory snapshot (`staged_db::Database::dump`).
     pub fn build_database(&self) -> Arc<Database> {
-        let key = (self.scale.items, self.scale.seed);
+        let scale = &self.deployment.scale;
+        let key = (scale.items, scale.seed);
         let cached = SNAPSHOTS
             .lock()
             .get_or_insert_with(HashMap::new)
@@ -174,7 +144,7 @@ impl Experiment {
             }
             None => {
                 let db = Arc::new(Database::new());
-                populate(&db, &self.scale);
+                populate(&db, scale);
                 let mut buf = Vec::new();
                 db.dump(&mut buf).expect("dump to memory");
                 SNAPSHOTS
@@ -184,20 +154,17 @@ impl Experiment {
                 db
             }
         };
-        db.set_cost_model(self.cost);
+        db.set_cost_model(self.deployment.cost);
         db
     }
 
     /// Starts the chosen server over a fresh deployment.
     pub fn start_server(&self, model: Model, db: Arc<Database>) -> ServerHandle {
-        let app = build_app(&db, &self.scale);
+        let app = build_app(&db, &self.deployment.scale);
+        let server = self.deployment.server.clone();
         match model {
-            Model::Unmodified => {
-                BaselineServer::start(self.server.clone(), app, db).expect("bind server")
-            }
-            Model::Modified => {
-                StagedServer::start(self.server.clone(), app, db).expect("bind server")
-            }
+            Model::Unmodified => BaselineServer::start(server, app, db).expect("bind server"),
+            Model::Modified => StagedServer::start(server, app, db).expect("bind server"),
         }
     }
 
@@ -208,18 +175,6 @@ impl Experiment {
     /// buckets over a 50-minute window).
     pub fn sample_interval(&self) -> Duration {
         (self.measure / 20).max(Duration::from_millis(1))
-    }
-
-    /// The workload configuration for this experiment.
-    pub fn workload(&self) -> WorkloadConfig {
-        WorkloadConfig {
-            ebs: self.ebs,
-            ramp_up: self.ramp,
-            duration: self.measure,
-            timeout: Duration::from_secs(120),
-            seed: 0x0d5e_2009,
-            scale: self.scale.clone(),
-        }
     }
 }
 
@@ -256,9 +211,14 @@ pub fn run_model(exp: &Experiment, model: Model, trace_queues: &[&str]) -> RunOu
     }
     let sampler_handle = sampler.start();
     let mut completions = None;
-    let report = run_workload(server.addr(), &exp.workload(), || {
-        completions = Some(sample_completions(server.registry(), interval));
-    });
+    let on_start = || completions = Some(sample_completions(server.registry(), interval));
+    let report = run_workload(
+        server.addr(),
+        &exp.deployment,
+        exp.ramp,
+        exp.measure,
+        on_start,
+    );
     let (completion_handle, completions) = completions.expect("measurement started");
     completion_handle.stop();
     sampler_handle.stop();
@@ -334,22 +294,22 @@ pub fn print_series(title: &str, points: &[SeriesPoint]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn defaults_are_consistent() {
-        let exp = Experiment::default();
-        exp.server.validate();
-        exp.scale.validate();
-        assert!(exp.ebs > 0);
-    }
+    use staged_core::ServerConfig;
+    use staged_db::CostModel;
 
     #[test]
     fn tiny_run_produces_data_for_both_models() {
         let exp = Experiment {
-            scale: ScaleConfig::tiny(),
-            server: ServerConfig::small(),
-            cost: CostModel::free(),
-            ebs: 4,
+            deployment: Deployment {
+                scale: ScaleConfig::tiny(),
+                server: ServerConfig::small(),
+                cost: CostModel::free(),
+                ebs: 4,
+                // ×1000 time scale: the paper's 0.7–7 s.
+                think_min: Duration::from_micros(700),
+                think_max: Duration::from_millis(7),
+                images_per_page: 3,
+            },
             ramp: Duration::from_millis(50),
             measure: Duration::from_millis(400),
         };
@@ -394,10 +354,16 @@ mod tests {
         // Wired to a live run: every class has a series, and the ramp-up
         // completions the counters hold are not in it.
         let exp = Experiment {
-            scale: ScaleConfig::tiny(),
-            server: ServerConfig::small(),
-            cost: CostModel::free(),
-            ebs: 4,
+            deployment: Deployment {
+                scale: ScaleConfig::tiny(),
+                server: ServerConfig::small(),
+                cost: CostModel::free(),
+                ebs: 4,
+                // ×1000 time scale: the paper's 0.7–7 s.
+                think_min: Duration::from_micros(700),
+                think_max: Duration::from_millis(7),
+                images_per_page: 3,
+            },
             ramp: Duration::from_millis(200),
             measure: Duration::from_millis(400),
         };
@@ -421,10 +387,16 @@ mod tests {
     #[test]
     fn queue_traces_are_collected() {
         let exp = Experiment {
-            scale: ScaleConfig::tiny(),
-            server: ServerConfig::small(),
-            cost: CostModel::free(),
-            ebs: 4,
+            deployment: Deployment {
+                scale: ScaleConfig::tiny(),
+                server: ServerConfig::small(),
+                cost: CostModel::free(),
+                ebs: 4,
+                // ×1000 time scale: the paper's 0.7–7 s.
+                think_min: Duration::from_micros(700),
+                think_max: Duration::from_millis(7),
+                images_per_page: 3,
+            },
             ramp: Duration::from_millis(50),
             measure: Duration::from_millis(300),
         };

@@ -30,11 +30,13 @@ use std::time::Duration;
 /// field here; the per-pool sizes and queue factor below configure the
 /// pools of whichever model is started and the rest applies to both.
 ///
-/// Defaults follow the paper's proportions at laptop scale: the general
-/// dynamic pool has **four times** the lengthy pool's threads (§3.3),
-/// database connections equal the total dynamic thread count, the
-/// quick/lengthy cutoff is 5 ms (the paper's is 2 seconds), and the
-/// controller ticks at the paper's 1 Hz scaled to 100 ms.
+/// Defaults are library defaults that keep the paper's proportions:
+/// the general dynamic pool has **four times** the lengthy pool's
+/// threads (§3.3), database connections equal the total dynamic thread
+/// count, and the controller ticks at the paper's 1 Hz scaled ×10 to
+/// 100 ms. The 5 ms quick/lengthy cutoff is a library default, not the
+/// paper's 2 s at any stated scale (×10 would be 200 ms). The paper
+/// run's own values are `staged_tpcw::Deployment::paper()`'s.
 ///
 /// # Examples
 ///
@@ -66,7 +68,7 @@ pub struct ServerConfig {
     /// Database connections in the shared pool.
     pub db_connections: usize,
     /// Average data-generation time above which a page is *lengthy*
-    /// (paper: 2 s; scaled default: 5 ms).
+    /// (paper: 2 s; library default: 5 ms, not a scaled 2 s).
     pub lengthy_cutoff: Duration,
     /// How often the reserve controller updates `t_reserve` (paper:
     /// once per second; scaled default: 100 ms).

@@ -743,9 +743,7 @@ impl Tail {
 /// With `want_boundary`, also returns the joined-row number of the last
 /// row of a non-aggregating ORDER BY window that ended before the input
 /// did — the top-k boundary a read set records. `None` when the window
-/// reached the end, when it is empty, and when a sort key is a float
-/// NaN (which compares equal to everything, so the order has no
-/// well-defined boundary).
+/// reached the end or is empty.
 pub(crate) fn finish_select(
     tail: &Tail,
     rows: &[&[DbValue]],
@@ -777,14 +775,8 @@ pub(crate) fn finish_select(
     }
     // lint: end_hot_path
     let (kept, last) = window(n, &keys, &tail.order, offset, limit);
-    let boundary = last.filter(|_| want_boundary && !keys.iter().any(|k| is_nan(k)));
+    let boundary = last.filter(|_| want_boundary);
     Ok((tail.project(rows, stride, params, kept, scanned)?, boundary))
-}
-
-/// A float NaN: compares equal to everything under `total_cmp`, so an
-/// order holding one has no well-defined top-k boundary.
-pub(crate) fn is_nan(key: &DbValue) -> bool {
-    matches!(key, DbValue::Float(f) if f.is_nan())
 }
 
 /// Row numbers in ORDER BY order, sorted only as far as asked. Rows

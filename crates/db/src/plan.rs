@@ -755,9 +755,7 @@ fn top_k_join<'a>(
     let end = end.min(produced);
     // Rows remain past the window: joined ones, or base rows unprobed.
     let more = produced > end || taken < base.len();
-    let boundary = end
-        .checked_sub(1)
-        .filter(|_| want_boundary && more && !sort_keys.iter().any(|k| exec::is_nan(k)));
+    let boundary = end.checked_sub(1).filter(|_| want_boundary && more);
     let kept = start.min(end)..end;
     let finished = plan.tail.project(&out, stride, params, kept, stats.scanned);
     nanos += tp.elapsed().as_nanos() as u64;

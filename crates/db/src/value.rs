@@ -91,7 +91,8 @@ impl DbValue {
     }
 
     /// Total ordering for `ORDER BY` and index keys: `NULL` first, then
-    /// numerics (by value), then text.
+    /// numerics (by value, every NaN after every number and equal to
+    /// every other NaN), then text.
     pub fn total_cmp(&self, other: &DbValue) -> Ordering {
         fn rank(v: &DbValue) -> u8 {
             match v {
@@ -106,7 +107,9 @@ impl DbValue {
             (a, b) if rank(a) == 1 && rank(b) == 1 => {
                 let x = a.as_f64().expect("numeric");
                 let y = b.as_f64().expect("numeric");
-                x.partial_cmp(&y).unwrap_or(Ordering::Equal)
+                // `None` only when a side is NaN.
+                x.partial_cmp(&y)
+                    .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
             }
             (a, b) => rank(a).cmp(&rank(b)),
         }
@@ -116,11 +119,14 @@ impl DbValue {
     /// Keys are equal exactly when [`DbValue::sql_eq`] holds, or both
     /// sides are `NULL` or NaN (which index probes therefore never look
     /// up), so `-0.0` folds onto `0.0`: an index probe, a scan, a join
-    /// and GROUP BY agree on which values are equal.
+    /// and GROUP BY agree on which values are equal. Keys order like
+    /// [`DbValue::total_cmp`]: every NaN, of either sign, is one key
+    /// above `+∞`.
     pub(crate) fn index_key(&self) -> IndexKey {
         match self {
             DbValue::Null => IndexKey::Null,
             DbValue::Int(i) => IndexKey::Num((*i as f64).to_bits() ^ sign_flip(*i as f64)),
+            DbValue::Float(f) if f.is_nan() => IndexKey::Num(u64::MAX),
             DbValue::Float(f) => {
                 let f = f + 0.0;
                 IndexKey::Num(f.to_bits() ^ sign_flip(f))
@@ -263,6 +269,46 @@ mod tests {
             DbValue::Int(3).total_cmp(&DbValue::Float(3.0)),
             Ordering::Equal
         );
+        // The zeros are one value; every NaN sorts after every number
+        // and equals every other NaN, whatever its sign.
+        let (nan, neg_nan) = (DbValue::Float(f64::NAN), DbValue::Float(-f64::NAN));
+        assert!(neg_nan.as_f64().unwrap().is_sign_negative());
+        let numbers = [
+            DbValue::Float(f64::NEG_INFINITY),
+            DbValue::Float(-1.5),
+            DbValue::Float(-0.0),
+            DbValue::Int(0),
+            DbValue::Float(f64::INFINITY),
+        ];
+        for n in &numbers {
+            for x in [&nan, &neg_nan] {
+                assert_eq!(n.total_cmp(x), Ordering::Less, "{n:?} vs {x:?}");
+                assert_eq!(x.total_cmp(n), Ordering::Greater, "{x:?} vs {n:?}");
+            }
+        }
+        assert_eq!(nan.total_cmp(&neg_nan), Ordering::Equal);
+        assert_eq!(
+            DbValue::Float(-0.0).total_cmp(&DbValue::Float(0.0)),
+            Ordering::Equal
+        );
+        assert_eq!(DbValue::Null.total_cmp(&nan), Ordering::Less);
+        assert_eq!(nan.total_cmp(&DbValue::from("")), Ordering::Less);
+        // A sort over them is a sort: numbers in order, NaNs last.
+        let mut mixed = [
+            nan.clone(),
+            DbValue::Int(1),
+            neg_nan.clone(),
+            DbValue::Float(-0.0),
+            DbValue::Float(-1.5),
+            DbValue::Float(0.0),
+        ];
+        mixed.sort_by(|a, b| a.total_cmp(b));
+        let shown: Vec<String> = mixed.iter().map(|v| format!("{v:?}")).collect();
+        assert_eq!(
+            shown[..4],
+            ["Float(-1.5)", "Float(-0.0)", "Float(0.0)", "Int(1)"]
+        );
+        assert!(mixed[4..].iter().all(|v| v.as_f64().unwrap().is_nan()));
     }
 
     #[test]
@@ -279,6 +325,11 @@ mod tests {
         assert!(DbValue::Float(-0.0).sql_eq(&DbValue::Int(0)));
         assert_eq!(DbValue::Float(-0.0).index_key(), b);
         assert!(DbValue::Float(-0.5).index_key() < b);
+        // Every NaN is one key, above +∞ and below text, as in `total_cmp`.
+        let nan = DbValue::Float(f64::NAN).index_key();
+        assert_eq!(DbValue::Float(-f64::NAN).index_key(), nan);
+        assert!(DbValue::Float(f64::INFINITY).index_key() < nan);
+        assert!(nan < DbValue::from("").index_key());
     }
 
     #[test]

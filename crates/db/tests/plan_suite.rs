@@ -257,6 +257,76 @@ fn inner_join_index_never_changes_results() {
     assert!(across_zeros > 0, "no join matched -0.0 against 0 or 0.0");
 }
 
+/// ORDER BY … LIMIT, MIN and MAX over a FLOAT column holding NaN of
+/// both signs, both zeros and both infinities: a sort puts NULL first,
+/// then the numbers in order, then every NaN (ties by arrival); and an
+/// index on the column, whose endpoints answer MIN and MAX, returns the
+/// same rows as a scan (`Debug` form, as above).
+#[test]
+fn float_nan_orders_alike_with_and_without_an_index() {
+    let values = [
+        DbValue::Float(f64::NAN),
+        DbValue::Float(-f64::NAN),
+        DbValue::Float(-0.0),
+        DbValue::Int(0),
+        DbValue::Float(1.5),
+        DbValue::Float(-1.5),
+        DbValue::Float(f64::INFINITY),
+        DbValue::Float(f64::NEG_INFINITY),
+        DbValue::Null,
+    ];
+    let statements = [
+        "SELECT MIN(k) FROM t",
+        "SELECT MAX(k) FROM t",
+        "SELECT MIN(k), MAX(k), COUNT(*) FROM t",
+        "SELECT id, k FROM t ORDER BY k LIMIT 5",
+        "SELECT id, k FROM t ORDER BY k DESC, id LIMIT 5",
+        "SELECT id, k FROM t WHERE g = 1 ORDER BY k LIMIT 3",
+        "SELECT id, k FROM t ORDER BY k",
+    ];
+    let mut rng = Rng(0x00ff_5eed_0000_0047);
+    for _ in 0..30 {
+        let [plain, indexed] = [Database::new(), Database::new()];
+        let seed = rng.next();
+        for (db, index) in [(&plain, false), (&indexed, true)] {
+            db.execute("CREATE TABLE t (id INT PRIMARY KEY, k FLOAT, g INT)", &[])
+                .unwrap();
+            if index {
+                db.execute("CREATE INDEX ON t (k)", &[]).unwrap();
+            }
+            let mut r = Rng(seed);
+            for id in 0..12 {
+                let k = values[r.below(values.len() as u64) as usize].clone();
+                let row = [DbValue::Int(id), k, DbValue::Int(r.below(3) as i64)];
+                db.execute("INSERT INTO t (id, k, g) VALUES (?, ?, ?)", &row)
+                    .unwrap();
+            }
+        }
+        assert_eq!(
+            kinds(&indexed.explain(statements[0]).unwrap()),
+            ["aggregate", "index_endpoint"]
+        );
+        for sql in statements {
+            let outcome = |db: &Database| format!("{:?}", db.execute(sql, &[]).unwrap().rows);
+            assert_eq!(outcome(&plain), outcome(&indexed), "{sql}");
+        }
+        // NULL (0), then numbers (1) in order, then NaN (2).
+        let class = |v: &DbValue| match v.as_f64() {
+            None => 0,
+            Some(f) if f.is_nan() => 2,
+            Some(_) => 1,
+        };
+        let sorted = plain.execute("SELECT k FROM t ORDER BY k", &[]).unwrap();
+        for pair in sorted.rows.windows(2) {
+            let (a, b) = (&pair[0][0], &pair[1][0]);
+            assert!(class(a) <= class(b), "{:?}", sorted.rows);
+            if class(a) == 1 && class(b) == 1 {
+                assert!(a.as_f64() <= b.as_f64(), "{:?}", sorted.rows);
+            }
+        }
+    }
+}
+
 #[test]
 fn create_index_invalidates_cached_plans() {
     let db = sample(30);

@@ -21,7 +21,10 @@
 //! * Django-style **templates** for every page;
 //! * the **browsing-mix workload generator**: closed-loop emulated
 //!   browsers with scaled 0.7–7 s think times, per-page response-time
-//!   measurement (Table 3) and completion counts (Table 4).
+//!   measurement (Table 3) and completion counts (Table 4);
+//! * the paper run's **deployment** ([`Deployment::paper`]): every
+//!   constant of one experiment run, each with the paper's value and
+//!   the time scale between them.
 //!
 //! # Examples
 //!
@@ -41,6 +44,7 @@
 #![warn(missing_docs)]
 
 mod app;
+mod deployment;
 mod pages;
 mod populate;
 mod report;
@@ -50,9 +54,10 @@ mod templates;
 mod workload;
 
 pub use app::build_app;
+pub use deployment::Deployment;
 pub use populate::{populate, PopulationSummary};
 pub use report::{PageReport, WorkloadReport};
 pub use scale::ScaleConfig;
 pub use schema::create_schema;
 pub use templates::install_templates;
-pub use workload::{run_workload, WorkloadConfig, PAGES};
+pub use workload::{run_workload, PAGES};

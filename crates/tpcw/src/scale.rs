@@ -1,8 +1,8 @@
-//! Benchmark scaling parameters.
+//! Population sizes.
 
 use std::time::Duration;
 
-/// Sizes and time scaling for the TPC-W database and workload.
+/// Population sizes for the TPC-W database.
 ///
 /// The paper's configuration is one million items, 2.88 million
 /// customers, and 2.59 million orders against a dedicated database
@@ -10,7 +10,9 @@ use std::time::Duration;
 /// scales all of that down while preserving the ratios TPC-W fixes
 /// (2.88 customers and 2.59 orders per item) and the behaviour the
 /// scheduling method depends on: indexed lookups stay orders of
-/// magnitude cheaper than the scan/aggregate pages.
+/// magnitude cheaper than the scan/aggregate pages. The time scale,
+/// the emulated browsers and the server are the
+/// [`Deployment`](crate::Deployment)'s.
 ///
 /// # Examples
 ///
@@ -38,22 +40,17 @@ pub struct ScaleConfig {
     pub images: usize,
     /// Bytes per generated image.
     pub image_bytes: usize,
-    /// Think time range for emulated browsers (paper: 0.7–7 s; the
-    /// default is scaled ×10 for experiment runs, `tiny()` uses ×1000
-    /// for fast tests).
-    pub think_min: Duration,
-    /// Upper bound of the think range.
-    pub think_max: Duration,
-    /// Static sub-requests an emulated browser issues per page view
-    /// (embedded images; the paper's Figure 10a shows static requests
-    /// dominating raw counts ~10:1).
-    pub images_per_page: usize,
     /// Emulated per-kilobyte template rendering cost (the paper's
     /// CPython/Django engine; see `AppBuilder::render_weight_per_kb`).
+    /// Zero in every preset: [`Deployment::paper`](crate::Deployment::paper)
+    /// sets the paper run's. This weight and [`ScaleConfig::static_weight`]
+    /// move into [`Deployment`](crate::Deployment) once the repo
+    /// benchmark's deployment reads it.
     pub render_weight_per_kb: Duration,
-    /// Emulated per-response static service overhead.
+    /// Emulated per-response static service overhead (zero in every
+    /// preset, like [`ScaleConfig::render_weight_per_kb`]).
     pub static_weight: Duration,
-    /// RNG seed for deterministic population and workloads.
+    /// RNG seed for deterministic population.
     pub seed: u64,
 }
 
@@ -67,12 +64,8 @@ impl Default for ScaleConfig {
             lines_per_order: 3,
             images: 1_000,
             image_bytes: 2_048,
-            // ×10 time scale: the paper's 0.7–7 s think times.
-            think_min: Duration::from_millis(70),
-            think_max: Duration::from_millis(700),
-            images_per_page: 10,
-            render_weight_per_kb: Duration::from_millis(3),
-            static_weight: Duration::from_millis(1),
+            render_weight_per_kb: Duration::ZERO,
+            static_weight: Duration::ZERO,
             seed: 0x7bc0_57a9,
         }
     }
@@ -90,12 +83,6 @@ impl ScaleConfig {
             lines_per_order: 3,
             images: 20,
             image_bytes: 256,
-            images_per_page: 3,
-            render_weight_per_kb: Duration::ZERO,
-            static_weight: Duration::ZERO,
-            // ×1000 time scale so tests finish in milliseconds.
-            think_min: Duration::from_micros(700),
-            think_max: Duration::from_millis(7),
             ..ScaleConfig::default()
         }
     }
@@ -116,17 +103,13 @@ impl ScaleConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any population count is zero or `think_min > think_max`.
+    /// Panics if any population count is zero.
     pub fn validate(&self) {
         assert!(self.items > 0, "need at least one item");
         assert!(self.customers > 0, "need at least one customer");
         assert!(self.orders > 0, "need at least one order");
         assert!(self.authors > 0, "need at least one author");
         assert!(self.images > 0, "need at least one image");
-        assert!(
-            self.think_min <= self.think_max,
-            "think_min must not exceed think_max"
-        );
     }
 }
 
@@ -154,15 +137,6 @@ mod tests {
     fn zero_items_rejected() {
         let mut s = ScaleConfig::tiny();
         s.items = 0;
-        s.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "think_min must not exceed think_max")]
-    fn inverted_think_range_rejected() {
-        let mut s = ScaleConfig::tiny();
-        s.think_min = Duration::from_secs(1);
-        s.think_max = Duration::from_millis(1);
         s.validate();
     }
 }

@@ -1,8 +1,8 @@
 //! The TPC-W browsing-mix workload generator: closed-loop emulated
 //! browsers measuring web-interaction response times at the client.
 
+use crate::deployment::Deployment;
 use crate::report::{to_ms, PageReport, WorkloadReport};
-use crate::scale::ScaleConfig;
 use crate::schema::SUBJECTS;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,35 +61,11 @@ const MIX: &[(&str, u32)] = &[
     ("admin_response", 9),
 ];
 
-/// Workload parameters.
-#[derive(Debug, Clone)]
-pub struct WorkloadConfig {
-    /// Number of emulated browsers (the paper uses 400).
-    pub ebs: usize,
-    /// Warm-up excluded from measurement (the paper excludes 5 min).
-    pub ramp_up: Duration,
-    /// Measurement interval (the paper measures 50 min).
-    pub duration: Duration,
-    /// Per-request client timeout.
-    pub timeout: Duration,
-    /// RNG seed (combined with each browser's index).
-    pub seed: u64,
-    /// Think-time range and image fan-out come from here.
-    pub scale: ScaleConfig,
-}
+/// Per-request client timeout.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(120);
 
-impl Default for WorkloadConfig {
-    fn default() -> Self {
-        WorkloadConfig {
-            ebs: 40,
-            ramp_up: Duration::from_millis(500),
-            duration: Duration::from_secs(5),
-            timeout: Duration::from_secs(30),
-            seed: 0x3b9a_ca00,
-            scale: ScaleConfig::default(),
-        }
-    }
-}
+/// The browsers' RNG seed, combined with each browser's index.
+const EB_SEED: u64 = 0x0d5e_2009;
 
 struct Collector {
     pages: OrderedMutex<HashMap<&'static str, (Summary, Histogram)>>,
@@ -142,8 +118,7 @@ struct Browser {
     rng: StdRng,
     c_id: i64,
     sc_id: u64,
-    scale: ScaleConfig,
-    timeout: Duration,
+    deployment: Arc<Deployment>,
 }
 
 impl Browser {
@@ -166,7 +141,7 @@ impl Browser {
     }
 
     fn item(&mut self) -> u64 {
-        self.rng.gen_range(1..=self.scale.items as u64)
+        self.rng.gen_range(1..=self.deployment.scale.items as u64)
     }
 
     /// Builds the request target for a page, using session state.
@@ -231,8 +206,8 @@ impl Browser {
     }
 
     fn think(&mut self) {
-        let min = self.scale.think_min.as_nanos() as u64;
-        let max = self.scale.think_max.as_nanos() as u64;
+        let min = self.deployment.think_min.as_nanos() as u64;
+        let max = self.deployment.think_max.as_nanos() as u64;
         let ns = if max > min {
             self.rng.gen_range(min..=max)
         } else {
@@ -243,40 +218,43 @@ impl Browser {
 }
 
 /// Runs the closed-loop browsing-mix workload against a server and
-/// reports per-page response times and completion counts.
+/// reports per-page response times and completion counts: the
+/// deployment's EBs, think range and images per page, for `ramp_up`
+/// unmeasured and then `duration` measured.
 ///
 /// `on_measurement_start` fires when ramp-up ends (the paper drops its
 /// first five minutes); use it to start server-side sampling so client
 /// and server windows align.
 pub fn run_workload(
     addr: SocketAddr,
-    config: &WorkloadConfig,
+    deployment: &Deployment,
+    ramp_up: Duration,
+    duration: Duration,
     on_measurement_start: impl FnOnce(),
 ) -> WorkloadReport {
+    let deployment = Arc::new(deployment.clone());
     let collector = Arc::new(Collector::new());
     let recording = Arc::new(AtomicBool::new(false));
     let stop = Arc::new(AtomicBool::new(false));
 
-    let mut handles = Vec::with_capacity(config.ebs);
-    for eb in 0..config.ebs {
+    let mut handles = Vec::with_capacity(deployment.ebs);
+    for eb in 0..deployment.ebs {
         let collector = Arc::clone(&collector);
         let recording = Arc::clone(&recording);
         let stop = Arc::clone(&stop);
-        let timeout = config.timeout;
-        let scale = config.scale.clone();
-        let seed = config.seed ^ (eb as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let deployment = Arc::clone(&deployment);
+        let seed = EB_SEED ^ (eb as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let handle = std::thread::Builder::new()
             .name(format!("eb-{eb}"))
             .spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let c_id = rng.gen_range(1..=scale.customers as i64);
+                let c_id = rng.gen_range(1..=deployment.scale.customers as i64);
                 let mut browser = Browser {
                     addr,
                     rng,
                     c_id,
                     sc_id: 0,
-                    scale,
-                    timeout,
+                    deployment,
                 };
                 while !stop.load(Ordering::Acquire) {
                     let route = browser.next_page();
@@ -286,13 +264,8 @@ pub fn run_workload(
                     // to the last byte of the web interaction response"
                     // — which includes the page's embedded images.
                     let started = Instant::now();
-                    let result = fetch_with_timeout(
-                        browser.addr,
-                        Method::Get,
-                        &target,
-                        &[],
-                        browser.timeout,
-                    );
+                    let result =
+                        fetch_with_timeout(browser.addr, Method::Get, &target, &[], CLIENT_TIMEOUT);
                     let (ok, shed) = match &result {
                         Ok(resp) => (
                             resp.status.is_success(),
@@ -309,8 +282,8 @@ pub fn run_workload(
                         }
                     }
                     // Embedded static images for this page view.
-                    let images = browser.scale.images_per_page;
-                    let total_images = browser.scale.images as u64;
+                    let images = browser.deployment.images_per_page;
+                    let total_images = browser.deployment.scale.images as u64;
                     for _ in 0..images {
                         if stop.load(Ordering::Acquire) {
                             break;
@@ -321,7 +294,7 @@ pub fn run_workload(
                             Method::Get,
                             &format!("/img/thumb_{n}.gif"),
                             &[],
-                            browser.timeout,
+                            CLIENT_TIMEOUT,
                         );
                     }
                     let elapsed = started.elapsed();
@@ -335,11 +308,11 @@ pub fn run_workload(
         handles.push(handle);
     }
 
-    std::thread::sleep(config.ramp_up);
+    std::thread::sleep(ramp_up);
     on_measurement_start();
     recording.store(true, Ordering::Release);
     let measure_start = Instant::now();
-    std::thread::sleep(config.duration);
+    std::thread::sleep(duration);
     recording.store(false, Ordering::Release);
     let measured = measure_start.elapsed();
     stop.store(true, Ordering::Release);
@@ -375,7 +348,7 @@ pub fn run_workload(
     WorkloadReport {
         pages,
         duration_secs: measured.as_secs_f64(),
-        ebs: config.ebs,
+        ebs: deployment.ebs,
         total_interactions: total,
         total_errors: collector.total_errors.load(Ordering::Relaxed), // lint: allow(relaxed)
         total_sheds: collector.total_sheds.load(Ordering::Relaxed),   // lint: allow(relaxed)
@@ -414,8 +387,7 @@ mod tests {
             rng: StdRng::seed_from_u64(7),
             c_id: 1,
             sc_id: 0,
-            scale: ScaleConfig::tiny(),
-            timeout: Duration::from_secs(1),
+            deployment: Arc::new(Deployment::paper()),
         };
         let mut counts: HashMap<&str, u32> = HashMap::new();
         for _ in 0..20_000 {
@@ -434,8 +406,7 @@ mod tests {
             rng: StdRng::seed_from_u64(3),
             c_id: 5,
             sc_id: 9,
-            scale: ScaleConfig::tiny(),
-            timeout: Duration::from_secs(1),
+            deployment: Arc::new(Deployment::paper()),
         };
         for (route, _) in PAGES {
             let t = browser.target_for(route);
@@ -452,8 +423,7 @@ mod tests {
             rng: StdRng::seed_from_u64(3),
             c_id: 5,
             sc_id: 0,
-            scale: ScaleConfig::tiny(),
-            timeout: Duration::from_secs(1),
+            deployment: Arc::new(Deployment::paper()),
         };
         browser.learn_cart_id(r#"<input type="hidden" name="sc_id" value="271">"#);
         assert_eq!(browser.sc_id, 271);

@@ -1,9 +1,9 @@
 //! Drives the full TPC-W application through both servers over TCP.
 
 use staged_core::{BaselineServer, ServerConfig, StagedServer};
-use staged_db::Database;
+use staged_db::{CostModel, Database};
 use staged_http::{fetch, Method, StatusCode};
-use staged_tpcw::{build_app, populate, run_workload, ScaleConfig, WorkloadConfig};
+use staged_tpcw::{build_app, populate, run_workload, Deployment, ScaleConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -108,23 +108,27 @@ fn shopping_flow_carries_cart_state() {
 #[test]
 fn workload_runs_against_both_servers() {
     let (db, scale) = setup();
-    let mut wl = WorkloadConfig {
+    let deployment = Deployment {
+        scale: scale.clone(),
+        server: ServerConfig::small(),
+        cost: CostModel::free(),
         ebs: 8,
-        ramp_up: Duration::from_millis(100),
-        duration: Duration::from_millis(900),
-        ..WorkloadConfig::default()
+        // ×1000 time scale: the paper's 0.7–7 s.
+        think_min: Duration::from_micros(700),
+        think_max: Duration::from_millis(7),
+        images_per_page: 3,
     };
-    wl.scale = scale.clone();
 
     for staged in [false, true] {
         let app = build_app(&db, &scale);
-        let cfg = ServerConfig::small();
+        let cfg = deployment.server.clone();
         let server = if staged {
             StagedServer::start(cfg, app, Arc::clone(&db)).unwrap()
         } else {
             BaselineServer::start(cfg, app, Arc::clone(&db)).unwrap()
         };
-        let report = run_workload(server.addr(), &wl, || {});
+        let (ramp, measure) = (Duration::from_millis(100), Duration::from_millis(900));
+        let report = run_workload(server.addr(), &deployment, ramp, measure, || {});
         assert!(
             report.total_interactions > 20,
             "staged={staged}: only {} interactions",
@@ -160,15 +164,19 @@ fn workload_runs_against_both_servers() {
 fn report_shapes_are_consistent() {
     let (db, scale) = setup();
     let app = build_app(&db, &scale);
-    let server = StagedServer::start(ServerConfig::small(), app, db).unwrap();
-    let mut wl = WorkloadConfig {
+    let deployment = Deployment {
+        scale,
+        server: ServerConfig::small(),
+        cost: CostModel::free(),
         ebs: 4,
-        ramp_up: Duration::from_millis(50),
-        duration: Duration::from_millis(400),
-        ..WorkloadConfig::default()
+        // ×1000 time scale: the paper's 0.7–7 s.
+        think_min: Duration::from_micros(700),
+        think_max: Duration::from_millis(7),
+        images_per_page: 3,
     };
-    wl.scale = scale;
-    let report = run_workload(server.addr(), &wl, || {});
+    let server = StagedServer::start(deployment.server.clone(), app, db).unwrap();
+    let (ramp, measure) = (Duration::from_millis(50), Duration::from_millis(400));
+    let report = run_workload(server.addr(), &deployment, ramp, measure, || {});
     assert_eq!(report.pages.len(), 14);
     let total: u64 = report.pages.iter().map(|p| p.count).sum();
     assert_eq!(total, report.total_interactions);
